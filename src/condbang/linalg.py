@@ -4,14 +4,17 @@ partition solvers.
 Three primitives: a nullspace vector of a column set, support reduction of a
 nonnegative solution along kernel directions (ratio test, smallest index
 leaves on ties), and a Phase-I simplex deciding convex-combination
-feasibility with a Farkas certificate on failure.  All three run verbatim on
-floats (partial pivoting, 1e-12 thresholds) and on Fractions (exact
-pivoting, zero thresholds); sizes here are tens of rows, so plain lists beat
-array machinery.
+feasibility with a Farkas certificate on failure.  Support reduction and the
+simplex run verbatim on floats (partial pivoting, 1e-12 thresholds) and on
+Fractions (exact pivoting, zero thresholds).  The nullspace vector eliminates
+floats with partial pivoting, and exact rows fraction-free on Python ints
+(Bareiss), returning the Fractions exact elimination gives.  Sizes here are
+tens of rows, so plain lists beat array machinery.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,13 +27,31 @@ def _zero(exact: bool) -> Scalar:
     return Fraction(0) if exact else 0.0
 
 
+def integer_row(row: Sequence[Scalar]) -> list[int]:
+    """The exact row times the lcm of its denominators; int rows come back as is."""
+    if all(type(v) is int for v in row):
+        return list(row)
+    den = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]
+
+
 def nullspace_vector(rows: Sequence[Sequence[Scalar]], ncols: int,
                      exact: bool) -> list[Scalar] | None:
     """A nonzero z with (matrix given by rows) @ z = 0, or None at full column rank.
 
     Deterministic: elimination sweeps columns left to right, the first
     pivotless column becomes the free direction with coefficient one.
+
+    Exact rows are scaled to integers and eliminated fraction-free (see
+    ``_integer_nullspace_vector``).  The result is still the one the
+    Fraction elimination gives, entry for entry: column c gets a pivot
+    exactly when it is not in the span of the columns before it, which no
+    row scaling, row order or elimination scheme changes.  So the free
+    column is the first dependent column, and the kernel vector with
+    ``z[free] = 1`` and zeros after ``free`` is unique.
     """
+    if exact:
+        return _integer_nullspace_vector([integer_row(r) for r in rows], ncols)
     work = [list(r) for r in rows]
     nrows = len(work)
     pivots: list[tuple[int, int]] = []  # (column, row in echelon order)
@@ -38,18 +59,12 @@ def nullspace_vector(rows: Sequence[Sequence[Scalar]], ncols: int,
     free = None
     for c in range(ncols):
         pivot_row = None
-        if exact:
-            for i in range(rank, nrows):
-                if work[i][c] != 0:
-                    pivot_row = i
-                    break
-        else:
-            best = PIVOT_TOL
-            for i in range(rank, nrows):
-                a = abs(work[i][c])
-                if a > best:
-                    best = a
-                    pivot_row = i
+        best = PIVOT_TOL
+        for i in range(rank, nrows):
+            a = abs(work[i][c])
+            if a > best:
+                best = a
+                pivot_row = i
         if pivot_row is None:
             free = c
             break
@@ -70,15 +85,68 @@ def nullspace_vector(rows: Sequence[Sequence[Scalar]], ncols: int,
             break
     if free is None:
         return None
-    z: list[Scalar] = [_zero(exact)] * ncols
-    z[free] = Fraction(1) if exact else 1.0
+    z: list[Scalar] = [0.0] * ncols
+    z[free] = 1.0
     for c, r in reversed(pivots):
-        s = _zero(exact)
+        s = 0.0
         for cc in range(c + 1, free + 1):
             if z[cc] != 0:
                 s += work[r][cc] * z[cc]
         z[c] = -s / work[r][c]
     return z
+
+
+def _integer_nullspace_vector(work: list[list[int]], ncols: int) -> list[Fraction] | None:
+    """``nullspace_vector`` on an integer matrix, by Bareiss elimination.
+
+    Same pivot rule as the float sweep (first nonzero entry at or below the
+    rank), so pivots sit on columns 0..free-1 and row c of the echelon form
+    holds the pivot of column c.  Each step divides exactly by the previous
+    pivot (Bareiss 1968), which keeps every entry a minor of the input.  The
+    last pivot is the determinant ``det`` of the leading free x free block,
+    so ``det * z`` is integral (Cramer) and back substitution stays on ints.
+    """
+    nrows = len(work)
+    prev = 1
+    free = None
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(c, nrows):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            free = c
+            break
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+        tail_p = work[c][c + 1:]
+        piv = work[c][c]
+        for i in range(c + 1, nrows):
+            row_i = work[i]
+            f = row_i[c]
+            if f:
+                row_i[c + 1:] = [(piv * a - f * b) // prev
+                                 for a, b in zip(row_i[c + 1:], tail_p)]
+            elif piv != prev:
+                row_i[c + 1:] = [piv * a // prev for a in row_i[c + 1:]]
+        prev = piv
+        if c + 1 == nrows and c + 1 < ncols:
+            free = c + 1
+            break
+    if free is None:
+        return None
+    # x = det * z on columns 0..free; z is zero after free
+    x = [0] * (free + 1)
+    x[free] = prev
+    for c in range(free - 1, -1, -1):
+        row = work[c]
+        s = 0
+        for cc in range(c + 1, free + 1):
+            if x[cc]:
+                s += row[cc] * x[cc]
+        x[c] = -s // row[c]
+    return [Fraction(xc, prev) for xc in x] + [Fraction(0)] * (ncols - free - 1)
 
 
 def reduce_support(columns: Sequence[Sequence[Scalar]], x: Sequence[Scalar],

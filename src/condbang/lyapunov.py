@@ -21,7 +21,7 @@ import numpy as np
 
 from .condexp import (BlockFunction, SimpleFunction, cond_exp, indicator,
                       lift_function, lift_to_cells, sf_mul, weighted_ce_measure)
-from .linalg import nullspace_vector
+from .linalg import integer_row, nullspace_vector
 from .numeric import PIVOT_TOL, Scalar
 from .spaces import (BlockPartition, CellRefinement, Grid, Mode, RefinedSet,
                      block_masses, build_grid, full_set, make_partition,
@@ -106,6 +106,13 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     mom_rows = sum(len(cols) for cols in mom_cols)
     zero: Scalar = Fraction(0) if exact else 0.0
     zero_thresh = 0 if exact else PIVOT_TOL
+    if exact:
+        # a positive factor per moment row leaves every window's kernel as it
+        # is and lets the windows be built from ints
+        mom_cols = [[integer_row(col) for col in cols] for cols in mom_cols]
+        one, nil = 1, 0
+    else:
+        one, nil = 1.0, 0.0
 
     def fractional(kk: int) -> bool:
         return sum(1 for v in rows[kk] if v > 0) >= 2
@@ -119,9 +126,9 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
         z = None
         if len(variables) > len(window) + mom_rows or (exhausted and len(variables) > 1):
             cell_row_of = {kk: r for r, kk in enumerate(window)}
-            matrix = [[zero] * len(variables) for _ in range(len(window) + mom_rows)]
+            matrix = [[nil] * len(variables) for _ in range(len(window) + mom_rows)]
             for col, (kk, i) in enumerate(variables):
-                matrix[cell_row_of[kk]][col] = Fraction(1) if exact else 1.0
+                matrix[cell_row_of[kk]][col] = one
                 base = len(window)
                 for ii in range(p):
                     for j in range(len(mom_cols[ii])):

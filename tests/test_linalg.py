@@ -1,0 +1,207 @@
+"""The kernel solves against the Fraction elimination they replaced.
+
+``reference_nullspace_vector`` is the elimination ``linalg.nullspace_vector``
+ran on both regimes before exact solves moved to integers, kept verbatim.
+Exact results must match it entry for entry, every entry a ``Fraction``;
+float results must match it bit for bit.  The reference gets its exact input
+as ``Fraction``s, because on two ``int``s its ``/`` leaves the exact regime.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Sequence
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from condbang import linalg
+from condbang.linalg import nullspace_vector, reduce_support
+from condbang.numeric import PIVOT_TOL, Scalar
+
+
+def _zero(exact: bool) -> Scalar:
+    return Fraction(0) if exact else 0.0
+
+
+def reference_nullspace_vector(rows: Sequence[Sequence[Scalar]], ncols: int,
+                               exact: bool) -> list[Scalar] | None:
+    """A nonzero z with (matrix given by rows) @ z = 0, or None at full column rank.
+
+    Deterministic: elimination sweeps columns left to right, the first
+    pivotless column becomes the free direction with coefficient one.
+    """
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    pivots: list[tuple[int, int]] = []  # (column, row in echelon order)
+    rank = 0
+    free = None
+    for c in range(ncols):
+        pivot_row = None
+        if exact:
+            for i in range(rank, nrows):
+                if work[i][c] != 0:
+                    pivot_row = i
+                    break
+        else:
+            best = PIVOT_TOL
+            for i in range(rank, nrows):
+                a = abs(work[i][c])
+                if a > best:
+                    best = a
+                    pivot_row = i
+        if pivot_row is None:
+            free = c
+            break
+        if pivot_row != rank:
+            work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        piv = work[rank][c]
+        for i in range(rank + 1, nrows):
+            f = work[i][c] / piv
+            if f == 0:
+                continue
+            row_i, row_p = work[i], work[rank]
+            for cc in range(c, ncols):
+                row_i[cc] -= f * row_p[cc]
+        pivots.append((c, rank))
+        rank += 1
+        if rank == nrows and c + 1 < ncols:
+            free = c + 1
+            break
+    if free is None:
+        return None
+    z: list[Scalar] = [_zero(exact)] * ncols
+    z[free] = Fraction(1) if exact else 1.0
+    for c, r in reversed(pivots):
+        s = _zero(exact)
+        for cc in range(c + 1, free + 1):
+            if z[cc] != 0:
+                s += work[r][cc] * z[cc]
+        z[c] = -s / work[r][c]
+    return z
+
+
+def assert_exact_matches_reference(rows, ncols):
+    want = reference_nullspace_vector([[Fraction(v) for v in r] for r in rows],
+                                      ncols, True)
+    got = nullspace_vector(rows, ncols, True)
+    assert got == want
+    if got is not None:
+        assert all(type(v) is Fraction for v in got)
+    return got
+
+
+F = Fraction
+BIG = 2 ** 64
+
+
+def test_zero_rows():
+    assert assert_exact_matches_reference([], 3) == [1, 0, 0]
+
+
+def test_leading_all_zero_column():
+    rows = [[0, F(1, 2), 3], [0, -2, F(5, 7)]]
+    assert assert_exact_matches_reference(rows, 3) == [1, 0, 0]
+
+
+def test_rank_reaches_row_count_before_last_column():
+    rows = [[2, F(-1, 3), 4, 1, 0], [F(1, 5), 1, -1, 0, 7]]
+    z = assert_exact_matches_reference(rows, 5)
+    assert z[2] == 1 and z[3:] == [0, 0]
+
+
+def test_full_column_rank_returns_none():
+    rows = [[1, F(2, 3)], [F(-1, 4), 5], [0, 1]]
+    assert assert_exact_matches_reference(rows, 2) is None
+
+
+def test_single_column():
+    assert assert_exact_matches_reference([[F(3, 7)], [0]], 1) is None
+    assert assert_exact_matches_reference([[0], [F(0, 5)]], 1) == [1]
+
+
+def test_mixed_int_and_fraction_entries_with_a_later_dependent_column():
+    rows = [[1, F(1, 2), 2, F(3, 2)], [0, 3, F(-1, 3), F(8, 3)], [4, -1, 7, 3]]
+    assert assert_exact_matches_reference(rows, 4) is not None
+
+
+def test_negative_entries():
+    rows = [[-3, -1, -4], [-1, F(-5, 9), -2], [-6, -2, -8]]
+    assert assert_exact_matches_reference(rows, 3) is not None
+
+
+def test_denominators_near_two_to_the_64():
+    rng = random.Random(64)
+    for _ in range(40):
+        nrows = rng.randint(1, 5)
+        ncols = rng.randint(1, 7)
+        rows = [[F(rng.randint(-BIG, BIG), BIG - rng.randint(0, 1000)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if ncols > 1 and rng.random() < 0.5:  # a dependent last column
+            a, b = F(rng.randint(1, BIG), BIG + 1), F(-rng.randint(1, BIG), BIG - 3)
+            for r in rows:
+                r[-1] = a * r[0] + b * r[ncols // 2]
+        assert_exact_matches_reference(rows, ncols)
+
+
+_entries = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.just(0),
+)
+
+
+@st.composite
+def matrices(draw):
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(1, 8))
+    rows = [[draw(_entries) for _ in range(ncols)] for _ in range(nrows)]
+    # make some columns zero or combinations of earlier ones, so that the
+    # first dependent column lands anywhere
+    for c in range(ncols):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "combine")))
+        if kind == "zero":
+            for r in rows:
+                r[c] = 0
+        elif kind == "combine" and c > 0:
+            coefs = [draw(_entries) for _ in range(c)]
+            for r in rows:
+                r[c] = sum((k * v for k, v in zip(coefs, r[:c])), Fraction(0))
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_exact_kernel_matches_reference(case):
+    rows, ncols = case
+    assert_exact_matches_reference(rows, ncols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_float_kernel_matches_reference_bit_for_bit(case):
+    rows, ncols = case
+    rows = [[float(v) for v in r] for r in rows]
+    assert nullspace_vector(rows, ncols, False) == \
+        reference_nullspace_vector(rows, ncols, False)
+
+
+def test_exact_support_reduction_unchanged_on_dependent_columns():
+    rng = random.Random(2024)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        n = rng.randint(dim + 2, dim + 6)
+        columns = [[F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)]
+                   for _ in range(n)]
+        if rng.random() < 0.3:
+            columns[rng.randrange(n)] = list(columns[0])  # a repeated column
+        x = [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(n)]
+        got = reduce_support(columns, x, True)
+        with mock.patch.object(linalg, "nullspace_vector",
+                               lambda rows, ncols, exact: reference_nullspace_vector(
+                                   [[F(v) for v in r] for r in rows], ncols, exact)):
+            want = reduce_support(columns, x, True)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
