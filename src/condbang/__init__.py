@@ -29,6 +29,6 @@ from .purify import (ActionSet, YoungMeasure, IntegrandFamily, PureStrategy,
                      PurifyReport, PurificationMatchError, action_set,
                      young_measure, dirac_measure, integrand_family,
                      stack_integrands, barycenter, support_polytope, purify,
-                     purify_with_actions, density_step)
+                     density_step)
 from .oracle import (direct_integrate, direct_payoff, direct_mixture_payoff,
                      enumerate_atomic_partitions, EnumerationBudgetError)

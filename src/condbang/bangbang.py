@@ -28,12 +28,11 @@ class ExtremeSelection:
     Piece i holds branch value function ``values[i]``; on every cell a piece
     meets, its value there is an extreme point of that cell's polytope.
     Empty pieces from padded decomposition slots are retained so piece labels
-    stay aligned with branch slots (``provenance``).
+    stay aligned with branch slots.
     """
 
     pieces: tuple[RefinedSet, ...]
     values: tuple[SimpleFunction, ...]
-    provenance: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -101,8 +100,7 @@ def bang_bang(T: PolytopeMap, h: SimpleFunction, C: BlockPartition, grid: Grid, 
         moments = [stacked] * p
     part = partition_with_moments(moments, decomposition.weight_function(), C, grid,
                                   tol=tol, polish_budget=polish_budget)
-    selection = ExtremeSelection(pieces=part.pieces, values=tuple(branches),
-                                 provenance=tuple(range(p)))
+    selection = ExtremeSelection(pieces=part.pieces, values=tuple(branches))
     lhs = selection.conditional_expectation(C, grid)
     rhs = cond_exp(h, C, grid)
     report = BangBangReport(lhs=lhs, rhs=rhs,

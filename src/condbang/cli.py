@@ -5,6 +5,15 @@ emit a canonical JSON report.  ``verify`` re-reads a problem/report pair and
 independently recomputes both sides of every equality the report claims,
 with oracle-route summation, exiting 4 on any violation beyond tolerance.
 
+Each command is one ``_Spec`` of the ``_COMMANDS`` table, which both ``run``
+and ``verify_report`` dispatch through: ``parse`` reads the payload once into
+the command's inputs, ``run`` calls the library on them, and ``verify``
+rechecks a report's claims against them.  ``bang-bang`` shares its spec with
+``pointset-bang-bang`` and ``purify`` with ``density-step``; ``parse`` gets
+the command name and records which library call to make.  ``verify``
+compares at ``--tol`` when given, else at the problem document's tolerance,
+never at the tolerance a report states about itself.
+
 Exit codes: 0 success, 2 schema error, 3 mathematical precondition failure,
 4 verification failure.
 """
@@ -14,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -31,236 +41,28 @@ from .lyapunov import annihilator_witness, half_set, lyapunov_partition, witness
 from .numeric import Scalar
 from .oracle import direct_integrate, direct_mixture_payoff, direct_payoff
 from .polytope import extreme_points
-from .purify import (PureStrategy, density_step, purify_with_actions,
+from .purify import (IntegrandFamily, PureStrategy, density_step, purify,
                      stack_integrands)
-from .spaces import (BlockPartition, Grid, Mode, block_masses, coarseness_check,
-                     full_set, grid_from_weights, make_partition)
+from .spaces import (BlockPartition, Grid, Mode, RefinedSet, block_masses,
+                     coarseness_check, full_set, grid_from_weights, make_partition)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 
-RUN_COMMANDS = ("cond-exp", "ce-measure", "partition", "half-set", "annihilator",
-                "bang-bang", "pointset-bang-bang", "purify", "density-step",
-                "coarseness")
-COMMANDS = RUN_COMMANDS + ("verify",)
-
 
 # ---------------------------------------------------------------------------
-# command handlers: problem -> (outputs, residuals, certified bound)
-# ---------------------------------------------------------------------------
-
-
-def _enc(x: Scalar, exact: bool) -> Any:
-    return encode_number(x, exact)
-
-
-def _run_cond_exp(p: ProblemDocument):
-    f = parse_simple_function(p.payload.get("function"), p.exact,
-                              p.grid.cell_count, "payload.function")
-    out = cond_exp(f, p.partition, p.grid)
-    return {"expectation": encode_block_function(out, p.exact)}, {}, p.tolerance
-
-
-def _run_ce_measure(p: ProblemDocument):
-    E = parse_refined_set(p.payload.get("set"), p.exact, p.grid, "payload.set")
-    out = ce_measure(E, p.partition, p.grid)
-    return {"measure": encode_block_function(out, p.exact)}, {}, p.tolerance
-
-
-def _run_partition(p: ProblemDocument):
-    h = parse_simple_function(p.payload.get("moments"), p.exact,
-                              p.grid.cell_count, "payload.moments")
-    alpha = parse_simple_function(p.payload.get("weights"), p.exact,
-                                  p.grid.cell_count, "payload.weights")
-    res = lyapunov_partition(h, alpha, p.partition, p.grid, tol=p.tolerance)
-    outputs = {"pieces": [encode_refined_set(piece, p.exact) for piece in res.pieces]}
-    residuals = {"max_residual": _enc(res.max_residual, p.exact),
-                 "fractional_per_block": list(res.fractional_per_block)}
-    return outputs, residuals, res.residual_bound
-
-
-def _run_half_set(p: ProblemDocument):
-    h = parse_simple_function(p.payload.get("moments"), p.exact,
-                              p.grid.cell_count, "payload.moments")
-    E = parse_refined_set(p.payload.get("set"), p.exact, p.grid, "payload.set")
-    res = half_set(h, E, p.partition, p.grid, tol=p.tolerance)
-    outputs = {"half": encode_refined_set(res.half, p.exact),
-               "achieved": encode_block_function(res.achieved, p.exact),
-               "target": encode_block_function(res.target, p.exact)}
-    residuals = {"max_residual": _enc(res.max_residual, p.exact)}
-    return outputs, residuals, res.residual_bound
-
-
-def _run_annihilator(p: ProblemDocument):
-    f = parse_simple_function(p.payload.get("function"), p.exact,
-                              p.grid.cell_count, "payload.function")
-    if f.dim != 1:
-        raise SchemaError("payload.function must be scalar for annihilator")
-    E = parse_refined_set(p.payload.get("set"), p.exact, p.grid, "payload.set")
-    w = annihilator_witness(f, E, p.partition, p.grid, tol=p.tolerance)
-    integrals = witness_block_integrals(w)
-    outputs = {
-        "space": {"weights": [_enc(x, p.exact) for x in w.grid.weights],
-                  "mode": w.grid.mode.value},
-        "parent": list(w.refinement.parent),
-        "witness": encode_simple_function(w.g, p.exact),
-        "support": encode_refined_set(w.support, p.exact),
-        "set": encode_refined_set(w.set_on_refined, p.exact),
-        "partition": {"blocks": list(w.partition_on_refined.block_of)},
-        "norm_inf": _enc(w.norm_inf, p.exact),
-    }
-    residuals = {"max_block_integral": _enc(integrals.max_abs(), p.exact)}
-    return outputs, residuals, p.tolerance
-
-
-def _run_bang_bang(p: ProblemDocument, pointset: bool = False):
-    key = "points" if pointset else "polytopes"
-    T = parse_polytopes(p.payload.get(key), p.exact, p.grid.cell_count, f"payload.{key}")
-    h = parse_simple_function(p.payload.get("selection"), p.exact,
-                              p.grid.cell_count, "payload.selection")
-    runner = pointset_bang_bang if pointset else bang_bang
-    sel, rep = runner(T, h, p.partition, p.grid, tol=p.tolerance,
-                      diagonal_only=p.diagonal_only)
-    outputs = {
-        "pieces": [encode_refined_set(piece, p.exact) for piece in sel.pieces],
-        "branch_values": [encode_simple_function(v, p.exact) for v in sel.values],
-        "lhs": encode_block_function(rep.lhs, p.exact),
-        "rhs": encode_block_function(rep.rhs, p.exact),
-    }
-    residuals = {"max_deviation": _enc(rep.max_deviation, p.exact),
-                 "max_residual": _enc(rep.partition.max_residual, p.exact)}
-    return outputs, residuals, rep.residual_bound
-
-
-def _parse_purify_inputs(p: ProblemDocument):
-    actions = parse_actions(p.payload.get("actions"), "payload.actions")
-    delta = parse_young_measure(p.payload.get("young_measure"), p.exact, actions,
-                                p.grid, p.tolerance, "payload.young_measure")
-    return actions, delta
-
-
-def _encode_strategy(strategy: PureStrategy, exact: bool) -> list:
-    rows = []
-    for k, chunks in enumerate(strategy.chunks):
-        for off, m, a in chunks:
-            rows.append([k, _enc(off, exact), _enc(m, exact), a])
-    return rows
-
-
-def _run_purify(p: ProblemDocument):
-    actions, delta = _parse_purify_inputs(p)
-    V = parse_integrands(p.payload.get("integrands"), p.exact, p.grid.cell_count,
-                         actions.size, "payload.integrands")
-    strategy, rep = purify_with_actions(delta, V, actions, p.partition, p.grid,
-                                        tol=p.tolerance, diagonal_only=p.diagonal_only)
-    outputs = {"actions": list(actions.labels),
-               "chunks": _encode_strategy(strategy, p.exact),
-               "lhs": encode_block_function(rep.lhs, p.exact),
-               "rhs": encode_block_function(rep.rhs, p.exact)}
-    residuals = {"max_deviation": _enc(rep.max_deviation, p.exact)}
-    return outputs, residuals, rep.residual_bound
-
-
-def _parse_family(p: ProblemDocument, actions_size: int):
-    family_raw = p.payload.get("family")
-    if not isinstance(family_raw, list) or not family_raw:
-        raise SchemaError("payload.family must be a nonempty array of scalar integrands")
-    from .purify import IntegrandFamily
-    fams = []
-    for idx, entry in enumerate(family_raw):
-        if not isinstance(entry, dict) or "values" not in entry:
-            raise SchemaError(f"payload.family[{idx}] needs a values table")
-        table = entry["values"]
-        if not isinstance(table, list) or len(table) != p.grid.cell_count:
-            raise SchemaError(f"payload.family[{idx}]: expected {p.grid.cell_count} cells")
-        cells = []
-        for k, row in enumerate(table):
-            if not isinstance(row, list) or len(row) != actions_size:
-                raise SchemaError(f"payload.family[{idx}][{k}]: expected {actions_size} values")
-            cells.append(tuple((parse_number(v, p.exact, f"payload.family[{idx}][{k}]"),)
-                               for v in row))
-        fams.append(IntegrandFamily(dim=1, values=tuple(cells)))
-    return fams
-
-
-def _run_density_step(p: ProblemDocument):
-    actions, delta = _parse_purify_inputs(p)
-    fams = _parse_family(p, actions.size)
-    strategy, rep = density_step(delta, fams, p.partition, p.grid, tol=p.tolerance)
-    strategy = PureStrategy(actions=actions, chunks=strategy.chunks)
-    outputs = {"actions": list(actions.labels),
-               "chunks": _encode_strategy(strategy, p.exact),
-               "lhs": encode_block_function(rep.lhs, p.exact),
-               "rhs": encode_block_function(rep.rhs, p.exact)}
-    residuals = {"max_deviation": _enc(rep.max_deviation, p.exact)}
-    return outputs, residuals, rep.residual_bound
-
-
-def _run_coarseness(p: ProblemDocument):
-    E = None
-    if p.payload.get("set") is not None:
-        E = parse_refined_set(p.payload["set"], p.exact, p.grid, "payload.set")
-    verdict = coarseness_check(p.grid, p.partition, E, tol=p.tolerance)
-    outputs = {
-        "is_coarser": verdict.is_coarser,
-        "witness": encode_refined_set(verdict.witness, p.exact),
-        "witness_conditional": None if verdict.witness_conditional is None
-        else [_enc(x, p.exact) for x in verdict.witness_conditional],
-        "reference_conditional": None if verdict.reference_conditional is None
-        else [_enc(x, p.exact) for x in verdict.reference_conditional],
-    }
-    return outputs, {}, p.tolerance
-
-
-_HANDLERS: dict[str, Callable[[ProblemDocument], tuple]] = {
-    "cond-exp": _run_cond_exp,
-    "ce-measure": _run_ce_measure,
-    "partition": _run_partition,
-    "half-set": _run_half_set,
-    "annihilator": _run_annihilator,
-    "bang-bang": lambda p: _run_bang_bang(p, pointset=False),
-    "pointset-bang-bang": lambda p: _run_bang_bang(p, pointset=True),
-    "purify": _run_purify,
-    "density-step": _run_density_step,
-    "coarseness": _run_coarseness,
-}
-
-
-def run(command: str, problem: ProblemDocument) -> dict:
-    """Dispatch a command and assemble the report document."""
-    if command not in _HANDLERS:
-        raise SchemaError(f"unknown command {command!r}")
-    started = time.perf_counter()
-    outputs, residuals, bound = _HANDLERS[command](problem)
-    elapsed = time.perf_counter() - started
-    return {
-        "command": command,
-        "version": __version__,
-        "input_digest": problem.digest,
-        "parameters": {
-            "tolerance": float(problem.tolerance),
-            "exact": problem.exact,
-            "mode": problem.grid.mode.value,
-            "diagonal_only": problem.diagonal_only,
-            "seed": problem.seed,
-        },
-        "outputs": outputs,
-        "residuals": residuals,
-        "certified_bound": _enc(bound, problem.exact),
-        "wall_time": elapsed,
-    }
-
-
-# ---------------------------------------------------------------------------
-# verification
+# reading documents and checking claims
 # ---------------------------------------------------------------------------
 
 
 class _Check:
-    def __init__(self, tol: Scalar):
+    """Collects violations; compares at ``tol`` in the problem's regime."""
+
+    def __init__(self, tol: Scalar, exact: bool):
         self.tol = tol
+        self.exact = exact
         self.violations: list[str] = []
 
     def fail(self, msg: str) -> None:
@@ -280,6 +82,15 @@ class _Check:
                     self.violations.append(
                         f"{what}: block {b} coord {j}: {c!r} vs {x!r}")
                     return
+
+    def bounded(self, report: dict, key: str, recomputed: Scalar, what: str) -> None:
+        """The claimed residual ``key`` matches ``recomputed``, which meets the
+        report's certified bound."""
+        claimed = parse_number(report["residuals"].get(key), self.exact, f"residuals.{key}")
+        self.close(claimed, recomputed, what)
+        bound = parse_number(report.get("certified_bound"), self.exact, "certified_bound")
+        if recomputed > bound + self.tol:
+            self.fail(f"{what} {recomputed!r} exceeds the certified bound {bound!r}")
 
 
 def _pieces_partition_space(chk: _Check, pieces, grid: Grid) -> None:
@@ -303,94 +114,154 @@ def _pieces_partition_space(chk: _Check, pieces, grid: Grid) -> None:
                     break
 
 
+def _contained(chk: _Check, inner: RefinedSet, outer: RefinedSet, grid: Grid,
+               what: str) -> None:
+    """Each cell's interval of ``inner`` lies inside that of ``outer``."""
+    for k in range(grid.cell_count):
+        if inner.masses[k] > outer.masses[k] + chk.tol:
+            chk.fail(f"cell {k}: {what} exceeds the ambient set")
+        if inner.masses[k] > 0 and (inner.offsets[k] < outer.offsets[k] - chk.tol or
+                                    inner.offsets[k] + inner.masses[k]
+                                    > outer.offsets[k] + outer.masses[k] + chk.tol):
+            chk.fail(f"cell {k}: {what} leaves the ambient interval")
+
+
+def _max_gap(a: BlockFunction, b: BlockFunction) -> Scalar:
+    return max((abs(x - y) for ar, br in zip(a.values, b.values)
+                for x, y in zip(ar, br)), default=0)
+
+
 def _oracle_partition_residual(pieces, h: SimpleFunction, alpha: SimpleFunction,
                                C: BlockPartition, grid: Grid) -> Scalar:
     worst: Scalar = 0
     mu = block_masses(C, grid)
     for i, piece in enumerate(pieces):
-        lhs = direct_integrate(h, piece, C, grid)
-        for b, cells in enumerate(C.blocks):
-            for j in range(h.dim):
-                rhs = sum(alpha.values[k][i] * grid.weights[k] * h.values[k][j]
-                          for k in cells) / mu[b]
-                dev = abs(lhs.values[b][j] - rhs)
-                if dev > worst:
-                    worst = dev
+        target = BlockFunction(dim=h.dim, values=tuple(
+            tuple(sum(alpha.values[k][i] * grid.weights[k] * h.values[k][j]
+                      for k in cells) / mu[b] for j in range(h.dim))
+            for b, cells in enumerate(C.blocks)))
+        worst = max(worst, _max_gap(direct_integrate(h, piece, C, grid), target))
     return worst
 
 
-def _verify_cond_exp(chk, p: ProblemDocument, rep: dict) -> None:
-    f = parse_simple_function(p.payload.get("function"), p.exact,
-                              p.grid.cell_count, "payload.function")
-    claimed = parse_block_function(rep["outputs"].get("expectation"), p.exact,
-                                   p.partition.block_count, "outputs.expectation")
-    chk.block_close(claimed, direct_integrate(f, None, p.partition, p.grid),
+def _payload_function(p: ProblemDocument, key: str) -> SimpleFunction:
+    return parse_simple_function(p.payload.get(key), p.exact, p.grid.cell_count,
+                                 f"payload.{key}")
+
+
+def _payload_set(p: ProblemDocument) -> RefinedSet:
+    return parse_refined_set(p.payload.get("set"), p.exact, p.grid, "payload.set")
+
+
+def _claimed_block(p: ProblemDocument, rep: dict, key: str) -> BlockFunction:
+    return parse_block_function(rep["outputs"].get(key), p.exact,
+                                p.partition.block_count, f"outputs.{key}")
+
+
+def _claimed_pieces(p: ProblemDocument, rep: dict) -> list[RefinedSet]:
+    return [parse_refined_set(obj, p.exact, p.grid, f"outputs.pieces[{i}]")
+            for i, obj in enumerate(rep["outputs"].get("pieces", []))]
+
+
+# ---------------------------------------------------------------------------
+# commands: run the library on the parsed payload, verify a report
+# ---------------------------------------------------------------------------
+
+
+def _run_cond_exp(p: ProblemDocument, f: SimpleFunction):
+    out = cond_exp(f, p.partition, p.grid)
+    return {"expectation": encode_block_function(out, p.exact)}, {}, p.tolerance
+
+
+def _verify_cond_exp(chk: _Check, p: ProblemDocument, f: SimpleFunction, rep: dict) -> None:
+    chk.block_close(_claimed_block(p, rep, "expectation"),
+                    direct_integrate(f, None, p.partition, p.grid),
                     "conditional expectation")
 
 
-def _verify_ce_measure(chk, p: ProblemDocument, rep: dict) -> None:
-    E = parse_refined_set(p.payload.get("set"), p.exact, p.grid, "payload.set")
-    claimed = parse_block_function(rep["outputs"].get("measure"), p.exact,
-                                   p.partition.block_count, "outputs.measure")
+def _run_ce_measure(p: ProblemDocument, E: RefinedSet):
+    out = ce_measure(E, p.partition, p.grid)
+    return {"measure": encode_block_function(out, p.exact)}, {}, p.tolerance
+
+
+def _verify_ce_measure(chk: _Check, p: ProblemDocument, E: RefinedSet, rep: dict) -> None:
     one = SimpleFunction(dim=1, values=((Fraction(1) if p.exact else 1.0,),)
                          * p.grid.cell_count)
-    chk.block_close(claimed, direct_integrate(one, E, p.partition, p.grid),
-                    "conditional measure")
+    chk.block_close(_claimed_block(p, rep, "measure"),
+                    direct_integrate(one, E, p.partition, p.grid), "conditional measure")
 
 
-def _verify_partition(chk, p: ProblemDocument, rep: dict) -> None:
-    h = parse_simple_function(p.payload.get("moments"), p.exact,
-                              p.grid.cell_count, "payload.moments")
-    alpha = parse_simple_function(p.payload.get("weights"), p.exact,
-                                  p.grid.cell_count, "payload.weights")
-    pieces = [parse_refined_set(obj, p.exact, p.grid, f"outputs.pieces[{i}]")
-              for i, obj in enumerate(rep["outputs"].get("pieces", []))]
+def _run_partition(p: ProblemDocument, inputs):
+    h, alpha = inputs
+    res = lyapunov_partition(h, alpha, p.partition, p.grid, tol=p.tolerance)
+    outputs = {"pieces": [encode_refined_set(piece, p.exact) for piece in res.pieces]}
+    residuals = {"max_residual": encode_number(res.max_residual, p.exact),
+                 "fractional_per_block": list(res.fractional_per_block)}
+    return outputs, residuals, res.residual_bound
+
+
+def _verify_partition(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
+    h, alpha = inputs
+    pieces = _claimed_pieces(p, rep)
     if len(pieces) != alpha.dim:
         chk.fail("piece count disagrees with the weight function")
         return
     _pieces_partition_space(chk, pieces, p.grid)
-    recomputed = _oracle_partition_residual(pieces, h, alpha, p.partition, p.grid)
-    claimed = parse_number(rep["residuals"].get("max_residual"), p.exact,
-                           "residuals.max_residual")
-    chk.close(claimed, recomputed, "max partition residual")
-    bound = parse_number(rep.get("certified_bound"), p.exact, "certified_bound")
-    if recomputed > bound + chk.tol:
-        chk.fail(f"residual {recomputed!r} exceeds the certified bound {bound!r}")
+    chk.bounded(rep, "max_residual",
+                _oracle_partition_residual(pieces, h, alpha, p.partition, p.grid),
+                "max partition residual")
 
 
-def _verify_half_set(chk, p: ProblemDocument, rep: dict) -> None:
-    h = parse_simple_function(p.payload.get("moments"), p.exact,
-                              p.grid.cell_count, "payload.moments")
-    E = parse_refined_set(p.payload.get("set"), p.exact, p.grid, "payload.set")
+def _run_half_set(p: ProblemDocument, inputs):
+    h, E = inputs
+    res = half_set(h, E, p.partition, p.grid, tol=p.tolerance)
+    outputs = {"half": encode_refined_set(res.half, p.exact),
+               "achieved": encode_block_function(res.achieved, p.exact),
+               "target": encode_block_function(res.target, p.exact)}
+    residuals = {"max_residual": encode_number(res.max_residual, p.exact)}
+    return outputs, residuals, res.residual_bound
+
+
+def _verify_half_set(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
+    h, E = inputs
     F = parse_refined_set(rep["outputs"].get("half"), p.exact, p.grid, "outputs.half")
-    for k in range(p.grid.cell_count):
-        if F.masses[k] > E.masses[k] + chk.tol:
-            chk.fail(f"cell {k}: half-set exceeds the ambient set")
-        if F.masses[k] > 0 and (F.offsets[k] < E.offsets[k] - chk.tol or
-                                F.offsets[k] + F.masses[k]
-                                > E.offsets[k] + E.masses[k] + chk.tol):
-            chk.fail(f"cell {k}: half-set leaves the ambient interval")
+    _contained(chk, F, E, p.grid, "half-set")
     achieved = direct_integrate(h, F, p.partition, p.grid)
     whole = direct_integrate(h, E, p.partition, p.grid)
     target = BlockFunction(dim=whole.dim, values=tuple(
         tuple(v / 2 for v in row) for row in whole.values))
-    chk.block_close(parse_block_function(rep["outputs"].get("achieved"), p.exact,
-                                         p.partition.block_count, "outputs.achieved"),
-                    achieved, "achieved half measure")
-    chk.block_close(parse_block_function(rep["outputs"].get("target"), p.exact,
-                                         p.partition.block_count, "outputs.target"),
-                    target, "half-measure target")
-    recomputed = max((abs(a - t) for ar, tr in zip(achieved.values, target.values)
-                      for a, t in zip(ar, tr)), default=0)
-    claimed = parse_number(rep["residuals"].get("max_residual"), p.exact,
-                           "residuals.max_residual")
-    chk.close(claimed, recomputed, "half-set residual")
-    bound = parse_number(rep.get("certified_bound"), p.exact, "certified_bound")
-    if recomputed > bound + chk.tol:
-        chk.fail(f"half-set residual {recomputed!r} exceeds bound {bound!r}")
+    chk.block_close(_claimed_block(p, rep, "achieved"), achieved, "achieved half measure")
+    chk.block_close(_claimed_block(p, rep, "target"), target, "half-measure target")
+    chk.bounded(rep, "max_residual", _max_gap(achieved, target), "half-set residual")
 
 
-def _verify_annihilator(chk, p: ProblemDocument, rep: dict) -> None:
+def _parse_annihilator(p: ProblemDocument, command: str):
+    f = _payload_function(p, "function")
+    if f.dim != 1:
+        raise SchemaError("payload.function must be scalar for annihilator")
+    return f, _payload_set(p)
+
+
+def _run_annihilator(p: ProblemDocument, inputs):
+    f, E = inputs
+    w = annihilator_witness(f, E, p.partition, p.grid, tol=p.tolerance)
+    integrals = witness_block_integrals(w)
+    outputs = {
+        "space": {"weights": [encode_number(x, p.exact) for x in w.grid.weights],
+                  "mode": w.grid.mode.value},
+        "parent": list(w.refinement.parent),
+        "witness": encode_simple_function(w.g, p.exact),
+        "support": encode_refined_set(w.support, p.exact),
+        "set": encode_refined_set(w.set_on_refined, p.exact),
+        "partition": {"blocks": list(w.partition_on_refined.block_of)},
+        "norm_inf": encode_number(w.norm_inf, p.exact),
+    }
+    residuals = {"max_block_integral": encode_number(integrals.max_abs(), p.exact)}
+    return outputs, residuals, p.tolerance
+
+
+def _verify_annihilator(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
+    f, _ = inputs
     out = rep["outputs"]
     space = out.get("space", {})
     weights = [parse_number(w, p.exact, "outputs.space.weights")
@@ -403,27 +274,21 @@ def _verify_annihilator(chk, p: ProblemDocument, rep: dict) -> None:
     g = parse_simple_function(out.get("witness"), p.exact, len(weights), "outputs.witness")
     support = parse_refined_set(out.get("support"), p.exact, rgrid, "outputs.support")
     E_r = parse_refined_set(out.get("set"), p.exact, rgrid, "outputs.set")
-    blocks = out.get("partition", {}).get("blocks", [])
-    C_r = make_partition(blocks)
-    f = parse_simple_function(p.payload.get("function"), p.exact,
-                              p.grid.cell_count, "payload.function")
+    C_r = make_partition(out.get("partition", {}).get("blocks", []))
     f_r = SimpleFunction(dim=1, values=tuple(f.values[q] for q in parent))
     norm = g.max_abs()
-    claimed_norm = parse_number(out.get("norm_inf"), p.exact, "outputs.norm_inf")
-    chk.close(claimed_norm, norm, "witness sup norm")
+    chk.close(parse_number(out.get("norm_inf"), p.exact, "outputs.norm_inf"), norm,
+              "witness sup norm")
     if not norm > chk.tol:
         chk.fail("witness is numerically zero")
-    for j in range(len(weights)):
-        if support.masses[j] > E_r.masses[j] + chk.tol:
-            chk.fail(f"refined cell {j}: support exceeds the ambient set")
-            break
-        if support.masses[j] <= chk.tol and abs(g.values[j][0]) > chk.tol:
-            chk.fail(f"refined cell {j}: witness lives outside its support")
-            break
+    _contained(chk, support, E_r, rgrid, "support")
+    stray = [j for j in range(len(weights))
+             if support.masses[j] <= chk.tol and abs(g.values[j][0]) > chk.tol]
+    if stray:
+        chk.fail(f"refined cell {stray[0]}: witness lives outside its support")
     fg = SimpleFunction(dim=1, values=tuple((g.values[j][0] * f_r.values[j][0],)
                                             for j in range(len(weights))))
-    integrals = direct_integrate(fg, E_r, C_r, rgrid)
-    worst = integrals.max_abs()
+    worst = direct_integrate(fg, E_r, C_r, rgrid).max_abs()
     if worst > chk.tol:
         chk.fail(f"annihilation fails: max block integral {worst!r}")
     claimed = parse_number(rep["residuals"].get("max_block_integral"), p.exact,
@@ -431,14 +296,32 @@ def _verify_annihilator(chk, p: ProblemDocument, rep: dict) -> None:
     chk.close(claimed, worst, "max block integral")
 
 
-def _verify_bang_bang(chk, p: ProblemDocument, rep: dict, pointset: bool) -> None:
-    key = "points" if pointset else "polytopes"
+def _parse_bang_bang(p: ProblemDocument, command: str):
+    key = "points" if command == "pointset-bang-bang" else "polytopes"
     T = parse_polytopes(p.payload.get(key), p.exact, p.grid.cell_count, f"payload.{key}")
-    h = parse_simple_function(p.payload.get("selection"), p.exact,
-                              p.grid.cell_count, "payload.selection")
+    return command, T, _payload_function(p, "selection")
+
+
+def _run_bang_bang(p: ProblemDocument, inputs):
+    command, T, h = inputs
+    runner = pointset_bang_bang if command == "pointset-bang-bang" else bang_bang
+    sel, rep = runner(T, h, p.partition, p.grid, tol=p.tolerance,
+                      diagonal_only=p.diagonal_only)
+    outputs = {
+        "pieces": [encode_refined_set(piece, p.exact) for piece in sel.pieces],
+        "branch_values": [encode_simple_function(v, p.exact) for v in sel.values],
+        "lhs": encode_block_function(rep.lhs, p.exact),
+        "rhs": encode_block_function(rep.rhs, p.exact),
+    }
+    residuals = {"max_deviation": encode_number(rep.max_deviation, p.exact),
+                 "max_residual": encode_number(rep.partition.max_residual, p.exact)}
+    return outputs, residuals, rep.residual_bound
+
+
+def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
+    _, T, h = inputs
     out = rep["outputs"]
-    pieces = [parse_refined_set(obj, p.exact, p.grid, f"outputs.pieces[{i}]")
-              for i, obj in enumerate(out.get("pieces", []))]
+    pieces = _claimed_pieces(p, rep)
     values = [parse_simple_function(obj, p.exact, p.grid.cell_count,
                                     f"outputs.branch_values[{i}]")
               for i, obj in enumerate(out.get("branch_values", []))]
@@ -470,36 +353,63 @@ def _verify_bang_bang(chk, p: ProblemDocument, rep: dict, pointset: bool) -> Non
         lhs_rows.append(tuple(vals))
     lhs = BlockFunction(dim=dim, values=tuple(lhs_rows))
     rhs = direct_integrate(h, None, p.partition, p.grid)
-    chk.block_close(parse_block_function(out.get("lhs"), p.exact,
-                                         p.partition.block_count, "outputs.lhs"),
-                    lhs, "glued selection expectation")
-    chk.block_close(parse_block_function(out.get("rhs"), p.exact,
-                                         p.partition.block_count, "outputs.rhs"),
-                    rhs, "input selection expectation")
-    deviation = max((abs(a - b) for ar, br in zip(lhs.values, rhs.values)
-                     for a, b in zip(ar, br)), default=0)
-    claimed = parse_number(rep["residuals"].get("max_deviation"), p.exact,
-                           "residuals.max_deviation")
-    chk.close(claimed, deviation, "bang-bang deviation")
-    bound = parse_number(rep.get("certified_bound"), p.exact, "certified_bound")
-    if deviation > bound + chk.tol:
-        chk.fail(f"deviation {deviation!r} exceeds the certified bound {bound!r}")
+    chk.block_close(_claimed_block(p, rep, "lhs"), lhs, "glued selection expectation")
+    chk.block_close(_claimed_block(p, rep, "rhs"), rhs, "input selection expectation")
+    chk.bounded(rep, "max_deviation", _max_gap(lhs, rhs), "bang-bang deviation")
 
 
-def _verify_purify(chk, p: ProblemDocument, rep: dict, density: bool) -> None:
+def _parse_family(p: ProblemDocument, actions_size: int) -> list[IntegrandFamily]:
+    family_raw = p.payload.get("family")
+    if not isinstance(family_raw, list) or not family_raw:
+        raise SchemaError("payload.family must be a nonempty array of scalar integrands")
+    fams = []
+    for idx, entry in enumerate(family_raw):
+        if not isinstance(entry, dict) or "values" not in entry:
+            raise SchemaError(f"payload.family[{idx}] needs a values table")
+        # a scalar integrand is a per-cell vector over the actions
+        table = parse_simple_function({"dim": actions_size, "values": entry["values"]},
+                                      p.exact, p.grid.cell_count, f"payload.family[{idx}]")
+        fams.append(IntegrandFamily(dim=1, values=tuple(tuple((v,) for v in row)
+                                                        for row in table.values)))
+    return fams
+
+
+def _parse_purify(p: ProblemDocument, command: str):
+    """(actions, mixture, scalar family or None, payoff integrands)."""
     actions = parse_actions(p.payload.get("actions"), "payload.actions")
     delta = parse_young_measure(p.payload.get("young_measure"), p.exact, actions,
                                 p.grid, p.tolerance, "payload.young_measure")
-    if density:
-        fams = _parse_family(p, actions.size)
-        V = stack_integrands(fams)
+    if command == "density-step":
+        family = _parse_family(p, actions.size)
+        return actions, delta, family, stack_integrands(family)
+    V = parse_integrands(p.payload.get("integrands"), p.exact, p.grid.cell_count,
+                         actions.size, "payload.integrands")
+    return actions, delta, None, V
+
+
+def _run_purify(p: ProblemDocument, inputs):
+    actions, delta, family, V = inputs
+    if family is None:
+        strategy, rep = purify(delta, V, p.partition, p.grid, tol=p.tolerance,
+                               diagonal_only=p.diagonal_only, actions=actions)
     else:
-        V = parse_integrands(p.payload.get("integrands"), p.exact, p.grid.cell_count,
-                             actions.size, "payload.integrands")
+        strategy, rep = density_step(delta, family, p.partition, p.grid, tol=p.tolerance)
+    chunks = [[k, encode_number(off, p.exact), encode_number(m, p.exact), a]
+              for k, cell_chunks in enumerate(strategy.chunks)
+              for off, m, a in cell_chunks]
+    outputs = {"actions": list(actions.labels),
+               "chunks": chunks,
+               "lhs": encode_block_function(rep.lhs, p.exact),
+               "rhs": encode_block_function(rep.rhs, p.exact)}
+    residuals = {"max_deviation": encode_number(rep.max_deviation, p.exact)}
+    return outputs, residuals, rep.residual_bound
+
+
+def _verify_purify(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
+    actions, delta, _, V = inputs
     out = rep["outputs"]
-    chunk_rows = out.get("chunks", [])
     per_cell: list[list[tuple[Scalar, Scalar, int]]] = [[] for _ in range(p.grid.cell_count)]
-    for row in chunk_rows:
+    for row in out.get("chunks", []):
         if not isinstance(row, list) or len(row) != 4:
             chk.fail("chunks must be [cell, offset, mass, action] rows")
             return
@@ -522,26 +432,28 @@ def _verify_purify(chk, p: ProblemDocument, rep: dict, density: bool) -> None:
     strategy = PureStrategy(actions=actions, chunks=tuple(tuple(c) for c in per_cell))
     lhs = direct_mixture_payoff(delta.rows, V, p.partition, p.grid)
     rhs = direct_payoff(strategy, V, p.partition, p.grid)
-    chk.block_close(parse_block_function(out.get("lhs"), p.exact,
-                                         p.partition.block_count, "outputs.lhs"),
-                    lhs, "mixture payoff")
-    chk.block_close(parse_block_function(out.get("rhs"), p.exact,
-                                         p.partition.block_count, "outputs.rhs"),
-                    rhs, "pure strategy payoff")
-    deviation = max((abs(a - b) for ar, br in zip(lhs.values, rhs.values)
-                     for a, b in zip(ar, br)), default=0)
-    claimed = parse_number(rep["residuals"].get("max_deviation"), p.exact,
-                           "residuals.max_deviation")
-    chk.close(claimed, deviation, "purification deviation")
-    bound = parse_number(rep.get("certified_bound"), p.exact, "certified_bound")
-    if deviation > bound + chk.tol:
-        chk.fail(f"payoff deviation {deviation!r} exceeds bound {bound!r}")
+    chk.block_close(_claimed_block(p, rep, "lhs"), lhs, "mixture payoff")
+    chk.block_close(_claimed_block(p, rep, "rhs"), rhs, "pure strategy payoff")
+    chk.bounded(rep, "max_deviation", _max_gap(lhs, rhs), "purification deviation")
 
 
-def _verify_coarseness(chk, p: ProblemDocument, rep: dict) -> None:
-    E = full_set(p.grid)
-    if p.payload.get("set") is not None:
-        E = parse_refined_set(p.payload["set"], p.exact, p.grid, "payload.set")
+def _run_coarseness(p: ProblemDocument, E: RefinedSet | None):
+    verdict = coarseness_check(p.grid, p.partition, E, tol=p.tolerance)
+    outputs = {
+        "is_coarser": verdict.is_coarser,
+        "witness": encode_refined_set(verdict.witness, p.exact),
+        "witness_conditional": None if verdict.witness_conditional is None
+        else [encode_number(x, p.exact) for x in verdict.witness_conditional],
+        "reference_conditional": None if verdict.reference_conditional is None
+        else [encode_number(x, p.exact) for x in verdict.reference_conditional],
+    }
+    return outputs, {}, p.tolerance
+
+
+def _verify_coarseness(chk: _Check, p: ProblemDocument, E: RefinedSet | None,
+                       rep: dict) -> None:
+    if E is None:
+        E = full_set(p.grid)
     out = rep["outputs"]
     witness = parse_refined_set(out.get("witness"), p.exact, p.grid, "outputs.witness")
     mu = block_masses(p.partition, p.grid)
@@ -549,19 +461,27 @@ def _verify_coarseness(chk, p: ProblemDocument, rep: dict) -> None:
            for b, cells in enumerate(p.partition.blocks)]
     wit = [sum(witness.masses[k] for k in cells) / mu[b]
            for b, cells in enumerate(p.partition.blocks)]
+
+    def claimed(key: str) -> list[Scalar] | None:
+        values = out.get(key)
+        if not isinstance(values, list) or len(values) != p.partition.block_count:
+            chk.fail(f"verdict must carry {key} with one entry per block")
+            return None
+        return [parse_number(v, p.exact, key) for v in values]
+
+    claimed_r = claimed("reference_conditional")
+    if claimed_r is not None:
+        for b in range(p.partition.block_count):
+            chk.close(claimed_r[b], ref[b], f"reference conditional on block {b}")
     if p.grid.splittable:
         if out.get("is_coarser") is not True:
             chk.fail("splittable verdict must be positive")
-        claimed_w = out.get("witness_conditional")
-        claimed_r = out.get("reference_conditional")
-        if claimed_w is None or claimed_r is None:
-            chk.fail("splittable verdict must carry conditional probabilities")
+        _contained(chk, witness, E, p.grid, "witness")
+        claimed_w = claimed("witness_conditional")
+        if claimed_w is None:
             return
         for b in range(p.partition.block_count):
-            chk.close(parse_number(claimed_w[b], p.exact, "witness_conditional"),
-                      wit[b], f"witness conditional on block {b}")
-            chk.close(parse_number(claimed_r[b], p.exact, "reference_conditional"),
-                      ref[b], f"reference conditional on block {b}")
+            chk.close(claimed_w[b], wit[b], f"witness conditional on block {b}")
             if ref[b] > chk.tol and not (wit[b] > 0 and wit[b] < ref[b]):
                 chk.fail(f"block {b}: witness fails strict separation")
     else:
@@ -573,12 +493,83 @@ def _verify_coarseness(chk, p: ProblemDocument, rep: dict) -> None:
             chk.fail("atomic witness must be a single whole cell")
 
 
-def verify_report(problem_raw: Any, report_raw: Any) -> list[str]:
-    """Recheck every claim of a report against its problem; empty means valid."""
+# ---------------------------------------------------------------------------
+# the command table and dispatch
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Spec:
+    #: (problem, command) -> inputs, read from the payload once
+    parse: Callable[[ProblemDocument, str], Any]
+    #: (problem, inputs) -> (outputs, residuals, certified bound)
+    run: Callable[[ProblemDocument, Any], tuple[dict, dict, Scalar]]
+    #: (check, problem, inputs, report) -> None, recording violations on the check
+    verify: Callable[[_Check, ProblemDocument, Any, dict], None]
+
+
+_BANG_BANG = _Spec(_parse_bang_bang, _run_bang_bang, _verify_bang_bang)
+_PURIFY = _Spec(_parse_purify, _run_purify, _verify_purify)
+
+_COMMANDS: dict[str, _Spec] = {
+    "cond-exp": _Spec(lambda p, _: _payload_function(p, "function"),
+                      _run_cond_exp, _verify_cond_exp),
+    "ce-measure": _Spec(lambda p, _: _payload_set(p), _run_ce_measure, _verify_ce_measure),
+    "partition": _Spec(lambda p, _: (_payload_function(p, "moments"),
+                                     _payload_function(p, "weights")),
+                       _run_partition, _verify_partition),
+    "half-set": _Spec(lambda p, _: (_payload_function(p, "moments"), _payload_set(p)),
+                      _run_half_set, _verify_half_set),
+    "annihilator": _Spec(_parse_annihilator, _run_annihilator, _verify_annihilator),
+    "bang-bang": _BANG_BANG,
+    "pointset-bang-bang": _BANG_BANG,
+    "purify": _PURIFY,
+    "density-step": _PURIFY,
+    "coarseness": _Spec(lambda p, _: None if p.payload.get("set") is None else _payload_set(p),
+                        _run_coarseness, _verify_coarseness),
+}
+
+RUN_COMMANDS = tuple(_COMMANDS)
+COMMANDS = RUN_COMMANDS + ("verify",)
+
+
+def run(command: str, problem: ProblemDocument) -> dict:
+    """Dispatch a command and assemble the report document."""
+    spec = _COMMANDS.get(command)
+    if spec is None:
+        raise SchemaError(f"unknown command {command!r}")
+    started = time.perf_counter()
+    outputs, residuals, bound = spec.run(problem, spec.parse(problem, command))
+    elapsed = time.perf_counter() - started
+    return {
+        "command": command,
+        "version": __version__,
+        "input_digest": problem.digest,
+        "parameters": {
+            "tolerance": float(problem.tolerance),
+            "exact": problem.exact,
+            "mode": problem.grid.mode.value,
+            "diagonal_only": problem.diagonal_only,
+            "seed": problem.seed,
+        },
+        "outputs": outputs,
+        "residuals": residuals,
+        "certified_bound": encode_number(bound, problem.exact),
+        "wall_time": elapsed,
+    }
+
+
+def verify_report(problem_raw: Any, report_raw: Any, tol: float | None = None) -> list[str]:
+    """Recheck every claim of a report against its problem; empty means valid.
+
+    Comparisons run at ``tol`` when given, else at the problem document's
+    tolerance (zero in the exact regime); the tolerance the report states
+    about itself is never used.
+    """
     if not isinstance(report_raw, dict):
         raise SchemaError("report document must be a JSON object")
     command = report_raw.get("command")
-    if command not in RUN_COMMANDS:
+    if command not in _COMMANDS:
         raise SchemaError(f"report carries unknown command {command!r}")
     params = report_raw.get("parameters", {})
     if not isinstance(params, dict):
@@ -586,36 +577,18 @@ def verify_report(problem_raw: Any, report_raw: Any) -> list[str]:
     problem = parse_problem(problem_raw,
                             mode_override=params.get("mode"),
                             exact_override=params.get("exact", False),
-                            tol_override=params.get("tolerance"),
+                            tol_override=tol,
                             diagonal_override=params.get("diagonal_only", False))
-    chk = _Check(problem.tolerance)
+    chk = _Check(problem.tolerance, problem.exact)
     if report_raw.get("input_digest") != document_digest(problem_raw):
         chk.fail("input digest mismatch: report does not belong to this problem")
         return chk.violations
     if "outputs" not in report_raw or "residuals" not in report_raw:
         raise SchemaError("report needs outputs and residuals")
+    spec = _COMMANDS[command]
     try:
-        if command == "cond-exp":
-            _verify_cond_exp(chk, problem, report_raw)
-        elif command == "ce-measure":
-            _verify_ce_measure(chk, problem, report_raw)
-        elif command == "partition":
-            _verify_partition(chk, problem, report_raw)
-        elif command == "half-set":
-            _verify_half_set(chk, problem, report_raw)
-        elif command == "annihilator":
-            _verify_annihilator(chk, problem, report_raw)
-        elif command == "bang-bang":
-            _verify_bang_bang(chk, problem, report_raw, pointset=False)
-        elif command == "pointset-bang-bang":
-            _verify_bang_bang(chk, problem, report_raw, pointset=True)
-        elif command == "purify":
-            _verify_purify(chk, problem, report_raw, density=False)
-        elif command == "density-step":
-            _verify_purify(chk, problem, report_raw, density=True)
-        elif command == "coarseness":
-            _verify_coarseness(chk, problem, report_raw)
-    except (ValueError, KeyError, TypeError) as err:
+        spec.verify(chk, problem, spec.parse(problem, command), report_raw)
+    except (ValueError, LookupError, TypeError) as err:
         chk.fail(f"verification could not reconstruct the claim: {err}")
     return chk.violations
 
@@ -652,7 +625,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-o", "--output", default=None,
                         help="report destination (default stdout)")
     parser.add_argument("--tol", type=float, default=None,
-                        help="comparison tolerance (default 1e-9)")
+                        help="comparison tolerance (default: the problem's, else 1e-9)")
     parser.add_argument("--exact", action="store_true", default=False,
                         help="exact rational arithmetic; rejects float literals")
     parser.add_argument("--mode", choices=[m.value for m in Mode], default=None,
@@ -669,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise SchemaError("verify needs a problem document and a report")
             problem_raw = load_json(_read(args.input), "problem")
             report_raw = load_json(_read(args.report), "report")
-            violations = verify_report(problem_raw, report_raw)
+            violations = verify_report(problem_raw, report_raw, tol=args.tol)
             ok = not violations
             _write(args.output, canonical_dumps({"ok": ok, "violations": violations}))
             if not ok:

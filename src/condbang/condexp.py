@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric import Scalar, check_finite
+from .numeric import Scalar, check_finite, max_abs
 from .spaces import BlockPartition, CellRefinement, Grid, RefinedSet
 
 
@@ -28,13 +28,7 @@ class SimpleFunction:
         return self.values[k]
 
     def max_abs(self) -> Scalar:
-        m = 0
-        for row in self.values:
-            for v in row:
-                a = -v if v < 0 else v
-                if a > m:
-                    m = a
-        return m
+        return max_abs(v for row in self.values for v in row)
 
 
 @dataclass(frozen=True)
@@ -45,13 +39,7 @@ class BlockFunction:
     values: tuple[tuple[Scalar, ...], ...]
 
     def max_abs(self) -> Scalar:
-        m = 0
-        for row in self.values:
-            for v in row:
-                a = -v if v < 0 else v
-                if a > m:
-                    m = a
-        return m
+        return max_abs(v for row in self.values for v in row)
 
 
 def simple_function(values: Sequence[Sequence[Scalar] | Scalar]) -> SimpleFunction:
@@ -135,37 +123,34 @@ def _check_shapes(f: SimpleFunction | None, E: RefinedSet | None,
         raise ValueError("set references unknown cells")
 
 
-def cond_exp(f: SimpleFunction, C: BlockPartition, grid: Grid) -> BlockFunction:
-    """Block-wise weighted mean: value on block b is sum_k w_k f(k) / mass(b)."""
-    _check_shapes(f, None, C, grid)
+def _block_average(masses: Sequence[Scalar], values: Sequence[Sequence[Scalar]],
+                   dim: int, C: BlockPartition, grid: Grid) -> BlockFunction:
+    """Per block b and coordinate j: sum_k masses[k] * values[k][j] / mass(b)."""
     rows = []
     for cells in C.blocks:
         den = sum(grid.weights[k] for k in cells)
-        rows.append(tuple(sum(grid.weights[k] * f.values[k][j] for k in cells) / den
-                          for j in range(f.dim)))
-    return BlockFunction(dim=f.dim, values=tuple(rows))
+        rows.append(tuple(sum(masses[k] * values[k][j] for k in cells) / den
+                          for j in range(dim)))
+    return BlockFunction(dim=dim, values=tuple(rows))
+
+
+def cond_exp(f: SimpleFunction, C: BlockPartition, grid: Grid) -> BlockFunction:
+    """Block-wise weighted mean: value on block b is sum_k w_k f(k) / mass(b)."""
+    _check_shapes(f, None, C, grid)
+    return _block_average(grid.weights, f.values, f.dim, C, grid)
 
 
 def ce_measure(E: RefinedSet, C: BlockPartition, grid: Grid) -> BlockFunction:
     """Conditional mass of a set per block: mass(E within b) / mass(b)."""
     _check_shapes(None, E, C, grid)
-    rows = []
-    for cells in C.blocks:
-        den = sum(grid.weights[k] for k in cells)
-        rows.append((sum(E.masses[k] for k in cells) / den,))
-    return BlockFunction(dim=1, values=tuple(rows))
+    return _block_average(E.masses, ((1,),) * grid.cell_count, 1, C, grid)
 
 
 def weighted_ce_measure(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
                         grid: Grid) -> BlockFunction:
     """Measure of E weighted by f: per block, sum_k f(k) mass_E(k) / mass(b)."""
     _check_shapes(f, E, C, grid)
-    rows = []
-    for cells in C.blocks:
-        den = sum(grid.weights[k] for k in cells)
-        rows.append(tuple(sum(f.values[k][j] * E.masses[k] for k in cells) / den
-                          for j in range(f.dim)))
-    return BlockFunction(dim=f.dim, values=tuple(rows))
+    return _block_average(E.masses, f.values, f.dim, C, grid)
 
 
 def integrate_against(g: SimpleFunction, f: SimpleFunction, E: RefinedSet,
@@ -179,13 +164,7 @@ def integrate_against(g: SimpleFunction, f: SimpleFunction, E: RefinedSet,
         raise ValueError("integrand g must be scalar (dim 1)")
     _check_shapes(f, E, C, grid)
     _check_shapes(g, None, C, grid)
-    rows = []
-    for cells in C.blocks:
-        den = sum(grid.weights[k] for k in cells)
-        rows.append(tuple(
-            sum((g.values[k][0] * f.values[k][j]) * E.masses[k] for k in cells) / den
-            for j in range(f.dim)))
-    return BlockFunction(dim=f.dim, values=tuple(rows))
+    return _block_average(E.masses, sf_mul(g, f).values, f.dim, C, grid)
 
 
 def lift_to_cells(bf: BlockFunction, C: BlockPartition, grid: Grid) -> SimpleFunction:

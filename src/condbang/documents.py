@@ -89,20 +89,28 @@ def _as_list(v: Any, what: str) -> list:
 # ---------------------------------------------------------------------------
 
 
-def parse_simple_function(obj: Any, exact: bool, cells: int, what: str) -> SimpleFunction:
+def _dim_table(obj: Any, key: str, count: int, kind: str, what: str) -> tuple[int, list]:
+    """The positive ``dim`` of a table and its ``key`` array of ``count`` entries."""
     dim = _require(obj, "dim", what)
-    values = _as_list(_require(obj, "values", what), f"{what}.values")
+    table = _as_list(_require(obj, key, what), f"{what}.{key}")
     if not isinstance(dim, int) or dim < 1:
         raise SchemaError(f"{what}: dim must be a positive integer")
-    if len(values) != cells:
-        raise SchemaError(f"{what}: expected {cells} cell values, got {len(values)}")
-    rows = []
-    for k, row in enumerate(values):
-        row = _as_list(row, f"{what}.values[{k}]")
-        if len(row) != dim:
-            raise SchemaError(f"{what}.values[{k}]: expected {dim} components")
-        rows.append(tuple(parse_number(v, exact, f"{what}.values[{k}]") for v in row))
-    return SimpleFunction(dim=dim, values=tuple(rows))
+    if len(table) != count:
+        raise SchemaError(f"{what}: expected {count} {kind}, got {len(table)}")
+    return dim, table
+
+
+def _vector(v: Any, dim: int, exact: bool, what: str) -> tuple[Scalar, ...]:
+    v = _as_list(v, what)
+    if len(v) != dim:
+        raise SchemaError(f"{what}: expected {dim} components")
+    return tuple(parse_number(c, exact, what) for c in v)
+
+
+def parse_simple_function(obj: Any, exact: bool, cells: int, what: str) -> SimpleFunction:
+    dim, table = _dim_table(obj, "values", cells, "cell values", what)
+    return SimpleFunction(dim=dim, values=tuple(
+        _vector(row, dim, exact, f"{what}.values[{k}]") for k, row in enumerate(table)))
 
 
 def encode_simple_function(f: SimpleFunction, exact: bool) -> dict:
@@ -116,17 +124,9 @@ def encode_block_function(bf: BlockFunction, exact: bool) -> dict:
 
 
 def parse_block_function(obj: Any, exact: bool, blocks: int, what: str) -> BlockFunction:
-    dim = _require(obj, "dim", what)
-    values = _as_list(_require(obj, "values", what), f"{what}.values")
-    if len(values) != blocks:
-        raise SchemaError(f"{what}: expected {blocks} block values")
-    rows = []
-    for b, row in enumerate(values):
-        row = _as_list(row, f"{what}.values[{b}]")
-        if len(row) != dim:
-            raise SchemaError(f"{what}.values[{b}]: expected {dim} components")
-        rows.append(tuple(parse_number(v, exact, f"{what}.values[{b}]") for v in row))
-    return BlockFunction(dim=dim, values=tuple(rows))
+    dim, table = _dim_table(obj, "values", blocks, "block values", what)
+    return BlockFunction(dim=dim, values=tuple(
+        _vector(row, dim, exact, f"{what}.values[{b}]") for b, row in enumerate(table)))
 
 
 def parse_refined_set(obj: Any, exact: bool, grid: Grid, what: str) -> RefinedSet:
@@ -150,31 +150,14 @@ def encode_refined_set(E: RefinedSet, exact: bool) -> dict:
 
 
 def parse_polytopes(obj: Any, exact: bool, cells: int, what: str) -> PolytopeMap:
-    dim = _require(obj, "dim", what)
-    vertices = _as_list(_require(obj, "vertices", what), f"{what}.vertices")
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError(f"{what}: dim must be a positive integer")
-    if len(vertices) != cells:
-        raise SchemaError(f"{what}: expected {cells} vertex sets")
+    dim, vertices = _dim_table(obj, "vertices", cells, "vertex sets", what)
     sets = []
     for k, vs in enumerate(vertices):
         vs = _as_list(vs, f"{what}.vertices[{k}]")
         if not vs:
             raise SchemaError(f"{what}.vertices[{k}]: vertex set must be nonempty")
-        pts = []
-        for v in vs:
-            v = _as_list(v, f"{what}.vertices[{k}] point")
-            if len(v) != dim:
-                raise SchemaError(f"{what}.vertices[{k}]: point dimension mismatch")
-            pts.append(tuple(parse_number(c, exact, f"{what}.vertices[{k}]") for c in v))
-        sets.append(pts)
+        sets.append([_vector(v, dim, exact, f"{what}.vertices[{k}]") for v in vs])
     return polytope_map(sets)
-
-
-def encode_polytopes(T: PolytopeMap, exact: bool) -> dict:
-    return {"dim": T.dim,
-            "vertices": [[[encode_number(c, exact) for c in pt] for pt in cell]
-                         for cell in T.vertices]}
 
 
 def parse_actions(obj: Any, what: str) -> ActionSet:
@@ -204,32 +187,15 @@ def parse_young_measure(obj: Any, exact: bool, actions: ActionSet, grid: Grid,
 
 def parse_integrands(obj: Any, exact: bool, cells: int, actions: int, what: str
                      ) -> IntegrandFamily:
-    dim = _require(obj, "dim", what)
-    values = _as_list(_require(obj, "values", what), f"{what}.values")
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError(f"{what}: dim must be a positive integer")
-    if len(values) != cells:
-        raise SchemaError(f"{what}: expected {cells} cells")
+    dim, values = _dim_table(obj, "values", cells, "cells", what)
     out = []
     for k, per_action in enumerate(values):
         per_action = _as_list(per_action, f"{what}.values[{k}]")
         if len(per_action) != actions:
             raise SchemaError(f"{what}.values[{k}]: expected {actions} action vectors")
-        rows = []
-        for a, vec in enumerate(per_action):
-            vec = _as_list(vec, f"{what}.values[{k}][{a}]")
-            if len(vec) != dim:
-                raise SchemaError(f"{what}.values[{k}][{a}]: expected {dim} components")
-            rows.append(tuple(parse_number(v, exact, f"{what}.values[{k}][{a}]")
-                              for v in vec))
-        out.append(tuple(rows))
+        out.append(tuple(_vector(vec, dim, exact, f"{what}.values[{k}][{a}]")
+                         for a, vec in enumerate(per_action)))
     return IntegrandFamily(dim=dim, values=tuple(out))
-
-
-def encode_integrands(V: IntegrandFamily, exact: bool) -> dict:
-    return {"dim": V.dim,
-            "values": [[[encode_number(v, exact) for v in vec] for vec in cell]
-                       for cell in V.values]}
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .condexp import (BlockFunction, SimpleFunction, cond_exp, indicator,
+from .condexp import (BlockFunction, SimpleFunction, bf_sub, cond_exp, indicator,
                       lift_function, lift_to_cells, sf_mul, weighted_ce_measure)
 from .linalg import integer_row, nullspace_vector
-from .numeric import PIVOT_TOL, Scalar
+from .numeric import PIVOT_TOL, Scalar, max_abs
 from .spaces import (BlockPartition, CellRefinement, Grid, Mode, RefinedSet,
                      block_masses, build_grid, full_set, make_partition,
                      refine_partition, split_cells, validate_set)
@@ -46,18 +46,10 @@ class PartitionResult:
     residual: tuple[tuple[tuple[Scalar, ...], ...], ...]
     residual_bound: Scalar
     fractional_per_block: tuple[int, ...]
-    seed_checked: bool
 
     @property
     def max_residual(self) -> Scalar:
-        m = 0
-        for per_block in self.residual:
-            for row in per_block:
-                for v in row:
-                    a = -v if v < 0 else v
-                    if a > m:
-                        m = a
-        return m
+        return max_abs(v for per_block in self.residual for row in per_block for v in row)
 
 
 def _validate_alpha(alpha: SimpleFunction, grid: Grid, tol: Scalar) -> None:
@@ -273,12 +265,8 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
             rel = max(avail[k] for k in active) / mu[b]
             if rel > w_rel_max:
                 w_rel_max = rel
-            for i in range(p):
-                for k in active:
-                    for v in moments[i].values[k]:
-                        a = -v if v < 0 else v
-                        if a > h_max:
-                            h_max = a
+            h_max = max(h_max, max_abs(v for i in range(p) for k in active
+                                       for v in moments[i].values[k]))
 
         if grid.mode is Mode.ATOMIC and active:
             q = len(active)
@@ -332,8 +320,7 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
     return PartitionResult(pieces=tuple(pieces),
                            residual=tuple(tuple(r) for r in residual),
                            residual_bound=bound,
-                           fractional_per_block=tuple(fractional),
-                           seed_checked=True)
+                           fractional_per_block=tuple(fractional))
 
 
 def lyapunov_partition(h: SimpleFunction, alpha: SimpleFunction, C: BlockPartition,
@@ -389,10 +376,8 @@ def half_set(h: SimpleFunction, E: RefinedSet, C: BlockPartition, grid: Grid, *,
     whole = weighted_ce_measure(h, E, C, grid)
     target = BlockFunction(dim=whole.dim,
                            values=tuple(tuple(v / 2 for v in row) for row in whole.values))
-    residual = BlockFunction(dim=whole.dim,
-                             values=tuple(tuple(a - t for a, t in zip(ar, tr))
-                                          for ar, tr in zip(achieved.values, target.values)))
-    return HalfSetResult(half=F, achieved=achieved, target=target, residual=residual,
+    return HalfSetResult(half=F, achieved=achieved, target=target,
+                         residual=bf_sub(achieved, target),
                          residual_bound=part.residual_bound)
 
 
@@ -629,5 +614,4 @@ def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
         bound = part.residual_bound
     return PartitionResult(pieces=pieces, residual=tuple(residual),
                            residual_bound=bound,
-                           fractional_per_block=part.fractional_per_block,
-                           seed_checked=part.seed_checked)
+                           fractional_per_block=part.fractional_per_block)

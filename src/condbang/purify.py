@@ -225,10 +225,15 @@ def support_polytope(delta: YoungMeasure, V: IntegrandFamily, grid: Grid) -> Pol
 
 def purify(delta: YoungMeasure, V: IntegrandFamily, C: BlockPartition, grid: Grid, *,
            tol: Scalar | None = None, diagonal_only: bool = False,
-           polish_budget: int = DEFAULT_POLISH_BUDGET
+           polish_budget: int = DEFAULT_POLISH_BUDGET,
+           actions: ActionSet | None = None
            ) -> tuple[PureStrategy, PurifyReport]:
     """Replace a mixed strategy by a supported pure one with the same
-    conditional payoffs (exact on splittable grids, bounded on atomic ones)."""
+    conditional payoffs (exact on splittable grids, bounded on atomic ones).
+
+    The strategy carries ``actions`` as its action set; without one, the
+    actions are labelled ``a0, a1, ...``.
+    """
     tol = grid.tol(tol)
     mean = barycenter(delta, V, grid, tol=tol, check=False)
     T = support_polytope(delta, V, grid)
@@ -249,28 +254,15 @@ def purify(delta: YoungMeasure, V: IntegrandFamily, C: BlockPartition, grid: Gri
                     f"cell {k}: extreme payoff {tuple(point)!r} matches no supported action")
             cell_chunks.append((off, m, action))
         chunks.append(tuple(cell_chunks))
-    strategy = PureStrategy(actions=_actions_of(delta, V), chunks=tuple(chunks))
+    if actions is None:
+        actions = action_set([f"a{i}" for i in range(len(V.values[0]))])
+    strategy = PureStrategy(actions=actions, chunks=tuple(chunks))
     lhs = cond_exp(mean, C, grid)
     rhs = strategy.payoff(V, C, grid)
     report = PurifyReport(lhs=lhs, rhs=rhs,
                           max_deviation=bf_sub(lhs, rhs).max_abs(),
                           residual_bound=bb_report.residual_bound)
     return strategy, report
-
-
-def _actions_of(delta: YoungMeasure, V: IntegrandFamily) -> ActionSet:
-    n = len(V.values[0]) if V.values else 0
-    return action_set([f"a{i}" for i in range(n)])
-
-
-def purify_with_actions(delta: YoungMeasure, V: IntegrandFamily, actions: ActionSet,
-                        C: BlockPartition, grid: Grid, *, tol: Scalar | None = None,
-                        diagonal_only: bool = False,
-                        polish_budget: int = DEFAULT_POLISH_BUDGET
-                        ) -> tuple[PureStrategy, PurifyReport]:
-    strategy, report = purify(delta, V, C, grid, tol=tol, diagonal_only=diagonal_only,
-                              polish_budget=polish_budget)
-    return PureStrategy(actions=actions, chunks=strategy.chunks), report
 
 
 def density_step(delta: YoungMeasure, phis: Sequence[IntegrandFamily],

@@ -26,11 +26,10 @@ class Mode(str, Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Cell weights (normalized), mode, and interval start anchors."""
+    """Cell weights (normalized) and mode."""
 
     weights: tuple[Scalar, ...]
     mode: Mode
-    starts: tuple[Scalar, ...]
 
     @property
     def cell_count(self) -> int:
@@ -52,23 +51,18 @@ class Grid:
 
 
 def grid_from_weights(weights: Sequence[Scalar], mode: Mode | str) -> Grid:
-    """Grid over already-normalized weights (no rescaling, anchors recomputed)."""
+    """Grid over already-normalized weights (no rescaling)."""
     mode = Mode(mode)
     weights = tuple(weights)
     if not weights:
         raise ValueError("grid needs at least one cell")
-    starts: list[Scalar] = []
-    acc: Scalar = Fraction(0) if all_exact(weights) else 0.0
-    for w in weights:
-        if w <= 0:
-            raise ValueError("cell weights must be positive")
-        starts.append(acc)
-        acc = acc + w
-    return Grid(weights=weights, mode=mode, starts=tuple(starts))
+    if any(w <= 0 for w in weights):
+        raise ValueError("cell weights must be positive")
+    return Grid(weights=weights, mode=mode)
 
 
 def build_grid(weights: Sequence[Scalar], mode: Mode | str) -> Grid:
-    """Normalize positive weights to total mass one and anchor the cells.
+    """Normalize positive weights to total mass one.
 
     All-int/Fraction input selects the exact regime; any float demotes the
     whole grid to binary64.
@@ -89,13 +83,7 @@ def build_grid(weights: Sequence[Scalar], mode: Mode | str) -> Grid:
             raise ValueError(f"cell {i}: weight must be positive, got {w!r}")
         cleaned.append(w)
     total = sum(cleaned)
-    norm = tuple(w / total for w in cleaned)
-    starts: list[Scalar] = []
-    acc: Scalar = Fraction(0) if exact else 0.0
-    for w in norm:
-        starts.append(acc)
-        acc = acc + w
-    return Grid(weights=norm, mode=mode, starts=tuple(starts))
+    return Grid(weights=tuple(w / total for w in cleaned), mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +246,6 @@ def left_part(E: RefinedSet, grid: Grid, fraction: Scalar | None = None) -> Refi
     return RefinedSet(offsets=E.offsets, masses=masses)
 
 
-def restrict_to_cells(E: RefinedSet, grid: Grid, cells: Sequence[int]) -> RefinedSet:
-    zero = Fraction(0) if grid.is_exact else 0.0
-    keep = set(cells)
-    offsets = tuple(o if k in keep else zero for k, o in enumerate(E.offsets))
-    masses = tuple(m if k in keep else zero for k, m in enumerate(E.masses))
-    return RefinedSet(offsets=offsets, masses=masses)
-
-
 # ---------------------------------------------------------------------------
 # sigma-algebra refinement by a cell-aligned set
 # ---------------------------------------------------------------------------
@@ -322,12 +302,8 @@ class CoarsenessVerdict:
 
 
 def _conditional_masses(E: RefinedSet, C: BlockPartition, grid: Grid) -> tuple[Scalar, ...]:
-    out = []
-    for cells in C.blocks:
-        num = sum(E.masses[k] for k in cells)
-        den = sum(grid.weights[k] for k in cells)
-        out.append(num / den)
-    return tuple(out)
+    from .condexp import ce_measure  # condexp builds on this module
+    return tuple(row[0] for row in ce_measure(E, C, grid).values)
 
 
 def coarseness_check(grid: Grid, C: BlockPartition, E: RefinedSet | None = None,

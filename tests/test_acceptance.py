@@ -78,7 +78,6 @@ def test_criterion_2_full_matrix_partition(capsys):
     worst = 0.0
     for g, C, T, h, sel, rep in instances:
         part = rep.partition
-        assert part.seed_checked  # asserted by the solver before pivoting
         worst = max(worst, part.max_residual)
         assert part.max_residual <= 1e-8
     # independent spot check of the seed moment identities on a sample

@@ -3,8 +3,8 @@ import json
 import random
 
 from condbang.cli import (EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, EXIT_VERIFY,
-                          RUN_COMMANDS, main)
-from condbang.documents import canonical_dumps
+                          RUN_COMMANDS, main, run, verify_report)
+from condbang.documents import canonical_dumps, parse_problem
 
 from cli_corpus import make_problem
 
@@ -162,3 +162,57 @@ def test_stdin_and_stdout(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     report = json.loads(out)
     assert report["command"] == "cond-exp"
+
+
+def test_verify_ignores_the_tolerance_a_report_states(tmp_path):
+    rng = random.Random(257)
+    tampers = {
+        "partition": lambda r: r["residuals"].__setitem__("max_residual", 42.0),
+        "cond-exp": lambda r: r["outputs"]["expectation"]["values"][0].__setitem__(0, 99.0),
+        "purify": lambda r: r["residuals"].__setitem__("max_deviation", 9.0),
+    }
+    for command, tamper in tampers.items():
+        doc = make_problem(rng, command)
+        rc, prob, out = emit(tmp_path, command, doc)
+        assert rc == EXIT_OK
+        report = json.loads(out.read_text())
+        tamper(report)
+        report["parameters"]["tolerance"] = 1000.0
+        assert verify_report(doc, report), f"tampered {command} report passed"
+        bad = write_doc(tmp_path, f"{command}-loose.json", report)
+        assert main(["verify", str(prob), str(bad), "-o", "/dev/null"]) == EXIT_VERIFY
+
+
+def test_verify_compares_at_the_tol_flag(tmp_path):
+    rng = random.Random(263)
+    doc = make_problem(rng, "cond-exp")
+    rc, prob, out = emit(tmp_path, "cond-exp", doc)
+    assert rc == EXIT_OK
+    report = json.loads(out.read_text())
+    report["outputs"]["expectation"]["values"][0][0] += 1e-6
+    off = write_doc(tmp_path, "off.json", report)
+    assert main(["verify", str(prob), str(off), "-o", "/dev/null"]) == EXIT_VERIFY
+    assert main(["verify", str(prob), str(off), "--tol", "1e-5", "-o", "/dev/null"]) \
+        == EXIT_OK
+    assert main(["verify", str(prob), str(off), "--tol", "1e-7", "-o", "/dev/null"]) \
+        == EXIT_VERIFY
+
+
+def test_verify_compares_the_atomic_reference_conditional():
+    rng = random.Random(269)
+    doc = make_problem(rng, "coarseness", mode="atomic")
+    report = json.loads(canonical_dumps(run("coarseness", parse_problem(doc))))
+    assert verify_report(doc, report) == []
+    blocks = len(report["outputs"]["reference_conditional"])
+    report["outputs"]["reference_conditional"] = [123.0] * blocks
+    assert verify_report(doc, report)
+
+
+def test_verify_rejects_a_splittable_witness_outside_the_set():
+    doc = {"space": {"weights": [0.5, 0.5], "mode": "splittable"},
+           "payload": {"set": {"triples": [[0, 0.0, 0.5]]}}}
+    report = json.loads(canonical_dumps(run("coarseness", parse_problem(doc))))
+    assert report["outputs"]["witness"] == {"triples": [[0, 0.0, 0.25]]}
+    assert verify_report(doc, report) == []
+    report["outputs"]["witness"] = {"triples": [[1, 0.0, 0.25]]}
+    assert verify_report(doc, report)

@@ -38,7 +38,6 @@ def test_partition_symmetric_split():
     assert res.pieces[0].masses == (0.125,) * 4
     assert res.pieces[1].offsets == (0.125,) * 4
     assert res.max_residual <= TOL
-    assert res.seed_checked
 
 
 def test_partition_degenerate_weights():

@@ -5,7 +5,7 @@ import pytest
 from condbang import (Mode, action_set, barycenter, bf_sub, build_grid,
                       dirac_measure, density_step, direct_mixture_payoff,
                       direct_payoff, integrand_family, make_partition, purify,
-                      purify_with_actions, stack_integrands, support_polytope,
+                      stack_integrands, support_polytope,
                       trivial_partition, young_measure)
 from condbang.purify import IntegrandFamily
 
@@ -52,7 +52,7 @@ def test_purify_dirac_returns_unchanged():
     V = integrand_family([[(0.0, 1.0), (1.0, 0.0), (2.0, -1.0)]] * 4)
     choices = [2, 0, 1, 2]
     delta = dirac_measure(choices, acts, g)
-    strategy, report = purify_with_actions(delta, V, acts, C, g)
+    strategy, report = purify(delta, V, C, g, actions=acts)
     assert report.max_deviation == 0
     assert [strategy.cell_action(k) for k in range(4)] == choices
     assert strategy.as_young_measure(g).rows == delta.rows
@@ -63,7 +63,7 @@ def test_purify_two_action_example():
     acts = action_set(["a", "b"])
     V = integrand_family([[(0.0,), (1.0,)]] * 4)
     delta = young_measure([[0.3, 0.7]] * 4, acts, g)
-    strategy, report = purify_with_actions(delta, V, acts, trivial_partition(g), g)
+    strategy, report = purify(delta, V, trivial_partition(g), g, actions=acts)
     assert report.lhs.values[0][0] == pytest.approx(0.7)
     assert report.max_deviation <= TOL
     mass_b = sum(m for k in range(4) for _, m, a in strategy.chunks[k] if a == 1)
@@ -75,7 +75,7 @@ def test_purify_ignores_zero_weight_extreme_action():
     acts = action_set(["a", "b", "huge"])
     V = integrand_family([[(0.0,), (1.0,), (50.0,)]] * 2)
     delta = young_measure([[0.4, 0.6, 0.0]] * 2, acts, g)
-    strategy, report = purify_with_actions(delta, V, acts, trivial_partition(g), g)
+    strategy, report = purify(delta, V, trivial_partition(g), g, actions=acts)
     assert report.max_deviation <= TOL
     chosen = {a for k in range(2) for _, m, a in strategy.chunks[k] if m > 0}
     assert 2 not in chosen
@@ -173,5 +173,5 @@ def test_purify_single_cell_mixture_uses_both_actions():
     acts = action_set(["a", "b"])
     V = integrand_family([[(0.0,), (1.0,)]])
     delta = young_measure([[0.5, 0.5]], acts, g)
-    strategy, _ = purify_with_actions(delta, V, acts, trivial_partition(g), g)
+    strategy, _ = purify(delta, V, trivial_partition(g), g, actions=acts)
     assert {a for _, _, a in strategy.chunks[0]} == {0, 1}

@@ -13,25 +13,12 @@ from gen import random_grid, random_partition, random_refined_set
 
 def test_build_grid_uniform_anchors():
     g = build_grid([0.25, 0.25, 0.25, 0.25], Mode.SPLITTABLE)
-    assert g.starts[2] == pytest.approx(0.5)
     assert g.weights == (0.25, 0.25, 0.25, 0.25)
 
 
 def test_build_grid_normalizes_symmetric():
     g = build_grid([2, 2], Mode.ATOMIC)
     assert [float(w) for w in g.weights] == [0.5, 0.5]
-
-
-def test_build_grid_prefix_sum_anchors():
-    weights = [0.1, 0.4, 0.3, 0.2]
-    g = build_grid(weights, Mode.SPLITTABLE)
-    # independent prefix-sum oracle
-    expected = [0.0]
-    for w in weights[:-1]:
-        expected.append(expected[-1] + w)
-    for got, want in zip(g.starts, expected):
-        assert got == pytest.approx(want, abs=1e-12)
-    assert g.starts[3] == pytest.approx(0.8)
 
 
 def test_build_grid_rejects_bad_input():
