@@ -17,7 +17,7 @@ from .condexp import (BlockFunction, SimpleFunction, bf_add, bf_sub, cond_exp,
                       sf_stack, weighted_ce_measure)
 from .lyapunov import DEFAULT_POLISH_BUDGET, PartitionResult, partition_with_moments
 from .numeric import Scalar
-from .polytope import PolytopeMap, decompose_selection, extreme_points, polytope_map
+from .polytope import PolytopeMap, decompose_selection
 from .spaces import BlockPartition, Grid, RefinedSet, is_cell_aligned, trivial_partition
 
 
@@ -116,11 +116,12 @@ def pointset_bang_bang(P: PolytopeMap, s: SimpleFunction, C: BlockPartition,
                        ) -> tuple[ExtremeSelection, BangBangReport]:
     """Bang-bang over the convex hulls of raw point sets.
 
-    The hull's extreme points are a subset of the given points, so the output
-    selection lands in the point sets themselves; interior points never appear.
+    The same call as ``bang_bang``: its decomposition already runs over the
+    extreme points of each cell's set only, and those are a subset of the
+    given points, so the output selection lands in the point sets themselves;
+    interior points never appear.
     """
-    hulls = polytope_map([extreme_points(cell, grid.tol(tol)) for cell in P.vertices])
-    return bang_bang(hulls, s, C, grid, tol=tol, diagonal_only=diagonal_only,
+    return bang_bang(P, s, C, grid, tol=tol, diagonal_only=diagonal_only,
                      polish_budget=polish_budget)
 
 

@@ -10,9 +10,10 @@ and ``verify_report`` dispatch through: ``parse`` reads the payload once into
 the command's inputs, ``run`` calls the library on them, and ``verify``
 rechecks a report's claims against them.  ``bang-bang`` shares its spec with
 ``pointset-bang-bang`` and ``purify`` with ``density-step``; ``parse`` gets
-the command name and records which library call to make.  ``verify``
-compares at ``--tol`` when given, else at the problem document's tolerance,
-never at the tolerance a report states about itself.
+the command name, which picks the payload key of the vertex sets and whether
+``density_step`` runs.  ``verify`` compares at ``--tol`` when given, else at
+the problem document's tolerance, never at the tolerance a report states
+about itself, and reads mode, regime and ``diagonal_only`` from the report.
 
 Exit codes: 0 success, 2 schema error, 3 mathematical precondition failure,
 4 verification failure.
@@ -29,7 +30,7 @@ from typing import Any, Callable
 
 from . import __version__
 from .condexp import BlockFunction, SimpleFunction, cond_exp, ce_measure
-from .bangbang import bang_bang, pointset_bang_bang
+from .bangbang import bang_bang
 from .documents import (ProblemDocument, SchemaError, canonical_dumps,
                         document_digest, encode_block_function, encode_number,
                         encode_refined_set, encode_simple_function, load_json,
@@ -261,7 +262,7 @@ def _run_annihilator(p: ProblemDocument, inputs):
 
 
 def _verify_annihilator(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
-    f, _ = inputs
+    f, E = inputs
     out = rep["outputs"]
     space = out.get("space", {})
     weights = [parse_number(w, p.exact, "outputs.space.weights")
@@ -271,10 +272,31 @@ def _verify_annihilator(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> N
     if len(parent) != len(weights):
         chk.fail("parent map and refined weights disagree")
         return
+    if not all(type(q) is int and 0 <= q < p.grid.cell_count for q in parent):
+        chk.fail("parent map names a cell the problem does not have")
+        return
+    # each child sits after its earlier siblings inside the parent cell
+    lo: list[Scalar] = []
+    filled: list[Scalar] = [0] * p.grid.cell_count
+    for j, q in enumerate(parent):
+        lo.append(filled[q])
+        filled[q] += weights[j]
+    for q in range(p.grid.cell_count):
+        chk.close(filled[q], p.grid.weights[q], f"cell {q}: refined children weights")
     g = parse_simple_function(out.get("witness"), p.exact, len(weights), "outputs.witness")
     support = parse_refined_set(out.get("support"), p.exact, rgrid, "outputs.support")
     E_r = parse_refined_set(out.get("set"), p.exact, rgrid, "outputs.set")
-    C_r = make_partition(out.get("partition", {}).get("blocks", []))
+    for j, q in enumerate(parent):
+        start = max(E.offsets[q], lo[j])
+        mass = max(min(E.offsets[q] + E.masses[q], lo[j] + weights[j]) - start, 0)
+        if abs(E_r.masses[j] - mass) > chk.tol or \
+                (mass > chk.tol and abs(E_r.offsets[j] - (start - lo[j])) > chk.tol):
+            chk.fail(f"refined cell {j}: outputs.set is not the problem's set lifted")
+            break
+    blocks = out.get("partition", {}).get("blocks", [])
+    if blocks != [p.partition.block_of[q] for q in parent]:
+        chk.fail("outputs.partition is not the problem's partition lifted through parent")
+    C_r = make_partition(blocks)
     f_r = SimpleFunction(dim=1, values=tuple(f.values[q] for q in parent))
     norm = g.max_abs()
     chk.close(parse_number(out.get("norm_inf"), p.exact, "outputs.norm_inf"), norm,
@@ -299,14 +321,13 @@ def _verify_annihilator(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> N
 def _parse_bang_bang(p: ProblemDocument, command: str):
     key = "points" if command == "pointset-bang-bang" else "polytopes"
     T = parse_polytopes(p.payload.get(key), p.exact, p.grid.cell_count, f"payload.{key}")
-    return command, T, _payload_function(p, "selection")
+    return T, _payload_function(p, "selection")
 
 
 def _run_bang_bang(p: ProblemDocument, inputs):
-    command, T, h = inputs
-    runner = pointset_bang_bang if command == "pointset-bang-bang" else bang_bang
-    sel, rep = runner(T, h, p.partition, p.grid, tol=p.tolerance,
-                      diagonal_only=p.diagonal_only)
+    T, h = inputs
+    sel, rep = bang_bang(T, h, p.partition, p.grid, tol=p.tolerance,
+                         diagonal_only=p.diagonal_only)
     outputs = {
         "pieces": [encode_refined_set(piece, p.exact) for piece in sel.pieces],
         "branch_values": [encode_simple_function(v, p.exact) for v in sel.values],
@@ -319,7 +340,7 @@ def _run_bang_bang(p: ProblemDocument, inputs):
 
 
 def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
-    _, T, h = inputs
+    T, h = inputs
     out = rep["outputs"]
     pieces = _claimed_pieces(p, rep)
     values = [parse_simple_function(obj, p.exact, p.grid.cell_count,
@@ -550,7 +571,6 @@ def run(command: str, problem: ProblemDocument) -> dict:
             "exact": problem.exact,
             "mode": problem.grid.mode.value,
             "diagonal_only": problem.diagonal_only,
-            "seed": problem.seed,
         },
         "outputs": outputs,
         "residuals": residuals,
@@ -632,14 +652,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the document's space mode")
     parser.add_argument("--diagonal-only", action="store_true", default=False,
                         help="diagonal moment systems in the bang-bang solver")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed echoed into the report for randomized helpers")
     args = parser.parse_args(argv)
 
     try:
         if args.command == "verify":
             if args.report is None:
                 raise SchemaError("verify needs a problem document and a report")
+            if args.mode is not None or args.exact or args.diagonal_only:
+                raise SchemaError("verify reads --mode, --exact and --diagonal-only "
+                                  "from the report; do not pass them")
             problem_raw = load_json(_read(args.input), "problem")
             report_raw = load_json(_read(args.report), "report")
             violations = verify_report(problem_raw, report_raw, tol=args.tol)
@@ -657,8 +678,7 @@ def main(argv: list[str] | None = None) -> int:
                                 mode_override=args.mode,
                                 exact_override=True if args.exact else None,
                                 tol_override=args.tol,
-                                diagonal_override=True if args.diagonal_only else None,
-                                seed_override=args.seed)
+                                diagonal_override=True if args.diagonal_only else None)
         report = run(args.command, problem)
         _write(args.output, canonical_dumps(report))
         return EXIT_OK

@@ -212,7 +212,6 @@ class ProblemDocument:
     tolerance: Scalar
     exact: bool
     diagonal_only: bool
-    seed: int | None
 
     @property
     def digest(self) -> str:
@@ -222,8 +221,7 @@ class ProblemDocument:
 def parse_problem(raw: Any, *, mode_override: str | None = None,
                   exact_override: bool | None = None,
                   tol_override: float | None = None,
-                  diagonal_override: bool | None = None,
-                  seed_override: int | None = None) -> ProblemDocument:
+                  diagonal_override: bool | None = None) -> ProblemDocument:
     if not isinstance(raw, dict):
         raise SchemaError("problem document must be a JSON object")
     params = raw.get("parameters", {})
@@ -249,11 +247,6 @@ def parse_problem(raw: Any, *, mode_override: str | None = None,
         tolerance = float(tol_raw) if tol_raw is not None else 1e-9
         if tol_override is not None:
             tolerance = float(tol_override)
-    seed = params.get("seed", None)
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise SchemaError("parameters.seed must be an integer")
-    if seed_override is not None:
-        seed = seed_override
 
     space = _require(raw, "space", "problem")
     weights_raw = _as_list(_require(space, "weights", "space"), "space.weights")
@@ -284,8 +277,7 @@ def parse_problem(raw: Any, *, mode_override: str | None = None,
     if not isinstance(payload, dict):
         raise SchemaError("payload must be an object")
     return ProblemDocument(raw=raw, grid=grid, partition=partition, payload=payload,
-                           tolerance=tolerance, exact=exact, diagonal_only=diagonal,
-                           seed=seed)
+                           tolerance=tolerance, exact=exact, diagonal_only=diagonal)
 
 
 def load_json(text: str, what: str) -> Any:

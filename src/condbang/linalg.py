@@ -1,15 +1,17 @@
 """Small dense linear-algebra kernels used by the decomposition and
 partition solvers.
 
-Three primitives: a nullspace vector of a column set, support reduction of a
-nonnegative solution along kernel directions (ratio test, smallest index
-leaves on ties), and a Phase-I simplex deciding convex-combination
-feasibility with a Farkas certificate on failure.  Support reduction and the
-simplex run verbatim on floats (partial pivoting, 1e-12 thresholds) and on
-Fractions (exact pivoting, zero thresholds).  The nullspace vector eliminates
-floats with partial pivoting, and exact rows fraction-free on Python ints
-(Bareiss), returning the Fractions exact elimination gives.  Sizes here are
-tens of rows, so plain lists beat array machinery.
+Four primitives: a nullspace vector of a column set, the pivot step along a
+kernel direction (ratio test, smallest index leaves on ties, float
+round-off clamped), support reduction of a nonnegative solution by repeated
+pivot steps, and a Phase-I simplex deciding convex-combination feasibility
+with a Farkas certificate on failure.  The pivot step is the one the
+partition solver's transport reduction takes too.  It and the simplex run
+verbatim on floats (1e-12 thresholds) and on Fractions (zero thresholds).
+The nullspace vector eliminates floats with partial pivoting, and exact rows
+fraction-free on Python ints (Bareiss), returning the Fractions exact
+elimination gives.  Sizes here are tens of rows, so plain lists beat array
+machinery.
 """
 
 from __future__ import annotations
@@ -149,14 +151,40 @@ def _integer_nullspace_vector(work: list[list[int]], ncols: int) -> list[Fractio
     return [Fraction(xc, prev) for xc in x] + [Fraction(0)] * (ncols - free - 1)
 
 
+def pivot_step(x: Sequence[Scalar], z: Sequence[Scalar], exact: bool) -> list[Scalar]:
+    """Move the nonnegative values x along the kernel direction z until one hits zero.
+
+    z is negated when no entry exceeds the threshold (zero on Fractions,
+    ``PIVOT_TOL`` on floats).  The step is the least ratio x[i] / z[i] over
+    the entries above it, the smallest index among the tied minimizers
+    leaves and is set to exactly zero, and on floats the round-off that
+    drove any other value below zero is clamped to 0.0.
+    """
+    zero_thresh = 0 if exact else PIVOT_TOL
+    if not any(zv > zero_thresh for zv in z):
+        z = [-zv for zv in z]
+    theta = None
+    leave = None
+    for idx, zv in enumerate(z):
+        if zv > zero_thresh:
+            ratio = x[idx] / zv
+            if theta is None or ratio < theta:
+                theta = ratio
+                leave = idx
+    moved = [xv - theta * zv for xv, zv in zip(x, z)]
+    moved[leave] = _zero(exact)
+    if not exact:
+        moved = [0.0 if v < 0 else v for v in moved]
+    return moved
+
+
 def reduce_support(columns: Sequence[Sequence[Scalar]], x: Sequence[Scalar],
                    exact: bool) -> list[Scalar]:
     """Shrink the support of a nonnegative solution of (columns)·x = b.
 
-    While the supported columns are dependent, move along a kernel vector
-    until a coordinate hits zero (ratio test; the smallest index among the
-    tied minimizers leaves).  Feasibility and nonnegativity are preserved;
-    the result has linearly independent support.
+    While the supported columns are dependent, take a ``pivot_step`` along
+    a kernel vector.  Feasibility and nonnegativity are preserved; the
+    result has linearly independent support.
     """
     x = list(x)
     nrows = len(columns[0]) if columns else 0
@@ -168,24 +196,9 @@ def reduce_support(columns: Sequence[Sequence[Scalar]], x: Sequence[Scalar],
         z = nullspace_vector(rows, len(support), exact)
         if z is None:
             return x
-        zero_thresh = 0 if exact else PIVOT_TOL
-        if not any(zv > zero_thresh for zv in z):
-            z = [-zv for zv in z]
-        theta = None
-        leave = None
-        for idx, zv in enumerate(z):
-            if zv > zero_thresh:
-                ratio = x[support[idx]] / zv
-                if theta is None or ratio < theta:
-                    theta = ratio
-                    leave = idx
-        for idx, v in enumerate(support):
-            x[v] = x[v] - theta * z[idx]
-        x[support[leave]] = _zero(exact)
-        if not exact:
-            for v in support:
-                if x[v] < 0:
-                    x[v] = 0.0
+        moved = pivot_step([x[v] for v in support], z, exact)
+        for v, xv in zip(support, moved):
+            x[v] = xv
     raise RuntimeError("support reduction failed to terminate")
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .condexp import (BlockFunction, SimpleFunction, bf_sub, cond_exp, indicator,
                       lift_function, lift_to_cells, sf_mul, weighted_ce_measure)
-from .linalg import integer_row, nullspace_vector
-from .numeric import PIVOT_TOL, Scalar, max_abs
+from .linalg import integer_row, nullspace_vector, pivot_step
+from .numeric import Scalar, max_abs
 from .spaces import (BlockPartition, CellRefinement, Grid, Mode, RefinedSet,
                      block_masses, build_grid, full_set, make_partition,
                      refine_partition, split_cells, validate_set)
@@ -65,20 +65,6 @@ def _validate_alpha(alpha: SimpleFunction, grid: Grid, tol: Scalar) -> None:
             raise ValueError(f"cell {k}: piece weights sum to {s!r}, expected 1")
 
 
-def _assert_seed_feasible(seed_rows: list[list[Scalar]], moments: Sequence[SimpleFunction],
-                          active: list[int], targets: list[list[Scalar]],
-                          exact: bool) -> None:
-    # The proportional seed satisfies every moment equation by construction;
-    # this guards the solver against shape or regime mix-ups before pivoting.
-    slack = 0 if exact else PIVOT_TOL
-    for i, mom in enumerate(moments):
-        for j in range(mom.dim):
-            got = sum(seed_rows[kk][i] * mom.values[k][j] for kk, k in enumerate(active))
-            scale = abs(targets[i][j]) + 1
-            if abs(got - targets[i][j]) > slack * scale:
-                raise RuntimeError("proportional seed violates its own moment equations")
-
-
 def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
                       mom_cols: list[list[list[Scalar]]], p: int,
                       exact: bool) -> list[list[Scalar]]:
@@ -87,7 +73,7 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     Works through the cells with a sliding window of fractional cells: a
     kernel direction of the window's columns (window cell sums plus all
     moment rows) exists as soon as the window holds enough fractional cells,
-    and each ratio-test move zeroes at least one variable, so a cell keeps
+    and each ``pivot_step`` zeroes at least one variable, so a cell keeps
     leaving the window integral.  Window size is bounded by the moment row
     count, which keeps every kernel solve small regardless of block size.
     The final solution has at most (moment rows) fractional cells and still
@@ -96,8 +82,6 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     q = len(avail)
     rows = [list(r) for r in rows]
     mom_rows = sum(len(cols) for cols in mom_cols)
-    zero: Scalar = Fraction(0) if exact else 0.0
-    zero_thresh = 0 if exact else PIVOT_TOL
     if exact:
         # a positive factor per moment row leaves every window's kernel as it
         # is and lets the windows be built from ints
@@ -137,23 +121,9 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
                 continue
             window.append(nxt)
             continue
-        if not any(zv > zero_thresh for zv in z):
-            z = [-zv for zv in z]
-        theta = None
-        leave = None
-        for idx, zv in enumerate(z):
-            if zv > zero_thresh:
-                kk, i = variables[idx]
-                ratio = rows[kk][i] / zv
-                if theta is None or ratio < theta:
-                    theta = ratio
-                    leave = idx
-        for idx, (kk, i) in enumerate(variables):
-            rows[kk][i] = rows[kk][i] - theta * z[idx]
-            if not exact and rows[kk][i] < 0:
-                rows[kk][i] = 0.0
-        lk, li = variables[leave]
-        rows[lk][li] = zero
+        moved = pivot_step([rows[kk][i] for kk, i in variables], z, exact)
+        for (kk, i), v in zip(variables, moved):
+            rows[kk][i] = v
         window = [kk for kk in window if fractional(kk)]
 
 
@@ -258,7 +228,6 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
         targets = [[sum(seed_rows[kk][i] * moments[i].values[k][j]
                         for kk, k in enumerate(active))
                     for j in range(moments[i].dim)] for i in range(p)]
-        _assert_seed_feasible(seed_rows, moments, active, targets, exact)
 
         frac_count = 0
         if active:

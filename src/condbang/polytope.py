@@ -102,21 +102,20 @@ def extreme_points(points: Sequence[Point], tol: Scalar | None = None) -> list[P
     return [pts[i] for i in extreme_point_indices(pts, tol)]
 
 
-def caratheodory_decompose(point: Sequence[Scalar], vertices: Sequence[Point],
-                           dim: int | None = None, tol: Scalar | None = None
-                           ) -> tuple[list[Scalar], list[int]]:
+def caratheodory_decompose(point: Sequence[Scalar], vertices: Sequence[Point], *,
+                           tol: Scalar | None = None) -> tuple[list[Scalar], list[int]]:
     """Write a hull point as a convex combination of at most dim+1 extreme vertices.
 
-    Starts from any feasible combination over the extreme vertices, then
-    pivots weights along nullspace directions of the stacked (vertex, 1)
-    columns until the support is independent, hence of size <= dim+1.
+    The dimension is the point's.  This is the solver's one hull-membership
+    test and its one extreme-point filter: it starts from any feasible
+    combination over the extreme vertices, then pivots weights along
+    nullspace directions of the stacked (vertex, 1) columns until the
+    support is independent, hence of size <= dim+1.
     Returns (weights, vertex indices into the input sequence); raises
     HullMembershipError with a separating direction when the point is outside.
     """
     point = tuple(point)
-    n = len(point) if dim is None else int(dim)
-    if len(point) != n:
-        raise ValueError("point dimension disagrees with dim")
+    n = len(point)
     pts = [tuple(v) for v in vertices]
     if any(len(v) != n for v in pts):
         raise ValueError("vertex dimension disagrees with point")
@@ -198,7 +197,7 @@ def decompose_selection(T: PolytopeMap, s: SimpleFunction, grid: Grid,
     points = []
     for k in range(grid.cell_count):
         try:
-            w, sup = caratheodory_decompose(s.values[k], T.vertices[k], T.dim, tol)
+            w, sup = caratheodory_decompose(s.values[k], T.vertices[k], tol=tol)
         except HullMembershipError as err:
             raise HullMembershipError(err.point, cell=k, direction=err.direction) from None
         pad = slots - len(sup)

@@ -180,13 +180,12 @@ class PurifyReport:
     residual_bound: Scalar
 
 
-def barycenter(delta: YoungMeasure, V: IntegrandFamily, grid: Grid, *,
-               tol: Scalar | None = None, check: bool = True) -> SimpleFunction:
+def barycenter(delta: YoungMeasure, V: IntegrandFamily, grid: Grid) -> SimpleFunction:
     """Mixture-average payoff per cell: sum_a delta(k, a) V(k, a).
 
     The mean value lies in the convex hull of the supported payoff vectors;
-    with ``check`` the containment is verified (hull-membership failure here
-    signals inconsistent inputs, not a mathematical possibility).
+    that containment is decided where the mean is decomposed over them
+    (``caratheodory_decompose``, through ``bang_bang`` in ``purify``).
     """
     if len(delta.rows) != grid.cell_count or len(V.values) != grid.cell_count:
         raise ValueError("cell counts differ")
@@ -201,13 +200,7 @@ def barycenter(delta: YoungMeasure, V: IntegrandFamily, grid: Grid, *,
                 acc = acc + w * V.values[k][a][j]
             vals.append(acc)
         rows.append(tuple(vals))
-    out = SimpleFunction(dim=V.dim, values=tuple(rows))
-    if check:
-        from .polytope import caratheodory_decompose
-        support = support_polytope(delta, V, grid)
-        for k in range(grid.cell_count):
-            caratheodory_decompose(out.values[k], support.vertices[k], V.dim, tol)
-    return out
+    return SimpleFunction(dim=V.dim, values=tuple(rows))
 
 
 def support_polytope(delta: YoungMeasure, V: IntegrandFamily, grid: Grid) -> PolytopeMap:
@@ -235,7 +228,7 @@ def purify(delta: YoungMeasure, V: IntegrandFamily, C: BlockPartition, grid: Gri
     actions are labelled ``a0, a1, ...``.
     """
     tol = grid.tol(tol)
-    mean = barycenter(delta, V, grid, tol=tol, check=False)
+    mean = barycenter(delta, V, grid)
     T = support_polytope(delta, V, grid)
     selection, bb_report = bang_bang(T, mean, C, grid, tol=tol,
                                      diagonal_only=diagonal_only,

@@ -137,6 +137,25 @@ def test_pointset_drops_interior_points():
                 assert sel.values[i].values[k][0] in (0.0, 1.0)
 
 
+@pytest.mark.parametrize("mode", [Mode.SPLITTABLE, Mode.ATOMIC])
+def test_pointset_is_bang_bang_over_the_extreme_points(mode):
+    rng = random.Random(f"pointset-{mode.value}")
+    for _ in range(12):
+        g = random_grid(rng, rng.randint(2, 8), mode)
+        C = random_partition(rng, g, 3)
+        T = random_polytopes(rng, g, rng.randint(1, 3), 5)
+        inside = interior_selection(rng, T)
+        cells = []
+        for verts, point in zip(T.vertices, inside.values):
+            pts = list(verts)
+            pts.insert(rng.randrange(len(pts) + 1), point)  # an interior point
+            cells.append(pts)
+        P = polytope_map(cells)
+        s = interior_selection(rng, P)
+        hulls = polytope_map([extreme_points(cell) for cell in P.vertices])
+        assert pointset_bang_bang(P, s, C, g) == bang_bang(hulls, s, C, g)
+
+
 def test_pointset_triangle_centroid():
     g = build_grid([0.25] * 4, Mode.SPLITTABLE)
     P = polytope_map([[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]] * 4)

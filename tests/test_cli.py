@@ -2,6 +2,8 @@ import copy
 import json
 import random
 
+import pytest
+
 from condbang.cli import (EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, EXIT_VERIFY,
                           RUN_COMMANDS, main, run, verify_report)
 from condbang.documents import canonical_dumps, parse_problem
@@ -216,3 +218,56 @@ def test_verify_rejects_a_splittable_witness_outside_the_set():
     assert verify_report(doc, report) == []
     report["outputs"]["witness"] = {"triples": [[1, 0.0, 0.25]]}
     assert verify_report(doc, report)
+
+
+def _annihilator_report():
+    doc = make_problem(random.Random(5), "annihilator")
+    report = json.loads(canonical_dumps(run("annihilator", parse_problem(doc))))
+    assert verify_report(doc, report) == []
+    return doc, report
+
+
+def test_verify_rejects_annihilator_refined_weights_that_do_not_add_up():
+    doc, report = _annihilator_report()
+    space = report["outputs"]["space"]
+    space["weights"] = [2 * w for w in space["weights"]]
+    assert verify_report(doc, report)
+
+
+def test_verify_rejects_an_annihilator_set_other_than_the_lifted_problem_set():
+    doc, report = _annihilator_report()
+    assert report["outputs"]["set"] != report["outputs"]["support"]
+    report["outputs"]["set"] = report["outputs"]["support"]
+    assert verify_report(doc, report)
+
+
+def test_verify_rejects_an_annihilator_partition_other_than_the_lifted_one():
+    doc, report = _annihilator_report()
+    blocks = report["outputs"]["partition"]["blocks"]
+    assert len(set(blocks)) > 1
+    report["outputs"]["partition"]["blocks"] = [0] * len(blocks)
+    assert verify_report(doc, report)
+
+
+def test_verify_refuses_the_flags_it_reads_from_the_report(tmp_path):
+    rng = random.Random(271)
+    doc = make_problem(rng, "bang-bang")
+    rc, prob, out = emit(tmp_path, "bang-bang", doc)
+    assert rc == EXIT_OK
+    assert main(["verify", str(prob), str(out), "-o", "/dev/null"]) == EXIT_OK
+    for flag in (["--mode", "atomic"], ["--mode", "splittable"], ["--exact"],
+                 ["--diagonal-only"]):
+        assert main(["verify", str(prob), str(out), *flag, "-o", "/dev/null"]) \
+            == EXIT_SCHEMA, flag
+
+
+def test_seed_is_neither_a_flag_nor_a_report_parameter(tmp_path):
+    rng = random.Random(277)
+    doc = make_problem(rng, "cond-exp")
+    doc["parameters"] = {"seed": "ignored like any unknown key"}
+    rc, prob, out = emit(tmp_path, "cond-exp", doc)
+    assert rc == EXIT_OK
+    assert "seed" not in json.loads(out.read_text())["parameters"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cond-exp", str(prob), "--seed", "3", "-o", "/dev/null"])
+    assert exit_info.value.code == EXIT_SCHEMA

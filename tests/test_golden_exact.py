@@ -1,13 +1,11 @@
 """Exact reports of every command pinned byte for byte.
 
 Each hash is the sha256 of the canonical reports (``wall_time`` removed) of a
-fixed seeded batch of exact problems, one batch per command and mode.  The
-five atomic batches of the solver commands and the 100-cell bang-bang were
-recorded while the exact kernel solves still eliminated on ``Fraction``s, the
-others before the CLI moved to one command table.  Any change that moves a
-single bit of an exact report changes its hash.  Float reports are not
-pinned: from Python 3.12 on, ``sum`` of floats is compensated, so their bits
-depend on the interpreter version.
+fixed seeded batch of exact problems, one batch per command and mode
+(``CHANGES.md`` tells at which commit each was recorded).  Any change that
+moves a single bit of an exact report changes its hash.  Float
+reports are not pinned: from Python 3.12 on, ``sum`` of floats is
+compensated, so their bits depend on the interpreter version.
 """
 
 from __future__ import annotations
@@ -30,45 +28,45 @@ CORPUS_TRIALS = 8
 #: sha256 per exact corpus batch, keyed "<mode>/<command>"
 GOLDEN = {
     "atomic/cond-exp":
-        "3f2fc4947e6a94fea275a95e28cbaf6f00cd921623e24a8c3f7aa173a4a72aff",
+        "b04ee2e6631e1a35e68d6120b7b12b064b134be16d4ef76961193684d4b084de",
     "atomic/ce-measure":
-        "f91cc1427ff433c0440c03d6902c8818847330b5bad82b9422ecd3d184172745",
+        "c5e9acebd6ad69713a10093e421992da1ee4cde7958a8c1ca78e89fe41629a15",
     "atomic/partition":
-        "4c1f6d6ba23a5c781c9156aa564559156ea934e2401f139f9320290728daa463",
+        "8fe97412fc65027b6ef29c25bd4a97a5759897c199bfa3b0c81ad24943286050",
     "atomic/half-set":
-        "c38af6efe831e9af0416f05373f91c665699bd5993cdc6e736877c0ab664de3b",
+        "0d526c209db81f749a179b1d3a074bf3815a2c519f35ed53ed845f02c1f21db3",
     "atomic/bang-bang":
-        "4d759c52c172514bd1d303be65b7bf461ed88d97d5cc62f50faf8d5e2ba0cc20",
+        "e8a3899ce8b2929e62dbbd1025064a1e56acd82fe9b72ffd1e4afa660c65e7ca",
     "atomic/pointset-bang-bang":
-        "10e1f0039f90c7d2737d09f05e9e46db614801d8eae057918ae1fe28ac1d09f1",
+        "0b937a25b8a6b640b2db921e5078634cd573d7a7415d8de0998e352a637c4858",
     "atomic/purify":
-        "ff0b9bafc3cbadb3897e8cdb977496f78f266337848ecd5361d67072cb117a1e",
+        "0eb247e2a1cb35719af4e5dcf4cd59bbfc0a560ea3ff0e9f36fb1038ab8c8d35",
     "atomic/density-step":
-        "e7637e630bb3fc4fc4b727cedd8b47e97228375ef63308573ef884a7cd0a7068",
+        "a5c9cb5e0262fad73728d5b0d230a98d9d1124fe8e3a729e7da2aabcab7041e2",
     "atomic/coarseness":
-        "0be2e96ff329654b0a43daec13ed2897e629dc2a01ecb29e21fd92b995df369f",
+        "2fe8b5599b0d10f62834b81a5e105df14179aaa3bff52ea179a7543a76297ffb",
     "splittable/cond-exp":
-        "c6c978b108cf33caefef4ee75bcbfc32e8d89d52cf7993eb0593f012b89f9840",
+        "bcdb80d240ac024aec7d986063a97deb701328f2111835de017fa6b98690c691",
     "splittable/ce-measure":
-        "a811a22ef4b24a74067c8e4f61e0b83bb51b48bac9f866d9cb687b6c6342b258",
+        "ace2d5d5ae1e432a657c016ef23f7dddd5949357d17152e71aee33bf5ddec263",
     "splittable/partition":
-        "3821fb1f2ea051ec08536c513e0a7c55f20bf171d1b2610052e2dddbbc0d9a3c",
+        "7abd13cb44baeb97f08c900983e155f61091476db9a433ccb474ac76541689d0",
     "splittable/half-set":
-        "195b84e5ce2e4965c78b7281328526ef32cd312cadca5c9ab50beb6e67f3bb31",
+        "21f6bb2548ef8596090f6e52072fdb79cb424a601f0d7218c61acd92b22e492d",
     "splittable/annihilator":
-        "922e9a194753c747cd9b03f09ee8d7266d5905458679d6f106fe10bb7623e9bc",
+        "281332f59b19688c9b982ff1c38aac3a61a4f83197e8e7c36bd38aa0b17e60ab",
     "splittable/bang-bang":
-        "db7549a4f0f0e40c0446bfdb0774a596af50e835121562a7ad153e85abdd1820",
+        "f34b57bec34bfec5def451f8b211092506c52b7884bc25c893cfe7a9a97b9f45",
     "splittable/pointset-bang-bang":
-        "34b153057f8fa5e1021b279fbf318c214d454673d543491746265c071fbefc7a",
+        "683467b3d9f8479a37896254b566bd48dc1cdc66be58aaeeabb9b8239193cdcb",
     "splittable/purify":
-        "5442fce5260d1edfb206a18e412c3008f535cb1d9c66c8d8e874d4babb5c0cfa",
+        "08ce0f363911590ae5f54ad3326ecde4d5bce000df2155b9ffa980631859e88e",
     "splittable/density-step":
-        "cea6578912cb78b47075fba23d638531138147dcd7dba2628534b3036daa39ef",
+        "c61e9c5367ffeea6b317d55c6501dfaee27529b654cdb8e4dbc7aa946b1a9d4c",
     "splittable/coarseness":
-        "643c4b08605070c20fe022864513c79e7c7c03a2f53abb856f6bc9860bc9d74c",
+        "425a898e05c61180af537da0cf0167e1268136089eea46dab99996945d886f83",
     "gen-bang-bang-100":
-        "14c8c084d8c42a99c7e36fb9d5a6d9c447439627569a37ee3746d43e2b24e470",
+        "6e5f07e3bb7016a845fa34b780cea3414f7f5a98b9c0f370c0d4e732352c5dea",
 }
 
 #: annihilator witnesses exist on splittable grids only

@@ -1,4 +1,5 @@
-"""The kernel solves against the Fraction elimination they replaced.
+"""The kernel solves against the Fraction elimination they replaced, and the
+pivot step shared by support reduction and transport reduction.
 
 ``reference_nullspace_vector`` is the elimination ``linalg.nullspace_vector``
 ran on both regimes before exact solves moved to integers, kept verbatim.
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condbang import linalg
-from condbang.linalg import nullspace_vector, reduce_support
+from condbang.linalg import nullspace_vector, pivot_step, reduce_support
 from condbang.numeric import PIVOT_TOL, Scalar
 
 
@@ -205,3 +206,29 @@ def test_exact_support_reduction_unchanged_on_dependent_columns():
             want = reduce_support(columns, x, True)
         assert got == want
         assert all(type(v) is Fraction for v in got)
+
+
+def test_pivot_step_smallest_index_leaves_a_tie():
+    # both ratios are 9.0 in binary64, but 9.0 * 0.1 rounds below the second
+    # value: only the first entry leaves, the second keeps its round-off
+    assert 1.8 / 0.2 == 0.9000000000000001 / 0.1
+    moved = pivot_step([1.8, 0.9000000000000001, 5.0], [0.2, 0.1, 0.0], False)
+    assert moved[0] == 0.0 and moved[2] == 5.0
+    assert moved[1] == 0.9000000000000001 - 9.0 * 0.1 > 0
+    # exact ties all reach zero; the result stays in Fractions
+    moved = pivot_step([F(1), F(2), F(3)], [F(1), F(2), F(1)], True)
+    assert moved == [0, 0, 2] and all(type(v) is Fraction for v in moved)
+
+
+def test_pivot_step_negates_a_direction_with_no_positive_entry():
+    assert pivot_step([3.0, 2.0, 1.0], [-1.0, -2.0, 0.0], False) == [2.0, 0.0, 1.0]
+    assert pivot_step([F(3), F(2)], [F(-1), F(-2)], True) == [2, 0]
+
+
+def test_pivot_step_clamps_float_round_off_only():
+    # z's second entry is below PIVOT_TOL, so the ratio test skips it and the
+    # step drives it below zero: floats clamp it, Fractions take it into the test
+    assert 0 < 1e-13 < PIVOT_TOL
+    assert pivot_step([1.0, 1e-14], [1.0, 1e-13], False) == [0.0, 0.0]
+    assert pivot_step([F(1), F(1, 10 ** 14)], [F(1), F(1, 10 ** 13)], True) == \
+        [F(9, 10), 0]

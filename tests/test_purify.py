@@ -3,6 +3,7 @@ import random
 import pytest
 
 from condbang import (Mode, action_set, barycenter, bf_sub, build_grid,
+                      caratheodory_decompose,
                       dirac_measure, density_step, direct_mixture_payoff,
                       direct_payoff, integrand_family, make_partition, purify,
                       stack_integrands, support_polytope,
@@ -102,7 +103,11 @@ def test_purify_barycenter_containment():
     rng = random.Random(107)
     for _ in range(30):
         g, C, delta, V = random_young_instance(rng)
-        barycenter(delta, V, g, check=True)  # raises on containment failure
+        mean = barycenter(delta, V, g)
+        support = support_polytope(delta, V, g)
+        for k in range(g.cell_count):
+            # raises HullMembershipError on containment failure
+            caratheodory_decompose(mean.values[k], support.vertices[k])
 
 
 def test_purify_exact_zero_error():
