@@ -6,8 +6,9 @@ kernel direction (ratio test, smallest index leaves on ties, float
 round-off clamped), support reduction of a nonnegative solution by repeated
 pivot steps, and a Phase-I simplex deciding convex-combination feasibility
 with a Farkas certificate on failure.  The pivot step is the one the
-partition solver's transport reduction takes too.  It and the simplex run
-verbatim on floats (1e-12 thresholds) and on Fractions (zero thresholds).
+partition solver's transport reduction takes too; it moves only the entries
+on the support of the kernel direction.  It and the simplex run verbatim on
+floats (1e-12 thresholds) and on Fractions (zero thresholds).
 The nullspace vector eliminates floats with partial pivoting, and exact rows
 fraction-free on Python ints (Bareiss), returning the Fractions exact
 elimination gives.  Sizes here are tens of rows, so plain lists beat array
@@ -159,6 +160,10 @@ def pivot_step(x: Sequence[Scalar], z: Sequence[Scalar], exact: bool) -> list[Sc
     the entries above it, the smallest index among the tied minimizers
     leaves and is set to exactly zero, and on floats the round-off that
     drove any other value below zero is clamped to 0.0.
+
+    Only the support of z is touched: an entry with ``z[i] == 0`` comes back
+    as it went in, which is what ``x[i] - theta * 0`` gives anyway for the
+    positive values x holds, bit for bit.
     """
     zero_thresh = 0 if exact else PIVOT_TOL
     if not any(zv > zero_thresh for zv in z):
@@ -171,10 +176,12 @@ def pivot_step(x: Sequence[Scalar], z: Sequence[Scalar], exact: bool) -> list[Sc
             if theta is None or ratio < theta:
                 theta = ratio
                 leave = idx
-    moved = [xv - theta * zv for xv, zv in zip(x, z)]
+    moved = list(x)
+    for idx, zv in enumerate(z):
+        if zv:
+            v = x[idx] - theta * zv
+            moved[idx] = 0.0 if not exact and v < 0 else v
     moved[leave] = _zero(exact)
-    if not exact:
-        moved = [0.0 if v < 0 else v for v in moved]
     return moved
 
 

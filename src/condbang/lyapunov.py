@@ -6,7 +6,9 @@ weight-function targets: exactly on splittable grids (the proportional seed
 is realized as stacked sub-intervals), and within a certified residual bound
 on atomic grids (kernel pivoting to a basic solution leaves few fractional
 cells, which are then rounded, with optional exhaustive finishing on small
-blocks).  Half-sets, the annihilator witness of non-injectivity, and the
+blocks).  The pivoting folds each cell's sum row into that cell's columns
+(generalized upper bounding), so its kernel solves run on the moment rows
+only.  Half-sets, the annihilator witness of non-injectivity, and the
 multi-measure variant via density reweighting are built on top.
 """
 
@@ -70,48 +72,80 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
                       exact: bool) -> list[list[Scalar]]:
     """Pivot the proportional seed to a basic solution of the block system.
 
-    Works through the cells with a sliding window of fractional cells: a
-    kernel direction of the window's columns (window cell sums plus all
-    moment rows) exists as soon as the window holds enough fractional cells,
-    and each ``pivot_step`` zeroes at least one variable, so a cell keeps
-    leaving the window integral.  Window size is bounded by the moment row
-    count, which keeps every kernel solve small regardless of block size.
-    The final solution has at most (moment rows) fractional cells and still
-    satisfies every equation exactly.
+    Works through the cells with a sliding window of fractional cells.  The
+    variables are the positive entries (k, i) of the window cells, in
+    cell-major order; the equations are one sum row per window cell (its
+    entries keep their total) and all moment rows.  A kernel direction
+    exists as soon as the window holds enough fractional cells, and each
+    ``pivot_step`` zeroes at least one variable, so a cell keeps leaving the
+    window integral.  Window size is bounded by the moment row count, which
+    keeps every kernel solve small regardless of block size.  The final
+    solution has at most (moment rows) fractional cells and still satisfies
+    every equation exactly.
+
+    The sum rows are convexity constraints, so they are substituted out
+    (generalized upper bounding; Dantzig and Van Slyke, J. Comput. Syst.
+    Sci. 1, 1967): in a cell with positive pieces i0 < i1 < ..., variable
+    (k, i0) carries minus the sum of the others.  The kernel is sought on
+    the moment rows only, over the reduced columns (k, i), i != i0: piece
+    i's moment entries of cell k on piece i's rows, and the negated entries
+    of piece i0 on piece i0's rows.  It maps back with z[(k, i0)] equal to
+    minus the sum of z[(k, i)] in piece order.  This is the kernel the full
+    system gives, entry for entry on exact data.  A cell's i0 column is the
+    first with a one on that cell's sum row, so it never depends on the
+    columns before it, and a dependency among the full columns up to any
+    other column is one among the reduced columns up to it and back.  So
+    the first dependent column is the same column in both systems, a kernel
+    exists exactly when it did (variables > window + moment rows is reduced
+    columns > moment rows), and the kernel vector with z[free] = 1 and zeros
+    after ``free`` is unique in both.
+
+    Each window cell keeps the list of its positive pieces; after a pivot
+    only the cells whose variables moved are looked at again.
     """
     q = len(avail)
     rows = [list(r) for r in rows]
-    mom_rows = sum(len(cols) for cols in mom_cols)
     if exact:
         # a positive factor per moment row leaves every window's kernel as it
-        # is and lets the windows be built from ints
+        # is and lets the windows be built from ints; folding only negates
+        # entries within a row, so the scaling still holds
         mom_cols = [[integer_row(col) for col in cols] for cols in mom_cols]
-        one, nil = 1, 0
+        nil = 0
     else:
-        one, nil = 1.0, 0.0
+        nil = 0.0
+    rows_of = []  # the moment rows of each piece, as a slice
+    mom_rows = 0
+    for cols in mom_cols:
+        rows_of.append(slice(mom_rows, mom_rows + len(cols)))
+        mom_rows += len(cols)
 
-    def fractional(kk: int) -> bool:
-        return sum(1 for v in rows[kk] if v > 0) >= 2
+    def reduced_columns(kk: int, pieces: list[int]) -> list[list[Scalar]]:
+        i0 = pieces[0]
+        negated = [-mom_row[kk] for mom_row in mom_cols[i0]]
+        columns = []
+        for i in pieces[1:]:
+            column = [nil] * mom_rows
+            column[rows_of[i0]] = negated
+            column[rows_of[i]] = [mom_row[kk] for mom_row in mom_cols[i]]
+            columns.append(column)
+        return columns
 
-    window: list[int] = []
-    stream = (kk for kk in range(q) if fractional(kk))
+    def fractional_cells():
+        for kk in range(q):
+            pieces = [i for i in range(p) if rows[kk][i] > 0]
+            if len(pieces) >= 2:
+                yield kk, pieces, reduced_columns(kk, pieces)
+
+    # window cells in joining order: (cell, its positive pieces, its columns)
+    window: list[tuple[int, list[int], list[list[Scalar]]]] = []
+    stream = fractional_cells()
     exhausted = False
     while True:
-        # variables: positive entries of window cells, cell-major order
-        variables = [(kk, i) for kk in window for i in range(p) if rows[kk][i] > 0]
+        reduced = sum(len(columns) for _, _, columns in window)
         z = None
-        if len(variables) > len(window) + mom_rows or (exhausted and len(variables) > 1):
-            cell_row_of = {kk: r for r, kk in enumerate(window)}
-            matrix = [[nil] * len(variables) for _ in range(len(window) + mom_rows)]
-            for col, (kk, i) in enumerate(variables):
-                matrix[cell_row_of[kk]][col] = one
-                base = len(window)
-                for ii in range(p):
-                    for j in range(len(mom_cols[ii])):
-                        if ii == i:
-                            matrix[base + j][col] = mom_cols[ii][j][kk]
-                    base += len(mom_cols[ii])
-            z = nullspace_vector(matrix, len(variables), exact)
+        if reduced > mom_rows or (exhausted and reduced > 0):
+            matrix = list(zip(*(column for _, _, columns in window for column in columns)))
+            z = nullspace_vector(matrix, reduced, exact)
         if z is None:
             nxt = next(stream, None)
             if nxt is None:
@@ -121,10 +155,32 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
                 continue
             window.append(nxt)
             continue
-        moved = pivot_step([rows[kk][i] for kk, i in variables], z, exact)
-        for (kk, i), v in zip(variables, moved):
-            rows[kk][i] = v
-        window = [kk for kk in window if fractional(kk)]
+        x: list[Scalar] = []
+        direction: list[Scalar] = []
+        col = 0
+        for kk, pieces, columns in window:
+            tail = z[col:col + len(columns)]
+            col += len(columns)
+            direction.append(-sum(tail))
+            direction.extend(tail)
+            x.extend(rows[kk][i] for i in pieces)
+        moved = pivot_step(x, direction, exact)
+        kept = []
+        at = 0
+        for cell in window:
+            kk, pieces, _ = cell
+            start, at = at, at + len(pieces)
+            if any(direction[start:at]):
+                row = rows[kk]
+                for i, v in zip(pieces, moved[start:at]):
+                    row[i] = v
+                left = [i for i in pieces if row[i] > 0]
+                if len(left) < 2:
+                    continue
+                if len(left) < len(pieces):
+                    cell = (kk, left, reduced_columns(kk, left))
+            kept.append(cell)
+        window = kept
 
 
 def _round_largest(t_row: list[Scalar], avail: Scalar, zero: Scalar) -> tuple[list[Scalar], int]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,8 +36,9 @@ class Grid:
     def cell_count(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def is_exact(self) -> bool:
+        # the weights never change, so the regime is read off them once
         return all_exact(self.weights)
 
     @property
@@ -405,8 +407,8 @@ def split_cells(grid: Grid, cuts: Sequence[Sequence[Scalar]]) -> tuple[Grid, Cel
     lo: list[Scalar] = []
     hi: list[Scalar] = []
     children: list[tuple[int, ...]] = []
+    zero = Fraction(0) if grid.is_exact else 0.0
     for k, w in enumerate(grid.weights):
-        zero = Fraction(0) if grid.is_exact else 0.0
         points: list[Scalar] = [zero]
         for c in sorted(set(cuts[k])):
             if c <= 0 or c >= w:

@@ -232,3 +232,23 @@ def test_pivot_step_clamps_float_round_off_only():
     assert pivot_step([1.0, 1e-14], [1.0, 1e-13], False) == [0.0, 0.0]
     assert pivot_step([F(1), F(1, 10 ** 14)], [F(1), F(1, 10 ** 13)], True) == \
         [F(9, 10), 0]
+
+
+def test_pivot_step_leaves_entries_off_the_support_of_z_as_they_are():
+    # floats: entry 0 leaves, entry 2 is driven below zero by round-off and
+    # clamped, entries 1, 3 and 4 (z zero, one of them -0.0) come back as is
+    x = [1.0, 0.3, 1e-14, 7.25, 0.1]
+    z = [1.0, 0.0, 1e-13, -0.0, 0.0]
+    moved = pivot_step(x, z, False)
+    assert moved == [0.0, 0.3, 0.0, 7.25, 0.1]
+    assert all(moved[i] is x[i] for i in (1, 3, 4))
+    # the same with every z entry negated: the step flips z back
+    assert pivot_step(x, [-v for v in z], False) == moved
+    # Fractions: entry 2 has the least ratio and leaves, entry 0 moves,
+    # entries 1 and 3 (z zero) stay the very objects passed in
+    x = [F(3), F(2, 7), F(1), F(5, 3)]
+    z = [F(1), F(0), F(2), 0]
+    moved = pivot_step(x, z, True)
+    assert moved == [F(5, 2), F(2, 7), 0, F(5, 3)]
+    assert moved[1] is x[1] and moved[3] is x[3]
+    assert all(type(v) is Fraction for v in moved)

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from condbang import spaces
 from condbang import (Mode, build_grid, coarseness_check, complement, full_set,
                       left_part, make_partition, refine_partition, refines,
                       set_from_cells, set_from_triples, split_cells, subdivide,
@@ -127,6 +129,16 @@ def test_split_cells_preserves_mass_and_lifts():
     mid = ref.children[0][1]
     assert lifted.masses[mid] == pytest.approx(0.2)
     assert all(lifted.masses[j] <= 1e-12 for j in range(refined.cell_count) if j != mid)
+
+
+def test_split_cells_reads_the_regime_of_an_exact_grid_once():
+    g = build_grid([Fraction(k % 7 + 1) for k in range(300)], Mode.SPLITTABLE)
+    cuts = [[w / 3, w / 2] for w in g.weights]
+    with mock.patch.object(spaces, "all_exact", wraps=spaces.all_exact) as counted:
+        refined, ref = split_cells(g, cuts)
+    assert counted.call_count <= 1
+    assert refined.cell_count == 900 and refined.is_exact
+    assert sum(refined.weights) == 1
 
 
 def test_subdivide_halves_exactly():
