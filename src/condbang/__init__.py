@@ -7,15 +7,13 @@ __version__ = "0.1.0"
 
 from .spaces import (Mode, Grid, BlockPartition, RefinedSet, CoarsenessVerdict,
                      CellRefinement, build_grid, grid_from_weights, make_partition,
-                     trivial_partition,
-                     finest_partition, block_masses, refines, empty_set, full_set,
-                     set_from_cells, set_from_triples, complement, left_part,
-                     refine_partition, coarseness_check, validate_witness,
+                     trivial_partition, block_masses, full_set, set_from_cells,
+                     set_from_triples, refine_partition, coarseness_check,
                      split_cells, subdivide, is_cell_aligned)
 from .condexp import (SimpleFunction, BlockFunction, simple_function,
                       constant_function, cond_exp, ce_measure, weighted_ce_measure,
                       integrate_against, lift_to_cells, lift_function, indicator,
-                      sf_add, sf_scale, sf_mul, sf_stack, bf_add, bf_sub, l1_norm)
+                      sf_add, sf_scale, sf_mul, sf_stack, bf_add, bf_sub)
 from .polytope import (PolytopeMap, CaratheodoryDecomposition, HullMembershipError,
                        polytope_map, extreme_points, extreme_point_indices,
                        caratheodory_decompose, decompose_selection)
@@ -23,8 +21,7 @@ from .lyapunov import (PartitionResult, HalfSetResult, AnnihilatorWitness,
                        lyapunov_partition, partition_with_moments, half_set,
                        annihilator_witness, witness_block_integrals,
                        lyapunov_partition_multi, DEFAULT_POLISH_BUDGET)
-from .bangbang import (ExtremeSelection, BangBangReport, bang_bang,
-                       pointset_bang_bang, integral_bang_bang)
+from .bangbang import ExtremeSelection, BangBangReport, bang_bang, pointset_bang_bang
 from .purify import (ActionSet, YoungMeasure, IntegrandFamily, PureStrategy,
                      PurifyReport, PurificationMatchError, action_set,
                      young_measure, dirac_measure, integrand_family,

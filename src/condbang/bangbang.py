@@ -18,7 +18,7 @@ from .condexp import (BlockFunction, SimpleFunction, bf_add, bf_sub, cond_exp,
 from .lyapunov import DEFAULT_POLISH_BUDGET, PartitionResult, partition_with_moments
 from .numeric import Scalar
 from .polytope import PolytopeMap, decompose_selection
-from .spaces import BlockPartition, Grid, RefinedSet, is_cell_aligned, trivial_partition
+from .spaces import BlockPartition, Grid, RefinedSet
 
 
 @dataclass(frozen=True)
@@ -51,21 +51,6 @@ class ExtremeSelection:
             if piece.masses[k] > 0:
                 out.append((piece.offsets[k], piece.masses[k], self.values[i].values[k], i))
         return out
-
-    def as_simple_function(self, grid: Grid, tol: Scalar | None = None) -> SimpleFunction:
-        """The selection as a plain function; requires cell-aligned pieces."""
-        tol = grid.tol(tol)
-        rows = []
-        for k in range(grid.cell_count):
-            winner = None
-            for i, piece in enumerate(self.pieces):
-                if piece.masses[k] > grid.weights[k] / 2:
-                    winner = i
-                    break
-            if winner is None or not is_cell_aligned(self.pieces[winner], grid, tol):
-                raise ValueError("selection cuts cells; no plain function view exists")
-            rows.append(self.values[winner].values[k])
-        return SimpleFunction(dim=self.dim, values=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -124,12 +109,3 @@ def pointset_bang_bang(P: PolytopeMap, s: SimpleFunction, C: BlockPartition,
     return bang_bang(P, s, C, grid, tol=tol, diagonal_only=diagonal_only,
                      polish_budget=polish_budget)
 
-
-def integral_bang_bang(T: PolytopeMap, h: SimpleFunction, grid: Grid, *,
-                       tol: Scalar | None = None, diagonal_only: bool = False,
-                       polish_budget: int = DEFAULT_POLISH_BUDGET
-                       ) -> tuple[ExtremeSelection, BangBangReport]:
-    """Bang-bang against the trivial partition: the report's single block
-    compares the plain integrals of the two selections."""
-    return bang_bang(T, h, trivial_partition(grid), grid, tol=tol,
-                     diagonal_only=diagonal_only, polish_budget=polish_budget)

@@ -3,7 +3,8 @@
 One command per process: parse a problem document, dispatch to the library,
 emit a canonical JSON report.  ``verify`` re-reads a problem/report pair and
 independently recomputes both sides of every equality the report claims,
-with oracle-route summation, exiting 4 on any violation beyond tolerance.
+exiting 4 on any violation beyond tolerance.  Every block-level sum it needs
+goes through ``oracle.direct_*``; this module sums only within a cell.
 
 Each command is one ``_Spec`` of the ``_COMMANDS`` table, which both ``run``
 and ``verify_report`` dispatch through: ``parse`` reads the payload once into
@@ -29,8 +30,8 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from . import __version__
-from .condexp import BlockFunction, SimpleFunction, cond_exp, ce_measure
-from .bangbang import bang_bang
+from .condexp import BlockFunction, SimpleFunction, bf_sub, cond_exp, ce_measure
+from .bangbang import ExtremeSelection, bang_bang
 from .documents import (ProblemDocument, SchemaError, canonical_dumps,
                         document_digest, encode_block_function, encode_number,
                         encode_refined_set, encode_simple_function, load_json,
@@ -44,8 +45,8 @@ from .oracle import direct_integrate, direct_mixture_payoff, direct_payoff
 from .polytope import extreme_points
 from .purify import (IntegrandFamily, PureStrategy, density_step, purify,
                      stack_integrands)
-from .spaces import (BlockPartition, Grid, Mode, RefinedSet, block_masses,
-                     coarseness_check, full_set, grid_from_weights, make_partition)
+from .spaces import (BlockPartition, Grid, Mode, RefinedSet, coarseness_check,
+                     full_set, grid_from_weights, make_partition)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -127,22 +128,23 @@ def _contained(chk: _Check, inner: RefinedSet, outer: RefinedSet, grid: Grid,
             chk.fail(f"cell {k}: {what} leaves the ambient interval")
 
 
-def _max_gap(a: BlockFunction, b: BlockFunction) -> Scalar:
-    return max((abs(x - y) for ar, br in zip(a.values, b.values)
-                for x, y in zip(ar, br)), default=0)
-
-
 def _oracle_partition_residual(pieces, h: SimpleFunction, alpha: SimpleFunction,
                                C: BlockPartition, grid: Grid) -> Scalar:
     worst: Scalar = 0
-    mu = block_masses(C, grid)
+    offsets = full_set(grid).offsets
     for i, piece in enumerate(pieces):
-        target = BlockFunction(dim=h.dim, values=tuple(
-            tuple(sum(alpha.values[k][i] * grid.weights[k] * h.values[k][j]
-                      for k in cells) / mu[b] for j in range(h.dim))
-            for b, cells in enumerate(C.blocks)))
-        worst = max(worst, _max_gap(direct_integrate(h, piece, C, grid), target))
+        # piece i's target is h integrated over the alpha_i-weighted masses
+        share = RefinedSet(offsets=offsets, masses=tuple(
+            alpha.values[k][i] * grid.weights[k] for k in range(grid.cell_count)))
+        worst = max(worst, bf_sub(direct_integrate(h, piece, C, grid),
+                                  direct_integrate(h, share, C, grid)).max_abs())
     return worst
+
+
+def _one(p: ProblemDocument) -> SimpleFunction:
+    """The constant-one function, whose integral over a set is its mass."""
+    return SimpleFunction(dim=1, values=((Fraction(1) if p.exact else 1.0,),)
+                          * p.grid.cell_count)
 
 
 def _payload_function(p: ProblemDocument, key: str) -> SimpleFunction:
@@ -186,10 +188,8 @@ def _run_ce_measure(p: ProblemDocument, E: RefinedSet):
 
 
 def _verify_ce_measure(chk: _Check, p: ProblemDocument, E: RefinedSet, rep: dict) -> None:
-    one = SimpleFunction(dim=1, values=((Fraction(1) if p.exact else 1.0,),)
-                         * p.grid.cell_count)
     chk.block_close(_claimed_block(p, rep, "measure"),
-                    direct_integrate(one, E, p.partition, p.grid), "conditional measure")
+                    direct_integrate(_one(p), E, p.partition, p.grid), "conditional measure")
 
 
 def _run_partition(p: ProblemDocument, inputs):
@@ -233,7 +233,7 @@ def _verify_half_set(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None
         tuple(v / 2 for v in row) for row in whole.values))
     chk.block_close(_claimed_block(p, rep, "achieved"), achieved, "achieved half measure")
     chk.block_close(_claimed_block(p, rep, "target"), target, "half-measure target")
-    chk.bounded(rep, "max_residual", _max_gap(achieved, target), "half-set residual")
+    chk.bounded(rep, "max_residual", bf_sub(achieved, target).max_abs(), "half-set residual")
 
 
 def _parse_annihilator(p: ProblemDocument, command: str):
@@ -362,21 +362,12 @@ def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> Non
                        for vert in ext_cache[k]):
                 chk.fail(f"cell {k}: branch {i} value is not an extreme point")
                 return
-    mu = block_masses(p.partition, p.grid)
-    dim = values[0].dim
-    lhs_rows = []
-    for b, cells in enumerate(p.partition.blocks):
-        vals = []
-        for j in range(dim):
-            acc = sum(pieces[i].masses[k] * values[i].values[k][j]
-                      for k in cells for i in range(len(pieces)))
-            vals.append(acc / mu[b])
-        lhs_rows.append(tuple(vals))
-    lhs = BlockFunction(dim=dim, values=tuple(lhs_rows))
+    lhs = direct_integrate(ExtremeSelection(pieces=tuple(pieces), values=tuple(values)),
+                           None, p.partition, p.grid)
     rhs = direct_integrate(h, None, p.partition, p.grid)
     chk.block_close(_claimed_block(p, rep, "lhs"), lhs, "glued selection expectation")
     chk.block_close(_claimed_block(p, rep, "rhs"), rhs, "input selection expectation")
-    chk.bounded(rep, "max_deviation", _max_gap(lhs, rhs), "bang-bang deviation")
+    chk.bounded(rep, "max_deviation", bf_sub(lhs, rhs).max_abs(), "bang-bang deviation")
 
 
 def _parse_family(p: ProblemDocument, actions_size: int) -> list[IntegrandFamily]:
@@ -455,7 +446,7 @@ def _verify_purify(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
     rhs = direct_payoff(strategy, V, p.partition, p.grid)
     chk.block_close(_claimed_block(p, rep, "lhs"), lhs, "mixture payoff")
     chk.block_close(_claimed_block(p, rep, "rhs"), rhs, "pure strategy payoff")
-    chk.bounded(rep, "max_deviation", _max_gap(lhs, rhs), "purification deviation")
+    chk.bounded(rep, "max_deviation", bf_sub(lhs, rhs).max_abs(), "purification deviation")
 
 
 def _run_coarseness(p: ProblemDocument, E: RefinedSet | None):
@@ -477,11 +468,8 @@ def _verify_coarseness(chk: _Check, p: ProblemDocument, E: RefinedSet | None,
         E = full_set(p.grid)
     out = rep["outputs"]
     witness = parse_refined_set(out.get("witness"), p.exact, p.grid, "outputs.witness")
-    mu = block_masses(p.partition, p.grid)
-    ref = [sum(E.masses[k] for k in cells) / mu[b]
-           for b, cells in enumerate(p.partition.blocks)]
-    wit = [sum(witness.masses[k] for k in cells) / mu[b]
-           for b, cells in enumerate(p.partition.blocks)]
+    ref = [row[0] for row in direct_integrate(_one(p), E, p.partition, p.grid).values]
+    wit = [row[0] for row in direct_integrate(_one(p), witness, p.partition, p.grid).values]
 
     def claimed(key: str) -> list[Scalar] | None:
         values = out.get(key)

@@ -24,9 +24,6 @@ class SimpleFunction:
     dim: int
     values: tuple[tuple[Scalar, ...], ...]
 
-    def value(self, k: int) -> tuple[Scalar, ...]:
-        return self.values[k]
-
     def max_abs(self) -> Scalar:
         return max_abs(v for row in self.values for v in row)
 
@@ -193,9 +190,3 @@ def indicator(E: RefinedSet, grid: Grid, tol: Scalar | None = None) -> SimpleFun
         rows.append((one,) if m > tol else (zero,))
     return SimpleFunction(dim=1, values=tuple(rows))
 
-
-def l1_norm(f: SimpleFunction, grid: Grid, E: RefinedSet | None = None) -> tuple[Scalar, ...]:
-    """Componentwise L1 norm of f (against E's masses when given)."""
-    masses = grid.weights if E is None else E.masses
-    return tuple(sum(abs(f.values[k][j]) * masses[k] for k in range(len(masses)))
-                 for j in range(f.dim))

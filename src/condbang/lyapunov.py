@@ -454,70 +454,55 @@ def annihilator_witness(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
         keep = set(vanish)
         cuts = [[E.offsets[k], E.offsets[k] + E.masses[k]] if k in keep else []
                 for k in range(grid.cell_count)]
-        rgrid, ref = split_cells(grid, cuts)
-        E_part = RefinedSet(
-            offsets=tuple(E.offsets[k] if k in keep else zero
-                          for k in range(grid.cell_count)),
-            masses=tuple(E.masses[k] if k in keep else zero
-                         for k in range(grid.cell_count)))
-        support = ref.lift_set(E_part, rgrid)
-        g_vals = tuple((one,) if support.masses[j] > 0 else (zero,)
-                       for j in range(rgrid.cell_count))
-        return AnnihilatorWitness(
-            grid=rgrid, refinement=ref, g=SimpleFunction(dim=1, values=g_vals),
-            support=support, set_on_refined=ref.lift_set(E, rgrid),
-            partition_on_refined=ref.lift_partition(C),
-            function_on_refined=lift_function(f, ref), norm_inf=one)
+    else:
+        # Keep the half of E's mass where |f| is largest: the threshold is the
+        # largest attained |f| value whose strict super-level set still
+        # carries at least half the mass.
+        levels = sorted({abs(f.values[k][0]) for k in range(grid.cell_count)
+                         if E.masses[k] > 0}, reverse=True)
+        eps = zero
+        for level in levels:
+            kept_mass = sum(E.masses[k] for k in range(grid.cell_count)
+                            if E.masses[k] > 0 and abs(f.values[k][0]) > level)
+            if 2 * kept_mass >= mu_E:
+                eps = level
+                break
+        keep = {k for k in range(grid.cell_count)
+                if E.masses[k] > 0 and abs(f.values[k][0]) > eps}
+        # Split every retained cell at the part boundaries and at its midpoint
+        # so both the part and its left half are cell-aligned after the split.
+        cuts = [[E.offsets[k], E.offsets[k] + E.masses[k] / 2, E.offsets[k] + E.masses[k]]
+                if k in keep else [] for k in range(grid.cell_count)]
 
-    # Keep the half of E's mass where |f| is largest: the threshold is the
-    # largest attained |f| value whose strict super-level set still carries
-    # at least half the mass.
-    levels = sorted({abs(f.values[k][0]) for k in range(grid.cell_count)
-                     if E.masses[k] > 0}, reverse=True)
-    eps = zero
-    for level in levels:
-        kept_mass = sum(E.masses[k] for k in range(grid.cell_count)
-                        if E.masses[k] > 0 and abs(f.values[k][0]) > level)
-        if 2 * kept_mass >= mu_E:
-            eps = level
-            break
-    keep = {k for k in range(grid.cell_count)
-            if E.masses[k] > 0 and abs(f.values[k][0]) > eps}
-
-    # Split every retained cell at the part boundaries and at its midpoint so
-    # both the part and its left half are cell-aligned after the split.
-    cuts = []
-    for k in range(grid.cell_count):
-        if k in keep:
-            o, m = E.offsets[k], E.masses[k]
-            cuts.append([o, o + m / 2, o + m])
-        else:
-            cuts.append([])
     rgrid, ref = split_cells(grid, cuts)
     E_part = RefinedSet(
         offsets=tuple(E.offsets[k] if k in keep else zero for k in range(grid.cell_count)),
         masses=tuple(E.masses[k] if k in keep else zero for k in range(grid.cell_count)))
-    part_r = ref.lift_set(E_part, rgrid)
-    left_r = ref.lift_set(
-        RefinedSet(offsets=E_part.offsets,
-                   masses=tuple(m / 2 for m in E_part.masses)), rgrid)
+    support = ref.lift_set(E_part, rgrid)
     C_r = ref.lift_partition(C)
-    D = refine_partition(C_r, part_r, rgrid)
-    chi_left = indicator(left_r, rgrid)
-    g0_proj = lift_to_cells(cond_exp(chi_left, D, rgrid), D, rgrid)
     f_r = lift_function(f, ref)
-    g_vals = []
-    for j in range(rgrid.cell_count):
-        if part_r.masses[j] > 0:
-            g0 = chi_left.values[j][0] - g0_proj.values[j][0]
-            g_vals.append((g0 / f_r.values[j][0],))
-        else:
-            g_vals.append((zero,))
+    if vanish:
+        g_vals = [(one,) if support.masses[j] > 0 else (zero,)
+                  for j in range(rgrid.cell_count)]
+    else:
+        left_r = ref.lift_set(
+            RefinedSet(offsets=E_part.offsets,
+                       masses=tuple(m / 2 for m in E_part.masses)), rgrid)
+        D = refine_partition(C_r, support, rgrid)
+        chi_left = indicator(left_r, rgrid)
+        g0_proj = lift_to_cells(cond_exp(chi_left, D, rgrid), D, rgrid)
+        g_vals = []
+        for j in range(rgrid.cell_count):
+            if support.masses[j] > 0:
+                g0 = chi_left.values[j][0] - g0_proj.values[j][0]
+                g_vals.append((g0 / f_r.values[j][0],))
+            else:
+                g_vals.append((zero,))
     g = SimpleFunction(dim=1, values=tuple(g_vals))
     norm = g.max_abs()
     if not norm > 0:
         raise RuntimeError("annihilator witness degenerated to zero")
-    return AnnihilatorWitness(grid=rgrid, refinement=ref, g=g, support=part_r,
+    return AnnihilatorWitness(grid=rgrid, refinement=ref, g=g, support=support,
                               set_on_refined=ref.lift_set(E, rgrid),
                               partition_on_refined=C_r,
                               function_on_refined=f_r, norm_inf=norm)
@@ -607,23 +592,16 @@ def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
     pieces = tuple(RefinedSet(offsets=tuple(offsets[i]), masses=tuple(masses[i]))
                    for i in range(p))
 
+    # The sub-grid weights are avg/S for the total avg mass S, so a sub-block
+    # has mass avg_b/S, and entry i of H carries the density mu_i/avg: the
+    # defect under measure i is the sub-grid residual times avg_b/mu_i(b).
     mu_blocks = [[sum(mu_i[k] for k in cells) for cells in C.blocks] for mu_i in measures]
-    residual = []
-    for j in range(p):
-        per_block = []
-        for b, cells in enumerate(C.blocks):
-            row = []
-            for i in range(d):
-                if mu_blocks[i][b] > 0:
-                    lhs = sum((pieces[j].masses[k] / grid.weights[k]) * measures[i][k]
-                              * fs[i].values[k][0] for k in cells)
-                    rhs = sum(alpha.values[k][j] * measures[i][k] * fs[i].values[k][0]
-                              for k in cells)
-                    row.append((lhs - rhs) / mu_blocks[i][b])
-                else:
-                    row.append(zero)
-            per_block.append(tuple(row))
-        residual.append(tuple(per_block))
+    avg_blocks = [sum(avg[k] for k in cells) for cells in C.blocks]
+    residual = tuple(
+        tuple(tuple(r * avg_blocks[b] / mu_blocks[i][b] if mu_blocks[i][b] > 0 else zero
+                    for i, r in enumerate(part.residual[j][b]))
+              for b in range(C.block_count))
+        for j in range(p))
 
     if grid.mode is Mode.ATOMIC:
         mom_rows = p * d
@@ -637,6 +615,6 @@ def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
         bound = mom_rows * w_rel * f_max
     else:
         bound = part.residual_bound
-    return PartitionResult(pieces=pieces, residual=tuple(residual),
+    return PartitionResult(pieces=pieces, residual=residual,
                            residual_bound=bound,
                            fractional_per_block=part.fractional_per_block)

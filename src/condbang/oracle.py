@@ -1,16 +1,18 @@
 """Independent brute-force recomputations.
 
-These deliberately avoid the main code paths: conditional expectations are
-re-summed with a different algorithm and order (``math.fsum`` over reversed
-terms in the float regime), and the atomic partition quality is established
-by exhaustive enumeration of whole-cell assignments.  The verify command and
-the test suite check the solvers against these routines.
+These deliberately avoid the main code paths.  Every block average goes
+through one loop, ``_block_means``, over per-(cell, coordinate) terms,
+summed with ``math.fsum`` in the float regime and right to left in the exact
+one, never through the solvers' summation.  The atomic partition quality is
+established by exhaustive enumeration of whole-cell assignments.  ``verify``
+recomputes every block-level sum of a report through the ``direct_*``
+functions, and the test suite checks the solvers against them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -21,13 +23,27 @@ from .purify import IntegrandFamily, PureStrategy
 from .spaces import BlockPartition, Grid, RefinedSet, full_set
 
 
-def _combine(terms: list[Scalar], exact: bool) -> Scalar:
-    if exact:
-        acc = 0
-        for t in reversed(terms):
-            acc = t + acc
-        return acc
-    return math.fsum(terms)
+def _sum_right_to_left(terms: list[Scalar]) -> Scalar:
+    acc = 0
+    for t in reversed(terms):
+        acc = t + acc
+    return acc
+
+
+def _block_means(dim: int, C: BlockPartition, grid: Grid,
+                 terms: Callable[[Sequence[int]], list[list[Scalar]]]) -> BlockFunction:
+    """Per block b and coordinate j: the combined terms over mass(b).
+
+    ``terms(cells)[j]`` lists the terms of coordinate j on the given cells,
+    cell by cell and in cell order.  Exact terms are summed right to left,
+    float terms with ``math.fsum``.
+    """
+    combine = _sum_right_to_left if grid.is_exact else math.fsum
+    rows = []
+    for cells in C.blocks:
+        den = combine([grid.weights[k] for k in cells])
+        rows.append(tuple([combine(column) / den for column in terms(cells)]))
+    return BlockFunction(dim=dim, values=tuple(rows))
 
 
 def direct_integrate(f: SimpleFunction | ExtremeSelection, E: RefinedSet | None,
@@ -37,64 +53,36 @@ def direct_integrate(f: SimpleFunction | ExtremeSelection, E: RefinedSet | None,
     For an extreme selection the per-cell value is its chunk-weighted value
     and E must be None (the selection carries its own partition).
     """
-    exact = grid.is_exact
     if isinstance(f, ExtremeSelection):
         if E is not None:
             raise ValueError("a selection carries its own masses; pass E=None")
         dim = f.dim
-        rows = []
-        for cells in C.blocks:
-            den = _combine([grid.weights[k] for k in cells], exact)
-            vals = []
-            for j in range(dim):
-                terms = [m * point[j] for k in cells
-                         for (_, m, point, _) in f.chunks(k)]
-                vals.append(_combine(terms, exact) / den)
-            rows.append(tuple(vals))
-        return BlockFunction(dim=dim, values=tuple(rows))
-    if E is None:
-        E = full_set(grid)
-    rows = []
-    for cells in C.blocks:
-        den = _combine([grid.weights[k] for k in cells], exact)
-        vals = []
-        for j in range(f.dim):
-            terms = [f.values[k][j] * E.masses[k] for k in cells]
-            vals.append(_combine(terms, exact) / den)
-        rows.append(tuple(vals))
-    return BlockFunction(dim=f.dim, values=tuple(rows))
+
+        def chunk_terms(cells: Sequence[int]) -> list[list[Scalar]]:
+            chunks = [chunk for k in cells for chunk in f.chunks(k)]
+            return [[m * point[j] for (_, m, point, _) in chunks] for j in range(dim)]
+
+        return _block_means(dim, C, grid, chunk_terms)
+    masses = (full_set(grid) if E is None else E).masses
+    return _block_means(f.dim, C, grid, lambda cells: [
+        [f.values[k][j] * masses[k] for k in cells] for j in range(f.dim)])
 
 
 def direct_payoff(strategy: PureStrategy, V: IntegrandFamily, C: BlockPartition,
                   grid: Grid) -> BlockFunction:
     """Recompute a pure strategy's conditional payoff from its chunks."""
-    exact = grid.is_exact
-    rows = []
-    for cells in C.blocks:
-        den = _combine([grid.weights[k] for k in cells], exact)
-        vals = []
-        for j in range(V.dim):
-            terms = [m * V.values[k][a][j] for k in cells
-                     for (_, m, a) in strategy.chunks[k]]
-            vals.append(_combine(terms, exact) / den)
-        rows.append(tuple(vals))
-    return BlockFunction(dim=V.dim, values=tuple(rows))
+    return _block_means(V.dim, C, grid, lambda cells: [
+        [m * V.values[k][a][j] for k in cells for (_, m, a) in strategy.chunks[k]]
+        for j in range(V.dim)])
 
 
 def direct_mixture_payoff(rows_delta: Sequence[Sequence[Scalar]], V: IntegrandFamily,
                           C: BlockPartition, grid: Grid) -> BlockFunction:
     """Recompute E(mixture payoff | C) without going through the barycenter."""
-    exact = grid.is_exact
-    rows = []
-    for cells in C.blocks:
-        den = _combine([grid.weights[k] for k in cells], exact)
-        vals = []
-        for j in range(V.dim):
-            terms = [grid.weights[k] * rows_delta[k][a] * V.values[k][a][j]
-                     for k in cells for a in range(len(rows_delta[k]))]
-            vals.append(_combine(terms, exact) / den)
-        rows.append(tuple(vals))
-    return BlockFunction(dim=V.dim, values=tuple(rows))
+    return _block_means(V.dim, C, grid, lambda cells: [
+        [grid.weights[k] * rows_delta[k][a] * V.values[k][a][j]
+         for k in cells for a in range(len(rows_delta[k]))]
+        for j in range(V.dim)])
 
 
 class EnumerationBudgetError(ValueError):

@@ -157,7 +157,6 @@ class CaratheodoryDecomposition:
     """
 
     dim: int
-    supports: tuple[tuple[int, ...], ...]
     weights: tuple[tuple[Scalar, ...], ...]
     points: tuple[tuple[Point, ...], ...]
 
@@ -192,7 +191,6 @@ def decompose_selection(T: PolytopeMap, s: SimpleFunction, grid: Grid,
     tol = grid.tol(tol)
     zero: Scalar = Fraction(0) if grid.is_exact else 0.0
     slots = T.dim + 1
-    supports = []
     weights = []
     points = []
     for k in range(grid.cell_count):
@@ -203,8 +201,6 @@ def decompose_selection(T: PolytopeMap, s: SimpleFunction, grid: Grid,
         pad = slots - len(sup)
         sup = sup + [sup[0]] * pad
         w = w + [zero] * pad
-        supports.append(tuple(sup))
         weights.append(tuple(w))
         points.append(tuple(T.vertices[k][i] for i in sup))
-    return CaratheodoryDecomposition(dim=T.dim, supports=tuple(supports),
-                                     weights=tuple(weights), points=tuple(points))
+    return CaratheodoryDecomposition(dim=T.dim, weights=tuple(weights), points=tuple(points))

@@ -162,15 +162,6 @@ class PureStrategy:
         acts = {a for _, m, a in self.chunks[k] if m > 0}
         return acts.pop() if len(acts) == 1 else None
 
-    def as_young_measure(self, actions_grid: Grid) -> YoungMeasure:
-        choices = []
-        for k in range(len(self.chunks)):
-            a = self.cell_action(k)
-            if a is None:
-                raise ValueError(f"cell {k} mixes actions; no Young-measure view exists")
-            choices.append(a)
-        return dirac_measure(choices, self.actions, actions_grid)
-
 
 @dataclass(frozen=True)
 class PurifyReport:

@@ -45,9 +45,6 @@ class Grid:
     def splittable(self) -> bool:
         return self.mode is Mode.SPLITTABLE
 
-    def total_mass(self) -> Scalar:
-        return sum(self.weights)
-
     def tol(self, tol: Scalar | None = None) -> Scalar:
         return resolve_tol(self.is_exact, tol)
 
@@ -123,26 +120,10 @@ def trivial_partition(grid: Grid) -> BlockPartition:
     return make_partition([0] * grid.cell_count, 1)
 
 
-def finest_partition(grid: Grid) -> BlockPartition:
-    return make_partition(list(range(grid.cell_count)))
-
-
 def block_masses(partition: BlockPartition, grid: Grid) -> tuple[Scalar, ...]:
     if len(partition.block_of) != grid.cell_count:
         raise ValueError("partition and grid cell counts differ")
     return tuple(sum(grid.weights[k] for k in cells) for cells in partition.blocks)
-
-
-def refines(coarse: BlockPartition, fine: BlockPartition) -> bool:
-    """True when every block of ``fine`` sits inside one block of ``coarse``."""
-    if len(coarse.block_of) != len(fine.block_of):
-        return False
-    seen: dict[int, int] = {}
-    for k, b in enumerate(fine.block_of):
-        target = coarse.block_of[k]
-        if seen.setdefault(b, target) != target:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +150,6 @@ class RefinedSet:
 
     def triples(self) -> list[tuple[int, Scalar, Scalar]]:
         return [(k, self.offsets[k], m) for k, m in enumerate(self.masses) if m > 0]
-
-
-def empty_set(grid: Grid) -> RefinedSet:
-    zero = Fraction(0) if grid.is_exact else 0.0
-    return RefinedSet(offsets=(zero,) * grid.cell_count, masses=(zero,) * grid.cell_count)
 
 
 def full_set(grid: Grid) -> RefinedSet:
@@ -225,27 +201,6 @@ def is_cell_aligned(E: RefinedSet, grid: Grid, tol: Scalar | None = None) -> boo
         if m > tol and abs(m - w) > tol:
             return False
     return True
-
-
-def complement(E: RefinedSet, grid: Grid) -> RefinedSet:
-    """Mass complement.  The complement of a left-anchored interval is again
-    an interval only when offset is 0; other placements fall back to the
-    canonical left anchor (mass semantics are always exact)."""
-    zero = Fraction(0) if grid.is_exact else 0.0
-    offsets: list[Scalar] = []
-    masses: list[Scalar] = []
-    for o, m, w in zip(E.offsets, E.masses, grid.weights):
-        masses.append(w - m)
-        offsets.append(o + m if o == 0 else zero)
-    return RefinedSet(offsets=tuple(offsets), masses=tuple(masses))
-
-
-def left_part(E: RefinedSet, grid: Grid, fraction: Scalar | None = None) -> RefinedSet:
-    """Left-aligned sub-part of each per-cell interval (default: half the mass)."""
-    if fraction is None:
-        fraction = Fraction(1, 2) if grid.is_exact else 0.5
-    masses = tuple(m * fraction for m in E.masses)
-    return RefinedSet(offsets=E.offsets, masses=masses)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +274,9 @@ def coarseness_check(grid: Grid, C: BlockPartition, E: RefinedSet | None = None,
     if not E.total_mass() > tol:
         raise ValueError("coarseness check needs a set of positive mass")
     if grid.splittable:
-        witness = left_part(E, grid)
+        # a regime half, not m / 2, which would turn an int 0 mass into 0.0
+        half = Fraction(1, 2) if grid.is_exact else 0.5
+        witness = RefinedSet(offsets=E.offsets, masses=tuple(m * half for m in E.masses))
         return CoarsenessVerdict(
             is_coarser=True,
             witness=witness,
@@ -333,23 +290,6 @@ def coarseness_check(grid: Grid, C: BlockPartition, E: RefinedSet | None = None,
         witness_conditional=None,
         reference_conditional=_conditional_masses(E, C, grid),
     )
-
-
-def validate_witness(grid: Grid, C: BlockPartition, E: RefinedSet, candidate: RefinedSet,
-                     tol: Scalar | None = None) -> bool:
-    """Check a user-supplied witness: contained in E (interval-wise) and its
-    conditional mass strictly between 0 and E's on some positive block."""
-    tol = grid.tol(tol)
-    validate_set(E, grid, tol)
-    validate_set(candidate, grid, tol)
-    for o, m, eo, em in zip(candidate.offsets, candidate.masses, E.offsets, E.masses):
-        if m <= tol:
-            continue
-        if o < eo - tol or o + m > eo + em + tol:
-            return False
-    cand_cond = _conditional_masses(candidate, C, grid)
-    ref_cond = _conditional_masses(E, C, grid)
-    return any(c > tol and c < r - tol for c, r in zip(cand_cond, ref_cond))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +308,6 @@ class CellRefinement:
     parent: tuple[int, ...]
     lo: tuple[Scalar, ...]
     hi: tuple[Scalar, ...]
-    children: tuple[tuple[int, ...], ...]
 
     def lift_partition(self, C: BlockPartition) -> BlockPartition:
         return make_partition([C.block_of[p] for p in self.parent], C.block_count)
@@ -406,7 +345,6 @@ def split_cells(grid: Grid, cuts: Sequence[Sequence[Scalar]]) -> tuple[Grid, Cel
     parent: list[int] = []
     lo: list[Scalar] = []
     hi: list[Scalar] = []
-    children: list[tuple[int, ...]] = []
     zero = Fraction(0) if grid.is_exact else 0.0
     for k, w in enumerate(grid.weights):
         points: list[Scalar] = [zero]
@@ -416,17 +354,13 @@ def split_cells(grid: Grid, cuts: Sequence[Sequence[Scalar]]) -> tuple[Grid, Cel
             if c > points[-1]:
                 points.append(c)
         points.append(w)
-        kids = []
         for a, b in zip(points, points[1:]):
-            kids.append(len(weights))
             weights.append(b - a)
             parent.append(k)
             lo.append(a)
             hi.append(b)
-        children.append(tuple(kids))
     refined = grid_from_weights(weights, grid.mode)
-    return refined, CellRefinement(parent=tuple(parent), lo=tuple(lo), hi=tuple(hi),
-                                   children=tuple(children))
+    return refined, CellRefinement(parent=tuple(parent), lo=tuple(lo), hi=tuple(hi))
 
 
 def subdivide(grid: Grid, parts: int) -> tuple[Grid, CellRefinement]:

@@ -4,9 +4,8 @@ import pytest
 
 from condbang import (Mode, bang_bang, bf_sub, build_grid, cond_exp,
                       constant_function, direct_integrate, extreme_points,
-                      integral_bang_bang, make_partition, pointset_bang_bang,
-                      polytope_map, simple_function, split_cells,
-                      trivial_partition)
+                      make_partition, pointset_bang_bang, polytope_map,
+                      simple_function, split_cells, trivial_partition)
 from condbang.polytope import PolytopeMap
 
 from gen import (interior_selection, random_bangbang_instance, random_grid,
@@ -23,6 +22,16 @@ def assert_extreme_membership(sel, T, grid):
                 point = sel.values[i].values[k]
                 assert any(max(abs(a - b) for a, b in zip(point, v)) <= TOL
                            for v in ext), f"cell {k} piece {i}"
+
+
+def cell_values(sel, grid):
+    """Per-cell values of a selection that puts each cell wholly in one piece."""
+    rows = []
+    for k, w in enumerate(grid.weights):
+        owner = next(i for i, piece in enumerate(sel.pieces) if piece.masses[k] > w / 2)
+        assert sel.pieces[owner].masses[k] == pytest.approx(w, abs=TOL), f"cell {k} is cut"
+        rows.append(sel.values[owner].values[k])
+    return tuple(rows)
 
 
 def test_symmetric_two_point_case():
@@ -42,7 +51,7 @@ def test_extreme_input_is_identity():
     h = simple_function([0.0, 1.0, 1.0, 0.0])
     sel, rep = bang_bang(T, h, C, g)
     assert rep.max_deviation == 0
-    assert sel.as_simple_function(g).values == h.values
+    assert cell_values(sel, g) == h.values
     # all pieces but one carry zero mass in every cell
     for k in range(4):
         live = [i for i, piece in enumerate(sel.pieces) if piece.masses[k] > 0]
@@ -96,10 +105,10 @@ def test_idempotence_on_atomic_output():
         T = random_polytopes(rng, g, 2, 5)
         h = interior_selection(rng, T)
         sel, _ = bang_bang(T, h, C, g)
-        f = sel.as_simple_function(g)
+        f = simple_function(cell_values(sel, g))
         sel2, rep2 = bang_bang(T, f, C, g)
         assert rep2.max_deviation == 0
-        assert sel2.as_simple_function(g).values == f.values
+        assert cell_values(sel2, g) == f.values
 
 
 def test_idempotence_after_cell_splitting():
@@ -121,7 +130,7 @@ def test_idempotence_after_cell_splitting():
     T_r = PolytopeMap(dim=1, vertices=tuple(T.vertices[p] for p in ref.parent))
     sel2, rep2 = bang_bang(T_r, f_r, C_r, refined)
     assert rep2.max_deviation == 0
-    assert sel2.as_simple_function(refined).values == f_r.values
+    assert cell_values(sel2, refined) == f_r.values
 
 
 def test_pointset_drops_interior_points():
@@ -169,7 +178,7 @@ def test_pointset_triangle_centroid():
 def test_integral_bang_bang_symmetric_case():
     g = build_grid([0.25] * 4, Mode.SPLITTABLE)
     T = polytope_map([[(0.0,), (1.0,)]] * 4)
-    _, rep = integral_bang_bang(T, constant_function(g, 0.5), g)
+    _, rep = bang_bang(T, constant_function(g, 0.5), trivial_partition(g), g)
     assert rep.lhs.values == ((0.5,),)
     assert rep.max_deviation == 0
 
@@ -179,7 +188,7 @@ def test_integral_bang_bang_matches_integral():
     g = random_grid(rng, 8, Mode.SPLITTABLE)
     T = random_polytopes(rng, g, 2, 6)
     h = interior_selection(rng, T)
-    sel, rep = integral_bang_bang(T, h, g)
+    sel, rep = bang_bang(T, h, trivial_partition(g), g)
     assert len(rep.lhs.values) == 1  # a single block: the whole space
     assert rep.max_deviation <= TOL
     for j in range(2):

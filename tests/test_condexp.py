@@ -4,10 +4,9 @@ import random
 import pytest
 
 from condbang import (Mode, bf_sub, build_grid, ce_measure, cond_exp,
-                      constant_function, full_set, empty_set, integrate_against,
-                      l1_norm, lift_to_cells, make_partition, set_from_cells,
-                      set_from_triples, sf_add, sf_mul, sf_scale, simple_function,
-                      trivial_partition, weighted_ce_measure)
+                      constant_function, full_set, integrate_against, lift_to_cells,
+                      make_partition, set_from_cells, set_from_triples, sf_add, sf_mul,
+                      sf_scale, simple_function, trivial_partition, weighted_ce_measure)
 from condbang.spaces import RefinedSet
 
 from gen import (random_function, random_grid, random_partition,
@@ -45,7 +44,7 @@ def test_ce_measure_basic_cases():
     g = build_grid([0.25] * 4, Mode.SPLITTABLE)
     C = make_partition([0, 0, 1, 1])
     assert ce_measure(full_set(g), C, g).values == ((1.0,), (1.0,))
-    assert ce_measure(empty_set(g), C, g).values == ((0.0,), (0.0,))
+    assert ce_measure(set_from_cells(g, []), C, g).values == ((0.0,), (0.0,))
     assert ce_measure(set_from_cells(g, [0]), C, g).values == ((0.5,), (0.0,))
 
 
@@ -130,7 +129,7 @@ def test_l1_contraction_random():
         masses = [sum(g.weights[k] for k in cells) for cells in C.blocks]
         for j in range(3):
             lhs = sum(m * abs(ce.values[b][j]) for b, m in enumerate(masses))
-            rhs = l1_norm(f, g)[j]
+            rhs = sum(w * abs(f.values[k][j]) for k, w in enumerate(g.weights))
             assert lhs <= rhs + TOL
 
 
@@ -166,5 +165,5 @@ def test_ce_measure_l1_norm_is_total_mass():
         E = random_refined_set(rng, g)
         ce = ce_measure(E, C, g)
         masses = [sum(g.weights[k] for k in cells) for cells in C.blocks]
-        total = sum(m * ce.values[b][0] for b, m in enumerate(masses))
+        total = sum(m * abs(ce.values[b][0]) for b, m in enumerate(masses))
         assert total == pytest.approx(E.total_mass(), abs=TOL)

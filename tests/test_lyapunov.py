@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -264,3 +265,49 @@ def test_multi_measure_null_block_rejected():
     alpha = SimpleFunction(dim=2, values=((0.5, 0.5),) * 2)
     with pytest.raises(ValueError):
         lyapunov_partition_multi([[1.0, 0.0], [2.0, 0.0]], [f, f], alpha, C, g)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_multi_measure_atomic_residual_matches_a_direct_recomputation(exact):
+    rng = random.Random(89)
+    for _ in range(20):
+        m = rng.randint(4, 8)
+        if exact:
+            g = random_exact_grid(rng, m, Mode.ATOMIC)
+            fs = [random_exact_function(rng, g, 1) for _ in range(2)]
+            alpha = random_exact_alpha(rng, g, rng.randint(2, 3))
+            draw = lambda: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        else:
+            g = random_grid(rng, m, Mode.ATOMIC)
+            fs = [random_function(rng, g, 1) for _ in range(2)]
+            alpha = random_alpha(rng, g, rng.randint(2, 3))
+            draw = lambda: rng.uniform(0.1, 1.0)
+        C = random_partition(rng, g, 3)
+        zero = Fraction(0) if exact else 0.0
+        # measure 1 is null on about a third of the cells; both measures are
+        # null on one cell of a block that keeps another cell
+        measures = [[draw() for _ in range(m)],
+                    [zero if rng.random() < 0.35 else draw() for _ in range(m)]]
+        shared = [cells for cells in C.blocks if len(cells) > 1]
+        if shared:
+            dead = rng.choice(rng.choice(shared))
+            measures[0][dead] = measures[1][dead] = zero
+        res = lyapunov_partition_multi(measures, fs, alpha, C, g)
+        assert res.max_residual <= res.residual_bound
+        for i, (mu_i, f) in enumerate(zip(measures, fs)):
+            for b, cells in enumerate(C.blocks):
+                mu_b = sum(mu_i[k] for k in cells)
+                for j, piece in enumerate(res.pieces):
+                    got = res.residual[j][b][i]
+                    if mu_b == 0:
+                        assert got == 0
+                        continue
+                    # E_i(f_i 1_{B_j} | C)(b) - E_i(f_i alpha_j | C)(b), times mu_i(b)
+                    terms = [piece.masses[k] / g.weights[k] * mu_i[k] * f.values[k][0]
+                             for k in cells]
+                    terms += [-alpha.values[k][j] * mu_i[k] * f.values[k][0] for k in cells]
+                    if exact:
+                        assert got == sum(terms) / mu_b
+                    else:
+                        scale = math.fsum(abs(t) for t in terms) / mu_b
+                        assert abs(got - math.fsum(terms) / mu_b) <= 1e-12 * scale

@@ -56,7 +56,9 @@ def test_purify_dirac_returns_unchanged():
     strategy, report = purify(delta, V, C, g, actions=acts)
     assert report.max_deviation == 0
     assert [strategy.cell_action(k) for k in range(4)] == choices
-    assert strategy.as_young_measure(g).rows == delta.rows
+    # read back as a Young measure, the pure strategy is the input
+    as_young = dirac_measure([strategy.cell_action(k) for k in range(4)], acts, g)
+    assert as_young.rows == delta.rows
 
 
 def test_purify_two_action_example():

@@ -5,12 +5,11 @@ from unittest import mock
 import pytest
 
 from condbang import spaces
-from condbang import (Mode, build_grid, coarseness_check, complement, full_set,
-                      left_part, make_partition, refine_partition, refines,
-                      set_from_cells, set_from_triples, split_cells, subdivide,
-                      trivial_partition, finest_partition, validate_witness)
+from condbang import (Mode, RefinedSet, build_grid, coarseness_check, full_set,
+                      make_partition, refine_partition, set_from_cells, set_from_triples,
+                      split_cells, subdivide, trivial_partition)
 
-from gen import random_grid, random_partition, random_refined_set
+from gen import random_grid, random_partition
 
 
 def test_build_grid_uniform_anchors():
@@ -66,7 +65,9 @@ def test_refine_partition_properties_random():
         cells = [k for k in range(g.cell_count) if rng.random() < 0.5]
         E = set_from_cells(g, cells)
         refined = refine_partition(C, E, g)
-        assert refines(C, refined)
+        # every new block sits inside one block of C
+        for block in refined.blocks:
+            assert len({C.block_of[k] for k in block}) == 1
         member = set(cells)
         for block in refined.blocks:
             inside = {k in member for k in block}
@@ -85,9 +86,19 @@ def test_coarseness_splittable_half_mass():
 
 def test_coarseness_finest_partition():
     g = build_grid([0.2, 0.3, 0.5], Mode.SPLITTABLE)
-    verdict = coarseness_check(g, finest_partition(g))
+    verdict = coarseness_check(g, make_partition(range(g.cell_count)))
     assert verdict.is_coarser
     assert all(w == pytest.approx(0.5) for w in verdict.witness_conditional)
+
+
+def test_coarseness_witness_of_an_exact_set_with_int_masses_stays_exact():
+    g = build_grid([1, 1, 2], Mode.SPLITTABLE)
+    E = RefinedSet(offsets=(0, 0, 0), masses=(Fraction(1, 4), 0, Fraction(1, 2)))
+    verdict = coarseness_check(g, make_partition([0, 0, 1]), E)
+    assert verdict.witness.masses == (Fraction(1, 8), 0, Fraction(1, 4))
+    assert all(type(m) is Fraction for m in verdict.witness.masses)
+    assert verdict.witness_conditional == (Fraction(1, 4), Fraction(1, 2))
+    assert all(type(x) is Fraction for x in verdict.witness_conditional)
 
 
 def test_coarseness_atomic_fails_with_atom():
@@ -99,34 +110,17 @@ def test_coarseness_atomic_fails_with_atom():
     assert verdict.witness.masses[live[0]] == g.weights[live[0]]
 
 
-def test_validate_witness():
-    g = build_grid([0.25] * 4, Mode.SPLITTABLE)
-    C = make_partition([0, 0, 1, 1])
-    E = full_set(g)
-    assert validate_witness(g, C, E, left_part(E, g))
-    # a block of C is matched by a trace set, so it is no witness
-    assert not validate_witness(g, C, E, set_from_cells(g, [0, 1]))
-
-
-def test_complement_partitions_mass():
-    rng = random.Random(7)
-    for _ in range(100):
-        g = random_grid(rng, rng.randint(1, 10), Mode.SPLITTABLE)
-        E = random_refined_set(rng, g)
-        Ec = complement(E, g)
-        assert E.total_mass() + Ec.total_mass() == pytest.approx(1.0, abs=1e-9)
-
-
 def test_split_cells_preserves_mass_and_lifts():
     g = build_grid([0.5, 0.5], Mode.SPLITTABLE)
     E = set_from_triples(g, [(0, 0.1, 0.2)])
     refined, ref = split_cells(g, [[0.1, 0.3], []])
     assert sum(refined.weights) == pytest.approx(1.0)
-    assert [refined.weights[j] for j in ref.children[0]] == pytest.approx([0.1, 0.2, 0.2])
+    children = [j for j, q in enumerate(ref.parent) if q == 0]
+    assert [refined.weights[j] for j in children] == pytest.approx([0.1, 0.2, 0.2])
     lifted = ref.lift_set(E, refined)
     assert lifted.total_mass() == pytest.approx(E.total_mass())
     # the lifted set occupies exactly the middle child of cell 0
-    mid = ref.children[0][1]
+    mid = children[1]
     assert lifted.masses[mid] == pytest.approx(0.2)
     assert all(lifted.masses[j] <= 1e-12 for j in range(refined.cell_count) if j != mid)
 
