@@ -39,10 +39,10 @@ from .documents import (ProblemDocument, SchemaError, canonical_dumps,
                         parse_number, parse_polytopes, parse_problem,
                         parse_refined_set, parse_simple_function,
                         parse_young_measure)
+from .linalg import convex_combination
 from .lyapunov import annihilator_witness, half_set, lyapunov_partition, witness_block_integrals
-from .numeric import Scalar
+from .numeric import Scalar, all_exact
 from .oracle import direct_integrate, direct_mixture_payoff, direct_payoff
-from .polytope import extreme_points
 from .purify import (IntegrandFamily, PureStrategy, density_step, purify,
                      stack_integrands)
 from .spaces import (BlockPartition, Grid, Mode, RefinedSet, coarseness_check,
@@ -339,6 +339,23 @@ def _run_bang_bang(p: ProblemDocument, inputs):
     return outputs, residuals, rep.residual_bound
 
 
+def _matches_extreme_vertex(point: tuple, distinct: list, exact: bool, tol: Scalar) -> bool:
+    """Whether the value is, within tol, one of the cell's distinct vertices
+    that lies outside the hull of the others.
+
+    Each matching vertex gets its own Phase-I LP against the others, in the
+    exact regime iff every vertex coordinate is exact: the filter's rule,
+    but at this call site and without its shortcut, so ``verify`` does not
+    rest on the solver's extreme-point code.
+    """
+    for j, vert in enumerate(distinct):
+        if all(abs(a - b) <= tol for a, b in zip(point, vert)):
+            others = distinct[:j] + distinct[j + 1:]
+            if not others or convex_combination(others, vert, exact, tol)[0] is None:
+                return True
+    return False
+
+
 def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
     T, h = inputs
     out = rep["outputs"]
@@ -350,16 +367,20 @@ def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> Non
         chk.fail("pieces and branch values disagree")
         return
     _pieces_partition_space(chk, pieces, p.grid)
-    ext_cache: dict[int, list] = {}
+    # each distinct (cell, value) pair is tested once
+    cells: dict[int, tuple[list, bool]] = {}
+    extreme: dict[tuple[int, tuple], bool] = {}
     for i, piece in enumerate(pieces):
         for k in range(p.grid.cell_count):
             if piece.masses[k] <= 0:
                 continue
-            if k not in ext_cache:
-                ext_cache[k] = extreme_points(T.vertices[k], chk.tol)
-            point = values[i].values[k]
-            if not any(all(abs(a - b) <= chk.tol for a, b in zip(point, vert))
-                       for vert in ext_cache[k]):
+            key = (k, values[i].values[k])
+            if key not in extreme:
+                if k not in cells:
+                    distinct = list(dict.fromkeys(tuple(v) for v in T.vertices[k]))
+                    cells[k] = (distinct, all(all_exact(v) for v in distinct))
+                extreme[key] = _matches_extreme_vertex(key[1], *cells[k], chk.tol)
+            if not extreme[key]:
                 chk.fail(f"cell {k}: branch {i} value is not an extreme point")
                 return
     lhs = direct_integrate(ExtremeSelection(pieces=tuple(pieces), values=tuple(values)),

@@ -443,6 +443,7 @@ def annihilator_witness(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
     exact = grid.is_exact
     zero: Scalar = Fraction(0) if exact else 0.0
     one: Scalar = Fraction(1) if exact else 1.0
+    half: Scalar = Fraction(1, 2) if exact else 0.5
     mu_E = E.total_mass()
     if not mu_E > tol:
         raise ValueError("witness needs a set of positive mass")
@@ -471,7 +472,7 @@ def annihilator_witness(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
                 if E.masses[k] > 0 and abs(f.values[k][0]) > eps}
         # Split every retained cell at the part boundaries and at its midpoint
         # so both the part and its left half are cell-aligned after the split.
-        cuts = [[E.offsets[k], E.offsets[k] + E.masses[k] / 2, E.offsets[k] + E.masses[k]]
+        cuts = [[E.offsets[k], E.offsets[k] + E.masses[k] * half, E.offsets[k] + E.masses[k]]
                 if k in keep else [] for k in range(grid.cell_count)]
 
     rgrid, ref = split_cells(grid, cuts)
@@ -487,7 +488,7 @@ def annihilator_witness(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
     else:
         left_r = ref.lift_set(
             RefinedSet(offsets=E_part.offsets,
-                       masses=tuple(m / 2 for m in E_part.masses)), rgrid)
+                       masses=tuple(m * half for m in E_part.masses)), rgrid)
         D = refine_partition(C_r, support, rgrid)
         chi_left = indicator(left_r, rgrid)
         g0_proj = lift_to_cells(cond_exp(chi_left, D, rgrid), D, rgrid)

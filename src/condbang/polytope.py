@@ -4,6 +4,14 @@ Extreme points of a finite point set, convex decomposition of a hull point
 over at most dim+1 extreme vertices (kernel-pivot support reduction), and
 the cell-wise decomposition of a selection of a polytope-valued map into
 extreme-point branches with weight functions.
+
+A point is extreme when the Phase-I LP writing it as a convex combination of
+the other distinct points ends above the tolerance.  A separating direction
+y = (d, -m) bounds that LP's l1 objective from below by
+g / max(||d||_inf, |m|), g = y.(p, 1); a bound above the tolerance (plus
+1e-10 (1 + max |coordinate|) of float round-off allowance) settles the point
+without the LP, so the verdicts stay the LP's.  ``decompose_selection``
+filters each distinct vertex set once.
 """
 
 from __future__ import annotations
@@ -14,10 +22,14 @@ from typing import Sequence
 
 from .condexp import SimpleFunction
 from .linalg import convex_combination, reduce_support
-from .numeric import Scalar, all_exact, check_finite, resolve_tol
+from .numeric import Scalar, all_exact, check_finite, max_abs, resolve_tol
 from .spaces import Grid
 
 Point = tuple[Scalar, ...]
+
+#: relative round-off allowance of the separation bound in the float regime,
+#: scaled by 1 + the largest |coordinate| (see ``extreme_point_indices``)
+_FLOAT_SEPARATION_SLACK = 1e-10
 
 
 class HullMembershipError(ValueError):
@@ -78,7 +90,20 @@ def extreme_point_indices(points: Sequence[Point], tol: Scalar | None = None) ->
     """Indices (into the input, first occurrence) of the extreme points.
 
     A point stays iff expressing it as a convex combination of the other
-    distinct points is infeasible.
+    distinct points is infeasible: the Phase-I LP (``convex_combination``)
+    ends with its objective, the l1 residual ||(p, 1) - sum_q lam_q (q, 1)||_1,
+    above ``tol``.
+
+    Most points are settled without that LP, by a separating direction.
+    With c the centroid of the n distinct points, take d = n (p - c), let m
+    be the largest d.q over the other distinct points q, and g = d.p - m.
+    Then y = (d, -m) has y.(q, 1) <= 0 for every other q and y.(p, 1) = g,
+    so every lam >= 0 leaves a residual r with y.r >= g, hence
+    ||r||_1 >= g / max(||d||_inf, |m|), a lower bound on the LP's objective.
+    The point is extreme without an LP when that bound exceeds ``tol`` in
+    the exact regime, or ``tol`` plus a round-off allowance of
+    1e-10 (1 + max |coordinate|) on floats.  Every other point runs the LP,
+    so each verdict is the LP's.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -86,11 +111,21 @@ def extreme_point_indices(points: Sequence[Point], tol: Scalar | None = None) ->
     exact = _points_exact(pts)
     tol = resolve_tol(exact, tol)
     kept, idx = _dedupe(pts)
-    if len(kept) == 1:
+    n = len(kept)
+    if n == 1:
         return [idx[0]]
+    total = [sum(coords) for coords in zip(*kept)]
+    bound = tol if exact else tol + _FLOAT_SEPARATION_SLACK * (
+        1 + max_abs(c for p in kept for c in p))
     out = []
     for i, p in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
+        d = [n * pc - tc for pc, tc in zip(p, total)]
+        m = max(sum(dc * qc for dc, qc in zip(d, q)) for q in others)
+        gap = sum(dc * pc for dc, pc in zip(d, p)) - m
+        if gap > bound * max(max_abs(d), abs(m)):
+            out.append(idx[i])
+            continue
         lam, _, _ = convex_combination(others, p, exact, tol)
         if lam is None:
             out.append(idx[i])
@@ -107,21 +142,29 @@ def caratheodory_decompose(point: Sequence[Scalar], vertices: Sequence[Point], *
     """Write a hull point as a convex combination of at most dim+1 extreme vertices.
 
     The dimension is the point's.  This is the solver's one hull-membership
-    test and its one extreme-point filter: it starts from any feasible
-    combination over the extreme vertices, then pivots weights along
-    nullspace directions of the stacked (vertex, 1) columns until the
-    support is independent, hence of size <= dim+1.
+    test and its one extreme-point filter: the vertices are filtered by
+    ``extreme_point_indices``, where a vertex whose separating direction
+    bounds the Phase-I residual above tol (plus 1e-10 (1 + max |coordinate|)
+    on floats) is extreme without an LP and every other vertex runs the LP.
+    It then starts from any feasible combination over the extreme vertices
+    and pivots weights along nullspace directions of the stacked (vertex, 1)
+    columns until the support is independent, hence of size <= dim+1.
     Returns (weights, vertex indices into the input sequence); raises
     HullMembershipError with a separating direction when the point is outside.
     """
     point = tuple(point)
-    n = len(point)
     pts = [tuple(v) for v in vertices]
-    if any(len(v) != n for v in pts):
+    if any(len(v) != len(point) for v in pts):
         raise ValueError("vertex dimension disagrees with point")
     exact = _points_exact(pts) and all_exact(point)
     tol = resolve_tol(exact, tol)
-    ext_idx = extreme_point_indices(pts, tol)
+    return _decompose_over(point, pts, extreme_point_indices(pts, tol), exact, tol)
+
+
+def _decompose_over(point: Point, pts: Sequence[Point], ext_idx: list[int], exact: bool,
+                    tol: Scalar) -> tuple[list[Scalar], list[int]]:
+    """``caratheodory_decompose`` given the extreme indices of ``pts``."""
+    n = len(point)
     candidates = [pts[i] for i in ext_idx]
     lam, certificate, _ = convex_combination(candidates, point, exact, tol)
     if lam is None:
@@ -191,16 +234,26 @@ def decompose_selection(T: PolytopeMap, s: SimpleFunction, grid: Grid,
     tol = grid.tol(tol)
     zero: Scalar = Fraction(0) if grid.is_exact else 0.0
     slots = T.dim + 1
+    # one filter per distinct vertex set: cells often share one (purify's
+    # player types share their support polytopes)
+    filtered: dict[tuple[bool, tuple[Point, ...]], list[int]] = {}
     weights = []
     points = []
     for k in range(grid.cell_count):
+        point, verts = tuple(s.values[k]), tuple(tuple(v) for v in T.vertices[k])
+        if any(len(v) != len(point) for v in verts):
+            raise ValueError("vertex dimension disagrees with point")
+        exact = _points_exact(verts)
+        ext_idx = filtered.get((exact, verts))
+        if ext_idx is None:
+            ext_idx = filtered[exact, verts] = extreme_point_indices(verts, tol)
         try:
-            w, sup = caratheodory_decompose(s.values[k], T.vertices[k], tol=tol)
+            w, sup = _decompose_over(point, verts, ext_idx, exact and all_exact(point), tol)
         except HullMembershipError as err:
             raise HullMembershipError(err.point, cell=k, direction=err.direction) from None
         pad = slots - len(sup)
         sup = sup + [sup[0]] * pad
         w = w + [zero] * pad
         weights.append(tuple(w))
-        points.append(tuple(T.vertices[k][i] for i in sup))
+        points.append(tuple(verts[i] for i in sup))
     return CaratheodoryDecomposition(dim=T.dim, weights=tuple(weights), points=tuple(points))

@@ -1,0 +1,80 @@
+"""One sha256 over the canonical reports of a fixed corpus, to show that a
+change leaves every report byte-identical.
+
+The corpus is the 8 documents of each ``cli_corpus`` cell (every command in
+both modes, float and exact; annihilator witnesses exist on splittable grids
+only) and the first 3 instances of each benchmark workload at seed 7.  Each
+document goes through ``parse_problem -> run -> canonical_dumps``; the digest
+covers the reports with ``wall_time`` removed.  Every report is also checked
+by ``verify_report``, and the script exits 1 if any is rejected.
+
+Run it from any directory, on the checkout it sits in:
+
+    python3 tests/report_digest.py
+
+Compare the printed digest before and after a change on one interpreter:
+float bits depend on the Python version (see ``test_golden_exact``).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+for _path in (ROOT / "src", ROOT / "tests", ROOT / "bench"):
+    sys.path.insert(0, str(_path))
+
+from condbang.cli import RUN_COMMANDS, run, verify_report  # noqa: E402
+from condbang.documents import canonical_dumps, parse_problem  # noqa: E402
+
+import workloads  # noqa: E402
+from cli_corpus import make_problem  # noqa: E402
+
+CORPUS_TRIALS = 8
+WORKLOAD_INSTANCES = 3
+WORKLOAD_SEED = 7
+
+
+def corpus():
+    """(label, command, document) in a fixed order."""
+    for exact in (False, True):
+        for mode in ("splittable", "atomic"):
+            for command in RUN_COMMANDS:
+                if command == "annihilator" and mode == "atomic":
+                    continue
+                label = f"{'exact' if exact else 'float'}/{mode}/{command}"
+                rng = random.Random(f"digest-{label}")
+                for trial in range(CORPUS_TRIALS):
+                    yield (f"{label}/{trial}", command,
+                           make_problem(rng, command, exact=exact, mode=mode))
+    for name in workloads.WORKLOADS:
+        stream = workloads.instances(name, WORKLOAD_SEED)
+        for i, inst in enumerate(itertools.islice(stream, WORKLOAD_INSTANCES)):
+            yield f"{name}/{WORKLOAD_SEED}/{i}", inst.command, inst.document
+
+
+def main() -> int:
+    digest = hashlib.sha256()
+    count = 0
+    rejected = []
+    for label, command, doc in corpus():
+        report = json.loads(canonical_dumps(run(command, parse_problem(doc))))
+        violations = verify_report(doc, report)
+        if violations:
+            rejected.append(f"{label}: {'; '.join(violations)}")
+        del report["wall_time"]
+        digest.update(canonical_dumps(report).encode("utf-8"))
+        count += 1
+    for line in rejected:
+        print(f"rejected {line}", file=sys.stderr)
+    print(f"{digest.hexdigest()}  {count} reports, wall_time removed")
+    return 1 if rejected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

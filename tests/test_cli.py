@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -271,3 +272,42 @@ def test_seed_is_neither_a_flag_nor_a_report_parameter(tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         main(["cond-exp", str(prob), "--seed", "3", "-o", "/dev/null"])
     assert exit_info.value.code == EXIT_SCHEMA
+
+
+def _pointset_with_interior_points(exact):
+    """Three cells, each a square with one interior point; shifted apart so
+    no cell shares a point with another."""
+    enc = (lambda x: {"num": Fraction(x).numerator, "den": Fraction(x).denominator}) \
+        if exact else float
+    cells = [[(10 * k, 0), (10 * k + 4, 0), (10 * k, 4), (10 * k + 4, 4), (10 * k + 1, 1)]
+             for k in range(3)]
+    selection = [(10 * k + Fraction(3, 2), Fraction(5, 2)) for k in range(3)]
+    doc = {"space": {"weights": [enc(w) for w in (1, 2, 3)], "mode": "splittable"},
+           "partition": {"blocks": [0, 0, 1]},
+           "payload": {"points": {"dim": 2, "vertices": [[[enc(c) for c in pt] for pt in cell]
+                                                         for cell in cells]},
+                       "selection": {"dim": 2, "values": [[enc(c) for c in pt]
+                                                          for pt in selection]}}}
+    if exact:
+        doc["parameters"] = {"exact": True}
+    return doc, cells, enc
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_verify_rejects_a_branch_value_that_is_not_an_extreme_point(exact):
+    doc, cells, enc = _pointset_with_interior_points(exact)
+    report = json.loads(canonical_dumps(run("pointset-bang-bang", parse_problem(doc))))
+    assert verify_report(doc, report) == []
+
+    def positive(mass):
+        return (mass["num"] if isinstance(mass, dict) else mass) > 0
+
+    touched = [i for i, piece in enumerate(report["outputs"]["pieces"])
+               if any(k == 0 and positive(mass) for k, _, mass in piece["triples"])]
+    assert touched
+    interior, other_cells_vertex = cells[0][4], cells[1][0]
+    for value in (interior, other_cells_vertex):
+        bad = copy.deepcopy(report)
+        bad["outputs"]["branch_values"][touched[0]]["values"][0] = [enc(c) for c in value]
+        violations = verify_report(doc, bad)
+        assert any("not an extreme point" in v for v in violations), (value, violations)

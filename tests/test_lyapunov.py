@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from condbang import (Mode, SimpleFunction, annihilator_witness, build_grid,
+from condbang import (Mode, RefinedSet, SimpleFunction, annihilator_witness, build_grid,
                       constant_function, full_set, half_set,
                       lyapunov_partition, lyapunov_partition_multi,
                       make_partition, set_from_cells, set_from_triples,
@@ -205,6 +205,16 @@ def test_annihilator_duality_random():
             if w.support.masses[j] == 0:
                 assert w.g.values[j][0] == 0
         assert witness_block_integrals(w).max_abs() <= TOL
+
+
+def test_annihilator_stays_exact_on_int_masses():
+    g = build_grid([1], "splittable")
+    E = RefinedSet(offsets=(0,), masses=(1,))
+    w = annihilator_witness(constant_function(g, 3), E, trivial_partition(g), g)
+    assert w.grid.weights == (Fraction(1, 2), Fraction(1, 2))
+    assert all(type(x) is Fraction for x in w.grid.weights)
+    assert all(type(row[0]) is Fraction for row in w.g.values)
+    assert sorted(row[0] for row in w.g.values) == [Fraction(-1, 6), Fraction(1, 6)]
 
 
 def test_annihilator_atomic_mode_rejected():

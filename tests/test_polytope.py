@@ -1,13 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from condbang import (HullMembershipError, Mode, build_grid, caratheodory_decompose,
-                      decompose_selection, extreme_points, polytope_map,
-                      simple_function)
+                      decompose_selection, extreme_point_indices, extreme_points,
+                      polytope_map, simple_function)
+from condbang import polytope
+from condbang.linalg import convex_combination
+from condbang.numeric import resolve_tol
+from condbang.polytope import _dedupe, _points_exact
 
 from gen import interior_selection, random_grid, random_polytopes
 
@@ -171,3 +178,135 @@ def test_decompose_selection_names_failing_cell():
         decompose_selection(T, s, g)
     assert err.value.cell == 1
     assert "cell 1" in str(err.value)
+
+
+def reference_extreme_point_indices(points, tol=None):
+    """The filter as it was before its separating-direction shortcut: one
+    Phase-I LP per distinct point, kept verbatim as the arbiter."""
+    pts = [tuple(p) for p in points]
+    if not pts:
+        raise ValueError("empty point set")
+    exact = _points_exact(pts)
+    tol = resolve_tol(exact, tol)
+    kept, idx = _dedupe(pts)
+    if len(kept) == 1:
+        return [idx[0]]
+    out = []
+    for i, p in enumerate(kept):
+        others = kept[:i] + kept[i + 1:]
+        lam, _, _ = convex_combination(others, p, exact, tol)
+        if lam is None:
+            out.append(idx[i])
+    return out
+
+
+@st.composite
+def point_sets(draw, exact):
+    """1-14 points in dims 1-4, spanning an affine flat of any dimension up to
+    dim (so collinear and coplanar sets come up), with repeats, scaled by
+    10**e for e in -6..6, and sometimes one more point a few tolerances off
+    the midpoint of two others."""
+    dim = draw(st.integers(1, 4))
+    flat = draw(st.integers(0, dim))
+    coef = st.integers(-4, 4) if exact else st.one_of(
+        st.integers(-4, 4), st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+    base = [draw(st.integers(-20, 20)) for _ in range(dim)]
+    dirs = [[draw(st.integers(-5, 5)) for _ in range(dim)] for _ in range(flat)]
+    pts = []
+    for _ in range(draw(st.integers(1, 14))):
+        if pts and draw(st.integers(0, 4)) == 0:
+            pts.append(pts[draw(st.integers(0, len(pts) - 1))])
+            continue
+        cs = [draw(coef) for _ in range(flat)]
+        pts.append([base[j] + sum(c * d[j] for c, d in zip(cs, dirs)) for j in range(dim)])
+    e = draw(st.integers(-6, 6))
+    if exact:
+        pts = [tuple(Fraction(c) * Fraction(10) ** e for c in p) for p in pts]
+        tol = Fraction(1, 10 ** 9)
+    else:
+        pts = [tuple(float(c) * 10.0 ** e for c in p) for p in pts]
+        tol = 1e-9
+    if len(pts) > 1 and draw(st.booleans()):
+        # a point within a few tolerances of a midpoint of two others
+        a, b = (pts[draw(st.integers(0, len(pts) - 1))] for _ in range(2))
+        pts.append(tuple((x + y) / 2 + draw(st.sampled_from((0, -10, -2, -1, 1, 2, 10))) * tol
+                         for x, y in zip(a, b)))
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets(exact=False))
+def test_extreme_point_indices_agree_with_the_lp_loop_on_floats(pts):
+    assert extreme_point_indices(pts) == reference_extreme_point_indices(pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_sets(exact=True))
+def test_extreme_point_indices_agree_with_the_lp_loop_exactly(pts):
+    assert extreme_point_indices(pts) == reference_extreme_point_indices(pts)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("factor", [0.5, 1, 2, 10])
+def test_extreme_point_indices_agree_near_the_tolerance(exact, factor):
+    # the last point sits factor * tol off the square's edge x = 1, or
+    # off its corner (1, 1), on either side of the hull of the others
+    tol = Fraction(1, 10 ** 9) if exact else 1e-9
+    num = Fraction if exact else float
+    square = [(num(0), num(0)), (num(1), num(0)), (num(0), num(1)), (num(1), num(1))]
+    for scale in (1, 1000):
+        for inward in (False, True):
+            off = num(factor) * tol * (-1 if inward else 1)
+            for probe in ((num(1) + off, num(1) / 2),
+                          (num(1) + off, num(1) + off)):
+                pts = [tuple(c * scale for c in p) for p in square + [probe]]
+                assert extreme_point_indices(pts, tol) == \
+                    reference_extreme_point_indices(pts, tol), (scale, inward, probe)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(polytope, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_simplices_and_regular_polygons_need_no_lp(monkeypatch, exact):
+    lps = count_calls(monkeypatch, "convex_combination")
+    num = Fraction if exact else float
+    for dim in range(1, 5):
+        simplex = [tuple(num(0) for _ in range(dim))]
+        simplex += [tuple(num(int(i == j)) for j in range(dim)) for i in range(dim)]
+        assert extreme_point_indices(simplex) == list(range(dim + 1))
+    if not exact:
+        for n in range(3, 13):
+            polygon = [(math.cos(2 * math.pi * i / n), math.sin(2 * math.pi * i / n))
+                       for i in range(n)]
+            assert extreme_point_indices(polygon) == list(range(n))
+    assert lps == []
+
+
+def test_decompose_selection_filters_each_distinct_vertex_set_once(monkeypatch):
+    rng = random.Random(47)
+    shapes = [[tuple(rng.uniform(-2, 2) for _ in range(2)) for _ in range(7)]
+              for _ in range(3)]
+    shapes.append([(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (0.5, 0.5)])
+    cells = [shapes[rng.randrange(len(shapes))] for _ in range(24)]
+    g = random_grid(rng, len(cells), Mode.SPLITTABLE)
+    T = polytope_map(cells)
+    s = interior_selection(rng, T)
+    expected = [caratheodory_decompose(s.values[k], T.vertices[k], tol=TOL)
+                for k in range(len(cells))]
+    filters = count_calls(monkeypatch, "extreme_point_indices")
+    dec = decompose_selection(T, s, g)
+    assert len(filters) == len({tuple(c) for c in cells}) < len(cells)
+    for k, (w, sup) in enumerate(expected):
+        pad = dec.branch_count - len(sup)
+        assert dec.weights[k] == tuple(w) + (0.0,) * pad
+        assert dec.points[k] == tuple(T.vertices[k][i] for i in sup + [sup[0]] * pad)
