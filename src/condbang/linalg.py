@@ -11,8 +11,11 @@ on the support of the kernel direction.  It and the simplex run verbatim on
 floats (1e-12 thresholds) and on Fractions (zero thresholds).
 The nullspace vector eliminates floats with partial pivoting, and exact rows
 fraction-free on Python ints (Bareiss), returning the Fractions exact
-elimination gives.  Sizes here are tens of rows, so plain lists beat array
-machinery.
+elimination gives.  It eliminates left-looking, and an ``Echelon`` carries
+the elimination between solves, so a solve that starts with the previous
+solve's leading pivot columns eliminates only the columns after them; the
+floats stay bit for bit those of a solve from scratch.  Sizes here are tens
+of rows, so plain lists beat array machinery.
 """
 
 from __future__ import annotations
@@ -38,118 +41,139 @@ def integer_row(row: Sequence[Scalar]) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in row]
 
 
-def nullspace_vector(rows: Sequence[Sequence[Scalar]], ncols: int,
-                     exact: bool) -> list[Scalar] | None:
-    """A nonzero z with (matrix given by rows) @ z = 0, or None at full column rank.
+class Echelon:
+    """The elimination of a column list, kept between kernel solves.
+
+    Holds the pivot columns of the last solve, then the dependent column it
+    stopped at.  ``columns[j]`` is the very list passed in and ``reduced[j]``
+    what elimination made of it: entries k < j are column j of the upper
+    factor, and entry j of a pivot column is its pivot.  ``steps[k]`` is
+    what pivot k does to every later column: (k, the row swapped with row
+    k, the pivot, the pivot before it, the factors of rows k+1..), the
+    factors being the float multipliers, or on ints Bareiss's raw entries
+    below the pivot.  The columns must not be changed in place while they
+    are held.
+    """
+
+    __slots__ = ("columns", "reduced", "steps")
+
+    def __init__(self) -> None:
+        self.columns: list[Sequence[Scalar]] = []
+        self.reduced: list[list[Scalar]] = []
+        self.steps: list[tuple[int, int, Scalar, Scalar, list[Scalar]]] = []
+
+
+def _integer_columns(columns: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[Scalar]]:
+    """Exact columns with each row scaled by the lcm of its denominators.
+
+    All-int columns come back as they are, the same list objects, so an
+    ``Echelon`` can recognize them on the next solve.
+    """
+    if all(type(v) is int for col in columns for v in col):
+        return columns
+    return [list(col) for col in zip(*(integer_row(r) for r in zip(*columns)))]
+
+
+def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: bool,
+                     echelon: Echelon | None = None) -> list[Scalar] | None:
+    """A nonzero z with (matrix given by its ncols columns) @ z = 0, or None at
+    full column rank.
 
     Deterministic: elimination sweeps columns left to right, the first
     pivotless column becomes the free direction with coefficient one.
+    Floats take the largest entry above ``PIVOT_TOL`` as pivot, ints the
+    first nonzero one.
 
-    Exact rows are scaled to integers and eliminated fraction-free (see
-    ``_integer_nullspace_vector``).  The result is still the one the
-    Fraction elimination gives, entry for entry: column c gets a pivot
-    exactly when it is not in the span of the columns before it, which no
-    row scaling, row order or elimination scheme changes.  So the free
-    column is the first dependent column, and the kernel vector with
-    ``z[free] = 1`` and zeros after ``free`` is unique.
+    The elimination is left-looking: each column in turn receives the row
+    swaps and eliminations of the pivots before it, then picks its own
+    pivot.  Pivots sit on the leading columns, so a column's state after
+    pivot k depends on columns 0..k and on itself only.  An ``echelon``
+    carried from the previous solve therefore keeps the longest run of its
+    pivot columns that are, by identity, the leading columns here, and only
+    the columns after that run are eliminated.  Every entry receives the
+    same ``a - f * b`` updates, in the same order, as in a row-by-row sweep
+    of the whole matrix (same swaps, same pivots, rows with a zero factor
+    skipped alike), so floats come out bit for bit those of a sweep from
+    scratch, whatever was reused.  Without ``echelon`` the solve starts from
+    scratch.
+
+    Exact rows are scaled to integers and eliminated fraction-free (Bareiss
+    1968: each step divides exactly by the previous pivot, which keeps every
+    entry a minor of the input).  The result is still the one the Fraction
+    elimination gives, entry for entry: column c gets a pivot exactly when
+    it is not in the span of the columns before it, which no row scaling,
+    row order or elimination scheme changes.  So the free column is the
+    first dependent column, and the kernel vector with ``z[free] = 1`` and
+    zeros after ``free`` is unique.  The last pivot is the determinant
+    ``det`` of the leading free x free block, so ``det * z`` is integral
+    (Cramer) and back substitution stays on ints.
     """
     if exact:
-        return _integer_nullspace_vector([integer_row(r) for r in rows], ncols)
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    pivots: list[tuple[int, int]] = []  # (column, row in echelon order)
-    rank = 0
+        columns = _integer_columns(columns)
+    if echelon is None:
+        echelon = Echelon()
+    steps = echelon.steps
+    kept = 0
+    while kept < len(steps) and kept < ncols and columns[kept] is echelon.columns[kept]:
+        kept += 1
+    del steps[kept:], echelon.columns[kept:], echelon.reduced[kept:]
+    reduced = echelon.reduced
+    nrows = len(columns[0]) if ncols else 0
     free = None
-    for c in range(ncols):
+    for c in range(kept, ncols):
+        col = list(columns[c])
+        for k, swap, piv, prev, factors in steps:
+            if swap != k:
+                col[k], col[swap] = col[swap], col[k]
+            b = col[k]
+            if exact:
+                for i, f in enumerate(factors, k + 1):
+                    col[i] = (piv * col[i] - f * b) // prev
+            else:
+                for i, f in enumerate(factors, k + 1):
+                    if f:
+                        col[i] -= f * b
+        echelon.columns.append(columns[c])
+        reduced.append(col)
+        rank = len(steps)
         pivot_row = None
-        best = PIVOT_TOL
-        for i in range(rank, nrows):
-            a = abs(work[i][c])
-            if a > best:
-                best = a
-                pivot_row = i
+        if exact:
+            for i in range(rank, nrows):
+                if col[i]:
+                    pivot_row = i
+                    break
+        else:
+            best = PIVOT_TOL
+            for i in range(rank, nrows):
+                a = abs(col[i])
+                if a > best:
+                    best = a
+                    pivot_row = i
         if pivot_row is None:
             free = c
             break
         if pivot_row != rank:
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        piv = work[rank][c]
-        for i in range(rank + 1, nrows):
-            f = work[i][c] / piv
-            if f == 0:
-                continue
-            row_i, row_p = work[i], work[rank]
-            for cc in range(c, ncols):
-                row_i[cc] -= f * row_p[cc]
-        pivots.append((c, rank))
-        rank += 1
-        if rank == nrows and c + 1 < ncols:
-            free = c + 1
-            break
+            col[rank], col[pivot_row] = col[pivot_row], col[rank]
+        piv = col[rank]
+        if not exact:
+            for i in range(rank + 1, nrows):
+                col[i] /= piv
+        steps.append((rank, pivot_row, piv, steps[-1][2] if steps else 1, col[rank + 1:]))
     if free is None:
         return None
-    z: list[Scalar] = [0.0] * ncols
-    z[free] = 1.0
-    for c, r in reversed(pivots):
-        s = 0.0
-        for cc in range(c + 1, free + 1):
-            if z[cc] != 0:
-                s += work[r][cc] * z[cc]
-        z[c] = -s / work[r][c]
-    return z
-
-
-def _integer_nullspace_vector(work: list[list[int]], ncols: int) -> list[Fraction] | None:
-    """``nullspace_vector`` on an integer matrix, by Bareiss elimination.
-
-    Same pivot rule as the float sweep (first nonzero entry at or below the
-    rank), so pivots sit on columns 0..free-1 and row c of the echelon form
-    holds the pivot of column c.  Each step divides exactly by the previous
-    pivot (Bareiss 1968), which keeps every entry a minor of the input.  The
-    last pivot is the determinant ``det`` of the leading free x free block,
-    so ``det * z`` is integral (Cramer) and back substitution stays on ints.
-    """
-    nrows = len(work)
-    prev = 1
-    free = None
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(c, nrows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            free = c
-            break
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-        tail_p = work[c][c + 1:]
-        piv = work[c][c]
-        for i in range(c + 1, nrows):
-            row_i = work[i]
-            f = row_i[c]
-            if f:
-                row_i[c + 1:] = [(piv * a - f * b) // prev
-                                 for a, b in zip(row_i[c + 1:], tail_p)]
-            elif piv != prev:
-                row_i[c + 1:] = [piv * a // prev for a in row_i[c + 1:]]
-        prev = piv
-        if c + 1 == nrows and c + 1 < ncols:
-            free = c + 1
-            break
-    if free is None:
-        return None
-    # x = det * z on columns 0..free; z is zero after free
-    x = [0] * (free + 1)
-    x[free] = prev
+    # reduced[cc][c] is row c, column cc of the upper factor, for cc <= free;
+    # floats solve for z on columns 0..free, ints for the integral det * z
+    det = (reduced[free - 1][free - 1] if free else 1) if exact else 1.0
+    x = [0 if exact else 0.0] * free + [det]
     for c in range(free - 1, -1, -1):
-        row = work[c]
-        s = 0
-        for cc in range(c + 1, free + 1):
-            if x[cc]:
-                s += row[cc] * x[cc]
-        x[c] = -s // row[c]
-    return [Fraction(xc, prev) for xc in x] + [Fraction(0)] * (ncols - free - 1)
+        s = 0 if exact else 0.0
+        for u, xc in zip(reduced[c + 1:], x[c + 1:]):
+            if xc:
+                s += u[c] * xc
+        x[c] = -s // reduced[c][c] if exact else -s / reduced[c][c]
+    if exact:
+        return [Fraction(xc, det) for xc in x] + [Fraction(0)] * (ncols - free - 1)
+    return x + [0.0] * (ncols - free - 1)
 
 
 def pivot_step(x: Sequence[Scalar], z: Sequence[Scalar], exact: bool) -> list[Scalar]:
@@ -194,13 +218,11 @@ def reduce_support(columns: Sequence[Sequence[Scalar]], x: Sequence[Scalar],
     result has linearly independent support.
     """
     x = list(x)
-    nrows = len(columns[0]) if columns else 0
     for _ in range(len(x) + 1):
         support = [v for v, xv in enumerate(x) if xv > 0]
         if len(support) <= 1:
             return x
-        rows = [[columns[v][r] for v in support] for r in range(nrows)]
-        z = nullspace_vector(rows, len(support), exact)
+        z = nullspace_vector([columns[v] for v in support], len(support), exact)
         if z is None:
             return x
         moved = pivot_step([x[v] for v in support], z, exact)

@@ -8,8 +8,9 @@ on atomic grids (kernel pivoting to a basic solution leaves few fractional
 cells, which are then rounded, with optional exhaustive finishing on small
 blocks).  The pivoting folds each cell's sum row into that cell's columns
 (generalized upper bounding), so its kernel solves run on the moment rows
-only.  Half-sets, the annihilator witness of non-injectivity, and the
-multi-measure variant via density reweighting are built on top.
+only, and each solve reuses the elimination of the window's unchanged
+leading columns.  Half-sets, the annihilator witness of non-injectivity,
+and the multi-measure variant via density reweighting are built on top.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .condexp import (BlockFunction, SimpleFunction, bf_sub, cond_exp, indicator,
                       lift_function, lift_to_cells, sf_mul, weighted_ce_measure)
-from .linalg import integer_row, nullspace_vector, pivot_step
+from .linalg import Echelon, integer_row, nullspace_vector, pivot_step
 from .numeric import Scalar, max_abs
 from .spaces import (BlockPartition, CellRefinement, Grid, Mode, RefinedSet,
                      block_masses, build_grid, full_set, make_partition,
@@ -102,6 +103,15 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
 
     Each window cell keeps the list of its positive pieces; after a pivot
     only the cells whose variables moved are looked at again.
+
+    One ``Echelon`` carries the kernel elimination between solves.  The
+    window's column list changes only where a cell joins at the end, leaves,
+    or gets its columns rebuilt after losing a piece; every other column is
+    the same list object as before.  The elimination is left-looking, so its
+    state after column k depends on columns 0..k alone: each solve keeps the
+    longest unchanged leading run and eliminates only the columns after it,
+    and the kernels stay bit for bit those of a solve from scratch (see
+    ``nullspace_vector``).
     """
     q = len(avail)
     rows = [list(r) for r in rows]
@@ -138,14 +148,15 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
 
     # window cells in joining order: (cell, its positive pieces, its columns)
     window: list[tuple[int, list[int], list[list[Scalar]]]] = []
+    echelon = Echelon()
     stream = fractional_cells()
     exhausted = False
     while True:
         reduced = sum(len(columns) for _, _, columns in window)
         z = None
         if reduced > mom_rows or (exhausted and reduced > 0):
-            matrix = list(zip(*(column for _, _, columns in window for column in columns)))
-            z = nullspace_vector(matrix, reduced, exact)
+            z = nullspace_vector([column for _, _, columns in window for column in columns],
+                                 reduced, exact, echelon=echelon)
         if z is None:
             nxt = next(stream, None)
             if nxt is None:

@@ -132,11 +132,6 @@ def extreme_point_indices(points: Sequence[Point], tol: Scalar | None = None) ->
     return out
 
 
-def extreme_points(points: Sequence[Point], tol: Scalar | None = None) -> list[Point]:
-    pts = [tuple(p) for p in points]
-    return [pts[i] for i in extreme_point_indices(pts, tol)]
-
-
 def caratheodory_decompose(point: Sequence[Scalar], vertices: Sequence[Point], *,
                            tol: Scalar | None = None) -> tuple[list[Scalar], list[int]]:
     """Write a hull point as a convex combination of at most dim+1 extreme vertices.

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from condbang import (Mode, bang_bang, bf_sub, build_grid, cond_exp,
-                      constant_function, direct_integrate, extreme_points,
+                      constant_function, direct_integrate, extreme_point_indices,
                       make_partition, pointset_bang_bang, polytope_map,
                       simple_function, split_cells, trivial_partition)
 from condbang.polytope import PolytopeMap
@@ -18,7 +18,7 @@ def assert_extreme_membership(sel, T, grid):
     for i, piece in enumerate(sel.pieces):
         for k in range(grid.cell_count):
             if piece.masses[k] > 0:
-                ext = extreme_points(T.vertices[k])
+                ext = [T.vertices[k][j] for j in extreme_point_indices(T.vertices[k])]
                 point = sel.values[i].values[k]
                 assert any(max(abs(a - b) for a, b in zip(point, v)) <= TOL
                            for v in ext), f"cell {k} piece {i}"
@@ -161,7 +161,8 @@ def test_pointset_is_bang_bang_over_the_extreme_points(mode):
             cells.append(pts)
         P = polytope_map(cells)
         s = interior_selection(rng, P)
-        hulls = polytope_map([extreme_points(cell) for cell in P.vertices])
+        hulls = polytope_map([[cell[j] for j in extreme_point_indices(cell)]
+                              for cell in P.vertices])
         assert pointset_bang_bang(P, s, C, g) == bang_bang(hulls, s, C, g)
 
 

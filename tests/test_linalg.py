@@ -1,11 +1,15 @@
-"""The kernel solves against the Fraction elimination they replaced, and the
-pivot step shared by support reduction and transport reduction.
+"""The kernel solves against the row-by-row Fraction elimination they
+replaced, the reuse of an elimination between solves, and the pivot step
+shared by support reduction and transport reduction.
 
 ``reference_nullspace_vector`` is the elimination ``linalg.nullspace_vector``
-ran on both regimes before exact solves moved to integers, kept verbatim.
-Exact results must match it entry for entry, every entry a ``Fraction``;
-float results must match it bit for bit.  The reference gets its exact input
-as ``Fraction``s, because on two ``int``s its ``/`` leaves the exact regime.
+ran on both regimes before exact solves moved to integers and before the
+sweep became left-looking, kept verbatim: it takes the matrix by rows, where
+``nullspace_vector`` takes it by columns.  Exact results must match it entry
+for entry, every entry a ``Fraction``; float results must match it bit for
+bit, with or without an ``Echelon`` carried over from earlier solves.  The
+reference gets its exact input as ``Fraction``s, because on two ``int``s its
+``/`` leaves the exact regime.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ from fractions import Fraction
 from typing import Sequence
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condbang import linalg
-from condbang.linalg import nullspace_vector, pivot_step, reduce_support
+from condbang.linalg import Echelon, nullspace_vector, pivot_step, reduce_support
 from condbang.numeric import PIVOT_TOL, Scalar
 
 
@@ -84,14 +89,27 @@ def reference_nullspace_vector(rows: Sequence[Sequence[Scalar]], ncols: int,
     return z
 
 
+def columns_of(rows, ncols):
+    return [[r[c] for r in rows] for c in range(ncols)]
+
+
+def rows_of(columns):
+    return [list(r) for r in zip(*columns)]
+
+
 def assert_exact_matches_reference(rows, ncols):
     want = reference_nullspace_vector([[Fraction(v) for v in r] for r in rows],
                                       ncols, True)
-    got = nullspace_vector(rows, ncols, True)
+    got = nullspace_vector(columns_of(rows, ncols), ncols, True)
     assert got == want
     if got is not None:
         assert all(type(v) is Fraction for v in got)
     return got
+
+
+def same_bits(got, want) -> bool:
+    """Float results equal bit for bit: ``repr`` tells -0.0 from 0.0."""
+    return repr(got) == repr(want)
 
 
 F = Fraction
@@ -185,8 +203,95 @@ def test_exact_kernel_matches_reference(case):
 def test_float_kernel_matches_reference_bit_for_bit(case):
     rows, ncols = case
     rows = [[float(v) for v in r] for r in rows]
-    assert nullspace_vector(rows, ncols, False) == \
-        reference_nullspace_vector(rows, ncols, False)
+    assert same_bits(nullspace_vector(columns_of(rows, ncols), ncols, False),
+                     reference_nullspace_vector(rows, ncols, False))
+
+
+def _draw_column(data, nrows: int, exact: bool, held: list) -> list:
+    """A fresh column list: random, zero, a copy of a held one, or a
+    combination of two held ones (so dependent columns turn up anywhere)."""
+    kinds = ["random", "random", "zero"] + (["duplicate", "combine"] if held else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return [0 if exact else 0.0] * nrows
+    if kind == "duplicate":
+        return list(data.draw(st.sampled_from(held)))
+    if kind == "combine":
+        a, b = data.draw(st.sampled_from(held)), data.draw(st.sampled_from(held))
+        s, t = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        return [s * x + t * y for x, y in zip(a, b)]
+    if exact:
+        return [data.draw(st.sampled_from((0, data.draw(st.integers(-9, 9)))))
+                for _ in range(nrows)]
+    return [data.draw(st.sampled_from((0.0, data.draw(st.floats(-2, 2)))))
+            for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_with_a_carried_echelon_matches_a_fresh_sweep(exact, data):
+    # a window of cells, each a list of column objects, edited the ways the
+    # transport reduction edits its window between two solves
+    nrows = data.draw(st.integers(0, 6))
+    window: list[list[list]] = []
+    echelon = Echelon()
+    for _ in range(data.draw(st.integers(1, 12))):
+        held = [column for cell in window for column in cell]
+        edit = data.draw(st.sampled_from(("append", "append", "drop", "rebuild", "shrink"))
+                         if window else st.just("append"))
+        if edit == "append":
+            window.append([_draw_column(data, nrows, exact, held)
+                           for _ in range(data.draw(st.integers(1, 3)))])
+        elif edit == "drop":
+            del window[data.draw(st.integers(0, len(window) - 1))]
+        elif edit == "rebuild":
+            at = data.draw(st.integers(0, len(window) - 1))
+            cell = window[at]
+            if len(cell) > 1 and data.draw(st.booleans()):
+                # the cell lost a piece: its other columns come back as new lists
+                lost = data.draw(st.integers(0, len(cell) - 1))
+                window[at] = [list(column) for j, column in enumerate(cell) if j != lost]
+            else:
+                window[at] = [_draw_column(data, nrows, exact, held) for _ in cell]
+        else:
+            window = [window[0][:1]]
+        columns = [column for cell in window for column in cell]
+        if not columns:
+            continue
+        ncols = len(columns)
+        got = nullspace_vector(columns, ncols, exact, echelon=echelon)
+        rows = [[F(v) if exact else v for v in r] for r in rows_of(columns)]
+        want = reference_nullspace_vector(rows, ncols, exact)
+        if exact:
+            assert got == want
+            assert got is None or all(type(v) is Fraction for v in got)
+        else:
+            assert same_bits(got, want)
+        # the echelon holds a leading run of this window's columns, as passed
+        assert all(a is b for a, b in zip(echelon.columns, columns))
+
+
+def test_echelon_keeps_the_elimination_of_unchanged_leading_columns():
+    columns = [[1.0, 0.0, 2.0], [0.5, 3.0, -1.0], [0.0, 1.0, 4.0]]
+    echelon = Echelon()
+    assert nullspace_vector(columns, 3, False, echelon=echelon) is None
+    eliminated = list(echelon.reduced)
+    # a dependent column joins: the three held columns are not eliminated again
+    grown = columns + [[v + w for v, w in zip(columns[0], columns[2])]]
+    z = nullspace_vector(grown, 4, False, echelon=echelon)
+    assert same_bits(z, reference_nullspace_vector(rows_of(grown), 4, False))
+    assert all(a is b for a, b in zip(echelon.reduced, eliminated))
+    # the middle column is rebuilt: only the first elimination survives
+    rebuilt = [grown[0], list(grown[1]), grown[2], grown[3]]
+    z = nullspace_vector(rebuilt, 4, False, echelon=echelon)
+    assert same_bits(z, reference_nullspace_vector(rows_of(rebuilt), 4, False))
+    assert echelon.reduced[0] is eliminated[0]
+    assert echelon.reduced[1] is not eliminated[1]
+    # the same solve without an echelon, and exact data on a fresh one
+    assert same_bits(nullspace_vector(rebuilt, 4, False), z)
+    ints = [[1, 0, 2], [0, 3, -1], [1, 3, 1]]
+    assert nullspace_vector(ints, 3, True, echelon=Echelon()) == [-1, -1, 1]
 
 
 def test_exact_support_reduction_unchanged_on_dependent_columns():
@@ -201,8 +306,9 @@ def test_exact_support_reduction_unchanged_on_dependent_columns():
         x = [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(n)]
         got = reduce_support(columns, x, True)
         with mock.patch.object(linalg, "nullspace_vector",
-                               lambda rows, ncols, exact: reference_nullspace_vector(
-                                   [[F(v) for v in r] for r in rows], ncols, exact)):
+                               lambda columns, ncols, exact: reference_nullspace_vector(
+                                   [[F(v) for v in r] for r in rows_of(columns)], ncols,
+                                   exact)):
             want = reduce_support(columns, x, True)
         assert got == want
         assert all(type(v) is Fraction for v in got)

@@ -1,13 +1,18 @@
-"""Transport reduction against the full-window elimination it replaced.
+"""Transport reduction against the full-window elimination it replaced, and
+against itself with every kernel solved from scratch.
 
 ``reference_reduce_transport`` is ``lyapunov._reduce_transport`` as it was
 before the window cells' sum rows were folded into their columns, kept
-verbatim: every kernel solve there runs on the window cell sums plus all
-moment rows.  Exact results must match it entry for entry, with the same
-number of kernel solves.  Float results need not match it bit for bit (the
-folded kernels round differently); they must satisfy every block equation
-within a tolerance scaled to the data and leave at most (moment rows)
-fractional cells.
+verbatim apart from handing its kernel solves their matrix by columns: every
+kernel solve there runs on the window cell sums plus all moment rows.  Exact
+results must match it entry for entry, with the same number of kernel
+solves.  Float results need not match ``reference_reduce_transport`` bit for
+bit (the folded kernels round differently); they must satisfy every block
+equation within a tolerance scaled to the data and leave at most (moment
+rows) fractional cells.  Float results must match ``_reduce_transport`` run
+with the row-by-row reference kernel of ``test_linalg``, which ignores the
+elimination carried between solves, bit for bit and with the same number of
+kernel solves.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from hypothesis import strategies as st
 from condbang import lyapunov
 from condbang.linalg import integer_row, nullspace_vector, pivot_step
 from condbang.numeric import Scalar
+
+from test_linalg import reference_nullspace_vector, rows_of, same_bits
 
 F = Fraction
 
@@ -65,16 +72,16 @@ def reference_reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
         z = None
         if len(variables) > len(window) + mom_rows or (exhausted and len(variables) > 1):
             cell_row_of = {kk: r for r, kk in enumerate(window)}
-            matrix = [[nil] * len(variables) for _ in range(len(window) + mom_rows)]
+            columns = [[nil] * (len(window) + mom_rows) for _ in variables]
             for col, (kk, i) in enumerate(variables):
-                matrix[cell_row_of[kk]][col] = one
+                columns[col][cell_row_of[kk]] = one
                 base = len(window)
                 for ii in range(p):
                     for j in range(len(mom_cols[ii])):
                         if ii == i:
-                            matrix[base + j][col] = mom_cols[ii][j][kk]
+                            columns[col][base + j] = mom_cols[ii][j][kk]
                     base += len(mom_cols[ii])
-            z = nullspace_vector(matrix, len(variables), exact)
+            z = nullspace_vector(columns, len(variables), exact)
         if z is None:
             nxt = next(stream, None)
             if nxt is None:
@@ -214,3 +221,27 @@ def test_float_reduction_satisfies_the_block_equations():
                 achieved = math.fsum(got[k][i] * col[k] for k in range(q))
                 seeded = math.fsum(rows[k][i] * col[k] for k in range(q))
                 assert abs(achieved - seeded) <= tol
+
+
+def test_float_reduction_is_bit_identical_with_kernels_solved_from_scratch():
+    # the carried elimination changes no bit: every kernel solve again through
+    # the row-by-row reference, which ignores the echelon
+    def from_scratch(columns, ncols, exact, echelon=None):
+        return reference_nullspace_vector(rows_of(columns), ncols, exact)
+
+    for seed in range(60):
+        rng = random.Random(f"scratch-{seed}")
+        p = rng.randint(2, 5)
+        dims = [rng.randint(1, 3) for _ in range(p)]
+        q = rng.randint(1, 60)
+        rows, avail, mom_cols = make_block(rng, p, dims, q, False,
+                                           zero_share=rng.choice((0.0, 0.3, 0.6)),
+                                           duplicate_share=rng.choice((0.0, 0.3, 0.8)))
+        with mock.patch.object(lyapunov, "nullspace_vector",
+                               wraps=lyapunov.nullspace_vector) as carried:
+            got = lyapunov._reduce_transport(rows, avail, mom_cols, p, False)
+        with mock.patch.object(lyapunov, "nullspace_vector",
+                               side_effect=from_scratch) as scratch:
+            want = lyapunov._reduce_transport(rows, avail, mom_cols, p, False)
+        assert same_bits(got, want)
+        assert carried.call_count == scratch.call_count
