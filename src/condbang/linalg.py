@@ -7,8 +7,11 @@ round-off clamped), support reduction of a nonnegative solution by repeated
 pivot steps, and a Phase-I simplex deciding convex-combination feasibility
 with a Farkas certificate on failure.  The pivot step is the one the
 partition solver's transport reduction takes too; it moves only the entries
-on the support of the kernel direction.  It and the simplex run verbatim on
-floats (1e-12 thresholds) and on Fractions (zero thresholds).
+on the support of the kernel direction.  It runs verbatim on floats (1e-12
+thresholds) and on Fractions (zero thresholds).  The simplex pivots floats
+with 1e-12 thresholds, and exact input on a tableau of Python ints scaled by
+one common denominator (Edmonds' integer-preserving pivots); its pivots and
+results are those of the same simplex on Fractions.
 The nullspace vector eliminates floats with partial pivoting, and exact rows
 fraction-free on Python ints (Bareiss), returning the Fractions exact
 elimination gives.  It eliminates left-looking, and an ``Echelon`` carries
@@ -33,12 +36,17 @@ def _zero(exact: bool) -> Scalar:
     return Fraction(0) if exact else 0.0
 
 
+def integer_scaled(vectors: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
+    """L, the lcm of every denominator of the exact vectors, and the vectors times L."""
+    scale = math.lcm(*(v.denominator for vec in vectors for v in vec))
+    return scale, [[v.numerator * (scale // v.denominator) for v in vec] for vec in vectors]
+
+
 def integer_row(row: Sequence[Scalar]) -> list[int]:
     """The exact row times the lcm of its denominators; int rows come back as is."""
     if all(type(v) is int for v in row):
         return list(row)
-    den = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (den // v.denominator) for v in row]
+    return integer_scaled([row])[1][0]
 
 
 class Echelon:
@@ -240,15 +248,31 @@ def convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scal
     ``feas_tol``, else (None, certificate, objective) where the certificate y
     satisfies y·(v, 1) <= 0 for every point v and y·(target, 1) = objective.
     Bland's rule keeps the pivoting finite and deterministic.
+
+    Floats pivot on the tableau [A | I | b] of the sign-flipped rows, with
+    ``PIVOT_TOL`` thresholds.  Exact input pivots on integers (Edmonds 1967):
+    the tableau is [L·A | I | L·b] with L the lcm of every denominator of the
+    points and the target, and it is kept as ``den`` times the rational
+    tableau, ``den`` being the determinant of the basis, so each pivot
+    ``T[i] = (p·T[i] - T[i][e]·T[r]) // den`` divides exactly and every
+    entry stays a minor of the input.  ``den`` is positive, so signs and
+    ratios (compared by cross-multiplying) are the rational tableau's.  One
+    common L multiplies the Phase-I objective and the reduced costs of the
+    lam columns by L and leaves the artificial columns' reduced costs and
+    every ratio as they were, so the pivots, lam, the certificate and the
+    objective are those of the same simplex run on Fractions, entry for
+    entry; the objective is the int 0 when no artificial is left in the
+    basis.  Scaling each row by its own factor instead would reweight the
+    objective and change the pivots.
     """
     dim = len(target)
     n = len(points)
     nrows = dim + 1
     if exact:
-        b = [Fraction(t) for t in target] + [Fraction(1)]
-        cols = [[Fraction(c) for c in pt] + [Fraction(1)] for pt in points]
-        one, zero = Fraction(1), Fraction(0)
-        eps = zero
+        scale, scaled = integer_scaled([target, *points])
+        b, *cols = [v + [scale] for v in scaled]
+        one, zero = 1, 0
+        eps = 0
     else:
         b = [float(t) for t in target] + [1.0]
         cols = [[float(c) for c in pt] + [1.0] for pt in points]
@@ -265,9 +289,10 @@ def convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scal
         tab.append(row)
     basis = [n + i for i in range(nrows)]
     dead = [False] * (n + nrows)  # artificials may not re-enter once they leave
+    den = one  # the tableau is den times the rational one; floats keep den = 1.0
 
     def reduced_cost(j: int) -> Scalar:
-        rc = one if j >= n else zero
+        rc = den if j >= n else zero
         for i in range(nrows):
             if basis[i] >= n:
                 rc -= tab[i][j]
@@ -284,47 +309,63 @@ def convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scal
         if enter is None:
             break
         leave = None
-        best_ratio = None
         for i in range(nrows):
             a = tab[i][enter]
             if a > eps:
-                ratio = tab[i][-1] / a
-                if best_ratio is None or ratio < best_ratio or \
-                        (ratio == best_ratio and basis[i] < basis[leave]):
-                    best_ratio = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                if exact:  # cross-multiplied, both pivot entries being positive
+                    ratio, best = tab[i][-1] * tab[leave][enter], tab[leave][-1] * a
+                else:
+                    ratio, best = tab[i][-1] / a, tab[leave][-1] / tab[leave][enter]
+                if ratio < best or (ratio == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise RuntimeError("phase-one simplex became unbounded")
         piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(nrows):
-            if i == leave:
-                continue
-            f = tab[i][enter]
-            if f == 0:
-                continue
-            row_i, row_l = tab[i], tab[leave]
-            for cc in range(n + nrows + 1):
-                row_i[cc] -= f * row_l[cc]
+        if exact:
+            row_l = tab[leave]
+            for i in range(nrows):
+                if i != leave:
+                    f = tab[i][enter]
+                    tab[i] = [(piv * v - f * w) // den for v, w in zip(tab[i], row_l)]
+            den = piv
+        else:
+            tab[leave] = [v / piv for v in tab[leave]]
+            for i in range(nrows):
+                if i == leave:
+                    continue
+                f = tab[i][enter]
+                if f == 0:
+                    continue
+                row_i, row_l = tab[i], tab[leave]
+                for cc in range(n + nrows + 1):
+                    row_i[cc] -= f * row_l[cc]
         if basis[leave] >= n:
             dead[basis[leave]] = True
         basis[leave] = enter
     else:
         raise RuntimeError("phase-one simplex exceeded the iteration cap")
 
-    objective = sum(tab[i][-1] for i in range(nrows) if basis[i] >= n)
+    artificial = [i for i in range(nrows) if basis[i] >= n]
+    objective = sum(tab[i][-1] for i in artificial)
+    if exact and artificial:
+        objective = Fraction(objective, den * scale)
     if objective <= feas_tol:
-        lam = [zero] * n
+        lam = [_zero(exact)] * n
         for i in range(nrows):
             if basis[i] < n:
                 v = tab[i][-1]
-                if not exact and v < 0:
+                if exact:
+                    v = Fraction(v, den)
+                elif v < 0:
                     v = 0.0
                 lam[basis[i]] = v
         return lam, None, objective
     # Farkas certificate from the final multipliers.
     certificate = []
     for i in range(nrows):
-        rc_art = reduced_cost(n + i)
-        certificate.append(sign[i] * (one - rc_art))
+        y = sign[i] * (den - reduced_cost(n + i))
+        certificate.append(Fraction(y, den) if exact else y)
     return None, certificate, objective

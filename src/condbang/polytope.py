@@ -10,7 +10,11 @@ the other distinct points ends above the tolerance.  A separating direction
 y = (d, -m) bounds that LP's l1 objective from below by
 g / max(||d||_inf, |m|), g = y.(p, 1); a bound above the tolerance (plus
 1e-10 (1 + max |coordinate|) of float round-off allowance) settles the point
-without the LP, so the verdicts stay the LP's.  ``decompose_selection``
+without the LP, so the verdicts stay the LP's.  Exact point sets are
+scaled to integers once, P = L p with L the lcm of their denominators, and
+the bound is tested as g' > tol max(L ||d'||_inf, |m'|) on the scaled
+d' = L d, m' = L^2 m, g' = L^2 g: the same test multiplied through by L^2,
+so no Fraction arithmetic and the same verdicts.  ``decompose_selection``
 filters each distinct vertex set once.
 """
 
@@ -21,8 +25,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .condexp import SimpleFunction
-from .linalg import convex_combination, reduce_support
-from .numeric import Scalar, all_exact, check_finite, max_abs, resolve_tol
+from .linalg import convex_combination, integer_scaled, reduce_support
+from .numeric import Scalar, all_exact, check_finite, is_exact, max_abs, resolve_tol
 from .spaces import Grid
 
 Point = tuple[Scalar, ...]
@@ -104,6 +108,14 @@ def extreme_point_indices(points: Sequence[Point], tol: Scalar | None = None) ->
     the exact regime, or ``tol`` plus a round-off allowance of
     1e-10 (1 + max |coordinate|) on floats.  Every other point runs the LP,
     so each verdict is the LP's.
+
+    Exact points are scaled to integers first, by L the lcm of all their
+    denominators, which makes d' = L d, m' = L^2 m and g' = L^2 g; the test
+    g > tol max(||d||_inf, |m|) is then run multiplied through by L^2, as
+    g' > tol max(L ||d'||_inf, |m'|), on ints (``tol`` = 0 leaves g' > 0).
+    Floats run the same expression with L = 1, and so do exact points under
+    a float ``tol``, whose products would round differently once scaled.
+    The LPs get the points as given.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -114,19 +126,24 @@ def extreme_point_indices(points: Sequence[Point], tol: Scalar | None = None) ->
     n = len(kept)
     if n == 1:
         return [idx[0]]
-    total = [sum(coords) for coords in zip(*kept)]
     bound = tol if exact else tol + _FLOAT_SEPARATION_SLACK * (
         1 + max_abs(c for p in kept for c in p))
+    if exact and is_exact(tol):
+        scale, scaled = integer_scaled(kept)
+    else:
+        # floats, and exact points under a float tol: its products would
+        # round differently once scaled by L^2
+        scale, scaled = 1, kept
+    total = [sum(coords) for coords in zip(*scaled)]
     out = []
-    for i, p in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
+    for i, p in enumerate(scaled):
         d = [n * pc - tc for pc, tc in zip(p, total)]
-        m = max(sum(dc * qc for dc, qc in zip(d, q)) for q in others)
+        m = max(sum(dc * qc for dc, qc in zip(d, q)) for q in scaled[:i] + scaled[i + 1:])
         gap = sum(dc * pc for dc, pc in zip(d, p)) - m
-        if gap > bound * max(max_abs(d), abs(m)):
+        if gap > bound * max(scale * max_abs(d), abs(m)):
             out.append(idx[i])
             continue
-        lam, _, _ = convex_combination(others, p, exact, tol)
+        lam, _, _ = convex_combination(kept[:i] + kept[i + 1:], kept[i], exact, tol)
         if lam is None:
             out.append(idx[i])
     return out

@@ -8,12 +8,18 @@ document goes through ``parse_problem -> run -> canonical_dumps``; the digest
 covers the reports with ``wall_time`` removed.  Every report is also checked
 by ``verify_report``, and the script exits 1 if any is rejected.
 
+A second digest covers the exact reports only (the exact corpus cells and
+the ``exact-atomic`` instances).  Exact bits do not depend on the Python
+version (``test_golden_exact`` relies on this too), so that digest is
+committed here as ``EXACT_DIGEST``, and the script exits 1 when it differs.
+A change that means to alter an exact report must record the new digest.
+
 Run it from any directory, on the checkout it sits in:
 
     python3 tests/report_digest.py
 
-Compare the printed digest before and after a change on one interpreter:
-float bits depend on the Python version (see ``test_golden_exact``).
+Compare the printed full digest before and after a change on one
+interpreter: float bits depend on the Python version.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from cli_corpus import make_problem  # noqa: E402
 CORPUS_TRIALS = 8
 WORKLOAD_INSTANCES = 3
 WORKLOAD_SEED = 7
+#: sha256 over the exact reports of the corpus, wall_time removed
+EXACT_DIGEST = "bd93ea32afc2106cff0dce18515b48d7b1fbc4db6db0fb740c2838922b24a638"
 
 
 def corpus():
@@ -59,21 +67,31 @@ def corpus():
 
 
 def main() -> int:
-    digest = hashlib.sha256()
-    count = 0
+    digest, exact_digest = hashlib.sha256(), hashlib.sha256()
+    count = exact_count = 0
     rejected = []
     for label, command, doc in corpus():
-        report = json.loads(canonical_dumps(run(command, parse_problem(doc))))
+        problem = parse_problem(doc)
+        report = json.loads(canonical_dumps(run(command, problem)))
         violations = verify_report(doc, report)
         if violations:
             rejected.append(f"{label}: {'; '.join(violations)}")
         del report["wall_time"]
-        digest.update(canonical_dumps(report).encode("utf-8"))
+        encoded = canonical_dumps(report).encode("utf-8")
+        digest.update(encoded)
         count += 1
+        if problem.exact:
+            exact_digest.update(encoded)
+            exact_count += 1
     for line in rejected:
         print(f"rejected {line}", file=sys.stderr)
     print(f"{digest.hexdigest()}  {count} reports, wall_time removed")
-    return 1 if rejected else 0
+    print(f"{exact_digest.hexdigest()}  {exact_count} exact reports, wall_time removed")
+    drift = exact_digest.hexdigest() != EXACT_DIGEST
+    if drift:
+        print(f"exact reports changed: the committed digest is {EXACT_DIGEST}",
+              file=sys.stderr)
+    return 1 if rejected or drift else 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """The kernel solves against the row-by-row Fraction elimination they
-replaced, the reuse of an elimination between solves, and the pivot step
-shared by support reduction and transport reduction.
+replaced, the reuse of an elimination between solves, the pivot step
+shared by support reduction and transport reduction, and the Phase-I
+simplex against the Fraction simplex it replaced.
 
 ``reference_nullspace_vector`` is the elimination ``linalg.nullspace_vector``
 ran on both regimes before exact solves moved to integers and before the
@@ -10,6 +11,13 @@ for entry, every entry a ``Fraction``; float results must match it bit for
 bit, with or without an ``Echelon`` carried over from earlier solves.  The
 reference gets its exact input as ``Fraction``s, because on two ``int``s its
 ``/`` leaves the exact regime.
+
+``reference_convex_combination`` is ``linalg.convex_combination`` as it ran
+before exact input moved to an integer tableau, kept verbatim: Fractions
+throughout.  On exact input the live simplex must return equal values of
+equal types (lam, certificate and objective, including the int 0 objective
+when no artificial is left in the basis); on floats, equal ``repr``.
+``test_polytope`` takes its extreme-point arbiter from it too.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condbang import linalg
-from condbang.linalg import Echelon, nullspace_vector, pivot_step, reduce_support
+from condbang.linalg import (Echelon, convex_combination, nullspace_vector, pivot_step,
+                             reduce_support)
 from condbang.numeric import PIVOT_TOL, Scalar
 
 
@@ -358,3 +367,223 @@ def test_pivot_step_leaves_entries_off_the_support_of_z_as_they_are():
     assert moved == [F(5, 2), F(2, 7), 0, F(5, 3)]
     assert moved[1] is x[1] and moved[3] is x[3]
     assert all(type(v) is Fraction for v in moved)
+
+
+def reference_convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scalar],
+                                 exact: bool, feas_tol: Scalar
+                                 ) -> tuple[list[Scalar] | None, list[Scalar] | None, Scalar]:
+    """Phase-I simplex for: target = sum lam_j * points_j, lam >= 0, sum lam = 1.
+
+    Returns (lam, None, objective) when the residual objective reaches
+    ``feas_tol``, else (None, certificate, objective) where the certificate y
+    satisfies y·(v, 1) <= 0 for every point v and y·(target, 1) = objective.
+    Bland's rule keeps the pivoting finite and deterministic.
+    """
+    dim = len(target)
+    n = len(points)
+    nrows = dim + 1
+    if exact:
+        b = [Fraction(t) for t in target] + [Fraction(1)]
+        cols = [[Fraction(c) for c in pt] + [Fraction(1)] for pt in points]
+        one, zero = Fraction(1), Fraction(0)
+        eps = zero
+    else:
+        b = [float(t) for t in target] + [1.0]
+        cols = [[float(c) for c in pt] + [1.0] for pt in points]
+        one, zero = 1.0, 0.0
+        eps = PIVOT_TOL
+    sign = [one if bi >= 0 else -one for bi in b]
+    # tableau rows, sign-flipped so the artificial basis is the identity:
+    # [var columns | artificial columns | rhs]
+    tab = []
+    for i in range(nrows):
+        row = [sign[i] * cols[j][i] for j in range(n)]
+        row.extend(one if a == i else zero for a in range(nrows))
+        row.append(b[i] * sign[i])
+        tab.append(row)
+    basis = [n + i for i in range(nrows)]
+    dead = [False] * (n + nrows)  # artificials may not re-enter once they leave
+
+    def reduced_cost(j: int) -> Scalar:
+        rc = one if j >= n else zero
+        for i in range(nrows):
+            if basis[i] >= n:
+                rc -= tab[i][j]
+        return rc
+
+    for _ in range(linalg._MAX_SIMPLEX_ITERATIONS):
+        enter = None
+        for j in range(n + nrows):
+            if dead[j] or j in basis:
+                continue
+            if reduced_cost(j) < -eps:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best_ratio = None
+        for i in range(nrows):
+            a = tab[i][enter]
+            if a > eps:
+                ratio = tab[i][-1] / a
+                if best_ratio is None or ratio < best_ratio or \
+                        (ratio == best_ratio and basis[i] < basis[leave]):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            raise RuntimeError("phase-one simplex became unbounded")
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for i in range(nrows):
+            if i == leave:
+                continue
+            f = tab[i][enter]
+            if f == 0:
+                continue
+            row_i, row_l = tab[i], tab[leave]
+            for cc in range(n + nrows + 1):
+                row_i[cc] -= f * row_l[cc]
+        if basis[leave] >= n:
+            dead[basis[leave]] = True
+        basis[leave] = enter
+    else:
+        raise RuntimeError("phase-one simplex exceeded the iteration cap")
+
+    objective = sum(tab[i][-1] for i in range(nrows) if basis[i] >= n)
+    if objective <= feas_tol:
+        lam = [zero] * n
+        for i in range(nrows):
+            if basis[i] < n:
+                v = tab[i][-1]
+                if not exact and v < 0:
+                    v = 0.0
+                lam[basis[i]] = v
+        return lam, None, objective
+    # Farkas certificate from the final multipliers.
+    certificate = []
+    for i in range(nrows):
+        rc_art = reduced_cost(n + i)
+        certificate.append(sign[i] * (one - rc_art))
+    return None, certificate, objective
+
+
+def assert_lp_matches_reference(points, target, exact, feas_tol):
+    """The live simplex against the Fraction one: equal values of equal types
+    on exact input, equal ``repr`` on floats."""
+    got = convex_combination(points, target, exact, feas_tol)
+    want = reference_convex_combination(points, target, exact, feas_tol)
+    if exact:
+        assert got == want
+        assert type(got[2]) is type(want[2])
+        for g, w in zip(got[:2], want[:2]):
+            assert g is None or [type(v) for v in g] == [type(v) for v in w]
+    else:
+        assert same_bits(got, want)
+    return got
+
+
+def test_lp_objective_is_int_zero_with_no_artificial_left():
+    # both rows get a lam column into the basis, so the objective sums nothing
+    got = assert_lp_matches_reference([(F(0),), (F(1),)], (F(1, 2),), True, 0)
+    assert got[0] == [F(1, 2), F(1, 2)] and got[2] == 0 and type(got[2]) is int
+    # here the second pivot's column is zero in the first row, which must be
+    # rescaled all the same
+    assert assert_lp_matches_reference([(1,), (0,)], (F(1, 2),), True, 0)[0] == \
+        [F(1, 2), F(1, 2)]
+    got = assert_lp_matches_reference([(0.0,), (1.0,)], (0.5,), False, 1e-9)
+    assert got[2] == 0 and type(got[2]) is int
+
+
+def test_lp_keeps_an_artificial_at_zero_as_a_fraction():
+    # a target equal to a repeated point: one lam column enters, and the
+    # artificial left in the basis sits at zero
+    got = assert_lp_matches_reference([(F(2), 3), (F(2), 3)], (2, F(3)), True, 0)
+    assert got[2] == 0 and type(got[2]) is Fraction
+
+
+def test_lp_certificate_on_an_outside_target():
+    points = [(F(-1, 3), 2), (F(5, 7), F(-1, 2)), (0, 0)]
+    lam, cert, objective = assert_lp_matches_reference(points, (4, 4), True, F(1, 10))
+    assert lam is None and objective > F(1, 10)
+    assert all(sum(y * c for y, c in zip(cert, list(p) + [1])) <= 0 for p in points)
+    assert sum(y * c for y, c in zip(cert, [4, 4, 1])) == objective
+
+
+def test_lp_denominators_near_two_to_the_64():
+    rng = random.Random(65)
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        points = [tuple(F(rng.randint(-BIG, BIG), BIG - rng.randint(0, 1000))
+                        for _ in range(dim)) for _ in range(rng.randint(1, 8))]
+        w = [rng.randint(0, 3) for _ in points]
+        if rng.random() < 0.5 and sum(w):
+            target = tuple(sum(F(wi, sum(w)) * p[j] for wi, p in zip(w, points))
+                           for j in range(dim))
+        else:
+            target = tuple(F(rng.randint(-BIG, BIG), BIG + rng.randint(0, 1000))
+                           for _ in range(dim))
+        assert_lp_matches_reference(points, target, True, rng.choice((0, F(1, BIG))))
+
+
+_lp_exact = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(lambda a, b: F(a, BIG - b), st.integers(-BIG, BIG), st.integers(0, 1000)),
+)
+_lp_float = st.one_of(st.integers(-4, 4).map(float),
+                      st.floats(-4, 4, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def lp_cases(draw, exact):
+    """1-14 points in dims 1-4 on an affine flat of any dimension (so
+    collinear and coplanar sets come up), with repeats, and a target inside
+    their hull, on a face of it (a combination of the points maximizing a
+    random direction), beyond that face, or anywhere."""
+    entry = _lp_exact if exact else _lp_float
+    dim = draw(st.integers(1, 4))
+    flat = draw(st.integers(0, dim))
+    base = [draw(entry) for _ in range(dim)]
+    dirs = [[draw(entry) for _ in range(dim)] for _ in range(flat)]
+    points = []
+    for _ in range(draw(st.integers(1, 14))):
+        if points and draw(st.integers(0, 4)) == 0:
+            points.append(points[draw(st.integers(0, len(points) - 1))])
+            continue
+        cs = [draw(st.integers(-3, 3)) for _ in range(flat)]
+        points.append(tuple(base[j] + sum(c * d[j] for c, d in zip(cs, dirs))
+                            for j in range(dim)))
+    kind = draw(st.sampled_from(("inside", "face", "beyond", "anywhere")))
+    y = [draw(st.integers(-2, 2)) for _ in range(dim)]
+    if kind == "inside":
+        chosen = points
+    else:
+        top = max(sum(a * c for a, c in zip(y, p)) for p in points)
+        chosen = [p for p in points if sum(a * c for a, c in zip(y, p)) == top]
+    w = [draw(st.integers(1, 4)) for _ in chosen]
+    share = [F(wi, sum(w)) if exact else wi / sum(w) for wi in w]
+    target = [sum(s * p[j] for s, p in zip(share, chosen)) for j in range(dim)]
+    if kind == "beyond":
+        target = [t + draw(st.integers(1, 3)) * a for t, a in zip(target, y)]
+    elif kind == "anywhere":
+        target = [draw(entry) for _ in range(dim)]
+    if exact:
+        feas_tol = draw(st.sampled_from((0, F(0), F(1, 10 ** 9), F(1, 3))))
+    else:
+        feas_tol = draw(st.sampled_from((0.0, 1e-9)))
+    return points, tuple(target), feas_tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(lp_cases(exact=True))
+def test_exact_lp_matches_the_fraction_simplex(case):
+    points, target, feas_tol = case
+    assert_lp_matches_reference(points, target, True, feas_tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_cases(exact=False))
+def test_float_lp_matches_the_reference_bit_for_bit(case):
+    points, target, feas_tol = case
+    assert_lp_matches_reference(points, target, False, feas_tol)

@@ -12,13 +12,14 @@ from condbang import (HullMembershipError, Mode, build_grid, caratheodory_decomp
                       decompose_selection, extreme_point_indices,
                       polytope_map, simple_function)
 from condbang import polytope
-from condbang.linalg import convex_combination
 from condbang.numeric import resolve_tol
 from condbang.polytope import _dedupe, _points_exact
 
 from gen import interior_selection, random_grid, random_polytopes
+from test_linalg import reference_convex_combination
 
 TOL = 1e-9
+BIG = 2 ** 64
 
 
 def hull_feasible_lp(point, vertices):
@@ -186,7 +187,9 @@ def test_decompose_selection_names_failing_cell():
 
 def reference_extreme_point_indices(points, tol=None):
     """The filter as it was before its separating-direction shortcut: one
-    Phase-I LP per distinct point, kept verbatim as the arbiter."""
+    Phase-I LP per distinct point, kept verbatim as the arbiter, except that
+    the LP is the Fraction simplex of ``test_linalg`` rather than the live
+    one, so the arbiter shares no code with the filter it judges."""
     pts = [tuple(p) for p in points]
     if not pts:
         raise ValueError("empty point set")
@@ -198,7 +201,7 @@ def reference_extreme_point_indices(points, tol=None):
     out = []
     for i, p in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        lam, _, _ = convex_combination(others, p, exact, tol)
+        lam, _, _ = reference_convex_combination(others, p, exact, tol)
         if lam is None:
             out.append(idx[i])
     return out
@@ -266,6 +269,63 @@ def test_extreme_point_indices_agree_near_the_tolerance(exact, factor):
                 pts = [tuple(c * scale for c in p) for p in square + [probe]]
                 assert extreme_point_indices(pts, tol) == \
                     reference_extreme_point_indices(pts, tol), (scale, inward, probe)
+
+
+def test_exact_bound_on_integers_agrees_near_a_face():
+    # exact vertices with unrelated denominators up to 2**64 (ints mixed in)
+    # below the face x_last = 0, which holds a and b, and probes k tolerances
+    # off the face's midpoint for k = 0..10 on either side; with the midpoint
+    # at the origin, ||d||_inf outweighs |m| in the separation bound
+    rng = random.Random(2 ** 64)
+    for _ in range(24):
+        dim = rng.randint(1, 3)
+
+        def coord():
+            return rng.choice((Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG)),
+                               rng.randint(-3, 3)))
+
+        a = tuple(coord() for _ in range(dim - 1)) + (0,)
+        b = tuple(-c for c in a[:-1]) + (0,)
+        below = [tuple(coord() for _ in range(dim - 1)) + (-abs(coord()) - 1,)
+                 for _ in range(rng.randint(1, 5))]
+        tol = rng.choice((Fraction(1, 10 ** 9), Fraction(3, BIG - 1), Fraction(1, 7)))
+        for k in range(11):
+            for side in (-1, 1):
+                probe = tuple(0 for _ in range(dim - 1)) + (side * k * tol,)
+                case = [a, b] + below + [probe]
+                assert extreme_point_indices(case, tol) == \
+                    reference_extreme_point_indices(case, tol), (case, tol)
+
+
+def test_exact_points_under_a_float_tol_keep_the_unscaled_bound():
+    # the lcm of these denominators squared is far beyond the float range, so
+    # a float tol must not meet the integer-scaled products
+    rng = random.Random(9)
+    for dim in (1, 2, 3):
+        pts = [tuple(Fraction(rng.randint(-BIG, BIG), BIG - rng.randint(0, 10 ** 6))
+                     for _ in range(dim)) for _ in range(8)]
+        pts.append(tuple((x + y) / 2 for x, y in zip(pts[0], pts[1])))
+        for tol in (1e-9, 0.25):
+            assert extreme_point_indices(pts, tol) == reference_extreme_point_indices(pts, tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exact_bound_on_integers_agrees_with_mixed_denominators(data):
+    dim = data.draw(st.integers(1, 3))
+    entry = st.one_of(st.integers(-5, 5),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=30),
+                      st.builds(lambda a, b: Fraction(a, BIG - b),
+                                st.integers(-BIG, BIG), st.integers(0, 1000)))
+    pts = [tuple(data.draw(entry) for _ in range(dim))
+           for _ in range(data.draw(st.integers(1, 9)))]
+    # a float tol on exact points keeps the unscaled test
+    tol = data.draw(st.sampled_from((Fraction(0), Fraction(1, 10 ** 9), Fraction(1, 3), 1e-9)))
+    if len(pts) > 1:
+        a, b = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
+        k = data.draw(st.integers(-10, 10))
+        pts.append(tuple((x + y) / 2 + k * tol for x, y in zip(a, b)))
+    assert extreme_point_indices(pts, tol) == reference_extreme_point_indices(pts, tol)
 
 
 def count_calls(monkeypatch, name):
