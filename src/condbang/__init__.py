@@ -15,7 +15,7 @@ from .condexp import (SimpleFunction, BlockFunction, simple_function,
                       integrate_against, lift_to_cells, lift_function, indicator,
                       sf_add, sf_scale, sf_mul, sf_stack, bf_add, bf_sub)
 from .polytope import (PolytopeMap, CaratheodoryDecomposition, HullMembershipError,
-                       polytope_map, extreme_point_indices,
+                       NoExtremePointError, polytope_map, extreme_point_indices,
                        caratheodory_decompose, decompose_selection)
 from .lyapunov import (PartitionResult, HalfSetResult, AnnihilatorWitness,
                        lyapunov_partition, partition_with_moments, half_set,

@@ -27,7 +27,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import __version__
 from .condexp import BlockFunction, SimpleFunction, bf_sub, cond_exp, ce_measure
@@ -39,9 +39,9 @@ from .documents import (ProblemDocument, SchemaError, canonical_dumps,
                         parse_number, parse_polytopes, parse_problem,
                         parse_refined_set, parse_simple_function,
                         parse_young_measure)
-from .linalg import convex_combination
+from .linalg import convex_combinations
 from .lyapunov import annihilator_witness, half_set, lyapunov_partition, witness_block_integrals
-from .numeric import Scalar, all_exact
+from .numeric import Scalar
 from .oracle import direct_integrate, direct_mixture_payoff, direct_payoff
 from .purify import (IntegrandFamily, PureStrategy, density_step, purify,
                      stack_integrands)
@@ -339,21 +339,15 @@ def _run_bang_bang(p: ProblemDocument, inputs):
     return outputs, residuals, rep.residual_bound
 
 
-def _matches_extreme_vertex(point: tuple, distinct: list, exact: bool, tol: Scalar) -> bool:
-    """Whether the value is, within tol, one of the cell's distinct vertices
-    that lies outside the hull of the others.
-
-    Each matching vertex gets its own Phase-I LP against the others, in the
-    exact regime iff every vertex coordinate is exact: the filter's rule,
-    but at this call site and without its shortcut, so ``verify`` does not
-    rest on the solver's extreme-point code.
-    """
-    for j, vert in enumerate(distinct):
-        if all(abs(a - b) <= tol for a, b in zip(point, vert)):
-            others = distinct[:j] + distinct[j + 1:]
-            if not others or convex_combination(others, vert, exact, tol)[0] is None:
-                return True
-    return False
+def _extremeness_lps(tests: dict[tuple[int, tuple], list[int]],
+                     cells: dict[int, list]) -> Iterator[tuple[list, tuple]]:
+    """The Phase-I LP of each matching vertex against the cell's other
+    distinct vertices, test by test, built as they are read."""
+    for (k, _), matches in tests.items():
+        distinct = cells[k]
+        if len(distinct) > 1:
+            for j in matches:
+                yield distinct[:j] + distinct[j + 1:], distinct[j]
 
 
 def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
@@ -367,20 +361,31 @@ def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> Non
         chk.fail("pieces and branch values disagree")
         return
     _pieces_partition_space(chk, pieces, p.grid)
-    # each distinct (cell, value) pair is tested once
-    cells: dict[int, tuple[list, bool]] = {}
-    extreme: dict[tuple[int, tuple], bool] = {}
+    # A value on a piece of positive mass must be, within tol, one of its
+    # cell's distinct vertices that lies outside the hull of the others: the
+    # filter's rule, run here as one Phase-I LP per matching vertex, without
+    # the filter's shortcut, so verify does not rest on the solver's
+    # extreme-point code.  Each distinct (cell, value) pair is tested once,
+    # and every LP runs in one batch before any verdict is read.
+    cells: dict[int, list] = {}
+    tests: dict[tuple[int, tuple], list[int]] = {}  # the distinct vertices within tol
     for i, piece in enumerate(pieces):
         for k in range(p.grid.cell_count):
-            if piece.masses[k] <= 0:
-                continue
             key = (k, values[i].values[k])
-            if key not in extreme:
+            if piece.masses[k] > 0 and key not in tests:
                 if k not in cells:
-                    distinct = list(dict.fromkeys(tuple(v) for v in T.vertices[k]))
-                    cells[k] = (distinct, all(all_exact(v) for v in distinct))
-                extreme[key] = _matches_extreme_vertex(key[1], *cells[k], chk.tol)
-            if not extreme[key]:
+                    cells[k] = list(dict.fromkeys(tuple(v) for v in T.vertices[k]))
+                tests[key] = [j for j, vert in enumerate(cells[k])
+                              if all(abs(a - b) <= chk.tol for a, b in zip(key[1], vert))]
+    results = iter(convex_combinations(_extremeness_lps(tests, cells), p.exact, chk.tol))
+    # a list, not a generator, so every result of the test is read; a match
+    # with no other vertex has no LP and is extreme
+    extreme = {key: bool(matches) and (len(cells[key[0]]) == 1 or
+                                       any([next(results)[0] is None for _ in matches]))
+               for key, matches in tests.items()}
+    for i, piece in enumerate(pieces):
+        for k in range(p.grid.cell_count):
+            if piece.masses[k] > 0 and not extreme[k, values[i].values[k]]:
                 chk.fail(f"cell {k}: branch {i} value is not an extreme point")
                 return
     lhs = direct_integrate(ExtremeSelection(pieces=tuple(pieces), values=tuple(values)),

@@ -142,6 +142,22 @@ def test_exit_code_contract_on_error_corpus(tmp_path):
         == EXIT_PRECONDITION
 
 
+def test_a_point_set_too_small_for_the_tolerance_is_a_precondition_failure(tmp_path, capsys):
+    # five planar points within 1e-10 of the origin: at tolerance 1e-9 each is
+    # inside the hull of the others, which no longer reads as "outside the hull"
+    rng = random.Random(3)
+    tiny = [[rng.uniform(-1, 1) * 1e-10 for _ in range(2)] for _ in range(5)]
+    doc = write_doc(tmp_path, "tiny.json", {
+        "space": {"weights": [0.5, 0.5], "mode": "splittable"},
+        "payload": {"points": {"dim": 2, "vertices": [[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                                      tiny]},
+                    "selection": {"dim": 2, "values": [[0.25, 0.25], tiny[0]]}}})
+    assert main(["pointset-bang-bang", str(doc), "-o", "/dev/null"]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert "at cell 1 is extreme at tolerance 1e-09" in err
+    assert "convex hull" not in err
+
+
 def test_mode_and_tol_flags(tmp_path):
     rng = random.Random(241)
     doc = make_problem(rng, "coarseness", mode="splittable")
@@ -274,16 +290,16 @@ def test_seed_is_neither_a_flag_nor_a_report_parameter(tmp_path):
     assert exit_info.value.code == EXIT_SCHEMA
 
 
-def _pointset_with_interior_points(exact):
-    """Three cells, each a square with one interior point; shifted apart so
-    no cell shares a point with another."""
+def _pointset_with_interior_points(exact, count=3):
+    """``count`` cells, each a square with one interior point; shifted apart
+    so no cell shares a point with another."""
     enc = (lambda x: {"num": Fraction(x).numerator, "den": Fraction(x).denominator}) \
         if exact else float
     cells = [[(10 * k, 0), (10 * k + 4, 0), (10 * k, 4), (10 * k + 4, 4), (10 * k + 1, 1)]
-             for k in range(3)]
-    selection = [(10 * k + Fraction(3, 2), Fraction(5, 2)) for k in range(3)]
-    doc = {"space": {"weights": [enc(w) for w in (1, 2, 3)], "mode": "splittable"},
-           "partition": {"blocks": [0, 0, 1]},
+             for k in range(count)]
+    selection = [(10 * k + Fraction(3, 2), Fraction(5, 2)) for k in range(count)]
+    doc = {"space": {"weights": [enc(1 + k % 3) for k in range(count)], "mode": "splittable"},
+           "partition": {"blocks": [2 * k // count for k in range(count)]},
            "payload": {"points": {"dim": 2, "vertices": [[[enc(c) for c in pt] for pt in cell]
                                                          for cell in cells]},
                        "selection": {"dim": 2, "values": [[enc(c) for c in pt]
@@ -295,19 +311,24 @@ def _pointset_with_interior_points(exact):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_verify_rejects_a_branch_value_that_is_not_an_extreme_point(exact):
-    doc, cells, enc = _pointset_with_interior_points(exact)
-    report = json.loads(canonical_dumps(run("pointset-bang-bang", parse_problem(doc))))
-    assert verify_report(doc, report) == []
+    # 80 cells take verify's float LPs past the crossover into lockstep batches
+    for count in (3, 80):
+        doc, cells, enc = _pointset_with_interior_points(exact, count)
+        report = json.loads(canonical_dumps(run("pointset-bang-bang", parse_problem(doc))))
+        assert verify_report(doc, report) == []
 
-    def positive(mass):
-        return (mass["num"] if isinstance(mass, dict) else mass) > 0
+        def positive(mass):
+            return (mass["num"] if isinstance(mass, dict) else mass) > 0
 
-    touched = [i for i, piece in enumerate(report["outputs"]["pieces"])
-               if any(k == 0 and positive(mass) for k, _, mass in piece["triples"])]
-    assert touched
-    interior, other_cells_vertex = cells[0][4], cells[1][0]
-    for value in (interior, other_cells_vertex):
-        bad = copy.deepcopy(report)
-        bad["outputs"]["branch_values"][touched[0]]["values"][0] = [enc(c) for c in value]
-        violations = verify_report(doc, bad)
-        assert any("not an extreme point" in v for v in violations), (value, violations)
+        touched = [i for i, piece in enumerate(report["outputs"]["pieces"])
+                   if any(k == 0 and positive(mass) for k, _, mass in piece["triples"])]
+        assert touched
+        interior, other_cells_vertex = cells[0][4], cells[1][0]
+        for value in (interior, other_cells_vertex):
+            bad = copy.deepcopy(report)
+            bad["outputs"]["branch_values"][touched[0]]["values"][0] = [enc(c) for c in value]
+            # the last cell too, which the first failure must not name
+            bad["outputs"]["branch_values"][touched[0]]["values"][-1] = [enc(c) for c in value]
+            violations = [v for v in verify_report(doc, bad) if "not an extreme point" in v]
+            assert violations == [f"cell 0: branch {touched[0]} value is not an extreme point"], \
+                (count, value, violations)

@@ -17,7 +17,9 @@ before exact input moved to an integer tableau, kept verbatim: Fractions
 throughout.  On exact input the live simplex must return equal values of
 equal types (lam, certificate and objective, including the int 0 objective
 when no artificial is left in the basis); on floats, equal ``repr``.
-``test_polytope`` takes its extreme-point arbiter from it too.
+``test_polytope`` takes its extreme-point arbiter from it too.  Every result
+of ``convex_combinations`` on floats, batched in lockstep or not, must equal
+it by ``repr`` as well.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condbang import linalg
-from condbang.linalg import (Echelon, convex_combination, nullspace_vector, pivot_step,
-                             reduce_support)
+from condbang.linalg import (Echelon, convex_combination, convex_combinations,
+                             nullspace_vector, pivot_step, reduce_support)
 from condbang.numeric import PIVOT_TOL, Scalar
 
 
@@ -587,3 +589,146 @@ def test_exact_lp_matches_the_fraction_simplex(case):
 def test_float_lp_matches_the_reference_bit_for_bit(case):
     points, target, feas_tol = case
     assert_lp_matches_reference(points, target, False, feas_tol)
+
+
+CROSSOVER, CHUNK = linalg._LOCKSTEP_CROSSOVER, linalg._LOCKSTEP_CHUNK
+
+
+def assert_batch_matches_reference(problems, feas_tol):
+    """``convex_combinations`` on floats against the reference, by ``repr``."""
+    got = convex_combinations(problems, False, feas_tol)
+    assert len(got) == len(problems)
+    for (points, target), result in zip(problems, got):
+        assert same_bits(result, reference_convex_combination(points, target, False, feas_tol)), \
+            (points, target)
+    return got
+
+
+def in_a_batch(points, target, feas_tol):
+    """The LP's result from a group of its shape above the crossover, the
+    rest of the group being the LP with its points rotated."""
+    n = len(points)
+    problems = [(points[k % n:] + points[:k % n], target) for k in range(CROSSOVER)]
+    return assert_batch_matches_reference(problems, feas_tol)[0]
+
+
+def _coordinate_as(rng: random.Random, v: float) -> Scalar:
+    """v as a float, an int, an exact Fraction, or a nearby Fraction that
+    does not round to a short float."""
+    kind = rng.randrange(4)
+    if kind == 1 and v.is_integer():
+        return int(v)
+    if kind == 2:
+        return F(v)
+    if kind == 3:
+        return F(round(v * 3), 3)
+    return v
+
+
+@st.composite
+def lp_batches(draw):
+    """Float LPs of one to three shapes, interleaved.  Each shape's group
+    varies one ``lp_cases`` draw (points rotated, the target kept, moved to a
+    point, a midpoint or anywhere, coordinates made ints and Fractions), and
+    holds one LP, just below the crossover, at it, between it and a chunk,
+    or more than a chunk."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = random.Random(seed)
+    problems = []
+    for _ in range(draw(st.integers(1, 3))):
+        points, target, _ = draw(lp_cases(exact=False))
+        n = len(points)
+        for _ in range(draw(st.sampled_from((1, CROSSOVER - 1, CROSSOVER, 70, CHUNK + 5)))):
+            k = rng.randrange(n)
+            pts = points[k:] + points[:k]
+            kind = rng.randrange(4)
+            if kind == 1:
+                tgt = rng.choice(pts)
+            elif kind == 2:
+                a, b = rng.choice(pts), rng.choice(pts)
+                tgt = tuple((x + y) / 2 for x, y in zip(a, b))
+            elif kind == 3:
+                tgt = tuple(rng.choice((-1.0, 1.0)) * rng.uniform(0, 4) for _ in target)
+            else:
+                tgt = target
+            if rng.random() < 0.3:
+                pts = [tuple(_coordinate_as(rng, c) for c in p) for p in pts]
+                tgt = tuple(_coordinate_as(rng, c) for c in tgt)
+            problems.append((pts, tgt))
+    rng.shuffle(problems)
+    return problems, draw(st.sampled_from((0.0, 1e-9)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lp_batches())
+def test_batched_float_lps_match_the_reference_bit_for_bit(case):
+    problems, feas_tol = case
+    assert_batch_matches_reference(problems, feas_tol)
+
+
+def test_only_groups_from_the_crossover_on_run_in_lockstep():
+    small = [([(float(i),), (1.0,)], (0.5,)) for i in range(CROSSOVER - 1)]
+    large = [([(float(i), 0.0), (0.0, 1.0)], (0.25, 0.25)) for i in range(CHUNK + 1)]
+    with mock.patch.object(linalg, "convex_combination", wraps=convex_combination) as scalar:
+        assert_batch_matches_reference(small + large, 1e-9)
+    # the small group, and the large group's remainder after one chunk
+    assert scalar.call_count == len(small) + 1
+
+
+def test_exact_problems_run_the_integer_simplex_one_at_a_time():
+    problems = [([(F(1, 3), 2), (0, F(-1, 2))], (F(1, 6), F(3, 4)))] * CROSSOVER
+    got = convex_combinations(problems, True, 0)
+    assert got == [convex_combination(points, target, True, 0) for points, target in problems]
+    assert all(type(v) is Fraction for v in got[0][0])
+
+
+def test_batched_lp_breaks_a_ratio_tie_by_the_smaller_basis_index():
+    # the first pivot ties both rows at ratio 1: row 0, whose artificial has
+    # the smaller index, leaves, and the objective sums no artificial
+    got = in_a_batch([(1.0,), (-0.5,), (0.0,)], (1.0,), 1e-9)
+    assert got == ([1.0, 0.0, 0.0], None, 0) and type(got[2]) is int
+    # the second pivot ties row 0 (an artificial, index 2) with row 1 (point
+    # 0): point 0 leaves, and the artificial stays in the basis at 0.0
+    got = in_a_batch([(-1.0,), (-2.0,)], (-2.0,), 1e-9)
+    assert got == ([0.0, 1.0], None, 0.0) and type(got[2]) is float
+
+
+def test_batched_lp_leaves_a_zero_factor_row_alone():
+    # the target's -0.0 rows hold -0.0 where a pivot's factor is zero; an
+    # update there would leave 0.0
+    lam, _, _ = in_a_batch([(0.0, 1.0), (0.0, 0.0), (1.0, -1.0)], (-0.0, -0.0), 0.0)
+    assert repr(lam) == "[-0.0, 1.0, -0.0]"
+
+
+def test_batched_lp_flips_the_rows_of_negative_target_coordinates():
+    lam, _, _ = in_a_batch([(-3.0, 1.0), (-1.0, -2.0), (0.0, 2.0)], (-1.0, 0.25), 1e-9)
+    assert lam is not None and abs(sum(lam) - 1) < 1e-12
+
+
+def test_batched_lp_objective_is_int_zero_with_no_artificial_left():
+    got = in_a_batch([(0.0,), (1.0,)], (0.5,), 1e-9)
+    assert got == ([0.5, 0.5], None, 0) and type(got[2]) is int
+
+
+def test_batched_lp_certificate_on_an_outside_target():
+    points = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    lam, cert, objective = in_a_batch(points, (2.0, 2.0), 1e-9)
+    assert lam is None and objective > 1e-9
+    assert all(sum(y * c for y, c in zip(cert, list(p) + [1.0])) <= 1e-12 for p in points)
+
+
+def test_batched_lp_with_duplicate_points():
+    lam, _, _ = in_a_batch([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                           (0.25, 0.25), 1e-9)
+    assert lam is not None
+
+
+@pytest.mark.parametrize("target", [(1.0, 2.0), (1.0, 2.5)])
+def test_batched_lp_with_one_point(target):
+    lam, cert, _ = in_a_batch([(1.0, 2.0)], target, 1e-9)
+    assert (lam is None) == (target != (1.0, 2.0))
+
+
+def test_batched_lp_converts_int_and_fraction_coordinates():
+    in_a_batch([(1, F(1, 3)), (F(-2, 7), 0.5), (0, 2)], (F(1, 10), 1), 1e-9)
+    in_a_batch([(1, F(1, 3)), (F(-2, 7), 0.5), (0, 2)], (F(5, 1), -1), 1e-9)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from condbang import (HullMembershipError, Mode, build_grid, caratheodory_decompose,
-                      decompose_selection, extreme_point_indices,
+from condbang import (HullMembershipError, Mode, NoExtremePointError, build_grid,
+                      caratheodory_decompose, decompose_selection, extreme_point_indices,
                       polytope_map, simple_function)
 from condbang import polytope
 from condbang.numeric import resolve_tol
@@ -207,6 +207,18 @@ def reference_extreme_point_indices(points, tol=None):
     return out
 
 
+def assert_filter_agrees(pts, tol=None, note=None):
+    """The filter against the LP loop, which returns [] where the filter
+    raises: a nonempty set has an extreme point, so none coming out within
+    ``tol`` means the set is too small for ``tol``."""
+    want = reference_extreme_point_indices(pts, tol)
+    if want:
+        assert extreme_point_indices(pts, tol) == want, note
+    else:
+        with pytest.raises(NoExtremePointError):
+            extreme_point_indices(pts, tol)
+
+
 @st.composite
 def point_sets(draw, exact):
     """1-14 points in dims 1-4, spanning an affine flat of any dimension up to
@@ -244,13 +256,13 @@ def point_sets(draw, exact):
 @settings(max_examples=300, deadline=None)
 @given(point_sets(exact=False))
 def test_extreme_point_indices_agree_with_the_lp_loop_on_floats(pts):
-    assert extreme_point_indices(pts) == reference_extreme_point_indices(pts)
+    assert_filter_agrees(pts)
 
 
 @settings(max_examples=150, deadline=None)
 @given(point_sets(exact=True))
 def test_extreme_point_indices_agree_with_the_lp_loop_exactly(pts):
-    assert extreme_point_indices(pts) == reference_extreme_point_indices(pts)
+    assert_filter_agrees(pts)
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -267,8 +279,7 @@ def test_extreme_point_indices_agree_near_the_tolerance(exact, factor):
             for probe in ((num(1) + off, num(1) / 2),
                           (num(1) + off, num(1) + off)):
                 pts = [tuple(c * scale for c in p) for p in square + [probe]]
-                assert extreme_point_indices(pts, tol) == \
-                    reference_extreme_point_indices(pts, tol), (scale, inward, probe)
+                assert_filter_agrees(pts, tol, (scale, inward, probe))
 
 
 def test_exact_bound_on_integers_agrees_near_a_face():
@@ -293,8 +304,7 @@ def test_exact_bound_on_integers_agrees_near_a_face():
             for side in (-1, 1):
                 probe = tuple(0 for _ in range(dim - 1)) + (side * k * tol,)
                 case = [a, b] + below + [probe]
-                assert extreme_point_indices(case, tol) == \
-                    reference_extreme_point_indices(case, tol), (case, tol)
+                assert_filter_agrees(case, tol, (case, tol))
 
 
 def test_exact_points_under_a_float_tol_keep_the_unscaled_bound():
@@ -306,7 +316,7 @@ def test_exact_points_under_a_float_tol_keep_the_unscaled_bound():
                      for _ in range(dim)) for _ in range(8)]
         pts.append(tuple((x + y) / 2 for x, y in zip(pts[0], pts[1])))
         for tol in (1e-9, 0.25):
-            assert extreme_point_indices(pts, tol) == reference_extreme_point_indices(pts, tol)
+            assert_filter_agrees(pts, tol)
 
 
 @settings(max_examples=100, deadline=None)
@@ -325,24 +335,41 @@ def test_exact_bound_on_integers_agrees_with_mixed_denominators(data):
         a, b = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
         k = data.draw(st.integers(-10, 10))
         pts.append(tuple((x + y) / 2 + k * tol for x, y in zip(a, b)))
-    assert extreme_point_indices(pts, tol) == reference_extreme_point_indices(pts, tol)
+    assert_filter_agrees(pts, tol)
 
 
-def count_calls(monkeypatch, name):
-    calls = []
-    original = getattr(polytope, name)
+def count_plans(monkeypatch):
+    """Every extreme-point filter plan made while the patch holds."""
+    plans = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    class Counted(polytope._FilterPlan):
+        __slots__ = ()
 
-    monkeypatch.setattr(polytope, name, counted)
-    return calls
+        def __init__(self, *args):
+            super().__init__(*args)
+            plans.append(self)
+
+    monkeypatch.setattr(polytope, "_FilterPlan", Counted)
+    return plans
+
+
+def count_lps(monkeypatch):
+    """Every LP polytope submits to ``convex_combinations`` while the patch holds."""
+    lps = []
+    original = polytope.convex_combinations
+
+    def counted(problems, exact, feas_tol):
+        problems = list(problems)
+        lps.extend(problems)
+        return original(problems, exact, feas_tol)
+
+    monkeypatch.setattr(polytope, "convex_combinations", counted)
+    return lps
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_simplices_and_regular_polygons_need_no_lp(monkeypatch, exact):
-    lps = count_calls(monkeypatch, "convex_combination")
+    lps = count_lps(monkeypatch)
     num = Fraction if exact else float
     for dim in range(1, 5):
         simplex = [tuple(num(0) for _ in range(dim))]
@@ -367,10 +394,52 @@ def test_decompose_selection_filters_each_distinct_vertex_set_once(monkeypatch):
     s = interior_selection(rng, T)
     expected = [caratheodory_decompose(s.values[k], T.vertices[k], tol=TOL)
                 for k in range(len(cells))]
-    filters = count_calls(monkeypatch, "extreme_point_indices")
+    # the points the separation bound leaves to an LP, per distinct set
+    unsettled = sum(len(polytope._FilterPlan(shape, TOL).pending)
+                    for shape in {tuple(c) for c in cells})
+    plans = count_plans(monkeypatch)
+    lps = count_lps(monkeypatch)
     dec = decompose_selection(T, s, g)
-    assert len(filters) == len({tuple(c) for c in cells}) < len(cells)
+    assert len(plans) == len({tuple(c) for c in cells}) < len(cells)
+    # those points' LPs, then one decomposition LP per cell
+    assert len(lps) == unsettled + len(cells)
     for k, (w, sup) in enumerate(expected):
         pad = dec.branch_count - len(sup)
         assert dec.weights[k] == tuple(w) + (0.0,) * pad
         assert dec.points[k] == tuple(T.vertices[k][i] for i in sup + [sup[0]] * pad)
+
+
+def _too_small_for_the_tolerance():
+    """Five random planar points within 1e-10 of the origin."""
+    rng = random.Random(3)
+    return [tuple(rng.uniform(-1, 1) * 1e-10 for _ in range(2)) for _ in range(5)]
+
+
+def test_a_set_too_small_for_the_tolerance_raises_rather_than_returning_no_point():
+    pts = _too_small_for_the_tolerance()
+    # every point is within tol of the hull of the others
+    assert reference_extreme_point_indices(pts) == []
+    with pytest.raises(NoExtremePointError, match="tolerance 1e-09") as info:
+        extreme_point_indices(pts)
+    assert not isinstance(info.value, HullMembershipError)
+    with pytest.raises(NoExtremePointError):
+        caratheodory_decompose(pts[0], pts)
+
+
+def test_decompose_selection_raises_the_first_failing_cell():
+    square = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    tiny = _too_small_for_the_tolerance()
+    g = random_grid(random.Random(5), 4, Mode.SPLITTABLE)
+    T = polytope_map([square, square, tiny, square])
+    inside = simple_function([(0.5, 0.5), (0.25, 0.5), tiny[0], (0.5, 0.5)])
+    with pytest.raises(NoExtremePointError, match="at cell 2") as info:
+        decompose_selection(T, inside, g)
+    assert info.value.cell == 2
+    # a cell before it outside its hull is raised first, one after it is not
+    for k, cell in ((1, 1), (3, 2)):
+        values = list(inside.values)
+        values[k] = (2.0, 2.0)
+        err = HullMembershipError if cell == k else NoExtremePointError
+        with pytest.raises(err) as info:
+            decompose_selection(T, simple_function(values), g)
+        assert info.value.cell == cell
