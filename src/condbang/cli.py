@@ -15,6 +15,8 @@ the command name, which picks the payload key of the vertex sets and whether
 ``density_step`` runs.  ``verify`` compares at ``--tol`` when given, else at
 the problem document's tolerance, never at the tolerance a report states
 about itself, and reads mode, regime and ``diagonal_only`` from the report.
+A non-finite number in either document, or a tolerance that is not a finite
+nonnegative number, is a schema error.
 
 Exit codes: 0 success, 2 schema error, 3 mathematical precondition failure,
 4 verification failure.
@@ -95,25 +97,41 @@ class _Check:
             self.fail(f"{what} {recomputed!r} exceeds the certified bound {bound!r}")
 
 
+def _spans_tile_cell(chk: _Check, k: int, spans: list[tuple[Scalar, Scalar]], grid: Grid,
+                     what: str) -> None:
+    """The (offset, mass) spans of cell k tile it: masses nonnegative and
+    summing to the cell weight, intervals inside the cell and disjoint, and
+    on atomic grids each span of mass above tol the whole cell."""
+    w, tol = grid.weights[k], chk.tol
+    total = sum(m for _, m in spans)
+    if abs(total - w) > tol:
+        chk.fail(f"cell {k}: {what} masses sum to {total!r}, not the cell weight")
+    live = []
+    for span in spans:
+        if span[1] > 0:
+            live.append(span)
+        elif span[1] < 0:
+            chk.fail(f"cell {k}: a {what} carries negative mass {span[1]!r}")
+            return
+    live.sort()
+    end = None  # where the spans so far end
+    for off, m in live:
+        if off < (-tol if end is None else end - tol):
+            chk.fail(f"cell {k}: {what} interval at {off!r} " +
+                     ("leaves the cell" if end is None else f"overlaps one ending at {end!r}"))
+            return
+        if grid.mode is Mode.ATOMIC and m > tol and abs(m - w) > tol:
+            chk.fail(f"cell {k}: atomic {what} carries fractional mass {m!r}")
+            return
+        end = off + m
+    if end is not None and end > w + tol:
+        chk.fail(f"cell {k}: {what} interval ending at {end!r} leaves the cell")
+
+
 def _pieces_partition_space(chk: _Check, pieces, grid: Grid) -> None:
     for k in range(grid.cell_count):
-        total = sum(piece.masses[k] for piece in pieces)
-        if abs(total - grid.weights[k]) > chk.tol:
-            chk.fail(f"cell {k}: piece masses sum to {total!r}, not the cell weight")
-        spans = sorted((piece.offsets[k], piece.masses[k])
-                       for piece in pieces if piece.masses[k] > 0)
-        cursor = None
-        for off, m in spans:
-            if cursor is not None and off < cursor - chk.tol:
-                chk.fail(f"cell {k}: overlapping piece intervals")
-                break
-            cursor = off + m
-        if grid.mode is Mode.ATOMIC:
-            for piece in pieces:
-                m = piece.masses[k]
-                if m > chk.tol and abs(m - grid.weights[k]) > chk.tol:
-                    chk.fail(f"cell {k}: atomic piece carries fractional mass {m!r}")
-                    break
+        _spans_tile_cell(chk, k, [(piece.offsets[k], piece.masses[k]) for piece in pieces],
+                         grid, "piece")
 
 
 def _contained(chk: _Check, inner: RefinedSet, outer: RefinedSet, grid: Grid,
@@ -461,9 +479,7 @@ def _verify_purify(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
         per_cell[k].append((parse_number(row[1], p.exact, "chunk offset"),
                             parse_number(row[2], p.exact, "chunk mass"), a))
     for k, chunks in enumerate(per_cell):
-        total = sum(m for _, m, _ in chunks)
-        if abs(total - p.grid.weights[k]) > chk.tol:
-            chk.fail(f"cell {k}: chunks carry mass {total!r}, not the cell weight")
+        _spans_tile_cell(chk, k, [(off, m) for off, m, _ in chunks], p.grid, "chunk")
         for _, m, a in chunks:
             if m > chk.tol and not delta.rows[k][a] > 0:
                 chk.fail(f"cell {k}: chosen action {a} has zero mixture weight")

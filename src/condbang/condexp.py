@@ -152,16 +152,10 @@ def weighted_ce_measure(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
 
 def integrate_against(g: SimpleFunction, f: SimpleFunction, E: RefinedSet,
                       C: BlockPartition, grid: Grid) -> BlockFunction:
-    """Integral of a bounded scalar g against the f-weighted measure on E.
-
-    Multiplies g*f per cell first so the result coincides with
-    ``weighted_ce_measure(sf_mul(g, f), E, C, grid)`` term by term.
-    """
-    if g.dim != 1:
-        raise ValueError("integrand g must be scalar (dim 1)")
-    _check_shapes(f, E, C, grid)
-    _check_shapes(g, None, C, grid)
-    return _block_average(E.masses, sf_mul(g, f).values, f.dim, C, grid)
+    """Integral of a bounded scalar g against the f-weighted measure on E:
+    ``weighted_ce_measure(sf_mul(g, f), E, C, grid)``, multiplying g*f per
+    cell first."""
+    return weighted_ce_measure(sf_mul(g, f), E, C, grid)
 
 
 def lift_to_cells(bf: BlockFunction, C: BlockPartition, grid: Grid) -> SimpleFunction:

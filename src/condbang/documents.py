@@ -2,16 +2,20 @@
 
 One UTF-8 JSON document per file.  Numbers are decimal floats in the default
 regime and ``{"num": int, "den": int}`` objects in exact mode (which rejects
-floating-point literals).  Refined sets travel as sorted (cell, offset, mass)
-triples with offsets relative to the cell start.  Serialization is canonical
-(sorted keys, tight separators, trailing newline), so parse-then-serialize is
-byte-stable and reports can be digested.
+floating-point literals); a float must be finite, so ``NaN``, ``Infinity``
+and overflowing literals are schema errors.  Refined sets travel as sorted
+(cell, offset, mass) triples with offsets relative to the cell start.
+Serialization is canonical (sorted keys, tight separators, trailing
+newline), so parse-then-serialize is byte-stable and reports can be
+digested.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -59,6 +63,8 @@ def parse_number(v: Any, exact: bool, what: str) -> Scalar:
     if isinstance(v, float):
         if exact:
             raise SchemaError(f"{what}: exact mode rejects floating-point literals")
+        if not math.isfinite(v):
+            raise SchemaError(f"{what}: non-finite number {v!r}")
         return v
     raise SchemaError(f"{what}: expected a number, got {type(v).__name__}")
 
@@ -68,6 +74,14 @@ def encode_number(x: Scalar, exact: bool) -> Any:
         f = Fraction(x)
         return {"num": f.numerator, "den": f.denominator}
     return float(x)
+
+
+def _tolerance(v: Any, what: str) -> float:
+    """A finite, nonnegative, non-boolean tolerance, as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) \
+            or not 0 <= v <= sys.float_info.max:
+        raise SchemaError(f"{what} must be a finite nonnegative number, got {v!r}")
+    return float(v)
 
 
 def _require(obj: Any, key: str, what: str) -> Any:
@@ -237,16 +251,13 @@ def parse_problem(raw: Any, *, mode_override: str | None = None,
         raise SchemaError("parameters.diagonal_only must be a boolean")
     if diagonal_override is not None:
         diagonal = diagonal_override
-    tolerance: Scalar
+    tolerance: Scalar = 1e-9
+    if params.get("tolerance") is not None:
+        tolerance = _tolerance(params["tolerance"], "parameters.tolerance")
+    if tol_override is not None:
+        tolerance = _tolerance(tol_override, "the tolerance override")
     if exact:
         tolerance = Fraction(0)
-    else:
-        tol_raw = params.get("tolerance", None)
-        if tol_raw is not None and not isinstance(tol_raw, (int, float)):
-            raise SchemaError("parameters.tolerance must be a number")
-        tolerance = float(tol_raw) if tol_raw is not None else 1e-9
-        if tol_override is not None:
-            tolerance = float(tol_override)
 
     space = _require(raw, "space", "problem")
     weights_raw = _as_list(_require(space, "weights", "space"), "space.weights")
@@ -281,7 +292,12 @@ def parse_problem(raw: Any, *, mode_override: str | None = None,
 
 
 def load_json(text: str, what: str) -> Any:
+    """Parse a JSON document, rejecting the NaN and Infinity constants that
+    ``json.loads`` would otherwise accept."""
+    def non_finite(name: str) -> Any:
+        raise SchemaError(f"{what}: non-finite number {name} is not JSON")
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as err:
         raise SchemaError(f"{what}: invalid JSON ({err})") from None

@@ -1,17 +1,19 @@
 """Small dense linear-algebra kernels used by the decomposition and
 partition solvers.
 
-Four primitives: a nullspace vector of a column set, the pivot step along a
+Three primitives: a nullspace vector of a column set, the pivot step along a
 kernel direction (ratio test, smallest index leaves on ties, float
-round-off clamped), support reduction of a nonnegative solution by repeated
-pivot steps, and a Phase-I simplex deciding convex-combination feasibility
-with a Farkas certificate on failure, also run on many LPs at once.  The pivot step is the one the
-partition solver's transport reduction takes too; it moves only the entries
-on the support of the kernel direction.  It runs verbatim on floats (1e-12
-thresholds) and on Fractions (zero thresholds).  The simplex pivots floats
-with 1e-12 thresholds, and exact input on a tableau of Python ints scaled by
-one common denominator (Edmonds' integer-preserving pivots); its pivots and
-results are those of the same simplex on Fractions.
+round-off clamped), and a Phase-I simplex deciding convex-combination
+feasibility with a Farkas certificate on failure, also run on many LPs at
+once.  The first two serve the partition solver's transport reduction; the
+pivot step moves only the entries on the support of the kernel direction,
+and runs verbatim on floats (1e-12 thresholds) and on Fractions (zero
+thresholds).  The simplex's lam is a basic solution: positive only on basis
+columns, which are linearly independent, so at most dim+1 of its entries
+are positive and it is a Carathéodory representation as it stands.  The
+simplex pivots floats with 1e-12 thresholds, and exact input on a tableau of
+Python ints scaled by one common denominator (Edmonds' integer-preserving
+pivots); its pivots and results are those of the same simplex on Fractions.
 The nullspace vector eliminates floats with partial pivoting, and exact rows
 fraction-free on Python ints (Bareiss), returning the Fractions exact
 elimination gives.  It eliminates left-looking, and an ``Echelon`` carries
@@ -236,28 +238,6 @@ def pivot_step(x: Sequence[Scalar], z: Sequence[Scalar], exact: bool) -> list[Sc
             moved[idx] = 0.0 if not exact and v < 0 else v
     moved[leave] = _zero(exact)
     return moved
-
-
-def reduce_support(columns: Sequence[Sequence[Scalar]], x: Sequence[Scalar],
-                   exact: bool) -> list[Scalar]:
-    """Shrink the support of a nonnegative solution of (columns)·x = b.
-
-    While the supported columns are dependent, take a ``pivot_step`` along
-    a kernel vector.  Feasibility and nonnegativity are preserved; the
-    result has linearly independent support.
-    """
-    x = list(x)
-    for _ in range(len(x) + 1):
-        support = [v for v, xv in enumerate(x) if xv > 0]
-        if len(support) <= 1:
-            return x
-        z = nullspace_vector([columns[v] for v in support], len(support), exact)
-        if z is None:
-            return x
-        moved = pivot_step([x[v] for v in support], z, exact)
-        for v, xv in zip(support, moved):
-            x[v] = xv
-    raise RuntimeError("support reduction failed to terminate")
 
 
 def convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scalar],

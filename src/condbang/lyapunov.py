@@ -194,18 +194,6 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
         window = kept
 
 
-def _round_largest(t_row: list[Scalar], avail: Scalar, zero: Scalar) -> tuple[list[Scalar], int]:
-    winner = 0
-    best = t_row[0]
-    for i in range(1, len(t_row)):
-        if t_row[i] > best:
-            best = t_row[i]
-            winner = i
-    out = [zero] * len(t_row)
-    out[winner] = avail
-    return out, winner
-
-
 def _polish_exact(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],
                   targets: list[list[Scalar]], p: int) -> list[int] | None:
     q = len(avail)
@@ -318,13 +306,9 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
                 else:
                     assign = _polish_float(avail_active, mom_cols, targets, p)
             for kk, k in enumerate(active):
-                if assign is not None:
-                    row = [zero] * p
-                    row[assign[kk]] = avail[k]
-                else:
-                    row, _ = _round_largest(rows[kk], avail[k], zero)
-                for i in range(p):
-                    mass[i][k] = row[i]
+                # without a polished assignment, the largest share (the first on ties)
+                i = assign[kk] if assign is not None else max(range(p), key=rows[kk].__getitem__)
+                mass[i][k] = avail[k]
         else:
             for kk, k in enumerate(active):
                 for i in range(p):

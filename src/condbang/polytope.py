@@ -1,7 +1,7 @@
 """Finite V-represented convex geometry.
 
 Extreme points of a finite point set, convex decomposition of a hull point
-over at most dim+1 extreme vertices (kernel-pivot support reduction), and
+over at most dim+1 extreme vertices (the Phase-I LP's basic solution), and
 the cell-wise decomposition of a selection of a polytope-valued map into
 extreme-point branches with weight functions.
 
@@ -19,11 +19,11 @@ so no Fraction arithmetic and the same verdicts.
 The LPs are submitted in batches to ``linalg.convex_combinations``, which
 runs float LPs of one shape in lockstep.  ``decompose_selection`` makes one
 filter plan per distinct vertex set, runs the plans' LPs in batches of at
-least ``_FILTER_BATCH``, then every cell's decomposition LP in one batch,
-then support reduction cell by cell; a failing cell is raised after the
-cells before it, as in a cell-by-cell loop.  A nonempty set whose points all
-lie within the tolerance of the hull of the others (a set too small for the
-tolerance) raises ``NoExtremePointError``, never an empty answer.
+least ``_FILTER_BATCH``, then every cell's decomposition LP in one batch;
+a failing cell is raised after the cells before it, as in a cell-by-cell
+loop.  A nonempty set whose points all lie within the tolerance of the hull
+of the others (a set too small for the tolerance) raises
+``NoExtremePointError``, never an empty answer.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .condexp import SimpleFunction
-from .linalg import (LPProblem, LPResult, convex_combinations, integer_scaled,
-                     reduce_support)
+from .linalg import LPProblem, LPResult, convex_combinations, integer_scaled
 from .numeric import Scalar, all_exact, check_finite, is_exact, max_abs, resolve_tol
 from .spaces import Grid
 
@@ -105,15 +104,11 @@ def _points_exact(points: Sequence[Point]) -> bool:
 
 
 def _dedupe(points: Sequence[Point]) -> tuple[list[Point], list[int]]:
-    seen: dict[Point, int] = {}
-    kept: list[Point] = []
-    idx: list[int] = []
+    """The distinct points and the index of each one's first occurrence."""
+    first: dict[Point, int] = {}
     for i, p in enumerate(points):
-        if p not in seen:
-            seen[p] = i
-            kept.append(p)
-            idx.append(i)
-    return kept, idx
+        first.setdefault(p, i)
+    return list(first), list(first.values())
 
 
 class _FilterPlan:
@@ -243,9 +238,10 @@ def caratheodory_decompose(point: Sequence[Scalar], vertices: Sequence[Point], *
     ``extreme_point_indices``, where a vertex whose separating direction
     bounds the Phase-I residual above tol (plus 1e-10 (1 + max |coordinate|)
     on floats) is extreme without an LP and every other vertex runs the LP.
-    It then starts from any feasible combination over the extreme vertices
-    and pivots weights along nullspace directions of the stacked (vertex, 1)
-    columns until the support is independent, hence of size <= dim+1.
+    The Phase-I LP writing the point over the extreme vertices is the
+    decomposition: its solution is basic, positive only on basis columns,
+    whose (vertex, 1) columns are linearly independent, hence at most dim+1
+    of them, which is Carathéodory's representation.
     Returns (weights, vertex indices into the input sequence); raises
     HullMembershipError with a separating direction when the point is outside.
     """
@@ -257,10 +253,10 @@ def caratheodory_decompose(point: Sequence[Scalar], vertices: Sequence[Point], *
     tol = resolve_tol(exact, tol)
     ext_idx = extreme_point_indices(pts, tol)
     result = convex_combinations([([pts[i] for i in ext_idx], point)], exact, tol)[0]
-    return _decompose_over(point, pts, ext_idx, exact, result)
+    return _decompose_over(point, pts, ext_idx, result)
 
 
-def _decompose_over(point: Point, pts: Sequence[Point], ext_idx: list[int], exact: bool,
+def _decompose_over(point: Point, pts: Sequence[Point], ext_idx: list[int],
                     result: LPResult) -> tuple[list[Scalar], list[int]]:
     """``caratheodory_decompose`` given the extreme indices of ``pts`` and the
     result of the LP writing ``point`` over those vertices."""
@@ -275,17 +271,11 @@ def _decompose_over(point: Point, pts: Sequence[Point], ext_idx: list[int], exac
             if margin > 0:
                 direction = d
         raise HullMembershipError(point, direction=direction)
-    columns = [list(pts[i]) + [Fraction(1) if exact else 1.0] for i in ext_idx]
-    lam = reduce_support(columns, lam, exact)
-    weights: list[Scalar] = []
-    support: list[int] = []
-    for j, w in enumerate(lam):
-        if w > 0:
-            weights.append(w)
-            support.append(ext_idx[j])
+    support = [j for j, w in enumerate(lam) if w > 0]
     if len(support) > n + 1:
-        raise RuntimeError("support reduction left more than dim+1 vertices")
-    return weights, support
+        raise RuntimeError("the Phase-I LP left more than dim+1 positive weights, "
+                           "but a basic solution has at most dim+1")
+    return [lam[j] for j in support], [ext_idx[j] for j in support]
 
 
 @dataclass(frozen=True)
@@ -363,7 +353,7 @@ def decompose_selection(T: PolytopeMap, s: SimpleFunction, grid: Grid,
     points = []
     for k, (point, verts, plan, exact) in enumerate(cells):
         try:
-            w, sup = _decompose_over(point, verts, plan.extreme, exact, next(results[exact]))
+            w, sup = _decompose_over(point, verts, plan.extreme, next(results[exact]))
         except HullMembershipError as err:
             raise HullMembershipError(err.point, cell=k, direction=err.direction) from None
         pad = slots - len(sup)

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from condbang.cli import (EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, EXIT_VERIFY,
                           RUN_COMMANDS, main, run, verify_report)
-from condbang.documents import canonical_dumps, parse_problem
+from condbang.documents import SchemaError, canonical_dumps, parse_problem
 
 from cli_corpus import make_problem
 
@@ -332,3 +333,121 @@ def test_verify_rejects_a_branch_value_that_is_not_an_extreme_point(exact):
             violations = [v for v in verify_report(doc, bad) if "not an extreme point" in v]
             assert violations == [f"cell 0: branch {touched[0]} value is not an extreme point"], \
                 (count, value, violations)
+
+
+def _numbers_to(obj, value):
+    """``obj`` with every float leaf replaced by ``value``."""
+    if isinstance(obj, float):
+        return value
+    if isinstance(obj, dict):
+        return {k: _numbers_to(v, value) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_numbers_to(v, value) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("command", ["cond-exp", "partition", "bang-bang", "purify"])
+def test_verify_rejects_non_finite_numbers_in_a_report_with_exit_2(tmp_path, command):
+    doc = make_problem(random.Random(281), command)
+    rc, prob, out = emit(tmp_path, command, doc)
+    assert rc == EXIT_OK
+    report = json.loads(out.read_text())
+    for key in ("outputs", "residuals", "certified_bound"):
+        if json.dumps(_numbers_to(report[key], 0)) == json.dumps(report[key]):
+            continue  # no float to tamper with: cond-exp has no residuals
+        for value in (math.nan, math.inf):
+            bad = dict(report, **{key: _numbers_to(report[key], value)})
+            # NaN and Infinity are not JSON, but json.dumps writes them
+            path = tmp_path / f"{command}-{key}-{value}.json"
+            path.write_text(json.dumps(bad), encoding="utf-8")
+            assert main(["verify", str(prob), str(path), "-o", "/dev/null"]) == EXIT_SCHEMA
+            if key == "outputs" or command != "cond-exp":  # what verify reads
+                with pytest.raises(SchemaError):
+                    verify_report(doc, bad)
+    # a literal too large for binary64 parses as inf
+    marked = dict(report, outputs=_numbers_to(report["outputs"], 12345.5))
+    text = json.dumps(marked).replace("12345.5", "1e999")
+    path = tmp_path / f"{command}-overflow.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["verify", str(prob), str(path), "-o", "/dev/null"]) == EXIT_SCHEMA
+
+
+def test_bad_tolerances_are_schema_errors(tmp_path):
+    doc = make_problem(random.Random(283), "cond-exp")
+    rc, prob, out = emit(tmp_path, "cond-exp", doc)
+    assert rc == EXIT_OK
+    for tol in ("nan", "inf", "-inf", "-1"):
+        assert main(["cond-exp", str(prob), f"--tol={tol}", "-o", "/dev/null"]) == EXIT_SCHEMA
+        assert main(["verify", str(prob), str(out), f"--tol={tol}", "-o", "/dev/null"]) \
+            == EXIT_SCHEMA
+    for tol in (True, -1e-9, "1e-9", math.nan):
+        bad = dict(doc, parameters={"tolerance": tol})
+        path = tmp_path / "bad-tol.json"
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        assert main(["cond-exp", str(path), "-o", "/dev/null"]) == EXIT_SCHEMA, tol
+    # zero is a tolerance, which float round-off may not meet
+    assert main(["verify", str(prob), str(out), "--tol", "0", "-o", "/dev/null"]) \
+        in (EXIT_OK, EXIT_VERIFY)
+    assert main(["verify", str(prob), str(out), "--tol", "1e-6", "-o", "/dev/null"]) == EXIT_OK
+
+
+def _purify_report(exact, mode, seed=293):
+    doc = make_problem(random.Random(seed), "purify", exact=exact, mode=mode)
+    report = json.loads(canonical_dumps(run("purify", parse_problem(doc))))
+    assert verify_report(doc, report) == []
+    return doc, report
+
+
+def _enc(x, exact):
+    return {"num": Fraction(x).numerator, "den": Fraction(x).denominator} if exact else x
+
+
+def _dec(v):
+    return Fraction(v["num"], v["den"]) if isinstance(v, dict) else v
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("mode", ["splittable", "atomic"])
+def test_verify_rejects_purify_chunks_outside_their_cell_or_stacked(exact, mode):
+    doc, report = _purify_report(exact, mode)
+    # one chunk moved far out of its cell, or before its start
+    for offset in (10 ** 9, -5):
+        bad = copy.deepcopy(report)
+        bad["outputs"]["chunks"][0][1] = _enc(offset, exact)
+        assert any("leaves the cell" in v for v in verify_report(doc, bad)), offset
+    # one chunk halved into two chunks stacked on its offset: masses, actions
+    # and payoffs are unchanged (an atom is found split before the overlap)
+    bad = copy.deepcopy(report)
+    k, off, m, a = bad["outputs"]["chunks"][0]
+    half = _enc(_dec(m) / 2, exact)
+    bad["outputs"]["chunks"][0:1] = [[k, off, half, a], [k, off, half, a]]
+    found = "fractional mass" if mode == "atomic" else "overlaps one ending at"
+    assert any(found in v for v in verify_report(doc, bad))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_verify_rejects_atoms_split_across_actions(tmp_path, exact):
+    """Each atom split across its supported actions in mixture proportions
+    pays the mixture's payoff exactly: a mixed strategy passed off as pure."""
+    doc, report = _purify_report(exact, "atomic", seed=307)
+    problem = parse_problem(doc)
+    mixture = doc["payload"]["young_measure"]
+    chunks = []
+    for k, w in enumerate(problem.grid.weights):
+        offset = 0
+        for a, share in enumerate(mixture[k]):
+            if _dec(share) > 0:
+                m = w * (Fraction(_dec(share)) if exact else _dec(share))
+                chunks.append([k, _enc(offset, exact), _enc(m, exact), a])
+                offset += m
+    assert len(chunks) > len(problem.grid.weights)
+    bad = copy.deepcopy(report)
+    bad["outputs"]["chunks"] = chunks
+    bad["outputs"]["rhs"] = bad["outputs"]["lhs"]
+    bad["residuals"]["max_deviation"] = _enc(0, exact)
+    violations = verify_report(doc, bad)
+    assert violations and all("atomic chunk carries fractional mass" in v
+                              for v in violations), violations
+    prob = write_doc(tmp_path, "split-p.json", doc)
+    path = write_doc(tmp_path, "split-r.json", bad)
+    assert main(["verify", str(prob), str(path), "-o", "/dev/null"]) == EXIT_VERIFY

@@ -1,0 +1,65 @@
+"""Number and tolerance parsing: documents never admit non-finite numbers,
+and a tolerance is a finite, nonnegative, non-boolean number."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from condbang.documents import SchemaError, load_json, parse_number, parse_problem
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "[1.0, NaN]",
+                                  '{"tolerance": Infinity}'])
+def test_load_json_rejects_the_non_finite_constants(text):
+    with pytest.raises(SchemaError, match="non-finite"):
+        load_json(text, "doc")
+
+
+def test_load_json_still_reads_finite_numbers():
+    assert load_json('[1.5, -2, 1e308, {"num": 1, "den": 3}]', "doc") == \
+        [1.5, -2, 1e308, {"num": 1, "den": 3}]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, float("1e999")])
+def test_parse_number_rejects_non_finite_floats(value):
+    with pytest.raises(SchemaError, match="non-finite"):
+        parse_number(value, False, "x")
+    # an overflowing literal reaches it as inf
+    assert load_json("1e999", "doc") == math.inf
+
+
+def test_parse_number_keeps_finite_values():
+    assert parse_number(0.25, False, "x") == 0.25
+    assert parse_number(3, True, "x") == Fraction(3)
+    assert parse_number({"num": 1, "den": 4}, False, "x") == 0.25
+
+
+def _doc(**params):
+    return {"space": {"weights": [1.0, 3.0], "mode": "splittable"}, "parameters": params}
+
+
+@pytest.mark.parametrize("tol", [True, False, math.nan, math.inf, -math.inf, -1e-9, -1,
+                                 "1e-9", [1e-9],
+                                 pytest.param(10 ** 400, id="int-beyond-binary64")])
+def test_bad_tolerances_are_schema_errors(tol):
+    with pytest.raises(SchemaError, match="tolerance"):
+        parse_problem(_doc(tolerance=tol))
+    with pytest.raises(SchemaError, match="tolerance"):
+        parse_problem(_doc(), tol_override=tol)
+    # exact documents compare at zero, but a bad tolerance is still refused
+    with pytest.raises(SchemaError, match="tolerance"):
+        parse_problem(_doc(exact=True, tolerance=tol))
+
+
+def test_good_tolerances_parse_to_floats():
+    assert parse_problem(_doc()).tolerance == 1e-9
+    assert parse_problem(_doc(tolerance=None)).tolerance == 1e-9
+    assert parse_problem(_doc(tolerance=0)).tolerance == 0.0
+    assert type(parse_problem(_doc(tolerance=1)).tolerance) is float
+    assert parse_problem(_doc(tolerance=1e-6), tol_override=1e-3).tolerance == 1e-3
+    exact = {"space": {"weights": [1, 3], "mode": "splittable"},
+             "parameters": {"exact": True, "tolerance": 1e-6}}
+    assert parse_problem(exact, tol_override=0.5).tolerance == Fraction(0)

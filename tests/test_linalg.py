@@ -1,7 +1,8 @@
 """The kernel solves against the row-by-row Fraction elimination they
-replaced, the reuse of an elimination between solves, the pivot step
-shared by support reduction and transport reduction, and the Phase-I
-simplex against the Fraction simplex it replaced.
+replaced, the reuse of an elimination between solves, the pivot step of
+transport reduction, and the Phase-I simplex against the Fraction simplex it
+replaced.  ``test_polytope`` keeps the support reduction that used the kernel
+and the pivot step before the simplex's basic solution replaced it.
 
 ``reference_nullspace_vector`` is the elimination ``linalg.nullspace_vector``
 ran on both regimes before exact solves moved to integers and before the
@@ -35,7 +36,7 @@ from hypothesis import strategies as st
 
 from condbang import linalg
 from condbang.linalg import (Echelon, convex_combination, convex_combinations,
-                             nullspace_vector, pivot_step, reduce_support)
+                             nullspace_vector, pivot_step)
 from condbang.numeric import PIVOT_TOL, Scalar
 
 
@@ -303,26 +304,6 @@ def test_echelon_keeps_the_elimination_of_unchanged_leading_columns():
     assert same_bits(nullspace_vector(rebuilt, 4, False), z)
     ints = [[1, 0, 2], [0, 3, -1], [1, 3, 1]]
     assert nullspace_vector(ints, 3, True, echelon=Echelon()) == [-1, -1, 1]
-
-
-def test_exact_support_reduction_unchanged_on_dependent_columns():
-    rng = random.Random(2024)
-    for _ in range(60):
-        dim = rng.randint(1, 4)
-        n = rng.randint(dim + 2, dim + 6)
-        columns = [[F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)]
-                   for _ in range(n)]
-        if rng.random() < 0.3:
-            columns[rng.randrange(n)] = list(columns[0])  # a repeated column
-        x = [F(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(n)]
-        got = reduce_support(columns, x, True)
-        with mock.patch.object(linalg, "nullspace_vector",
-                               lambda columns, ncols, exact: reference_nullspace_vector(
-                                   [[F(v) for v in r] for r in rows_of(columns)], ncols,
-                                   exact)):
-            want = reduce_support(columns, x, True)
-        assert got == want
-        assert all(type(v) is Fraction for v in got)
 
 
 def test_pivot_step_smallest_index_leaves_a_tie():
