@@ -23,9 +23,8 @@ from .lyapunov import (PartitionResult, HalfSetResult, AnnihilatorWitness,
                        lyapunov_partition_multi, DEFAULT_POLISH_BUDGET)
 from .bangbang import ExtremeSelection, BangBangReport, bang_bang, pointset_bang_bang
 from .purify import (ActionSet, YoungMeasure, IntegrandFamily, PureStrategy,
-                     PurifyReport, PurificationMatchError, action_set,
-                     young_measure, dirac_measure, integrand_family,
-                     stack_integrands, barycenter, support_polytope, purify,
-                     density_step)
+                     PurifyReport, action_set, young_measure, dirac_measure,
+                     integrand_family, stack_integrands, barycenter,
+                     support_polytope, purify, density_step)
 from .oracle import (direct_integrate, direct_payoff, direct_mixture_payoff,
                      enumerate_atomic_partitions, EnumerationBudgetError)

@@ -95,10 +95,7 @@ def bang_bang(T: PolytopeMap, h: SimpleFunction, C: BlockPartition, grid: Grid, 
 
 
 def pointset_bang_bang(P: PolytopeMap, s: SimpleFunction, C: BlockPartition,
-                       grid: Grid, *, tol: Scalar | None = None,
-                       diagonal_only: bool = False,
-                       polish_budget: int = DEFAULT_POLISH_BUDGET
-                       ) -> tuple[ExtremeSelection, BangBangReport]:
+                       grid: Grid) -> tuple[ExtremeSelection, BangBangReport]:
     """Bang-bang over the convex hulls of raw point sets.
 
     The same call as ``bang_bang``: its decomposition already runs over the
@@ -106,6 +103,5 @@ def pointset_bang_bang(P: PolytopeMap, s: SimpleFunction, C: BlockPartition,
     given points, so the output selection lands in the point sets themselves;
     interior points never appear.
     """
-    return bang_bang(P, s, C, grid, tol=tol, diagonal_only=diagonal_only,
-                     polish_budget=polish_budget)
+    return bang_bang(P, s, C, grid)
 

@@ -14,9 +14,10 @@ rechecks a report's claims against them.  ``bang-bang`` shares its spec with
 the command name, which picks the payload key of the vertex sets and whether
 ``density_step`` runs.  ``verify`` compares at ``--tol`` when given, else at
 the problem document's tolerance, never at the tolerance a report states
-about itself, and reads mode, regime and ``diagonal_only`` from the report.
-A non-finite number in either document, or a tolerance that is not a finite
-nonnegative number, is a schema error.
+about itself, and reads mode, regime and ``diagonal_only`` from the report
+(the problem's own where the report leaves one out).  A non-finite number in
+either document, a tolerance that is not a finite nonnegative number, or a
+regime or ``diagonal_only`` that is not a boolean, is a schema error.
 
 Exit codes: 0 success, 2 schema error, 3 mathematical precondition failure,
 4 verification failure.
@@ -470,10 +471,10 @@ def _verify_purify(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
             chk.fail("chunks must be [cell, offset, mass, action] rows")
             return
         k, a = row[0], row[3]
-        if not isinstance(k, int) or not 0 <= k < p.grid.cell_count:
+        if type(k) is not int or not 0 <= k < p.grid.cell_count:
             chk.fail(f"chunk references unknown cell {k!r}")
             return
-        if not isinstance(a, int) or not 0 <= a < actions.size:
+        if type(a) is not int or not 0 <= a < actions.size:
             chk.fail(f"chunk references unknown action {a!r}")
             return
         per_cell[k].append((parse_number(row[1], p.exact, "chunk offset"),
@@ -626,9 +627,9 @@ def verify_report(problem_raw: Any, report_raw: Any, tol: float | None = None) -
         raise SchemaError("report parameters must be an object")
     problem = parse_problem(problem_raw,
                             mode_override=params.get("mode"),
-                            exact_override=params.get("exact", False),
+                            exact_override=params.get("exact"),
                             tol_override=tol,
-                            diagonal_override=params.get("diagonal_only", False))
+                            diagonal_override=params.get("diagonal_only"))
     chk = _Check(problem.tolerance, problem.exact)
     if report_raw.get("input_digest") != document_digest(problem_raw):
         chk.fail("input digest mismatch: report does not belong to this problem")

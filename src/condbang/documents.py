@@ -2,8 +2,9 @@
 
 One UTF-8 JSON document per file.  Numbers are decimal floats in the default
 regime and ``{"num": int, "den": int}`` objects in exact mode (which rejects
-floating-point literals); a float must be finite, so ``NaN``, ``Infinity``
-and overflowing literals are schema errors.  Refined sets travel as sorted
+floating-point literals); a float must be finite, so ``NaN``, ``Infinity``,
+overflowing literals, and integers or rationals beyond the float range in the
+float regime are schema errors.  Refined sets travel as sorted
 (cell, offset, mass) triples with offsets relative to the cell start.
 Serialization is canonical (sorted keys, tight separators, trailing
 newline), so parse-then-serialize is byte-stable and reports can be
@@ -57,9 +58,9 @@ def parse_number(v: Any, exact: bool, what: str) -> Scalar:
                 or isinstance(den, bool) or den == 0:
             raise SchemaError(f"{what}: rational needs integer num and nonzero integer den")
         frac = Fraction(num, den)
-        return frac if exact else frac.numerator / frac.denominator
+        return frac if exact else _float(frac, what)
     if isinstance(v, int):
-        return Fraction(v) if exact else float(v)
+        return Fraction(v) if exact else _float(v, what)
     if isinstance(v, float):
         if exact:
             raise SchemaError(f"{what}: exact mode rejects floating-point literals")
@@ -67,6 +68,15 @@ def parse_number(v: Any, exact: bool, what: str) -> Scalar:
             raise SchemaError(f"{what}: non-finite number {v!r}")
         return v
     raise SchemaError(f"{what}: expected a number, got {type(v).__name__}")
+
+
+def _float(x: int | Fraction, what: str) -> float:
+    """x rounded to a float (a Fraction as numerator / denominator); beyond the
+    float range it is a schema error, as the literal ``1e999`` is."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise SchemaError(f"{what}: number beyond the float range") from None
 
 
 def encode_number(x: Scalar, exact: bool) -> Any:
@@ -82,6 +92,12 @@ def _tolerance(v: Any, what: str) -> float:
             or not 0 <= v <= sys.float_info.max:
         raise SchemaError(f"{what} must be a finite nonnegative number, got {v!r}")
     return float(v)
+
+
+def _boolean(v: Any, what: str) -> bool:
+    if not isinstance(v, bool):
+        raise SchemaError(f"{what} must be a boolean")
+    return v
 
 
 def _require(obj: Any, key: str, what: str) -> Any:
@@ -241,16 +257,12 @@ def parse_problem(raw: Any, *, mode_override: str | None = None,
     params = raw.get("parameters", {})
     if not isinstance(params, dict):
         raise SchemaError("parameters must be an object")
-    exact = params.get("exact", False)
-    if not isinstance(exact, bool):
-        raise SchemaError("parameters.exact must be a boolean")
+    exact = _boolean(params.get("exact", False), "parameters.exact")
     if exact_override is not None:
-        exact = exact_override
-    diagonal = params.get("diagonal_only", False)
-    if not isinstance(diagonal, bool):
-        raise SchemaError("parameters.diagonal_only must be a boolean")
+        exact = _boolean(exact_override, "the exact override")
+    diagonal = _boolean(params.get("diagonal_only", False), "parameters.diagonal_only")
     if diagonal_override is not None:
-        diagonal = diagonal_override
+        diagonal = _boolean(diagonal_override, "the diagonal_only override")
     tolerance: Scalar = 1e-9
     if params.get("tolerance") is not None:
         tolerance = _tolerance(params["tolerance"], "parameters.tolerance")

@@ -30,10 +30,10 @@ numpy's elementwise float64 ``+ - * /`` round each result correctly, as
 CPython's do, with no fused multiply-add; reduced costs are subtracted row
 by row in row order; the entering column is the first eligible one and the
 leaving row the lexicographic minimum of (ratio, basis index), which is the
-scalar running rule; zero-factor rows are skipped; and the results are
-assembled in Python from the final tableau in the scalar order.  Below about
-32 LPs of one shape the array loop's fixed cost outweighs what it saves, so
-smaller groups, and every exact LP, run the scalar loop.
+scalar running rule; zero-factor rows are skipped; and one reader,
+``_phase_one_result``, assembles the results from the final tableau for both
+loops.  Below about 32 LPs of one shape the array loop's fixed cost outweighs
+what it saves, so smaller groups, and every exact LP, run the scalar loop.
 """
 
 from __future__ import annotations
@@ -349,25 +349,44 @@ def convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scal
     else:
         raise RuntimeError("phase-one simplex exceeded the iteration cap")
 
+    return _phase_one_result([row[n:] for row in tab], basis, sign, n, feas_tol, exact,
+                             den, scale if exact else 1)
+
+
+def _phase_one_result(tail: Sequence[Sequence[Scalar]], basis: Sequence[int],
+                      sign: Sequence[Scalar], n: int, feas_tol: Scalar, exact: bool,
+                      den: Scalar, scale: int) -> LPResult:
+    """``convex_combination``'s (lam, certificate, objective) from its final
+    tableau: ``tail`` holds each row's columns n onward (the artificial
+    columns, then the right-hand side), ``den`` is the tableau's common
+    denominator (1.0 on floats) and ``scale`` the lcm the exact input was
+    multiplied by.  The lockstep simplex reads its results here too, so both
+    assemble them in one order.
+    """
+    nrows = len(basis)
     artificial = [i for i in range(nrows) if basis[i] >= n]
-    objective = sum(tab[i][-1] for i in artificial)
+    objective = sum(tail[i][-1] for i in artificial)
     if exact and artificial:
         objective = Fraction(objective, den * scale)
     if objective <= feas_tol:
         lam = [_zero(exact)] * n
         for i in range(nrows):
             if basis[i] < n:
-                v = tab[i][-1]
+                v = tail[i][-1]
                 if exact:
                     v = Fraction(v, den)
                 elif v < 0:
                     v = 0.0
                 lam[basis[i]] = v
         return lam, None, objective
-    # Farkas certificate from the final multipliers.
+    # Farkas certificate from the final multipliers: the reduced cost of
+    # artificial column i is den minus its entries on the artificial rows
     certificate = []
     for i in range(nrows):
-        y = sign[i] * (den - reduced_cost(n + i))
+        rc = den
+        for r in artificial:
+            rc -= tail[r][i]
+        y = sign[i] * (den - rc)
         certificate.append(Fraction(y, den) if exact else y)
     return None, certificate, objective
 
@@ -434,9 +453,9 @@ def _lockstep(group: list[tuple[int, LPProblem]], feas_tol: Scalar, results: lis
     smaller basis index" keeps.  A row whose factor is zero, of either sign,
     is not touched, as the scalar loop skips it, so signed zeros agree.  A
     problem leaves the arrays once no column enters, and its lam, certificate
-    and objective are assembled in Python from its final tableau in the
-    scalar loop's order (so the objective is the int 0 when no artificial is
-    left).
+    and objective are read from its final tableau by the scalar loop's own
+    reader, ``_phase_one_result`` (so the objective is the int 0 when no
+    artificial is left).
     """
     count = len(group)
     n, dim = len(group[0][1][0]), len(group[0][1][1])
@@ -468,8 +487,11 @@ def _lockstep(group: list[tuple[int, LPProblem]], feas_tol: Scalar, results: lis
         entering = eligible.any(axis=1)
         if not entering.all():
             done = ~entering
-            _lockstep_results(group, live[done], tab[done], basis[done], sign[done],
-                              n, feas_tol, results)
+            tails = tab[done][:, :, n:].tolist()
+            for pos, tail, basis_p, sign_p in zip(live[done].tolist(), tails,
+                                                  basis[done].tolist(), sign[done].tolist()):
+                results[group[pos][0]] = _phase_one_result(tail, basis_p, sign_p, n,
+                                                            feas_tol, False, 1.0, 1)
             if not entering.any():
                 return
             tab, basis, dead, held, sign, live, eligible = (
@@ -496,32 +518,3 @@ def _lockstep(group: list[tuple[int, LPProblem]], feas_tol: Scalar, results: lis
         held[rows, enter] = True
         basis[rows, leave] = enter
     raise RuntimeError("phase-one simplex exceeded the iteration cap")
-
-
-def _lockstep_results(group: list[tuple[int, LPProblem]], positions: np.ndarray,
-                      tab: np.ndarray, basis: np.ndarray, sign: np.ndarray, n: int,
-                      feas_tol: Scalar, results: list) -> None:
-    """``convex_combination``'s float results from final tableaus, in its order."""
-    nrows = basis.shape[1]
-    rhs = tab[:, :, -1].tolist()
-    for p, (pos, rhs_p, basis_p) in enumerate(zip(positions.tolist(), rhs, basis.tolist())):
-        artificial = [i for i in range(nrows) if basis_p[i] >= n]
-        objective = sum(rhs_p[i] for i in artificial)
-        if objective <= feas_tol:
-            lam = [0.0] * n
-            for i in range(nrows):
-                if basis_p[i] < n:
-                    v = rhs_p[i]
-                    if v < 0:
-                        v = 0.0
-                    lam[basis_p[i]] = v
-            results[group[pos][0]] = (lam, None, objective)
-            continue
-        art_cols = tab[p, :, n:n + nrows].tolist()
-        certificate = []
-        for i, s in enumerate(sign[p].tolist()):
-            rc = 1.0
-            for r in artificial:
-                rc -= art_cols[r][i]
-            certificate.append(s * (1.0 - rc))
-        results[group[pos][0]] = (None, certificate, objective)

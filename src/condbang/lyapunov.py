@@ -195,7 +195,7 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
 
 
 def _polish_exact(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],
-                  targets: list[list[Scalar]], p: int) -> list[int] | None:
+                  targets: list[list[Scalar]], p: int) -> list[int]:
     q = len(avail)
     best_assign = None
     best_val = None
@@ -213,7 +213,7 @@ def _polish_exact(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],
         if best_val is None or worst < best_val:
             best_val = worst
             best_assign = assign
-    return list(best_assign) if best_assign is not None else None
+    return list(best_assign)
 
 
 def _polish_float(avail: list[float], mom_cols: list[list[list[float]]],
@@ -239,13 +239,7 @@ def _polish_float(avail: list[float], mom_cols: list[list[list[float]]],
         if best_val is None or worst[a] < best_val:
             best_val = float(worst[a])
             best_idx = start + a
-    out = []
-    rem = best_idx
-    for c in range(q):
-        d = rem // int(pows[c])
-        rem -= d * int(pows[c])
-        out.append(int(d))
-    return out
+    return [int(d) for d in np.unravel_index(best_idx, (p,) * q)]
 
 
 def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunction,
@@ -300,7 +294,8 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
             rows = _reduce_transport(seed_rows, avail_active, mom_cols, p, exact)
             frac_count = sum(1 for row in rows if sum(1 for v in row if v > 0) >= 2)
             assign = None
-            if 0 < p ** q <= polish_budget:
+            # with one piece the rounding's assignment is the only one
+            if 1 < p ** q <= polish_budget:
                 if exact:
                     assign = _polish_exact(avail_active, mom_cols, targets, p)
                 else:
@@ -322,15 +317,12 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
                 for j in range(moments[i].dim))
             residual[i].append(vals)
 
+    # piece i starts where pieces 0..i-1 end, summed in piece order
     pieces = []
+    offsets = within.offsets
     for i in range(p):
-        offsets = []
-        for k in range(grid.cell_count):
-            off = within.offsets[k]
-            for j in range(i):
-                off = off + mass[j][k]
-            offsets.append(off)
         pieces.append(RefinedSet(offsets=tuple(offsets), masses=tuple(mass[i])))
+        offsets = [off + m for off, m in zip(offsets, mass[i])]
 
     if grid.mode is Mode.ATOMIC:
         mom_rows = sum(m.dim for m in moments)
@@ -345,8 +337,7 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
 
 def lyapunov_partition(h: SimpleFunction, alpha: SimpleFunction, C: BlockPartition,
                        grid: Grid, *, tol: Scalar | None = None,
-                       polish_budget: int = DEFAULT_POLISH_BUDGET,
-                       within: RefinedSet | None = None) -> PartitionResult:
+                       polish_budget: int = DEFAULT_POLISH_BUDGET) -> PartitionResult:
     """Split the space into alpha.dim pieces matching the h-moment targets.
 
     Per block b and piece i the result satisfies, up to the reported bound,
@@ -360,7 +351,7 @@ def lyapunov_partition(h: SimpleFunction, alpha: SimpleFunction, C: BlockPartiti
     the smallest piece index), and optionally finish small blocks exhaustively.
     """
     return partition_with_moments([h] * alpha.dim, alpha, C, grid, tol=tol,
-                                  polish_budget=polish_budget, within=within)
+                                  polish_budget=polish_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +375,11 @@ class HalfSetResult:
 
 
 def half_set(h: SimpleFunction, E: RefinedSet, C: BlockPartition, grid: Grid, *,
-             tol: Scalar | None = None,
-             polish_budget: int = DEFAULT_POLISH_BUDGET) -> HalfSetResult:
+             tol: Scalar | None = None) -> HalfSetResult:
     exact = grid.is_exact
     half_w: Scalar = Fraction(1, 2) if exact else 0.5
     alpha = SimpleFunction(dim=2, values=((half_w, half_w),) * grid.cell_count)
-    part = partition_with_moments([h, h], alpha, C, grid, tol=tol,
-                                  polish_budget=polish_budget, within=E)
+    part = partition_with_moments([h, h], alpha, C, grid, tol=tol, within=E)
     F = part.pieces[0]
     achieved = weighted_ce_measure(h, F, C, grid)
     whole = weighted_ce_measure(h, E, C, grid)
@@ -519,8 +508,7 @@ def witness_block_integrals(witness: AnnihilatorWitness) -> BlockFunction:
 def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
                              fs: Sequence[SimpleFunction], alpha: SimpleFunction,
                              C: BlockPartition, grid: Grid, *,
-                             tol: Scalar | None = None,
-                             polish_budget: int = DEFAULT_POLISH_BUDGET) -> PartitionResult:
+                             tol: Scalar | None = None) -> PartitionResult:
     """Partition matching the alpha-targets under d measures simultaneously.
 
     Works under the averaged measure with the per-measure densities folded
@@ -566,8 +554,7 @@ def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
         for kk, k in enumerate(positive)))
     sub_alpha = SimpleFunction(dim=alpha.dim,
                                values=tuple(alpha.values[k] for k in positive))
-    part = partition_with_moments([H] * alpha.dim, sub_alpha, sub_C, sub_grid,
-                                  tol=tol, polish_budget=polish_budget)
+    part = partition_with_moments([H] * alpha.dim, sub_alpha, sub_C, sub_grid, tol=tol)
 
     p = alpha.dim
     masses: list[list[Scalar]] = [[zero] * grid.cell_count for _ in range(p)]

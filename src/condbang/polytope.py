@@ -263,14 +263,10 @@ def _decompose_over(point: Point, pts: Sequence[Point], ext_idx: list[int],
     n = len(point)
     lam, certificate, _ = result
     if lam is None:
-        direction = None
-        if certificate is not None:
-            d = tuple(certificate[:n])
-            margin = min(sum(dc * pc for dc, pc in zip(d, point)) -
-                         sum(dc * vc for dc, vc in zip(d, v)) for v in pts)
-            if margin > 0:
-                direction = d
-        raise HullMembershipError(point, direction=direction)
+        d = tuple(certificate[:n])
+        margin = min(sum(dc * pc for dc, pc in zip(d, point)) -
+                     sum(dc * vc for dc, vc in zip(d, v)) for v in pts)
+        raise HullMembershipError(point, direction=d if margin > 0 else None)
     support = [j for j, w in enumerate(lam) if w > 0]
     if len(support) > n + 1:
         raise RuntimeError("the Phase-I LP left more than dim+1 positive weights, "

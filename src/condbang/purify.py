@@ -5,6 +5,8 @@ vector of payoff integrands it induces a barycenter selection of the per-cell
 support polytope.  Running the bang-bang pipeline on that selection and
 matching the resulting extreme values back to supported actions yields a pure
 strategy with the same conditional payoffs, supported where the mixture was.
+The match cannot fail: every extreme value is a vertex of the support
+polytope, which is one of the supported actions' payoff vectors itself.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Sequence
 
 from .bangbang import bang_bang
 from .condexp import BlockFunction, SimpleFunction, bf_sub, cond_exp
-from .lyapunov import DEFAULT_POLISH_BUDGET
 from .numeric import Scalar, check_finite
 from .polytope import PolytopeMap
 from .spaces import BlockPartition, Grid, block_masses
@@ -127,10 +128,6 @@ def stack_integrands(families: Sequence[IntegrandFamily]) -> IntegrandFamily:
     return IntegrandFamily(dim=sum(f.dim for f in families), values=tuple(out))
 
 
-class PurificationMatchError(ValueError):
-    """An extreme payoff value matched no supported action (numeric inconsistency)."""
-
-
 @dataclass(frozen=True)
 class PureStrategy:
     """Refined partition of the space with one action per piece.
@@ -209,7 +206,6 @@ def support_polytope(delta: YoungMeasure, V: IntegrandFamily, grid: Grid) -> Pol
 
 def purify(delta: YoungMeasure, V: IntegrandFamily, C: BlockPartition, grid: Grid, *,
            tol: Scalar | None = None, diagonal_only: bool = False,
-           polish_budget: int = DEFAULT_POLISH_BUDGET,
            actions: ActionSet | None = None
            ) -> tuple[PureStrategy, PurifyReport]:
     """Replace a mixed strategy by a supported pure one with the same
@@ -222,20 +218,17 @@ def purify(delta: YoungMeasure, V: IntegrandFamily, C: BlockPartition, grid: Gri
     mean = barycenter(delta, V, grid)
     T = support_polytope(delta, V, grid)
     selection, bb_report = bang_bang(T, mean, C, grid, tol=tol,
-                                     diagonal_only=diagonal_only,
-                                     polish_budget=polish_budget)
+                                     diagonal_only=diagonal_only)
     chunks = []
     for k in range(grid.cell_count):
         cell_chunks = []
         for off, m, point, _ in selection.chunks(k):
-            action = None
-            for a in delta.support(k):
-                if all(abs(V.values[k][a][j] - point[j]) <= tol for j in range(V.dim)):
-                    action = a
-                    break
-            if action is None:
-                raise PurificationMatchError(
-                    f"cell {k}: extreme payoff {tuple(point)!r} matches no supported action")
+            # the branch value is one of the supported payoff vectors (see the
+            # module docstring), so some action matches at distance 0; the
+            # first within tol is taken
+            action = next(a for a in delta.support(k)
+                          if all(abs(V.values[k][a][j] - point[j]) <= tol
+                                 for j in range(V.dim)))
             cell_chunks.append((off, m, action))
         chunks.append(tuple(cell_chunks))
     if actions is None:
@@ -250,8 +243,7 @@ def purify(delta: YoungMeasure, V: IntegrandFamily, C: BlockPartition, grid: Gri
 
 
 def density_step(delta: YoungMeasure, phis: Sequence[IntegrandFamily],
-                 C: BlockPartition, grid: Grid, *, tol: Scalar | None = None,
-                 polish_budget: int = DEFAULT_POLISH_BUDGET
+                 C: BlockPartition, grid: Grid, *, tol: Scalar | None = None
                  ) -> tuple[PureStrategy, PurifyReport]:
     """One exact step of the density of pure strategies: a Dirac mixture whose
     conditional payoffs match the given mixture's on every integrand of a
@@ -261,5 +253,4 @@ def density_step(delta: YoungMeasure, phis: Sequence[IntegrandFamily],
     for f in phis:
         if f.dim != 1:
             raise ValueError("density step expects scalar integrands")
-    return purify(delta, stack_integrands(phis), C, grid, tol=tol,
-                  polish_budget=polish_budget)
+    return purify(delta, stack_integrands(phis), C, grid, tol=tol)

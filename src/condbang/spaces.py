@@ -145,9 +145,6 @@ class RefinedSet:
     def total_mass(self) -> Scalar:
         return sum(self.masses)
 
-    def cells(self) -> tuple[int, ...]:
-        return tuple(k for k, m in enumerate(self.masses) if m > 0)
-
     def triples(self) -> list[tuple[int, Scalar, Scalar]]:
         return [(k, self.offsets[k], m) for k, m in enumerate(self.masses) if m > 0]
 

@@ -451,3 +451,43 @@ def test_verify_rejects_atoms_split_across_actions(tmp_path, exact):
     prob = write_doc(tmp_path, "split-p.json", doc)
     path = write_doc(tmp_path, "split-r.json", bad)
     assert main(["verify", str(prob), str(path), "-o", "/dev/null"]) == EXIT_VERIFY
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_verify_rejects_booleans_as_purify_chunk_indices(exact):
+    doc, report = _purify_report(exact, "splittable")
+    for column, what in ((0, "cell"), (3, "action")):
+        bad = copy.deepcopy(report)
+        rows = [row for row in bad["outputs"]["chunks"] if row[column] == 1]
+        assert rows
+        for row in rows:
+            row[column] = True  # equal to 1 in Python, but not an index in JSON
+        assert any(f"unknown {what} True" in v for v in verify_report(doc, bad)), what
+
+
+@pytest.mark.parametrize("key, value", [("diagonal_only", "yes"), ("diagonal_only", 1),
+                                        ("exact", 0), ("exact", [])])
+def test_verify_rejects_report_flags_that_are_not_booleans(tmp_path, key, value):
+    doc = make_problem(random.Random(311), "bang-bang")
+    rc, prob, out = emit(tmp_path, "bang-bang", doc)
+    assert rc == EXIT_OK
+    report = json.loads(out.read_text())
+    report["parameters"][key] = value
+    with pytest.raises(SchemaError, match=f"the {key} override must be a boolean"):
+        verify_report(doc, report)
+    path = write_doc(tmp_path, "flag-r.json", report)
+    assert main(["verify", str(prob), str(path), "-o", "/dev/null"]) == EXIT_SCHEMA
+
+
+def test_verify_takes_the_problems_regime_where_the_report_leaves_it_out():
+    doc = make_problem(random.Random(5), "cond-exp", exact=True)
+    report = json.loads(canonical_dumps(run("cond-exp", parse_problem(doc))))
+    cell = report["outputs"]["expectation"]["values"][0]
+    moved = Fraction(cell[0]["num"], cell[0]["den"]) + Fraction(1, 10 ** 12)
+    cell[0] = {"num": moved.numerator, "den": moved.denominator}
+    assert verify_report(doc, report)
+    # a report that leaves them out is checked in the problem's own regime,
+    # exact here, so a move far below the float tolerance of 1e-9 still shows
+    for key in ("exact", "diagonal_only", "mode"):
+        del report["parameters"][key]
+    assert verify_report(doc, report)

@@ -3,11 +3,13 @@ and a tolerance is a finite, nonnegative, non-boolean number."""
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from condbang.cli import EXIT_OK, EXIT_SCHEMA, main
 from condbang.documents import SchemaError, load_json, parse_number, parse_problem
 
 
@@ -35,6 +37,25 @@ def test_parse_number_keeps_finite_values():
     assert parse_number(0.25, False, "x") == 0.25
     assert parse_number(3, True, "x") == Fraction(3)
     assert parse_number({"num": 1, "den": 4}, False, "x") == 0.25
+
+
+@pytest.mark.parametrize("big", [10 ** 400, -10 ** 400, {"num": 10 ** 400, "den": 3}],
+                         ids=["int", "negative-int", "num-over-den"])
+def test_numbers_beyond_binary64_are_schema_errors_in_float_documents(tmp_path, big):
+    doc = {"space": {"weights": [1.0, big], "mode": "splittable"},
+           "payload": {"function": {"dim": 1, "values": [[0.5], [1.5]]}}}
+    with pytest.raises(SchemaError, match="space.weights: number beyond the float range"):
+        parse_problem(doc)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["cond-exp", str(path), "-o", "/dev/null"]) == EXIT_SCHEMA
+    # exact documents read them as they are
+    exact = {"space": {"weights": [1, 10 ** 400], "mode": "splittable"},
+             "parameters": {"exact": True},
+             "payload": {"function": {"dim": 1, "values": [[1], [2]]}}}
+    assert parse_problem(exact).grid.cell_count == 2
+    path.write_text(json.dumps(exact), encoding="utf-8")
+    assert main(["cond-exp", str(path), "-o", "/dev/null"]) == EXIT_OK
 
 
 def _doc(**params):
