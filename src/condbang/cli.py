@@ -283,7 +283,7 @@ def _run_annihilator(p: ProblemDocument, inputs):
 def _verify_annihilator(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
     f, E = inputs
     out = rep["outputs"]
-    space = out.get("space", {})
+    space = _object(out.get("space", {}), "outputs.space")
     weights = [parse_number(w, p.exact, "outputs.space.weights")
                for w in space.get("weights", [])]
     rgrid = grid_from_weights(weights, space.get("mode", "splittable"))
@@ -312,7 +312,7 @@ def _verify_annihilator(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> N
                 (mass > chk.tol and abs(E_r.offsets[j] - (start - lo[j])) > chk.tol):
             chk.fail(f"refined cell {j}: outputs.set is not the problem's set lifted")
             break
-    blocks = out.get("partition", {}).get("blocks", [])
+    blocks = _object(out.get("partition", {}), "outputs.partition").get("blocks", [])
     if blocks != [p.partition.block_of[q] for q in parent]:
         chk.fail("outputs.partition is not the problem's partition lifted through parent")
     C_r = make_partition(blocks)
@@ -610,6 +610,12 @@ def run(command: str, problem: ProblemDocument) -> dict:
     }
 
 
+def _object(v: Any, what: str) -> dict:
+    if not isinstance(v, dict):
+        raise SchemaError(f"{what} must be an object")
+    return v
+
+
 def verify_report(problem_raw: Any, report_raw: Any, tol: float | None = None) -> list[str]:
     """Recheck every claim of a report against its problem; empty means valid.
 
@@ -620,11 +626,9 @@ def verify_report(problem_raw: Any, report_raw: Any, tol: float | None = None) -
     if not isinstance(report_raw, dict):
         raise SchemaError("report document must be a JSON object")
     command = report_raw.get("command")
-    if command not in _COMMANDS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise SchemaError(f"report carries unknown command {command!r}")
-    params = report_raw.get("parameters", {})
-    if not isinstance(params, dict):
-        raise SchemaError("report parameters must be an object")
+    params = _object(report_raw.get("parameters", {}), "report parameters")
     problem = parse_problem(problem_raw,
                             mode_override=params.get("mode"),
                             exact_override=params.get("exact"),
@@ -636,6 +640,8 @@ def verify_report(problem_raw: Any, report_raw: Any, tol: float | None = None) -
         return chk.violations
     if "outputs" not in report_raw or "residuals" not in report_raw:
         raise SchemaError("report needs outputs and residuals")
+    _object(report_raw["outputs"], "report outputs")
+    _object(report_raw["residuals"], "report residuals")
     spec = _COMMANDS[command]
     try:
         spec.verify(chk, problem, spec.parse(problem, command), report_raw)

@@ -305,11 +305,16 @@ def parse_problem(raw: Any, *, mode_override: str | None = None,
 
 def load_json(text: str, what: str) -> Any:
     """Parse a JSON document, rejecting the NaN and Infinity constants that
-    ``json.loads`` would otherwise accept."""
+    ``json.loads`` would otherwise accept.
+
+    Every ``ValueError`` of ``json.loads`` is a schema error: a syntax error,
+    and also an integer literal longer than the interpreter's limit on
+    integer string conversion (4300 digits by default).
+    """
     def non_finite(name: str) -> Any:
         raise SchemaError(f"{what}: non-finite number {name} is not JSON")
 
     try:
         return json.loads(text, parse_constant=non_finite)
-    except json.JSONDecodeError as err:
+    except ValueError as err:
         raise SchemaError(f"{what}: invalid JSON ({err})") from None

@@ -6,7 +6,10 @@ weight-function targets: exactly on splittable grids (the proportional seed
 is realized as stacked sub-intervals), and within a certified residual bound
 on atomic grids (kernel pivoting to a basic solution leaves few fractional
 cells, which are then rounded, with optional exhaustive finishing on small
-blocks).  The pivoting folds each cell's sum row into that cell's columns
+blocks: one numpy search over the whole-cell assignments, run on float64
+arrays for float blocks and on integer-scaled object arrays for exact ones,
+so both regimes return the first best assignment in the same order).  The
+pivoting folds each cell's sum row into that cell's columns
 (generalized upper bounding), so its kernel solves run on the moment rows
 only, and each solve reuses the elimination of the window's unchanged
 leading columns.  Half-sets, the annihilator witness of non-injectivity,
@@ -15,7 +18,6 @@ and the multi-measure variant via density reweighting are built on top.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,7 +26,7 @@ import numpy as np
 
 from .condexp import (BlockFunction, SimpleFunction, bf_sub, cond_exp, indicator,
                       lift_function, lift_to_cells, sf_mul, weighted_ce_measure)
-from .linalg import Echelon, integer_row, nullspace_vector, pivot_step
+from .linalg import Echelon, integer_row, integer_scaled, nullspace_vector, pivot_step
 from .numeric import Scalar, max_abs
 from .spaces import (BlockPartition, CellRefinement, Grid, Mode, RefinedSet,
                      block_masses, build_grid, full_set, make_partition,
@@ -194,34 +196,36 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
         window = kept
 
 
-def _polish_exact(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],
-                  targets: list[list[Scalar]], p: int) -> list[int]:
-    q = len(avail)
-    best_assign = None
-    best_val = None
-    for assign in itertools.product(range(p), repeat=q):
-        worst = 0
-        for i in range(p):
-            for j, col in enumerate(mom_cols[i]):
-                acc = 0
-                for k in range(q):
-                    if assign[k] == i:
-                        acc += avail[k] * col[k]
-                dev = abs(acc - targets[i][j])
-                if dev > worst:
-                    worst = dev
-        if best_val is None or worst < best_val:
-            best_val = worst
-            best_assign = assign
-    return list(best_assign)
+def _polish(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],
+            targets: list[list[Scalar]], p: int, exact: bool) -> list[int]:
+    """The whole-cell assignment of a block with the least worst moment deviation.
 
+    Enumerates all p**q assignments of the q cells to pieces in chunks, each
+    assignment the base-p digits of its index (cell 0 the most significant),
+    so index order is ``itertools.product(range(p), repeat=q)``'s order.  Per
+    chunk, a boolean mask per piece and ``mask @ coef`` give every achieved
+    moment, a running ``np.maximum`` the worst deviation; ``np.argmin`` takes
+    the first minimizer within a chunk and a strict ``<`` keeps the earlier
+    chunk's on ties, so the result is the first minimizer in index order.
 
-def _polish_float(avail: list[float], mom_cols: list[list[list[float]]],
-                  targets: list[list[float]], p: int) -> list[int]:
+    Floats run on float64 arrays.  Exact blocks run the same search on object
+    arrays of Python ints: every coefficient avail[k] * col[k] and every target
+    is multiplied by one common L > 0, the lcm of their denominators
+    (``integer_scaled``).  Each achieved moment and each deviation is then L
+    times the rational one, so the worst deviations compare as the rational
+    ones do, and the first minimizer is the rational search's.
+    """
     q = len(avail)
+    owner = [i for i in range(p) for _ in mom_cols[i]]
+    goals = [t for row in targets for t in row]
+    if exact:
+        coefs = [[a * c for a, c in zip(avail, col)] for cols in mom_cols for col in cols]
+        _, (goals, *coefs) = integer_scaled([goals, *coefs])
+        coefs = [np.array(coef, dtype=object) for coef in coefs]
+    else:
+        w = np.asarray(avail, dtype=float)
+        coefs = [w * np.asarray(col, dtype=float) for cols in mom_cols for col in cols]
     total = p ** q
-    w = np.asarray(avail, dtype=float)
-    coefs = [[w * np.asarray(col, dtype=float) for col in mom_cols[i]] for i in range(p)]
     pows = np.array([p ** (q - 1 - c) for c in range(q)], dtype=np.int64)
     best_val = None
     best_idx = None
@@ -229,15 +233,13 @@ def _polish_float(avail: list[float], mom_cols: list[list[list[float]]],
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (idx[:, None] // pows[None, :]) % p
-        worst = np.zeros(len(idx))
-        for i in range(p):
-            mask = digits == i
-            for j, coef in enumerate(coefs[i]):
-                achieved = mask @ coef
-                np.maximum(worst, np.abs(achieved - targets[i][j]), out=worst)
+        masks = [digits == i for i in range(p)]
+        worst = np.zeros(len(idx), dtype=object if exact else float)
+        for i, coef, goal in zip(owner, coefs, goals):
+            np.maximum(worst, np.abs(masks[i] @ coef - goal), out=worst)
         a = int(np.argmin(worst))
         if best_val is None or worst[a] < best_val:
-            best_val = float(worst[a])
+            best_val = worst[a]
             best_idx = start + a
     return [int(d) for d in np.unravel_index(best_idx, (p,) * q)]
 
@@ -296,10 +298,7 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
             assign = None
             # with one piece the rounding's assignment is the only one
             if 1 < p ** q <= polish_budget:
-                if exact:
-                    assign = _polish_exact(avail_active, mom_cols, targets, p)
-                else:
-                    assign = _polish_float(avail_active, mom_cols, targets, p)
+                assign = _polish(avail_active, mom_cols, targets, p, exact)
             for kk, k in enumerate(active):
                 # without a polished assignment, the largest share (the first on ties)
                 i = assign[kk] if assign is not None else max(range(p), key=rows[kk].__getitem__)

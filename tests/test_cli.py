@@ -267,6 +267,35 @@ def test_verify_rejects_an_annihilator_partition_other_than_the_lifted_one():
     assert verify_report(doc, report)
 
 
+
+@pytest.mark.parametrize("where", ["outputs", "residuals", "outputs.space",
+                                   "outputs.partition"])
+@pytest.mark.parametrize("value", [[], "x", 3], ids=["array", "string", "number"])
+def test_verify_rejects_report_sections_that_are_not_objects(tmp_path, where, value):
+    doc, report = _annihilator_report()
+    if where.startswith("outputs."):
+        report["outputs"][where.split(".")[1]] = value
+    else:
+        report[where] = value
+    with pytest.raises(SchemaError, match=f"{where} must be an object"):
+        verify_report(doc, report)
+    prob = write_doc(tmp_path, "section-p.json", doc)
+    path = write_doc(tmp_path, "section-r.json", report)
+    assert main(["verify", str(prob), str(path), "-o", "/dev/null"]) == EXIT_SCHEMA
+
+
+@pytest.mark.parametrize("command", [[], {}, ["cond-exp"], 3, None])
+def test_verify_rejects_a_report_command_that_is_no_command_name(tmp_path, command):
+    doc = make_problem(random.Random(5), "cond-exp")
+    report = json.loads(canonical_dumps(run("cond-exp", parse_problem(doc))))
+    report["command"] = command
+    with pytest.raises(SchemaError, match="unknown command"):
+        verify_report(doc, report)
+    prob = write_doc(tmp_path, "command-p.json", doc)
+    path = write_doc(tmp_path, "command-r.json", report)
+    assert main(["verify", str(prob), str(path), "-o", "/dev/null"]) == EXIT_SCHEMA
+
+
 def test_verify_refuses_the_flags_it_reads_from_the_report(tmp_path):
     rng = random.Random(271)
     doc = make_problem(rng, "bang-bang")

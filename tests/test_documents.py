@@ -58,6 +58,33 @@ def test_numbers_beyond_binary64_are_schema_errors_in_float_documents(tmp_path, 
     assert main(["cond-exp", str(path), "-o", "/dev/null"]) == EXIT_OK
 
 
+
+#: an integer literal longer than CPython's default limit on integer string
+#: conversion (4300 digits), which ``json.loads`` refuses with a ValueError
+#: that is not a JSONDecodeError
+HUGE_INT = "1" + "0" * 4400
+
+
+@pytest.mark.parametrize("what", ["problem", "report"])
+def test_integers_beyond_the_conversion_limit_are_schema_errors(tmp_path, what):
+    marker = "9876543210123"
+    doc = {"space": {"weights": [1.0, 3.0], "mode": "splittable"},
+           "payload": {"function": {"dim": 1, "values": [[0.5], [1.5]]}}}
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(doc), encoding="utf-8")
+    if what == "problem":
+        doc["space"]["weights"][1] = int(marker)
+        prob.write_text(json.dumps(doc).replace(marker, HUGE_INT), encoding="utf-8")
+        assert main(["cond-exp", str(prob), "-o", "/dev/null"]) == EXIT_SCHEMA
+    else:
+        rep = tmp_path / "report.json"
+        assert main(["cond-exp", str(prob), "-o", str(rep)]) == EXIT_OK
+        report = json.loads(rep.read_text(encoding="utf-8"))
+        report["outputs"]["expectation"]["values"][0][0] = int(marker)
+        rep.write_text(json.dumps(report).replace(marker, HUGE_INT), encoding="utf-8")
+        assert main(["verify", str(prob), str(rep), "-o", "/dev/null"]) == EXIT_SCHEMA
+
+
 def _doc(**params):
     return {"space": {"weights": [1.0, 3.0], "mode": "splittable"}, "parameters": params}
 

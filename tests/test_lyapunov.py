@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from condbang import (Mode, RefinedSet, SimpleFunction, annihilator_witness, bui
                       make_partition, set_from_cells, set_from_triples,
                       sf_stack, simple_function, trivial_partition,
                       weighted_ce_measure, witness_block_integrals)
+from condbang.lyapunov import _polish
 
 from gen import (random_alpha, random_atomic_instance, random_exact_alpha,
                  random_exact_function, random_exact_grid, random_function,
@@ -321,3 +323,116 @@ def test_multi_measure_atomic_residual_matches_a_direct_recomputation(exact):
                     else:
                         scale = math.fsum(abs(t) for t in terms) / mu_b
                         assert abs(got - math.fsum(terms) / mu_b) <= 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive rounding search against the Fraction loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_polish(avail, mom_cols, targets, p):
+    """The exact polish as it ran before the numpy search served both regimes.
+
+    Plain Python arithmetic, so it runs on floats as well as on Fractions.
+    """
+    q = len(avail)
+    best_assign = None
+    best_val = None
+    for assign in itertools.product(range(p), repeat=q):
+        worst = 0
+        for i in range(p):
+            for j, col in enumerate(mom_cols[i]):
+                acc = 0
+                for k in range(q):
+                    if assign[k] == i:
+                        acc += avail[k] * col[k]
+                dev = abs(acc - targets[i][j])
+                if dev > worst:
+                    worst = dev
+        if best_val is None or worst < best_val:
+            best_val = worst
+            best_assign = assign
+    return list(best_assign)
+
+
+def random_polish_block(rng, q, p, rows, exact):
+    """avail, mom_cols and targets of a block; rows[i] moment rows for piece i."""
+    if exact:
+        draw = lambda lo, hi: Fraction(rng.randint(lo * 12, hi * 12), rng.randint(1, 12))
+    else:
+        draw = rng.uniform
+    avail = [draw(1, 3) for _ in range(q)]
+    mom_cols = [[[draw(-2, 2) for _ in range(q)] for _ in range(rows[i])] for i in range(p)]
+    targets = [[draw(-2, 2) for _ in range(rows[i])] for i in range(p)]
+    return avail, mom_cols, targets
+
+
+def assert_polish_matches_reference(avail, mom_cols, targets, p, exact):
+    got = _polish(avail, mom_cols, targets, p, exact)
+    assert got == reference_polish(avail, mom_cols, targets, p)
+    assert all(type(d) is int for d in got)
+    return got
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_polish_matches_the_reference_loop_on_random_blocks(exact):
+    rng = random.Random(131)
+    for _ in range(40):
+        p = rng.randint(2, 3)
+        q = rng.randint(1, 7 if p == 2 else 5)
+        # one-row pieces, multi-row pieces, and pieces of different row counts
+        rows = rng.choice([[1] * p, [2] * p, [rng.randint(1, 3) for _ in range(p)]])
+        avail, mom_cols, targets = random_polish_block(rng, q, p, rows, exact)
+        assert_polish_matches_reference(avail, mom_cols, targets, p, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_polish_takes_the_first_of_tied_optima(exact):
+    # dyadic data: every float sum is exact, so the float deviations tie
+    # exactly where the rational ones do
+    num = (lambda v: Fraction(v)) if exact else float
+    # symmetric blocks: equal cells, the targets at half the total
+    for q, rows in [(4, 1), (5, 2), (6, 1)]:
+        avail = [num(0.25)] * q
+        mom_cols = [[[num(1.0)] * q for _ in range(rows)] for _ in range(2)]
+        half = num(q * 0.125)
+        targets = [[half] * rows] * 2
+        got = assert_polish_matches_reference(avail, mom_cols, targets, 2, exact)
+        assert got == sorted(got)
+    # mirror cells: swapping the two halves of the block gives equal deviations
+    avail = [num(v) for v in (0.5, 0.25, 0.5, 0.25)]
+    mom_cols = [[[num(v) for v in (1.0, -2.0, 1.0, -2.0)]],
+                [[num(v) for v in (0.5, 0.5, 0.5, 0.5)], [num(v) for v in (1, 1, 1, 1)]],
+                [[num(v) for v in (-1.0, 3.0, -1.0, 3.0)]]]
+    targets = [[num(0.25)], [num(0.375), num(0.75)], [num(0.25)]]
+    assert_polish_matches_reference(avail, mom_cols, targets, 3, exact)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_polish_runs_more_than_one_chunk(exact):
+    # 2**16 assignments: two chunks of 2**15
+    rng = random.Random(7)
+    q, p = 16, 2
+    if exact:
+        # int coefficients keep the Fraction loop fast; the third added to
+        # every target makes the search scale by 3, and leaves the assignment
+        # below the only one that misses each target by just 1/3
+        draw = lambda: rng.randint(-1000, 1000)
+        offset = Fraction(1, 3)
+    else:
+        draw = lambda: rng.uniform(-2, 2)
+        offset = 0.0
+    avail = [abs(draw()) + 1 for _ in range(q)]
+    mom_cols = [[[draw() for _ in range(q)] for _ in range(rows)] for rows in (1, 2)]
+    # cell 0 on piece 1 puts the optimum in the second chunk
+    want = [1] + [rng.randint(0, 1) for _ in range(q - 1)]
+    targets = [[sum(avail[k] * col[k] for k in range(q) if want[k] == i) + offset
+                for col in mom_cols[i]] for i in range(p)]
+    assert assert_polish_matches_reference(avail, mom_cols, targets, p, exact) == want
+    # equal cells tie within and across the chunks: the first minimizer wins
+    num = int if exact else float
+    avail = [num(1)] * q
+    mom_cols = [[[num(1)] * q] for _ in range(p)]
+    targets = [[num(4)], [num(12)]]
+    got = assert_polish_matches_reference(avail, mom_cols, targets, p, exact)
+    assert got == [0] * 4 + [1] * 12
