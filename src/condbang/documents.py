@@ -309,7 +309,9 @@ def load_json(text: str, what: str) -> Any:
 
     Every ``ValueError`` of ``json.loads`` is a schema error: a syntax error,
     and also an integer literal longer than the interpreter's limit on
-    integer string conversion (4300 digits by default).
+    integer string conversion (4300 digits by default).  So is the
+    ``RecursionError`` of arrays or objects nested deeper than the
+    interpreter's recursion limit allows (about a thousand levels).
     """
     def non_finite(name: str) -> Any:
         raise SchemaError(f"{what}: non-finite number {name} is not JSON")
@@ -318,3 +320,5 @@ def load_json(text: str, what: str) -> Any:
         return json.loads(text, parse_constant=non_finite)
     except ValueError as err:
         raise SchemaError(f"{what}: invalid JSON ({err})") from None
+    except RecursionError:
+        raise SchemaError(f"{what}: JSON nested too deeply") from None

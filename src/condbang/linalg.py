@@ -14,13 +14,14 @@ are positive and it is a Carathéodory representation as it stands.  The
 simplex pivots floats with 1e-12 thresholds, and exact input on a tableau of
 Python ints scaled by one common denominator (Edmonds' integer-preserving
 pivots); its pivots and results are those of the same simplex on Fractions.
-The nullspace vector eliminates floats with partial pivoting, and exact rows
-fraction-free on Python ints (Bareiss), returning the Fractions exact
-elimination gives.  It eliminates left-looking, and an ``Echelon`` carries
-the elimination between solves, so a solve that starts with the previous
-solve's leading pivot columns eliminates only the columns after them; the
-floats stay bit for bit those of a solve from scratch.  One solve is tens of
-rows, so plain lists beat array machinery for it.
+The nullspace vector eliminates floats with partial pivoting, and exact
+integer columns fraction-free (Bareiss), returning the integral kernel
+|det|·z of the Fraction elimination's z, a positive multiple along which the
+pivot step moves every value as along z.  It eliminates left-looking, and an
+``Echelon`` carries the elimination between solves, so a solve that starts
+with the previous solve's leading pivot columns eliminates only the columns
+after them; the floats stay bit for bit those of a solve from scratch.  One
+solve is tens of rows, so plain lists beat array machinery for it.
 
 Many float LPs at once are another matter: ``convex_combinations`` runs
 float LPs of one shape side by side, one pivot of each per step of a numpy
@@ -94,26 +95,15 @@ class Echelon:
         self.steps: list[tuple[int, int, Scalar, Scalar, list[Scalar]]] = []
 
 
-def _integer_columns(columns: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[Scalar]]:
-    """Exact columns with each row scaled by the lcm of its denominators.
-
-    All-int columns come back as they are, the same list objects, so an
-    ``Echelon`` can recognize them on the next solve.
-    """
-    if all(type(v) is int for col in columns for v in col):
-        return columns
-    return [list(col) for col in zip(*(integer_row(r) for r in zip(*columns)))]
-
-
 def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: bool,
                      echelon: Echelon | None = None) -> list[Scalar] | None:
     """A nonzero z with (matrix given by its ncols columns) @ z = 0, or None at
     full column rank.
 
     Deterministic: elimination sweeps columns left to right, the first
-    pivotless column becomes the free direction with coefficient one.
-    Floats take the largest entry above ``PIVOT_TOL`` as pivot, ints the
-    first nonzero one.
+    pivotless column becomes the free direction, with coefficient one on
+    floats and |det| on ints (below).  Floats take the largest entry above
+    ``PIVOT_TOL`` as pivot, ints the first nonzero one.
 
     The elimination is left-looking: each column in turn receives the row
     swaps and eliminations of the pivots before it, then picks its own
@@ -128,19 +118,21 @@ def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: boo
     scratch, whatever was reused.  Without ``echelon`` the solve starts from
     scratch.
 
-    Exact rows are scaled to integers and eliminated fraction-free (Bareiss
-    1968: each step divides exactly by the previous pivot, which keeps every
-    entry a minor of the input).  The result is still the one the Fraction
-    elimination gives, entry for entry: column c gets a pivot exactly when
-    it is not in the span of the columns before it, which no row scaling,
-    row order or elimination scheme changes.  So the free column is the
-    first dependent column, and the kernel vector with ``z[free] = 1`` and
-    zeros after ``free`` is unique.  The last pivot is the determinant
-    ``det`` of the leading free x free block, so ``det * z`` is integral
-    (Cramer) and back substitution stays on ints.
+    Exact columns hold Python ints: the caller scales its rows to integers
+    once, which moves no kernel.  An eliminated column holding anything else
+    raises ``TypeError``, since Bareiss's ``//`` on Fractions would give a
+    wrong kernel without an error.  They are eliminated fraction-free
+    (Bareiss 1968: each step divides exactly by the previous pivot, which
+    keeps every entry a minor of the input).  Column c gets a pivot exactly
+    when it is not in the span of the columns before it, which no row
+    scaling, row order or elimination scheme changes.  So the free column is
+    the first dependent column, and the kernel vector z with ``z[free] = 1``
+    and zeros after ``free``, the one Fraction elimination gives, is unique.
+    The last pivot is the determinant ``det`` of the leading free x free
+    block up to sign, so |det|·z is integral (Cramer): it comes back as ints,
+    ``|det|`` at ``free`` and zeros after it, back substitution staying on
+    ints.
     """
-    if exact:
-        columns = _integer_columns(columns)
     if echelon is None:
         echelon = Echelon()
     steps = echelon.steps
@@ -153,6 +145,8 @@ def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: boo
     free = None
     for c in range(kept, ncols):
         col = list(columns[c])
+        if exact and any(type(v) is not int for v in col):
+            raise TypeError(f"exact column {c} holds a non-int entry")
         for k, swap, piv, prev, factors in steps:
             if swap != k:
                 col[k], col[swap] = col[swap], col[k]
@@ -193,18 +187,16 @@ def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: boo
     if free is None:
         return None
     # reduced[cc][c] is row c, column cc of the upper factor, for cc <= free;
-    # floats solve for z on columns 0..free, ints for the integral det * z
-    det = (reduced[free - 1][free - 1] if free else 1) if exact else 1.0
-    x = [0 if exact else 0.0] * free + [det]
+    # floats solve for z on columns 0..free, ints for the integral |det| * z
+    nil = 0 if exact else 0.0
+    x = [nil] * free + [(abs(reduced[free - 1][free - 1]) if free else 1) if exact else 1.0]
     for c in range(free - 1, -1, -1):
-        s = 0 if exact else 0.0
+        s = nil
         for u, xc in zip(reduced[c + 1:], x[c + 1:]):
             if xc:
                 s += u[c] * xc
         x[c] = -s // reduced[c][c] if exact else -s / reduced[c][c]
-    if exact:
-        return [Fraction(xc, det) for xc in x] + [Fraction(0)] * (ncols - free - 1)
-    return x + [0.0] * (ncols - free - 1)
+    return x + [nil] * (ncols - free - 1)
 
 
 def pivot_step(x: Sequence[Scalar], z: Sequence[Scalar], exact: bool) -> list[Scalar]:

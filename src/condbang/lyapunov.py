@@ -103,8 +103,20 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     columns > moment rows), and the kernel vector with z[free] = 1 and zeros
     after ``free`` is unique in both.
 
-    Each window cell keeps the list of its positive pieces; after a pivot
-    only the cells whose variables moved are looked at again.
+    The fractional cells are pulled lazily, one at a time.  After each, the
+    window pivots while it has more reduced columns than moment rows, where
+    a kernel always exists; once the last one has joined, it pivots while
+    any column is left and a kernel exists.  Each window cell keeps the list
+    of its positive pieces; after a pivot only the cells whose variables
+    moved are looked at again.
+
+    On exact data each block's moment rows are scaled to ints once, and each
+    kernel comes back as the integral |det|·z, a positive multiple of the z
+    above (see ``nullspace_vector``); the lift and ``pivot_step`` run on it
+    as they are.  For any c > 0, replacing z by c·z changes no sign and
+    divides every ratio x[i] / z[i] by c, so the least ratio and its ties
+    stay where they were, and it leaves theta·z[i] as it was: every moved
+    value is the same Fraction.
 
     One ``Echelon`` carries the kernel elimination between solves.  The
     window's column list changes only where a cell joins at the end, leaves,
@@ -152,48 +164,44 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     window: list[tuple[int, list[int], list[list[Scalar]]]] = []
     echelon = Echelon()
     stream = fractional_cells()
-    exhausted = False
     while True:
-        reduced = sum(len(columns) for _, _, columns in window)
-        z = None
-        if reduced > mom_rows or (exhausted and reduced > 0):
-            z = nullspace_vector([column for _, _, columns in window for column in columns],
-                                 reduced, exact, echelon=echelon)
-        if z is None:
-            nxt = next(stream, None)
-            if nxt is None:
-                if exhausted:
-                    return rows
-                exhausted = True
-                continue
-            window.append(nxt)
-            continue
-        x: list[Scalar] = []
-        direction: list[Scalar] = []
-        col = 0
-        for kk, pieces, columns in window:
-            tail = z[col:col + len(columns)]
-            col += len(columns)
-            direction.append(-sum(tail))
-            direction.extend(tail)
-            x.extend(rows[kk][i] for i in pieces)
-        moved = pivot_step(x, direction, exact)
-        kept = []
-        at = 0
-        for cell in window:
-            kk, pieces, _ = cell
-            start, at = at, at + len(pieces)
-            if any(direction[start:at]):
-                row = rows[kk]
-                for i, v in zip(pieces, moved[start:at]):
-                    row[i] = v
-                left = [i for i in pieces if row[i] > 0]
-                if len(left) < 2:
-                    continue
-                if len(left) < len(pieces):
-                    cell = (kk, left, reduced_columns(kk, left))
-            kept.append(cell)
-        window = kept
+        joining = next(stream, None)
+        if joining is not None:
+            window.append(joining)
+        # past the last fractional cell, pivot until no kernel is left
+        while sum(len(cols) for _, _, cols in window) > (mom_rows if joining else 0):
+            columns = [column for _, _, cols in window for column in cols]
+            z = nullspace_vector(columns, len(columns), exact, echelon=echelon)
+            if z is None:
+                break
+            x: list[Scalar] = []
+            direction: list[Scalar] = []
+            col = 0
+            for kk, pieces, cols in window:
+                tail = z[col:col + len(cols)]
+                col += len(cols)
+                direction.append(-sum(tail))
+                direction.extend(tail)
+                x.extend(rows[kk][i] for i in pieces)
+            moved = pivot_step(x, direction, exact)
+            kept = []
+            at = 0
+            for cell in window:
+                kk, pieces, _ = cell
+                start, at = at, at + len(pieces)
+                if any(direction[start:at]):
+                    row = rows[kk]
+                    for i, v in zip(pieces, moved[start:at]):
+                        row[i] = v
+                    left = [i for i in pieces if row[i] > 0]
+                    if len(left) < 2:
+                        continue
+                    if len(left) < len(pieces):
+                        cell = (kk, left, reduced_columns(kk, left))
+                kept.append(cell)
+            window = kept
+        if joining is None:
+            return rows
 
 
 def _polish(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],

@@ -104,16 +104,18 @@ def make_partition(block_of: Sequence[int], block_count: int | None = None) -> B
     if not labels:
         raise ValueError("partition needs at least one cell")
     count = (max(labels) + 1) if block_count is None else int(block_count)
-    cells: list[list[int]] = [[] for _ in range(count)]
+    # keyed by label, so that nothing grows with the block count before every
+    # block is known to hold a cell
+    cells: dict[int, list[int]] = {}
     for k, b in enumerate(labels):
         if not 0 <= b < count:
             raise ValueError(f"cell {k}: block index {b} out of range 0..{count - 1}")
-        cells[b].append(k)
-    for b, members in enumerate(cells):
-        if not members:
-            raise ValueError(f"block {b} has no cells")
+        cells.setdefault(b, []).append(k)
+    if len(cells) < count:
+        empty = next(b for b in range(count) if b not in cells)
+        raise ValueError(f"block {empty} has no cells")
     return BlockPartition(block_of=labels, block_count=count,
-                          blocks=tuple(tuple(c) for c in cells))
+                          blocks=tuple(tuple(cells[b]) for b in range(count)))
 
 
 def trivial_partition(grid: Grid) -> BlockPartition:

@@ -85,6 +85,25 @@ def test_integers_beyond_the_conversion_limit_are_schema_errors(tmp_path, what):
         assert main(["verify", str(prob), str(rep), "-o", "/dev/null"]) == EXIT_SCHEMA
 
 
+@pytest.mark.parametrize("what", ["problem", "report"])
+@pytest.mark.parametrize("nested", ["[" * 100000 + "]" * 100000,
+                                    '{"extra": ' + "[" * 3000 + "]" * 3000 + "}"],
+                         ids=["bare", "under-a-key"])
+def test_documents_nested_beyond_the_recursion_limit_are_schema_errors(tmp_path, what,
+                                                                        nested):
+    doc = {"space": {"weights": [1.0, 3.0], "mode": "splittable"},
+           "payload": {"function": {"dim": 1, "values": [[0.5], [1.5]]}}}
+    prob = tmp_path / "problem.json"
+    prob.write_text(json.dumps(doc), encoding="utf-8")
+    if what == "problem":
+        prob.write_text(nested, encoding="utf-8")
+        assert main(["cond-exp", str(prob), "-o", "/dev/null"]) == EXIT_SCHEMA
+    else:
+        rep = tmp_path / "report.json"
+        rep.write_text(nested, encoding="utf-8")
+        assert main(["verify", str(prob), str(rep), "-o", "/dev/null"]) == EXIT_SCHEMA
+
+
 def _doc(**params):
     return {"space": {"weights": [1.0, 3.0], "mode": "splittable"}, "parameters": params}
 

@@ -7,11 +7,14 @@ and the pivot step before the simplex's basic solution replaced it.
 ``reference_nullspace_vector`` is the elimination ``linalg.nullspace_vector``
 ran on both regimes before exact solves moved to integers and before the
 sweep became left-looking, kept verbatim: it takes the matrix by rows, where
-``nullspace_vector`` takes it by columns.  Exact results must match it entry
-for entry, every entry a ``Fraction``; float results must match it bit for
-bit, with or without an ``Echelon`` carried over from earlier solves.  The
-reference gets its exact input as ``Fraction``s, because on two ``int``s its
-``/`` leaves the exact regime.
+``nullspace_vector`` takes it by columns.  Exact solves take integer columns
+(``_integer_columns`` scales ``Fraction`` input, row by row) and return the
+kernel as ints, a positive multiple of the reference's: positive at the
+free column and zero after it.  Divided by that entry, it must match the
+reference entry for entry.  Float results must match it bit for bit, with
+or without an ``Echelon`` carried over from earlier solves.  The reference
+gets its exact input as ``Fraction``s, because on two ``int``s its ``/``
+leaves the exact regime.
 
 ``reference_convex_combination`` is ``linalg.convex_combination`` as it ran
 before exact input moved to an integer tableau, kept verbatim: Fractions
@@ -31,11 +34,11 @@ from typing import Sequence
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condbang import linalg
-from condbang.linalg import (Echelon, convex_combination, convex_combinations,
+from condbang.linalg import (Echelon, convex_combination, convex_combinations, integer_row,
                              nullspace_vector, pivot_step)
 from condbang.numeric import PIVOT_TOL, Scalar
 
@@ -101,6 +104,30 @@ def reference_nullspace_vector(rows: Sequence[Sequence[Scalar]], ncols: int,
     return z
 
 
+def _integer_columns(columns: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[Scalar]]:
+    """Exact columns with each row scaled by the lcm of its denominators.
+
+    All-int columns come back as they are, the same list objects, so an
+    ``Echelon`` can recognize them on the next solve.
+    """
+    if all(type(v) is int for col in columns for v in col):
+        return columns
+    return [list(col) for col in zip(*(integer_row(r) for r in zip(*columns)))]
+
+
+def assert_scaled_kernel(got, want):
+    """The exact kernel ``got`` is the reference kernel ``want`` times a
+    positive int: all ints, positive at ``want``'s free column (its last
+    nonzero entry, a one) and zero after it."""
+    if want is None:
+        assert got is None
+        return
+    free = max(c for c, v in enumerate(want) if v)
+    assert all(type(v) is int for v in got)
+    assert got[free] > 0 and not any(got[free + 1:])
+    assert [Fraction(v, got[free]) for v in got] == want
+
+
 def columns_of(rows, ncols):
     return [[r[c] for r in rows] for c in range(ncols)]
 
@@ -112,11 +139,9 @@ def rows_of(columns):
 def assert_exact_matches_reference(rows, ncols):
     want = reference_nullspace_vector([[Fraction(v) for v in r] for r in rows],
                                       ncols, True)
-    got = nullspace_vector(columns_of(rows, ncols), ncols, True)
-    assert got == want
-    if got is not None:
-        assert all(type(v) is Fraction for v in got)
-    return got
+    got = nullspace_vector(_integer_columns(columns_of(rows, ncols)), ncols, True)
+    assert_scaled_kernel(got, want)
+    return want
 
 
 def same_bits(got, want) -> bool:
@@ -272,12 +297,12 @@ def test_kernel_with_a_carried_echelon_matches_a_fresh_sweep(exact, data):
         if not columns:
             continue
         ncols = len(columns)
-        got = nullspace_vector(columns, ncols, exact, echelon=echelon)
+        got = nullspace_vector(_integer_columns(columns) if exact else columns, ncols, exact,
+                               echelon=echelon)
         rows = [[F(v) if exact else v for v in r] for r in rows_of(columns)]
         want = reference_nullspace_vector(rows, ncols, exact)
         if exact:
-            assert got == want
-            assert got is None or all(type(v) is Fraction for v in got)
+            assert_scaled_kernel(got, want)
         else:
             assert same_bits(got, want)
         # the echelon holds a leading run of this window's columns, as passed
@@ -303,7 +328,41 @@ def test_echelon_keeps_the_elimination_of_unchanged_leading_columns():
     # the same solve without an echelon, and exact data on a fresh one
     assert same_bits(nullspace_vector(rebuilt, 4, False), z)
     ints = [[1, 0, 2], [0, 3, -1], [1, 3, 1]]
-    assert nullspace_vector(ints, 3, True, echelon=Echelon()) == [-1, -1, 1]
+    assert nullspace_vector(ints, 3, True, echelon=Echelon()) == [-3, -3, 3]
+
+
+def test_exact_kernel_is_integral_positive_at_free_and_zero_after():
+    # the last pivot is -2: the kernel is |det| z = 2 (3/2, 1, 0), not det z
+    assert nullspace_vector([[-2], [3], [5]], 3, True) == [3, 2, 0]
+    # a row swap, then pivots 4 and 12: column 2 is column 0 plus twice column 1
+    z = nullspace_vector([[0, 4], [3, 1], [6, 6], [9, 9]], 4, True)
+    assert z == [-12, -24, 12, 0] and all(type(v) is int for v in z)
+
+
+@pytest.mark.parametrize("entry", [F(1, 2), 0.5, F(4)], ids=["fraction", "float", "whole"])
+def test_exact_kernel_rejects_a_column_that_is_not_all_ints(entry):
+    with pytest.raises(TypeError):
+        nullspace_vector([[1, 2], [entry, 1]], 2, True)
+    # a column joining a carried elimination is checked as it is eliminated
+    echelon = Echelon()
+    columns = [[1, 0], [0, 1]]
+    assert nullspace_vector(columns, 2, True, echelon=echelon) is None
+    with pytest.raises(TypeError):
+        nullspace_vector(columns + [[entry, 3]], 3, True, echelon=echelon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3)), min_size=1, max_size=8),
+       st.sampled_from(("mixed", "nonpositive")), st.integers(1, 10 ** 9))
+def test_exact_pivot_step_moves_alike_along_any_positive_multiple(entries, signs, c):
+    # small numerators and z entries make tied ratios common
+    x = [F(a, 2) for a, _ in entries]
+    z = [b if signs == "mixed" else -abs(b) for _, b in entries]
+    assume(any(z))
+    moved = pivot_step(x, z, True)
+    assert pivot_step(x, [c * v for v in z], True) == moved
+    assert pivot_step(x, [F(v, c) for v in z], True) == moved
+    assert all(type(v) is Fraction for v in moved)
 
 
 def test_pivot_step_smallest_index_leaves_a_tie():

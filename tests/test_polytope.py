@@ -18,7 +18,7 @@ from condbang.numeric import Scalar, all_exact, resolve_tol
 from condbang.polytope import _dedupe, _points_exact
 
 from gen import interior_selection, random_grid, random_polytopes
-from test_linalg import reference_convex_combination
+from test_linalg import _integer_columns, reference_convex_combination
 
 TOL = 1e-9
 BIG = 2 ** 64
@@ -460,7 +460,9 @@ def reference_reduce_support(columns: Sequence[Sequence[Scalar]], x: Sequence[Sc
         support = [v for v, xv in enumerate(x) if xv > 0]
         if len(support) <= 1:
             return x
-        z = nullspace_vector([columns[v] for v in support], len(support), exact)
+        supported = [columns[v] for v in support]
+        z = nullspace_vector(_integer_columns(supported) if exact else supported,
+                             len(support), exact)
         if z is None:
             return x
         moved = pivot_step([x[v] for v in support], z, exact)
@@ -535,8 +537,8 @@ def test_exact_decomposition_is_the_reduced_one_and_independent(cases):
         assert (w, sup) == reference_decompose(point, pts)
         assert all(type(v) is Fraction for v in w)
         # the support's (vertex, 1) columns are independent
-        assert nullspace_vector([list(pts[i]) + [Fraction(1)] for i in sup], len(sup),
-                                True) is None
+        assert nullspace_vector(_integer_columns([list(pts[i]) + [Fraction(1)] for i in sup]),
+                                len(sup), True) is None
         want.append((w, sup))
     assert_selection_matches([pts for pts, _ in cases], [point for _, point in cases], want,
                              lambda a, b: a == b and all(type(v) is Fraction for v in a))

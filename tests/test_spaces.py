@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -29,6 +30,30 @@ def test_build_grid_rejects_bad_input():
         build_grid([0.3, 0.0], Mode.ATOMIC)
     with pytest.raises(ValueError):
         build_grid([0.3, float("nan")], Mode.ATOMIC)
+
+
+def test_make_partition_names_the_first_empty_block():
+    with pytest.raises(ValueError, match="block 1 has no cells"):
+        make_partition([0, 2, 2])
+    with pytest.raises(ValueError, match="block 2 has no cells"):
+        make_partition([1, 0], 3)
+    with pytest.raises(ValueError, match=r"cell 1: block index -1 out of range 0\.\.4"):
+        make_partition([0, -1], 5)
+    assert make_partition([1, 0, 1]).blocks == ((1,), (0, 2))
+
+
+@pytest.mark.parametrize("block_count", [None, 2 * 10 ** 6])
+def test_make_partition_refuses_a_huge_label_without_allocating_per_block(block_count):
+    # a label of 2e6 over two cells leaves block 1 empty; the refusal may not
+    # cost memory in proportion to the label
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="block 1 has no cells"):
+            make_partition([0, 2 * 10 ** 6 - 1], block_count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_refine_partition_splits_blocks():
