@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,20 @@ class SchemaError(Exception):
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=False, allow_nan=False) + "\n"
+
+
+_ECHO = reprlib.Repr()
+# one level of nesting, two items per container and 24 characters per string
+# or number: an echo stays under 120 characters whatever the value's size
+_ECHO.maxlevel = 1
+_ECHO.maxtuple = _ECHO.maxlist = _ECHO.maxdict = _ECHO.maxset = 2
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 24
+
+
+def echo(v: Any) -> str:
+    """``repr`` of an offending document value, cut to a bounded length, for
+    an error message."""
+    return _ECHO.repr(v)
 
 
 def document_digest(obj: Any) -> str:
@@ -90,7 +105,7 @@ def _tolerance(v: Any, what: str) -> float:
     """A finite, nonnegative, non-boolean tolerance, as a float."""
     if isinstance(v, bool) or not isinstance(v, (int, float)) \
             or not 0 <= v <= sys.float_info.max:
-        raise SchemaError(f"{what} must be a finite nonnegative number, got {v!r}")
+        raise SchemaError(f"{what} must be a finite nonnegative number, got {echo(v)}")
     return float(v)
 
 
@@ -275,7 +290,7 @@ def parse_problem(raw: Any, *, mode_override: str | None = None,
     weights_raw = _as_list(_require(space, "weights", "space"), "space.weights")
     mode = _require(space, "mode", "space") if mode_override is None else mode_override
     if mode not in (Mode.SPLITTABLE.value, Mode.ATOMIC.value):
-        raise SchemaError(f"space.mode must be 'splittable' or 'atomic', got {mode!r}")
+        raise SchemaError(f"space.mode must be 'splittable' or 'atomic', got {echo(mode)}")
     weights = [parse_number(w, exact, "space.weights") for w in weights_raw]
     try:
         grid = build_grid(weights, mode)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from condbang import cli
 from condbang.cli import (EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, EXIT_VERIFY,
                           RUN_COMMANDS, main, run, verify_report)
 from condbang.documents import SchemaError, canonical_dumps, parse_problem
@@ -520,3 +521,59 @@ def test_verify_takes_the_problems_regime_where_the_report_leaves_it_out():
     for key in ("exact", "diagonal_only", "mode"):
         del report["parameters"][key]
     assert verify_report(doc, report)
+
+
+def _huge_values():
+    """A string of 10**6 characters and a list nested 900 deep."""
+    nested: list = []
+    for _ in range(900):
+        nested = [nested]
+    return ["m" * 10 ** 6, nested]
+
+
+@pytest.mark.parametrize("value", _huge_values(), ids=["string", "nested"])
+@pytest.mark.parametrize("where", ["space.mode", "parameters.tolerance", "report.command"])
+def test_schema_errors_echo_a_bounded_part_of_the_offending_value(tmp_path, capsys, where,
+                                                                     value):
+    doc = make_problem(random.Random(7), "cond-exp")
+    rc, prob, out = emit(tmp_path, "cond-exp", doc)
+    assert rc == EXIT_OK
+    if where == "report.command":
+        report = json.loads(out.read_text())
+        report["command"] = value
+        out.write_text(json.dumps(report), encoding="utf-8")
+        args = ["verify", str(prob), str(out), "-o", "/dev/null"]
+    else:
+        if where == "space.mode":
+            doc["space"]["mode"] = value
+        else:
+            doc["parameters"] = {"tolerance": value}
+        args = ["cond-exp", str(write_doc(tmp_path, "huge.json", doc)), "-o", "/dev/null"]
+    capsys.readouterr()
+    assert main(args) == EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ")
+    assert len(err) < 200, err[:300]
+
+
+@pytest.mark.parametrize("batch", [1, 2, cli._MATCH_BATCH])
+@pytest.mark.parametrize("exact", [False, True])
+def test_verify_matches_a_branch_value_to_a_vertex_within_tol(monkeypatch, exact, batch):
+    monkeypatch.setattr(cli, "_MATCH_BATCH", batch)
+    doc, cells, enc = _pointset_with_interior_points(exact, 5)
+    report = json.loads(canonical_dumps(run("pointset-bang-bang", parse_problem(doc))))
+    values = report["outputs"]["branch_values"][0]["values"]
+    if not exact:
+        # a value within tol of its vertex still matches it; beyond, none;
+        # at tol 0 only an equal value matches
+        for shift, tol, ok in ((0.5e-9, None, True), (4e-9, None, False),
+                               (0.0, 0.0, True), (0.5e-9, 0.0, False)):
+            moved = copy.deepcopy(report)
+            moved["outputs"]["branch_values"][0]["values"] = [
+                [c + shift for c in value] for value in values]
+            extremeness = [v for v in verify_report(doc, moved, tol=tol)
+                           if "not an extreme point" in v]
+            assert (extremeness == []) == ok, (shift, tol, extremeness)
+    short = copy.deepcopy(report)
+    short["outputs"]["branch_values"][0] = {"dim": 1, "values": [value[:1] for value in values]}
+    assert verify_report(doc, short) == ["branch values and vertices differ in dimension"]

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -13,8 +14,10 @@ from condbang import (HullMembershipError, Mode, NoExtremePointError, build_grid
                       caratheodory_decompose, decompose_selection, extreme_point_indices,
                       polytope_map, simple_function)
 from condbang import polytope
-from condbang.linalg import convex_combination, nullspace_vector, pivot_step
-from condbang.numeric import Scalar, all_exact, resolve_tol
+from condbang.cli import run
+from condbang.documents import parse_problem
+from condbang.linalg import convex_combination, integer_scaled, nullspace_vector, pivot_step
+from condbang.numeric import Scalar, all_exact, is_exact, max_abs, resolve_tol
 from condbang.polytope import _dedupe, _points_exact
 
 from gen import interior_selection, random_grid, random_polytopes
@@ -42,6 +45,12 @@ def test_extreme_points_examples():
     square = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5)]
     assert extreme_of(square) == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
     assert extreme_of([(2.5, -1.0)]) == [(2.5, -1.0)]
+
+
+@pytest.mark.parametrize("num", [float, Fraction])
+def test_extreme_points_of_mixed_dimensions_are_refused(num):
+    with pytest.raises(ValueError, match="differ in dimension"):
+        extreme_point_indices([(num(0), num(0)), (num(1),), (num(2), num(2))])
 
 
 def test_extreme_points_against_lp_oracle():
@@ -340,19 +349,157 @@ def test_exact_bound_on_integers_agrees_with_mixed_denominators(data):
     assert_filter_agrees(pts, tol)
 
 
-def count_plans(monkeypatch):
-    """Every extreme-point filter plan made while the patch holds."""
-    plans = []
+def reference_separation_pending(pts, tol):
+    """The separation bound as ``_FilterPlan`` ran it point by point before
+    it ran on arrays, kept verbatim as the reference: the indices, into the
+    deduped points, of the points it leaves to an LP."""
+    exact = _points_exact(pts)
+    tol = resolve_tol(exact, tol)
+    kept, _ = _dedupe(pts)
+    pending = []
+    n = len(kept)
+    if n == 1:
+        return pending
+    bound = tol if exact else tol + polytope._FLOAT_SEPARATION_SLACK * (
+        1 + max_abs(c for p in kept for c in p))
+    if exact and is_exact(tol):
+        scale, scaled = integer_scaled(kept)
+    else:
+        # floats, and exact points under a float tol: its products would
+        # round differently once scaled by L^2
+        scale, scaled = 1, kept
+    total = [sum(coords) for coords in zip(*scaled)]
+    for i, p in enumerate(scaled):
+        d = [n * pc - tc for pc, tc in zip(p, total)]
+        m = max(sum(dc * qc for dc, qc in zip(d, q)) for q in scaled[:i] + scaled[i + 1:])
+        gap = sum(dc * pc for dc, pc in zip(d, p)) - m
+        if gap <= bound * max(scale * max_abs(d), abs(m)):
+            pending.append(i)
+    return pending
 
-    class Counted(polytope._FilterPlan):
+
+def assert_pending_agrees(sets, tol=None):
+    """``_separate`` over the plans of all ``sets`` at once leaves each plan
+    the reference's pending list."""
+    plans = [polytope._FilterPlan(pts, tol) for pts in sets]
+    polytope._separate(plans)
+    assert [plan.pending for plan in plans] == [reference_separation_pending(pts, tol)
+                                                for pts in sets]
+
+
+def gaussian_sets(rng, count, dims=(1, 2, 3, 4), sizes=(1, 12)):
+    """``count`` sets of Gaussian points, a few of them repeated."""
+    sets = []
+    for _ in range(count):
+        dim = rng.choice(dims)
+        pts = [tuple(rng.gauss(0, 1) for _ in range(dim)) for _ in range(rng.randint(*sizes))]
+        for _ in range(rng.randint(0, 2)):
+            pts.insert(rng.randrange(len(pts) + 1), rng.choice(pts))
+        sets.append(pts)
+    return sets
+
+
+def exact_sets(rng, count):
+    """``count`` exact sets in dims 1-3 of 1-9 points, ints or Fractions of
+    unrelated denominators, some repeated, some on a midpoint of two others."""
+    sets = []
+    for _ in range(count):
+        dim = rng.randint(1, 3)
+
+        def entry():
+            return rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-50, 50), rng.randint(1, 30)),
+                               Fraction(rng.randint(-BIG, BIG), BIG - rng.randint(0, 1000))))
+
+        pts = [tuple(entry() for _ in range(dim)) for _ in range(rng.randint(1, 9))]
+        if rng.random() < 0.3:
+            pts.append(rng.choice(pts))
+        if len(pts) > 1 and rng.random() < 0.3:
+            a, b = rng.sample(pts, 2)
+            pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+        sets.append(pts)
+    return sets
+
+
+def test_separation_on_arrays_matches_the_scalar_loop_on_floats():
+    rng = random.Random(61)
+    sets = gaussian_sets(rng, 600)
+    # every shape in one call, and each set on its own
+    assert_pending_agrees(sets)
+    for pts in sets[:100]:
+        assert_pending_agrees([pts])
+    assert_pending_agrees(gaussian_sets(rng, 50), tol=0.25)
+    # a probe 10**k tol off a square's edge or corner, on either side, at
+    # scales where the round-off allowance reaches past tol
+    square = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    probes = [(1 + side * 10.0 ** k * TOL, y) for k in range(5) for side in (-1, 1)
+              for y in (0.5, 1.0)]
+    assert_pending_agrees([[(x * s, y * s) for x, y in square + [probe]]
+                           for s in (1.0, 1e3, 1e6) for probe in probes])
+
+
+@pytest.mark.parametrize("tol", [None, Fraction(1, 10 ** 9), Fraction(1, 7), 1e-9, 0.25])
+def test_separation_on_arrays_matches_the_scalar_loop_exactly(tol):
+    # tol None is 0 on exact sets; a float tol keeps the sets unscaled
+    sets = exact_sets(random.Random(67), 150)
+    assert_pending_agrees(sets, tol)
+    assert_pending_agrees(sets + gaussian_sets(random.Random(71), 50), tol)
+
+
+def test_separation_slices_a_large_group(monkeypatch):
+    rng = random.Random(73)
+    sets = gaussian_sets(rng, 300, dims=(2,), sizes=(6, 6)) + exact_sets(rng, 60)
+    # a slice of 2 plans of 6 points, and of 1 plan of 12
+    monkeypatch.setattr(polytope, "_SEPARATION_ENTRIES", 80)
+    assert_pending_agrees(sets)
+    assert_pending_agrees([[(float(i), float(i * i)) for i in range(12)]] * 5)
+
+
+def record_filter(monkeypatch):
+    """The (points, tol) of every filter plan made while the patch holds, the
+    pending list of each as its LPs are taken, and those LPs."""
+    seen = {"sets": [], "pending": [], "lps": []}
+
+    class Recorded(polytope._FilterPlan):
         __slots__ = ()
 
-        def __init__(self, *args):
-            super().__init__(*args)
-            plans.append(self)
+        def __init__(self, pts, tol):
+            super().__init__(pts, tol)
+            seen["sets"].append((pts, tol))
 
-    monkeypatch.setattr(polytope, "_FilterPlan", Counted)
-    return plans
+        def lps(self):
+            seen["pending"].append(list(self.pending))
+            lps = list(super().lps())
+            seen["lps"].extend(lps)
+            return iter(lps)
+
+    monkeypatch.setattr(polytope, "_FilterPlan", Recorded)
+    return seen
+
+
+def test_extreme_point_indices_separates_a_group_of_one(monkeypatch):
+    seen = record_filter(monkeypatch)
+    rng = random.Random(79)
+    for pts in gaussian_sets(rng, 40) + exact_sets(rng, 40):
+        try:
+            extreme_point_indices(pts)
+        except NoExtremePointError:
+            pass
+    assert len(seen["sets"]) == 80
+    assert seen["pending"] == [reference_separation_pending(pts, tol) for pts, tol in seen["sets"]]
+
+
+def test_a_pointset_instance_submits_the_reference_count_of_filter_lps(monkeypatch):
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    inst = next(workloads.instances("splittable-geometry", 1))
+    assert inst.command == "pointset-bang-bang"
+    seen = record_filter(monkeypatch)
+    run(inst.command, parse_problem(inst.document))
+    assert seen["sets"]
+    assert seen["pending"] == [reference_separation_pending(pts, tol) for pts, tol in seen["sets"]]
+    assert len(seen["lps"]) == sum(map(len, seen["pending"]))
 
 
 def count_lps(monkeypatch):
@@ -397,12 +544,12 @@ def test_decompose_selection_filters_each_distinct_vertex_set_once(monkeypatch):
     expected = [caratheodory_decompose(s.values[k], T.vertices[k], tol=TOL)
                 for k in range(len(cells))]
     # the points the separation bound leaves to an LP, per distinct set
-    unsettled = sum(len(polytope._FilterPlan(shape, TOL).pending)
+    unsettled = sum(len(reference_separation_pending(shape, TOL))
                     for shape in {tuple(c) for c in cells})
-    plans = count_plans(monkeypatch)
+    seen = record_filter(monkeypatch)
     lps = count_lps(monkeypatch)
     dec = decompose_selection(T, s, g)
-    assert len(plans) == len({tuple(c) for c in cells}) < len(cells)
+    assert len(seen["sets"]) == len({tuple(c) for c in cells}) < len(cells)
     # those points' LPs, then one decomposition LP per cell
     assert len(lps) == unsettled + len(cells)
     for k, (w, sup) in enumerate(expected):
