@@ -24,7 +24,7 @@ from typing import Any
 
 from .condexp import BlockFunction, SimpleFunction
 from .numeric import Scalar
-from .polytope import PolytopeMap, polytope_map
+from .polytope import PolytopeMap
 from .purify import ActionSet, IntegrandFamily, YoungMeasure, action_set, young_measure
 from .spaces import (BlockPartition, Grid, Mode, RefinedSet, build_grid,
                      make_partition, set_from_triples, trivial_partition)
@@ -195,14 +195,17 @@ def encode_refined_set(E: RefinedSet, exact: bool) -> dict:
 
 
 def parse_polytopes(obj: Any, exact: bool, cells: int, what: str) -> PolytopeMap:
+    """The vertex sets, each nonempty; ``_vector`` checks every vertex's length
+    and ``parse_number`` every coordinate, so no second pass by
+    ``polytope_map`` is needed."""
     dim, vertices = _dim_table(obj, "vertices", cells, "vertex sets", what)
     sets = []
     for k, vs in enumerate(vertices):
         vs = _as_list(vs, f"{what}.vertices[{k}]")
         if not vs:
             raise SchemaError(f"{what}.vertices[{k}]: vertex set must be nonempty")
-        sets.append([_vector(v, dim, exact, f"{what}.vertices[{k}]") for v in vs])
-    return polytope_map(sets)
+        sets.append(tuple(_vector(v, dim, exact, f"{what}.vertices[{k}]") for v in vs))
+    return PolytopeMap(dim=dim, vertices=tuple(sets))
 
 
 def parse_actions(obj: Any, what: str) -> ActionSet:

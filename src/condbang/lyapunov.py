@@ -4,16 +4,17 @@ Given block-wise moment targets, the partition solver distributes every
 cell's mass over p pieces so that each piece's conditional moments match the
 weight-function targets: exactly on splittable grids (the proportional seed
 is realized as stacked sub-intervals), and within a certified residual bound
-on atomic grids (kernel pivoting to a basic solution leaves few fractional
-cells, which are then rounded, with optional exhaustive finishing on small
-blocks: one numpy search over the whole-cell assignments, run on float64
+on atomic grids.  There, a small block is decided by an exhaustive search
+alone: one numpy search over the whole-cell assignments, run on float64
 arrays for float blocks and on integer-scaled object arrays for exact ones,
-so both regimes return the first best assignment in the same order).  The
-pivoting folds each cell's sum row into that cell's columns
-(generalized upper bounding), so its kernel solves run on the moment rows
-only, and each solve reuses the elimination of the window's unchanged
-leading columns.  Half-sets, the annihilator witness of non-injectivity,
-and the multi-measure variant via density reweighting are built on top.
+so both regimes return the first best assignment in the same order.  Every
+other block is pivoted by kernel steps to a basic solution, which leaves
+few fractional cells, and those are rounded.  The pivoting folds each
+cell's sum row into that cell's columns (generalized upper bounding), so
+its kernel solves run on the moment rows only, and each solve reuses the
+elimination of the window's unchanged leading columns.  Half-sets, the
+annihilator witness of non-injectivity, and the multi-measure variant via
+density reweighting are built on top.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .spaces import (BlockPartition, CellRefinement, Grid, Mode, RefinedSet,
                      block_masses, build_grid, full_set, make_partition,
                      refine_partition, split_cells, validate_set)
 
-#: blocks with at most this many whole-cell assignments get exhaustively
-#: re-rounded after the certified rounding step (atomic mode)
+#: blocks with at most this many whole-cell assignments are decided by the
+#: exhaustive search instead of the transport reduction (atomic mode)
 DEFAULT_POLISH_BUDGET = 4096
 
 
@@ -45,6 +46,10 @@ class PartitionResult:
     guaranteed to respect: the comparison tolerance on splittable grids, and
     rows * max relative cell weight * max moment entry on atomic grids,
     where rows is the total number of moment equations per block.
+
+    ``fractional_per_block`` counts, per block, the cells that the basic
+    solution left fractional before it was rounded: 0 on splittable grids and
+    on blocks the exhaustive search decided, which are never reduced.
     """
 
     pieces: tuple[RefinedSet, ...]
@@ -301,16 +306,18 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
             mom_cols = [[[moments[i].values[k][j] for k in active]
                          for j in range(moments[i].dim)] for i in range(p)]
             avail_active = [avail[k] for k in active]
-            rows = _reduce_transport(seed_rows, avail_active, mom_cols, p, exact)
-            frac_count = sum(1 for row in rows if sum(1 for v in row if v > 0) >= 2)
-            assign = None
+            # the search enumerates every whole-cell assignment, the rounded
+            # basic solution among them, so it alone decides a small block;
             # with one piece the rounding's assignment is the only one
             if 1 < p ** q <= polish_budget:
                 assign = _polish(avail_active, mom_cols, targets, p, exact)
+            else:
+                rows = _reduce_transport(seed_rows, avail_active, mom_cols, p, exact)
+                frac_count = sum(1 for row in rows if sum(1 for v in row if v > 0) >= 2)
+                # the largest share of each cell, the first on ties
+                assign = [max(range(p), key=row.__getitem__) for row in rows]
             for kk, k in enumerate(active):
-                # without a polished assignment, the largest share (the first on ties)
-                i = assign[kk] if assign is not None else max(range(p), key=rows[kk].__getitem__)
-                mass[i][k] = avail[k]
+                mass[assign[kk]][k] = avail[k]
         else:
             for kk, k in enumerate(active):
                 for i in range(p):
@@ -353,9 +360,11 @@ def lyapunov_partition(h: SimpleFunction, alpha: SimpleFunction, C: BlockPartiti
 
     with all pieces together exhausting every cell's mass.  Splittable grids
     realize the proportional seed directly as stacked sub-intervals; atomic
-    grids pivot the seed to a basic solution (at most rows-many fractional
-    cells per block), round fractional cells to their largest piece (ties to
-    the smallest piece index), and optionally finish small blocks exhaustively.
+    grids decide each block with at most ``polish_budget`` whole-cell
+    assignments by an exhaustive search alone, with no reduction; every other
+    block pivots the seed to a basic solution (at most rows-many fractional
+    cells per block) and rounds fractional cells to their largest piece (ties
+    to the smallest piece index).
     """
     return partition_with_moments([h] * alpha.dim, alpha, C, grid, tol=tol,
                                   polish_budget=polish_budget)

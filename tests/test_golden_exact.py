@@ -32,7 +32,7 @@ GOLDEN = {
     "atomic/ce-measure":
         "c5e9acebd6ad69713a10093e421992da1ee4cde7958a8c1ca78e89fe41629a15",
     "atomic/partition":
-        "8fe97412fc65027b6ef29c25bd4a97a5759897c199bfa3b0c81ad24943286050",
+        "de32aaed3408fb0cab2b5d4f21b87d7961da9f97858f62543d52f288ae0c7a81",
     "atomic/half-set":
         "0d526c209db81f749a179b1d3a074bf3815a2c519f35ed53ed845f02c1f21db3",
     "atomic/bang-bang":

@@ -11,7 +11,9 @@ from condbang import (Mode, RefinedSet, SimpleFunction, annihilator_witness, bui
                       make_partition, set_from_cells, set_from_triples,
                       sf_stack, simple_function, trivial_partition,
                       weighted_ce_measure, witness_block_integrals)
-from condbang.lyapunov import _polish
+from condbang import lyapunov
+from condbang.lyapunov import _polish, _reduce_transport, partition_with_moments
+from condbang.spaces import block_masses
 
 from gen import (random_alpha, random_atomic_instance, random_exact_alpha,
                  random_exact_function, random_exact_grid, random_function,
@@ -436,3 +438,118 @@ def test_polish_runs_more_than_one_chunk(exact):
     targets = [[num(4)], [num(12)]]
     got = assert_polish_matches_reference(avail, mom_cols, targets, p, exact)
     assert got == [0] * 4 + [1] * 12
+
+
+# ---------------------------------------------------------------------------
+# blocks the search decides are never reduced
+# ---------------------------------------------------------------------------
+
+
+def reference_partition_atomic(moments, alpha, C, grid, polish_budget, within):
+    """Pieces, residuals and fractional counts of an atomic partition in the
+    order it ran before small blocks skipped the reduction: every block is
+    reduced and rounded, then one with 1 < p**q <= polish_budget takes the
+    search's assignment instead.  The fractional counts are the reduction's,
+    on every block."""
+    exact = grid.is_exact
+    zero = Fraction(0) if exact else 0.0
+    p = alpha.dim
+    avail = within.masses
+    mu = block_masses(C, grid)
+    mass = [[zero] * grid.cell_count for _ in range(p)]
+    residual = [[] for _ in range(p)]
+    fractional = []
+    for b, cells in enumerate(C.blocks):
+        active = [k for k in cells if avail[k] > 0]
+        seed_rows = [[alpha.values[k][i] * avail[k] for i in range(p)] for k in active]
+        targets = [[sum(seed_rows[kk][i] * moments[i].values[k][j]
+                        for kk, k in enumerate(active))
+                    for j in range(moments[i].dim)] for i in range(p)]
+        frac_count = 0
+        if active:
+            q = len(active)
+            mom_cols = [[[moments[i].values[k][j] for k in active]
+                         for j in range(moments[i].dim)] for i in range(p)]
+            avail_active = [avail[k] for k in active]
+            rows = _reduce_transport(seed_rows, avail_active, mom_cols, p, exact)
+            frac_count = sum(1 for row in rows if sum(1 for v in row if v > 0) >= 2)
+            assign = [max(range(p), key=row.__getitem__) for row in rows]
+            if 1 < p ** q <= polish_budget:
+                assign = _polish(avail_active, mom_cols, targets, p, exact)
+            for kk, k in enumerate(active):
+                mass[assign[kk]][k] = avail[k]
+        fractional.append(frac_count)
+        for i in range(p):
+            residual[i].append(tuple(
+                (sum(mass[i][k] * moments[i].values[k][j] for k in active)
+                 - targets[i][j]) / mu[b]
+                for j in range(moments[i].dim)))
+    pieces = []
+    offsets = within.offsets
+    for i in range(p):
+        pieces.append(RefinedSet(offsets=tuple(offsets), masses=tuple(mass[i])))
+        offsets = [off + m for off, m in zip(offsets, mass[i])]
+    return tuple(pieces), tuple(tuple(r) for r in residual), fractional
+
+
+def test_partition_reduces_only_the_blocks_the_search_does_not_decide(monkeypatch):
+    sizes = []
+
+    def counting(rows, avail, mom_cols, p, exact):
+        sizes.append(len(avail))
+        return _reduce_transport(rows, avail, mom_cols, p, exact)
+
+    monkeypatch.setattr(lyapunov, "_reduce_transport", counting)
+    rng = random.Random(137)
+    g = random_grid(rng, 20, Mode.ATOMIC)
+    h = random_function(rng, g, 2)
+    alpha = random_alpha(rng, g, 2)
+    # blocks of at most 5 cells have at most 2**5 whole-cell assignments,
+    # one of 13 cells has 2**13, against the default budget
+    assert 2 ** 5 <= lyapunov.DEFAULT_POLISH_BUDGET < 2 ** 13
+    small = make_partition([b for b, n in enumerate([4, 3, 4, 4, 5]) for _ in range(n)])
+    res = lyapunov_partition(h, alpha, small, g)
+    assert sizes == []
+    assert res.fractional_per_block == (0,) * 5
+    mixed = make_partition([0] * 4 + [1] * 3 + [2] * 13)
+    res = lyapunov_partition(h, alpha, mixed, g)
+    assert sizes == [13]
+    assert res.fractional_per_block[:2] == (0, 0)
+    assert res.fractional_per_block[2] <= 2 * h.dim
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_partition_matches_the_reduce_then_polish_order(exact):
+    rng = random.Random(139 + exact)
+    polished = reduced = 0
+    for _ in range(40):
+        g, C, h, alpha, p = random_atomic_instance(rng, max_cells=14, enumerable=False,
+                                                   exact=exact)
+        if rng.random() < 0.5:
+            moments = [h] * p
+        else:
+            draw = random_exact_function if exact else random_function
+            moments = [draw(rng, g, rng.randint(1, 2)) for _ in range(p)]
+        within = full_set(g) if rng.random() < 0.5 else set_from_cells(
+            g, [k for k in range(g.cell_count) if rng.random() < 0.7])
+        budget = rng.choice([0, 16, 4096])
+        res = partition_with_moments(moments, alpha, C, g, polish_budget=budget,
+                                     within=within)
+        pieces, residual, fractional = reference_partition_atomic(
+            moments, alpha, C, g, budget, within)
+        if exact:
+            assert res.pieces == pieces
+            assert res.residual == residual
+        else:
+            assert repr(res.pieces) == repr(pieces)
+            assert repr(res.residual) == repr(residual)
+        rows = sum(m.dim for m in moments)
+        for cells, got, old in zip(C.blocks, res.fractional_per_block, fractional):
+            q = sum(1 for k in cells if within.masses[k] > 0)
+            if q and 1 < p ** q <= budget:
+                polished += 1
+                assert got == 0
+            else:
+                reduced += 1
+                assert got == old <= rows
+    assert polished and reduced
