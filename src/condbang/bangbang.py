@@ -73,7 +73,9 @@ def bang_bang(T: PolytopeMap, h: SimpleFunction, C: BlockPartition, grid: Grid, 
 
     ``diagonal_only`` constrains each piece only by its own branch values
     (moment dimension dim instead of dim*(dim+1)), which shrinks the atomic
-    residual bound but gives up the off-diagonal matching equalities.
+    residual bound but gives up the off-diagonal matching equalities.  The
+    grid fixes the regime: on an exact grid, float vertices or selection
+    values give float branches, which raise ``ValueError``.
     """
     decomposition = decompose_selection(T, h, grid, tol)
     branches = decomposition.branch_functions()

@@ -13,13 +13,14 @@ few fractional cells, and those are rounded.  The pivoting folds each
 cell's sum row into that cell's columns (generalized upper bounding), so
 its kernel solves run on the moment rows only, and each solve reuses the
 elimination of the window's unchanged leading columns.  Half-sets, the
-annihilator witness of non-injectivity, and the multi-measure variant via
-density reweighting are built on top.
+annihilator witness of non-injectivity, and the multi-measure variant, one
+partition whose moments are each measure's density against the grid's own
+weights, are built on top.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,10 +29,10 @@ import numpy as np
 from .condexp import (BlockFunction, SimpleFunction, bf_sub, cond_exp, indicator,
                       lift_function, lift_to_cells, sf_mul, weighted_ce_measure)
 from .linalg import Echelon, integer_row, integer_scaled, nullspace_vector, pivot_step
-from .numeric import Scalar, max_abs
+from .numeric import Scalar, all_exact, check_finite, max_abs
 from .spaces import (BlockPartition, CellRefinement, Grid, Mode, RefinedSet,
-                     block_masses, build_grid, full_set, make_partition,
-                     refine_partition, split_cells, validate_set)
+                     block_masses, full_set, refine_partition, split_cells,
+                     validate_set)
 
 #: blocks with at most this many whole-cell assignments are decided by the
 #: exhaustive search instead of the transport reduction (atomic mode)
@@ -67,6 +68,8 @@ def _validate_alpha(alpha: SimpleFunction, grid: Grid, tol: Scalar) -> None:
         raise ValueError("weight function and grid cell counts differ")
     check_tol = tol if tol > 0 else 0
     for k, row in enumerate(alpha.values):
+        if grid.is_exact and not all_exact(row):
+            raise ValueError(f"cell {k}: an exact grid needs exact piece weights")
         for a in row:
             if a < -check_tol:
                 raise ValueError(f"cell {k}: negative piece weight {a!r}")
@@ -272,11 +275,15 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
     for mom in moments:
         if len(mom.values) != grid.cell_count:
             raise ValueError("moment function and grid cell counts differ")
+        if exact and not all_exact(v for row in mom.values for v in row):
+            raise ValueError("an exact grid needs exact moment values")
     _validate_alpha(alpha, grid, tol)
     if within is None:
         within = full_set(grid)
     else:
         validate_set(within, grid, tol)
+        if exact and not all_exact((*within.offsets, *within.masses)):
+            raise ValueError("an exact grid needs an exact set")
     avail = within.masses
     mu = block_masses(C, grid)
 
@@ -364,7 +371,8 @@ def lyapunov_partition(h: SimpleFunction, alpha: SimpleFunction, C: BlockPartiti
     assignments by an exhaustive search alone, with no reduction; every other
     block pivots the seed to a basic solution (at most rows-many fractional
     cells per block) and rounds fractional cells to their largest piece (ties
-    to the smallest piece index).
+    to the smallest piece index).  The grid fixes the regime: on an exact
+    grid, a float value of h or alpha raises ``ValueError``.
     """
     return partition_with_moments([h] * alpha.dim, alpha, C, grid, tol=tol,
                                   polish_budget=polish_budget)
@@ -517,7 +525,7 @@ def witness_block_integrals(witness: AnnihilatorWitness) -> BlockFunction:
 
 
 # ---------------------------------------------------------------------------
-# several measures at once (density reweighting)
+# several measures at once (densities against the grid's own weights)
 # ---------------------------------------------------------------------------
 
 
@@ -527,14 +535,26 @@ def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
                              tol: Scalar | None = None) -> PartitionResult:
     """Partition matching the alpha-targets under d measures simultaneously.
 
-    Works under the averaged measure with the per-measure densities folded
-    into the moment function; the residual tensor is indexed
-    [piece][block][measure] with each entry the defect of
+    Every cell weight w_k is positive, so measure i has the density
+    mu_i(k) / w_k against the grid's own weights, and one partition on the
+    grid itself matches all d measures.  Its moment function has entry
+
+        f_i(k) * (mu_i(k) / mu_i(b)) * (w(b) / w_k)
+
+    in coordinate i on a cell k of block b (0 where mu_i(b) = 0), so a
+    piece's moment on b is E_i(f_i 1_{B_j} | C)(b) and the partition's
+    residual is the defect of
 
         E_i(f_i 1_{B_j} | C)(b) = E_i(f_i alpha_j | C)(b)
 
-    under measure i (blocks that are null for measure i contribute zero).
-    Cells that are null for the averaged measure go wholly to piece 0.
+    under measure i itself, indexed [piece][block][measure] (blocks that are
+    null for measure i contribute zero).  The density is normalized per
+    block, so the result does not change when a measure is scaled, and the
+    atomic search weighs every measure's defect alike: atomic grids certify
+    p * d * max mu_i(k) / mu_i(b) * max |f_i|.  The grid fixes the regime:
+    an exact grid needs exact measures and functions.  A cell null under
+    every measure has zero moments and is split or assigned like any other;
+    a block null under every measure is rejected.
     """
     d = len(measures)
     if d == 0 or len(fs) != d:
@@ -548,72 +568,25 @@ def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
         if len(mu_i) != grid.cell_count:
             raise ValueError("measure and grid cell counts differ")
         for k, v in enumerate(mu_i):
+            check_finite(v, f"cell {k}: measure mass")
             if v < 0:
                 raise ValueError(f"cell {k}: negative measure mass {v!r}")
-    exact = grid.is_exact and all(all(isinstance(v, (int, Fraction)) for v in mu_i)
-                                  for mu_i in measures)
-    zero: Scalar = Fraction(0) if exact else 0.0
-    avg = [sum(mu_i[k] for mu_i in measures) / d for k in range(grid.cell_count)]
-    positive = [k for k in range(grid.cell_count) if avg[k] > 0]
-    if not positive:
-        raise ValueError("all measures vanish everywhere")
-    present = {C.block_of[k] for k in positive}
-    if len(present) != C.block_count:
-        missing = sorted(set(range(C.block_count)) - present)
-        raise ValueError(f"blocks {missing} are null under the averaged measure")
+    # summed from the grid's zero, int masses divide as Fractions on exact grids
+    zero: Scalar = Fraction(0) if grid.is_exact else 0.0
+    mu_blocks = [[sum((mu_i[k] for k in cells), zero) for cells in C.blocks]
+                 for mu_i in measures]
+    missing = [b for b in range(C.block_count) if not any(mb[b] > 0 for mb in mu_blocks)]
+    if missing:
+        raise ValueError(f"blocks {missing} are null under every measure")
 
-    sub_grid = build_grid([avg[k] for k in positive], grid.mode)
-    sub_C = make_partition([C.block_of[k] for k in positive], C.block_count)
-    density = [[mu_i[k] / avg[k] for k in positive] for mu_i in measures]
+    w_blocks = block_masses(C, grid)
     H = SimpleFunction(dim=d, values=tuple(
-        tuple(fs[i].values[k][0] * density[i][kk] for i in range(d))
-        for kk, k in enumerate(positive)))
-    sub_alpha = SimpleFunction(dim=alpha.dim,
-                               values=tuple(alpha.values[k] for k in positive))
-    part = partition_with_moments([H] * alpha.dim, sub_alpha, sub_C, sub_grid, tol=tol)
-
-    p = alpha.dim
-    masses: list[list[Scalar]] = [[zero] * grid.cell_count for _ in range(p)]
-    offsets: list[list[Scalar]] = [[zero] * grid.cell_count for _ in range(p)]
-    for kk, k in enumerate(positive):
-        w_sub = sub_grid.weights[kk]
-        w_orig = grid.weights[k]
-        for i in range(p):
-            piece = part.pieces[i]
-            masses[i][k] = piece.masses[kk] / w_sub * w_orig
-            offsets[i][k] = piece.offsets[kk] / w_sub * w_orig
-    for k in range(grid.cell_count):
-        if avg[k] > 0:
-            continue
-        masses[0][k] = grid.weights[k]
-        for i in range(1, p):
-            offsets[i][k] = grid.weights[k]
-    pieces = tuple(RefinedSet(offsets=tuple(offsets[i]), masses=tuple(masses[i]))
-                   for i in range(p))
-
-    # The sub-grid weights are avg/S for the total avg mass S, so a sub-block
-    # has mass avg_b/S, and entry i of H carries the density mu_i/avg: the
-    # defect under measure i is the sub-grid residual times avg_b/mu_i(b).
-    mu_blocks = [[sum(mu_i[k] for k in cells) for cells in C.blocks] for mu_i in measures]
-    avg_blocks = [sum(avg[k] for k in cells) for cells in C.blocks]
-    residual = tuple(
-        tuple(tuple(r * avg_blocks[b] / mu_blocks[i][b] if mu_blocks[i][b] > 0 else zero
-                    for i, r in enumerate(part.residual[j][b]))
-              for b in range(C.block_count))
-        for j in range(p))
-
-    if grid.mode is Mode.ATOMIC:
-        mom_rows = p * d
-        w_rel = zero
-        for i in range(d):
-            for k in range(grid.cell_count):
-                mb = mu_blocks[i][C.block_of[k]]
-                if mb > 0 and measures[i][k] / mb > w_rel:
-                    w_rel = measures[i][k] / mb
-        f_max = max(f.max_abs() for f in fs)
-        bound = mom_rows * w_rel * f_max
-    else:
-        bound = part.residual_bound
-    return PartitionResult(pieces=pieces, residual=residual,
-                           residual_bound=bound,
-                           fractional_per_block=part.fractional_per_block)
+        tuple(f.values[k][0] * mu_i[k] / mb[b] * w_blocks[b] / w if mb[b] > 0 else zero
+              for f, mu_i, mb in zip(fs, measures, mu_blocks))
+        for k, (b, w) in enumerate(zip(C.block_of, grid.weights))))
+    part = partition_with_moments([H] * alpha.dim, alpha, C, grid, tol=tol)
+    if grid.mode is Mode.SPLITTABLE:
+        return part
+    w_rel = max(mu_i[k] / mb[b] for mu_i, mb in zip(measures, mu_blocks)
+                for k, b in enumerate(C.block_of) if mb[b] > 0)
+    return replace(part, residual_bound=alpha.dim * d * w_rel * max(f.max_abs() for f in fs))

@@ -212,7 +212,8 @@ def purify(delta: YoungMeasure, V: IntegrandFamily, C: BlockPartition, grid: Gri
     conditional payoffs (exact on splittable grids, bounded on atomic ones).
 
     The strategy carries ``actions`` as its action set; without one, the
-    actions are labelled ``a0, a1, ...``.
+    actions are labelled ``a0, a1, ...``.  On an exact grid, float mixture
+    weights or payoffs raise ``ValueError`` (see ``bang_bang``).
     """
     tol = grid.tol(tol)
     mean = barycenter(delta, V, grid)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from condbang import (Mode, RefinedSet, SimpleFunction, annihilator_witness, build_grid,
-                      constant_function, full_set, half_set,
+from condbang import (Mode, RefinedSet, SimpleFunction, annihilator_witness, bang_bang,
+                      build_grid, constant_function, full_set, half_set,
                       lyapunov_partition, lyapunov_partition_multi,
-                      make_partition, set_from_cells, set_from_triples,
+                      make_partition, polytope_map, set_from_cells, set_from_triples,
                       sf_stack, simple_function, trivial_partition,
                       weighted_ce_measure, witness_block_integrals)
 from condbang import lyapunov
@@ -281,33 +281,111 @@ def test_multi_measure_null_block_rejected():
         lyapunov_partition_multi([[1.0, 0.0], [2.0, 0.0]], [f, f], alpha, C, g)
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
-def test_multi_measure_atomic_residual_matches_a_direct_recomputation(exact):
-    rng = random.Random(89)
-    for _ in range(20):
-        m = rng.randint(4, 8)
-        if exact:
-            g = random_exact_grid(rng, m, Mode.ATOMIC)
-            fs = [random_exact_function(rng, g, 1) for _ in range(2)]
-            alpha = random_exact_alpha(rng, g, rng.randint(2, 3))
-            draw = lambda: Fraction(rng.randint(1, 9), rng.randint(1, 4))
-        else:
-            g = random_grid(rng, m, Mode.ATOMIC)
-            fs = [random_function(rng, g, 1) for _ in range(2)]
-            alpha = random_alpha(rng, g, rng.randint(2, 3))
-            draw = lambda: rng.uniform(0.1, 1.0)
-        C = random_partition(rng, g, 3)
-        zero = Fraction(0) if exact else 0.0
+@pytest.mark.parametrize("mode", [Mode.SPLITTABLE, Mode.ATOMIC])
+def test_partition_on_an_exact_grid_rejects_float_data(mode):
+    g = build_grid([1, 2, 3, 2], mode)
+    C = make_partition([0, 0, 1, 1])
+    exact_h = simple_function([1, -2, 3, 1])
+    exact_alpha = SimpleFunction(dim=2, values=((Fraction(1, 2), Fraction(1, 2)),) * 4)
+    float_h = simple_function([1.0, -2.0, 3.0, 1.0])
+    float_alpha = SimpleFunction(dim=2, values=((0.5, 0.5),) * 4)
+    for h, alpha in [(float_h, exact_alpha), (exact_h, float_alpha)]:
+        with pytest.raises(ValueError, match="exact"):
+            lyapunov_partition(h, alpha, C, g)
+    exact_mu = [Fraction(1), Fraction(2), Fraction(1), Fraction(3)]
+    float_mu = [1.0, 2.0, 1.0, 3.0]
+    for measures, fs in [([exact_mu, exact_mu], [exact_h, float_h]),
+                         ([exact_mu, float_mu], [exact_h, exact_h])]:
+        with pytest.raises(ValueError, match="exact"):
+            lyapunov_partition_multi(measures, fs, exact_alpha, C, g)
+    float_set = RefinedSet(offsets=(0.0,) * 4, masses=tuple(float(w) for w in g.weights))
+    with pytest.raises(ValueError, match="exact"):
+        partition_with_moments([exact_h, exact_h], exact_alpha, C, g, within=float_set)
+    # float vertices decompose into float branches and weights
+    T = polytope_map([[(0.0,), (4.0,)]] * 4)
+    with pytest.raises(ValueError, match="exact"):
+        bang_bang(T, simple_function([1, 2, 3, 1]), C, g)
+
+
+@pytest.mark.parametrize("mode", [Mode.SPLITTABLE, Mode.ATOMIC])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_multi_measure_non_finite_mass_rejected(mode, bad):
+    g = build_grid([0.25] * 4, mode)
+    C = make_partition([0, 0, 1, 1])
+    f = constant_function(g, 1.0)
+    alpha = SimpleFunction(dim=2, values=((0.5, 0.5),) * 4)
+    with pytest.raises(ValueError, match="non-finite"):
+        lyapunov_partition_multi([[1.0] * 4, [1.0, bad, 1.0, 1.0]], [f, f], alpha, C, g)
+
+
+def _multi_measure_instances(rng, exact):
+    """Small atomic instances, then two blocks of 14-20 cells with p = d = 2 in both modes.
+
+    Every instance with a block of two or more cells has a cell that is null
+    under both measures; the large blocks have more than ``polish_budget``
+    whole-cell assignments, so the transport reduction decides them.  Each
+    large atomic instance comes again with its measures scaled by 1e-14 and
+    by 1e14.
+    """
+    zero = Fraction(0) if exact else 0.0
+    if exact:
+        draw = lambda: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+    else:
+        draw = lambda: rng.uniform(0.1, 1.0)
+    grid_of = random_exact_grid if exact else random_grid
+    function_of = random_exact_function if exact else random_function
+    alpha_of = random_exact_alpha if exact else random_alpha
+
+    def measures_with_a_dead_cell(C):
         # measure 1 is null on about a third of the cells; both measures are
         # null on one cell of a block that keeps another cell
-        measures = [[draw() for _ in range(m)],
-                    [zero if rng.random() < 0.35 else draw() for _ in range(m)]]
+        measures = [[draw() for _ in C.block_of],
+                    [zero if rng.random() < 0.35 else draw() for _ in C.block_of]]
         shared = [cells for cells in C.blocks if len(cells) > 1]
         if shared:
             dead = rng.choice(rng.choice(shared))
             measures[0][dead] = measures[1][dead] = zero
+        return measures
+
+    for _ in range(20):
+        m = rng.randint(4, 8)
+        g = grid_of(rng, m, Mode.ATOMIC)
+        fs = [function_of(rng, g, 1) for _ in range(2)]
+        alpha = alpha_of(rng, g, rng.randint(2, 3))
+        C = random_partition(rng, g, 3)
+        yield g, C, fs, alpha, measures_with_a_dead_cell(C)
+    for _ in range(3):
+        sizes = [rng.randint(14, 20) for _ in range(2)]
+        C = make_partition([b for b, n in enumerate(sizes) for _ in range(n)])
+        g = grid_of(rng, sum(sizes), Mode.ATOMIC)
+        fs = [function_of(rng, g, 1) for _ in range(2)]
+        alpha = alpha_of(rng, g, 2)
+        measures = measures_with_a_dead_cell(C)
+        yield g, C, fs, alpha, measures
+        yield build_grid(g.weights, Mode.SPLITTABLE), C, fs, alpha, measures
+        # measures of very small and very large total mass
+        for scale in ((Fraction(1, 10**14), 10**14) if exact else (1e-14, 1e14)):
+            yield g, C, fs, alpha, [[v * scale for v in mu_i] for mu_i in measures]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_multi_measure_atomic_residual_matches_a_direct_recomputation(exact):
+    rng = random.Random(89)
+    fractional = []
+    for g, C, fs, alpha, measures in _multi_measure_instances(rng, exact):
         res = lyapunov_partition_multi(measures, fs, alpha, C, g)
         assert res.max_residual <= res.residual_bound
+        rows = alpha.dim * len(measures)
+        assert all(c <= rows for c in res.fractional_per_block)
+        if g.mode is Mode.ATOMIC:
+            fractional.extend(res.fractional_per_block)
+        for k in range(g.cell_count):
+            if all(mu_i[k] == 0 for mu_i in measures):
+                total = sum(piece.masses[k] for piece in res.pieces)
+                if exact:
+                    assert total == g.weights[k]
+                else:
+                    assert abs(total - g.weights[k]) <= 1e-12
         for i, (mu_i, f) in enumerate(zip(measures, fs)):
             for b, cells in enumerate(C.blocks):
                 mu_b = sum(mu_i[k] for k in cells)
@@ -325,6 +403,43 @@ def test_multi_measure_atomic_residual_matches_a_direct_recomputation(exact):
                     else:
                         scale = math.fsum(abs(t) for t in terms) / mu_b
                         assert abs(got - math.fsum(terms) / mu_b) <= 1e-12 * scale
+    assert any(c > 0 for c in fractional)
+
+
+def test_multi_measure_bound_holds_for_measures_of_any_mass():
+    # one block decided by the exhaustive search: measure 2 carries a
+    # millionth of measure 1's mass, and its defect counts all the same
+    g = build_grid([Fraction(1)] * 12, Mode.ATOMIC)
+    C = make_partition([0] * 12)
+    f1 = simple_function([Fraction(1, 11)] * 11 + [1])
+    f2 = simple_function([1] * 12)
+    alpha = SimpleFunction(dim=2, values=((Fraction(1, 2), Fraction(1, 2)),) * 12)
+    res = lyapunov_partition_multi([[1] * 12, [Fraction(1, 10**6)] * 12], [f1, f2],
+                                   alpha, C, g)
+    assert res.residual_bound == Fraction(1, 3)
+    assert res.max_residual <= res.residual_bound
+    # one block reduced by kernel steps, measures of mass far below the
+    # kernel's pivot tolerance
+    g = build_grid([0.05] * 20, Mode.ATOMIC)
+    C = make_partition([0] * 20)
+    f = constant_function(g, 1.0)
+    alpha = SimpleFunction(dim=2, values=((0.5, 0.5),) * 20)
+    res = lyapunov_partition_multi([[1e-14] * 20, [2e-14] * 20], [f, f], alpha, C, g)
+    assert res.max_residual <= res.residual_bound
+    # scaling a measure by a power of two is exact in floats and changes nothing
+    rng = random.Random(4)
+    for mode in (Mode.ATOMIC, Mode.SPLITTABLE):
+        g = random_grid(rng, 16, mode)
+        C = make_partition([0] * 9 + [1] * 7)
+        fs = [random_function(rng, g, 1) for _ in range(2)]
+        alpha = random_alpha(rng, g, 2)
+        measures = [[rng.uniform(0.1, 1.0) for _ in range(16)] for _ in range(2)]
+        base = lyapunov_partition_multi(measures, fs, alpha, C, g)
+        for scale in (2.0 ** -60, 2.0 ** 60):
+            scaled = [[v * scale for v in measures[0]], measures[1]]
+            res = lyapunov_partition_multi(scaled, fs, alpha, C, g)
+            assert res.pieces == base.pieces
+            assert res.residual == base.residual
 
 
 # ---------------------------------------------------------------------------
