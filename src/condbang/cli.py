@@ -368,15 +368,16 @@ def _run_bang_bang(p: ProblemDocument, inputs):
     return outputs, residuals, rep.residual_bound
 
 
-def _extremeness_lps(tests: dict[tuple[int, tuple], list[int]],
-                     cells: dict[int, list]) -> Iterator[tuple[list, tuple]]:
+def _extremeness_lps(tests: dict[tuple[int, tuple], list[int]], cells: dict[int, list],
+                     exact: bool) -> Iterator[tuple[list, tuple, bool]]:
     """The Phase-I LP of each matching vertex against the cell's other
-    distinct vertices, test by test, built as they are read."""
+    distinct vertices, in the document's regime, test by test, built as
+    they are read."""
     for (k, _), matches in tests.items():
         distinct = cells[k]
         if len(distinct) > 1:
             for j in matches:
-                yield distinct[:j] + distinct[j + 1:], distinct[j]
+                yield distinct[:j] + distinct[j + 1:], distinct[j], exact
 
 
 def _matching_vertices(keys: list[tuple[int, tuple]], cells: dict[int, list], tol: Scalar,
@@ -431,7 +432,7 @@ def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> Non
              for k in dict.fromkeys(k for k, _ in keys)}
     # the distinct vertices within tol of each value
     tests = dict(zip(keys, _matching_vertices(keys, cells, chk.tol, p.exact, T.dim)))
-    results = iter(convex_combinations(_extremeness_lps(tests, cells), p.exact, chk.tol))
+    results = iter(convex_combinations(_extremeness_lps(tests, cells, p.exact), chk.tol))
     # a list, not a generator, so every result of the test is read; a match
     # with no other vertex has no LP and is extreme
     extreme = {key: bool(matches) and (len(cells[key[0]]) == 1 or

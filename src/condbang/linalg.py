@@ -14,6 +14,14 @@ are positive and it is a Carathéodory representation as it stands.  The
 simplex pivots floats with 1e-12 thresholds, and exact input on a tableau of
 Python ints scaled by one common denominator (Edmonds' integer-preserving
 pivots); its pivots and results are those of the same simplex on Fractions.
+It enters by Bland's rule over the variable columns alone: an artificial
+column starts basic and, once it leaves, is dropped for good, as usual in
+Phase I, so it never enters.  A basic variable column is an exact unit
+column: on floats the pivot row is divided by its own pivot (x/x is exactly
+1.0), every other row gets f - f·1.0 = 0.0 or is skipped, and later pivots
+keep those entries at 1.0 and ±0.0; on ints it is ``den`` times a unit
+column.  So its reduced cost is ±0, never eligible, and the scan needs no
+record of which columns are basic or have left.
 The nullspace vector eliminates floats with partial pivoting, and exact
 integer columns fraction-free (Bareiss), returning the integral kernel
 |det|·z of the Fraction elimination's z, a positive multiple along which the
@@ -29,12 +37,14 @@ loop, and returns for each exactly what ``convex_combination`` returns.  Each
 LP sees the same IEEE operations on the same operands in the same order:
 numpy's elementwise float64 ``+ - * /`` round each result correctly, as
 CPython's do, with no fused multiply-add; reduced costs are subtracted row
-by row in row order; the entering column is the first eligible one and the
-leaving row the lexicographic minimum of (ratio, basis index), which is the
-scalar running rule; zero-factor rows are skipped; and one reader,
-``_phase_one_result``, assembles the results from the final tableau for both
-loops.  Below about 32 LPs of one shape the array loop's fixed cost outweighs
-what it saves, so smaller groups, and every exact LP, run the scalar loop.
+by row in row order; the entering column is the first eligible variable
+column and the leaving row the lexicographic minimum of (ratio, basis
+index), which is the scalar running rule; zero-factor rows are skipped; and
+one reader, ``_phase_one_result``, assembles the results from the final
+tableau for both loops.  Each LP carries its regime, so one call takes a
+stream of exact and float LPs.  Below about 32 LPs of one shape the array
+loop's fixed cost outweighs what it saves, so smaller groups, and every
+exact LP, run the scalar loop.
 """
 
 from __future__ import annotations
@@ -240,7 +250,13 @@ def convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scal
     Returns (lam, None, objective) when the residual objective reaches
     ``feas_tol``, else (None, certificate, objective) where the certificate y
     satisfies y·(v, 1) <= 0 for every point v and y·(target, 1) = objective.
-    Bland's rule keeps the pivoting finite and deterministic.
+    Bland's rule keeps the pivoting finite and deterministic: the first of
+    the n variable columns whose reduced cost, zero minus its entries on the
+    rows of artificial basis columns, is below the threshold enters.  The
+    artificial columns are not scanned, since each starts basic and none may
+    re-enter once it leaves, and a basic variable column is not skipped,
+    since it is an exact unit column (``den`` times one on ints) whose
+    reduced cost is ±0 (see the module docstring).
 
     Floats pivot on the tableau [A | I | b] of the sign-flipped rows, with
     ``PIVOT_TOL`` thresholds.  Exact input pivots on integers (Edmonds 1967):
@@ -281,25 +297,18 @@ def convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scal
         row.append(b[i] * sign[i])
         tab.append(row)
     basis = [n + i for i in range(nrows)]
-    dead = [False] * (n + nrows)  # artificials may not re-enter once they leave
     den = one  # the tableau is den times the rational one; floats keep den = 1.0
-
-    def reduced_cost(j: int) -> Scalar:
-        rc = den if j >= n else zero
-        for i in range(nrows):
-            if basis[i] >= n:
-                rc -= tab[i][j]
-        return rc
-
     for _ in range(_MAX_SIMPLEX_ITERATIONS):
-        enter = None
-        for j in range(n + nrows):
-            if dead[j] or j in basis:
-                continue
-            if reduced_cost(j) < -eps:
-                enter = j
+        # Bland: the first variable column whose reduced cost, zero minus its
+        # entries on the artificial rows, is negative
+        artificial = [tab[i] for i in range(nrows) if basis[i] >= n]
+        for enter in range(n):
+            rc = zero
+            for row in artificial:
+                rc -= row[enter]
+            if rc < -eps:
                 break
-        if enter is None:
+        else:  # no column enters: the tableau is final
             break
         leave = None
         for i in range(nrows):
@@ -335,8 +344,6 @@ def convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scal
                 row_i, row_l = tab[i], tab[leave]
                 for cc in range(n + nrows + 1):
                     row_i[cc] -= f * row_l[cc]
-        if basis[leave] >= n:
-            dead[basis[leave]] = True
         basis[leave] = enter
     else:
         raise RuntimeError("phase-one simplex exceeded the iteration cap")
@@ -383,22 +390,22 @@ def _phase_one_result(tail: Sequence[Sequence[Scalar]], basis: Sequence[int],
     return None, certificate, objective
 
 
-LPProblem = tuple[Sequence[Sequence[Scalar]], Sequence[Scalar]]
+LPProblem = tuple[Sequence[Sequence[Scalar]], Sequence[Scalar], bool]
 LPResult = tuple[list[Scalar] | None, list[Scalar] | None, Scalar]
 
 
-def convex_combinations(problems: Iterable[LPProblem], exact: bool,
-                        feas_tol: Scalar) -> list[LPResult]:
-    """``[convex_combination(points, target, exact, feas_tol) for points, target
-    in problems]``, equal by ``repr``.
+def convex_combinations(problems: Iterable[LPProblem], feas_tol: Scalar) -> list[LPResult]:
+    """``[convex_combination(points, target, exact, feas_tol) for points, target,
+    exact in problems]``, equal by ``repr``.
 
-    Exact problems run one at a time.  Float problems are grouped by shape
-    (number of points, dimension) as they are read, and every
-    ``_LOCKSTEP_CHUNK`` problems of one shape run as one lockstep simplex on
-    numpy arrays (``_lockstep``); a group's remainder does too when it holds
-    at least ``_LOCKSTEP_CROSSOVER`` problems, else it runs one at a time.
-    So at most one chunk per shape is held, and ``problems`` may be a
-    generator.
+    Each problem carries its regime.  Exact problems run one at a time, in
+    place, as they are read.  Float problems are grouped by shape (number of
+    points, dimension), and every ``_LOCKSTEP_CHUNK`` problems of one shape
+    run as one lockstep simplex on numpy arrays (``_lockstep``); a group's
+    remainder does too when it holds at least ``_LOCKSTEP_CROSSOVER``
+    problems, else it runs one at a time.  So at most one chunk per shape is
+    held, and ``problems`` may be a generator.  Both loops enter by the same
+    rule (module docstring), so where an LP runs moves none of its bits.
 
     The constants come from timing filter-shaped LPs (a Gaussian point
     against 11 others in dim 3, and against 5 in dim 2) on a 2-vCPU VM.  One
@@ -409,14 +416,14 @@ def convex_combinations(problems: Iterable[LPProblem], exact: bool,
     faster than chunks of 256, but its peak RSS rose 0.7 MB more, to 4.5%
     above the one-at-a-time code.
     """
-    if exact:
-        return [convex_combination(points, target, True, feas_tol)
-                for points, target in problems]
     results: list = []
     groups: dict[tuple[int, int], list[tuple[int, LPProblem]]] = {}
-    for problem in problems:
-        group = groups.setdefault((len(problem[0]), len(problem[1])), [])
-        group.append((len(results), problem))
+    for points, target, exact in problems:
+        if exact:
+            results.append(convex_combination(points, target, True, feas_tol))
+            continue
+        group = groups.setdefault((len(points), len(target)), [])
+        group.append((len(results), (points, target, exact)))
         results.append(None)
         if len(group) == _LOCKSTEP_CHUNK:
             _lockstep(group, feas_tol, results)
@@ -425,7 +432,7 @@ def convex_combinations(problems: Iterable[LPProblem], exact: bool,
         if len(group) >= _LOCKSTEP_CROSSOVER:
             _lockstep(group, feas_tol, results)
         else:
-            for index, (points, target) in group:
+            for index, (points, target, _) in group:
                 results[index] = convex_combination(points, target, False, feas_tol)
     return results
 
@@ -437,9 +444,11 @@ def _lockstep(group: list[tuple[int, LPProblem]], feas_tol: Scalar, results: lis
     Each problem sees the scalar loop's operations on the same operands, so
     its results are the scalar loop's bit for bit.  numpy's elementwise
     float64 ``+ - * /`` round each result correctly, as CPython's do, and no
-    ufunc fuses a multiply into an add.  Reduced costs are subtracted one
-    artificial row at a time, in row order.  The entering column is the first
-    eligible one (Bland).  The leaving row is the lexicographic minimum of
+    ufunc fuses a multiply into an add.  Reduced costs are formed over the n
+    variable columns only, from 0.0, subtracting one artificial row at a
+    time in row order.  The entering column is the first one below
+    ``-PIVOT_TOL`` (Bland); a basic column's cost is ±0.0 and never is (see
+    the module docstring).  The leaving row is the lexicographic minimum of
     (ratio, basis index) over the rows with an entry above ``PIVOT_TOL``,
     which is what the scalar running rule "smaller ratio, or equal ratio and
     smaller basis index" keeps.  A row whose factor is zero, of either sign,
@@ -454,28 +463,24 @@ def _lockstep(group: list[tuple[int, LPProblem]], feas_tol: Scalar, results: lis
     nrows = dim + 1
     width = n + nrows
     b = np.ones((count, nrows))
-    b[:, :dim] = np.array([target for _, (_, target) in group], dtype=float).reshape(count, dim)
+    b[:, :dim] = np.array([target for _, (_, target, _) in group],
+                          dtype=float).reshape(count, dim)
     sign = np.where(b >= 0, 1.0, -1.0)
     tab = np.zeros((count, nrows, width + 1))
-    tab[:, :dim, :n] = np.array([points for _, (points, _) in group],
+    tab[:, :dim, :n] = np.array([points for _, (points, _, _) in group],
                                 dtype=float).reshape(count, n, dim).transpose(0, 2, 1)
     tab[:, dim, :n] = 1.0
     tab[:, :, :n] *= sign[:, :, None]
     tab[:, :, n:width] = np.eye(nrows)
     tab[:, :, width] = b * sign
     basis = np.tile(np.arange(n, width), (count, 1))
-    dead = np.zeros((count, width), dtype=bool)  # artificials that left
-    held = np.zeros((count, width), dtype=bool)  # columns in the basis
-    held[:, n:] = True
-    start_cost = np.zeros(width)
-    start_cost[n:] = 1.0
     live = np.arange(count)  # group position of each problem still pivoting
     for _ in range(_MAX_SIMPLEX_ITERATIONS):
-        cost = np.tile(start_cost, (len(live), 1))
+        cost = np.zeros((len(live), n))
         artificial = basis >= n
         for i in range(nrows):
-            np.subtract(cost, tab[:, i, :width], out=cost, where=artificial[:, i, None])
-        eligible = (cost < -PIVOT_TOL) & ~dead & ~held
+            np.subtract(cost, tab[:, i, :n], out=cost, where=artificial[:, i, None])
+        eligible = cost < -PIVOT_TOL
         entering = eligible.any(axis=1)
         if not entering.all():
             done = ~entering
@@ -486,9 +491,8 @@ def _lockstep(group: list[tuple[int, LPProblem]], feas_tol: Scalar, results: lis
                                                             feas_tol, False, 1.0, 1)
             if not entering.any():
                 return
-            tab, basis, dead, held, sign, live, eligible = (
-                tab[entering], basis[entering], dead[entering], held[entering],
-                sign[entering], live[entering], eligible[entering])
+            tab, basis, sign, live, eligible = (tab[entering], basis[entering], sign[entering],
+                                                live[entering], eligible[entering])
         rows = np.arange(len(live))
         enter = eligible.argmax(axis=1)
         column = tab[rows, :, enter]
@@ -504,9 +508,5 @@ def _lockstep(group: list[tuple[int, LPProblem]], feas_tol: Scalar, results: lis
         np.subtract(tab, column[:, :, None] * pivot_row[:, None, :], out=tab,
                     where=(column != 0)[:, :, None])
         tab[rows, leave] = pivot_row
-        left = basis[rows, leave]
-        dead[rows, left] = left >= n
-        held[rows, left] = False
-        held[rows, enter] = True
         basis[rows, leave] = enter
     raise RuntimeError("phase-one simplex exceeded the iteration cap")

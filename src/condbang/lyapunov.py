@@ -50,7 +50,11 @@ class PartitionResult:
 
     ``fractional_per_block`` counts, per block, the cells that the basic
     solution left fractional before it was rounded: 0 on splittable grids and
-    on blocks the exhaustive search decided, which are never reduced.
+    on blocks the exhaustive search decided, which are never reduced.  The
+    search decides an atomic block when p > 1 and its p**q whole-cell
+    assignments are within the polish budget, q counting only the cells with
+    a nonzero moment entry; the other cells, which move no moment, take
+    piece 0.
     """
 
     pieces: tuple[RefinedSet, ...]
@@ -313,11 +317,25 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
             mom_cols = [[[moments[i].values[k][j] for k in active]
                          for j in range(moments[i].dim)] for i in range(p)]
             avail_active = [avail[k] for k in active]
+            moving = range(q)
+            if p ** q > polish_budget:
+                # a cell whose moment entries are all zero moves no moment:
+                # the search's first minimizer puts it in piece 0, so only the
+                # other cells count toward the budget and are searched
+                entries = zip(*(col for cols in mom_cols for col in cols))
+                moving = [kk for kk, cell in enumerate(entries) if any(cell)]
             # the search enumerates every whole-cell assignment, the rounded
             # basic solution among them, so it alone decides a small block;
             # with one piece the rounding's assignment is the only one
-            if 1 < p ** q <= polish_budget:
-                assign = _polish(avail_active, mom_cols, targets, p, exact)
+            if p > 1 and p ** len(moving) <= polish_budget:
+                assign = [0] * q
+                if len(moving) < q:
+                    mom_cols = [[[col[kk] for kk in moving] for col in cols] for cols in mom_cols]
+                    avail_active = [avail_active[kk] for kk in moving]
+                if moving:
+                    for kk, piece in zip(moving, _polish(avail_active, mom_cols, targets, p,
+                                                         exact)):
+                        assign[kk] = piece
             else:
                 rows = _reduce_transport(seed_rows, avail_active, mom_cols, p, exact)
                 frac_count = sum(1 for row in rows if sum(1 for v in row if v > 0) >= 2)
@@ -368,7 +386,9 @@ def lyapunov_partition(h: SimpleFunction, alpha: SimpleFunction, C: BlockPartiti
     with all pieces together exhausting every cell's mass.  Splittable grids
     realize the proportional seed directly as stacked sub-intervals; atomic
     grids decide each block with at most ``polish_budget`` whole-cell
-    assignments by an exhaustive search alone, with no reduction; every other
+    assignments by an exhaustive search alone, with no reduction, counting
+    only the cells where h has a nonzero entry (every other cell takes piece
+    0, as the search's first minimizer would put it); every other
     block pivots the seed to a basic solution (at most rows-many fractional
     cells per block) and rounds fractional cells to their largest piece (ties
     to the smallest piece index).  The grid fixes the regime: on an exact
@@ -552,9 +572,11 @@ def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
     block, so the result does not change when a measure is scaled, and the
     atomic search weighs every measure's defect alike: atomic grids certify
     p * d * max mu_i(k) / mu_i(b) * max |f_i|.  The grid fixes the regime:
-    an exact grid needs exact measures and functions.  A cell null under
-    every measure has zero moments and is split or assigned like any other;
-    a block null under every measure is rejected.
+    an exact grid needs exact measures and functions.  A cell where, for
+    every i, mu_i is null or f_i is zero has zero moments: on splittable
+    grids it is split like any other, on atomic ones it takes piece 0 and
+    does not count toward the p**q assignments that decide whether the
+    search takes its block.  A block null under every measure is rejected.
     """
     d = len(measures)
     if d == 0 or len(fs) != d:

@@ -27,13 +27,14 @@ their LP, a float point it settles clears the tolerance by the round-off
 allowance, far beyond the ~1e-16 relative shift another order makes, and
 sums of ints are exact in any order.
 
-The LPs are submitted in batches to ``linalg.convex_combinations``, which
-runs float LPs of one shape in lockstep.  ``decompose_selection`` makes one
-filter plan per distinct vertex set, runs the plans' LPs in batches of at
-least ``_FILTER_BATCH``, then every cell's decomposition LP in one batch;
-a failing cell is raised after the cells before it, as in a cell-by-cell
-loop.  A nonempty set whose points all lie within the tolerance of the hull
-of the others (a set too small for the tolerance) raises
+The LPs, each carrying its regime, are submitted in batches to
+``linalg.convex_combinations``, which runs float LPs of one shape in
+lockstep.  ``decompose_selection`` makes one filter plan per distinct vertex
+set, runs the plans' LPs in batches of at least ``_FILTER_BATCH``, then
+every cell's decomposition LP in one batch, each batch one call however its
+regimes mix; a failing cell is raised after the cells before it, as in a
+cell-by-cell loop.  A nonempty set whose points all lie within the tolerance
+of the hull of the others (a set too small for the tolerance) raises
 ``NoExtremePointError``, never an empty answer.
 """
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -156,24 +157,14 @@ class _FilterPlan:
 
     def lps(self) -> Iterator[LPProblem]:
         """The Phase-I LP of each unsettled point against the other distinct points."""
-        kept = self.kept
-        return ((kept[:i] + kept[i + 1:], kept[i]) for i in self.pending)
+        kept, exact = self.kept, self.exact
+        return ((kept[:i] + kept[i + 1:], kept[i], exact) for i in self.pending)
 
     def settle(self, results: Iterator[LPResult]) -> None:
         """Read the results of ``lps``; the points are let go after."""
         inside = {i for i in self.pending if next(results)[0] is not None}
         self.extreme = [j for i, j in enumerate(self.idx) if i not in inside]
         self.kept = self.idx = self.pending = None
-
-
-def _solve(jobs: Sequence[tuple[bool, Any]], lps: Callable[[Any], Iterable[LPProblem]],
-           tol: Scalar) -> dict[bool, Iterator[LPResult]]:
-    """Per regime, the results of ``lps(job)`` for the (exact, job) pairs of
-    that regime, in job order, from one ``convex_combinations`` call that
-    builds the LPs as it reads them."""
-    return {exact: iter(convex_combinations(
-                (lp for regime, job in jobs if regime == exact for lp in lps(job)), exact, tol))
-            for exact in {regime for regime, _ in jobs}}
 
 
 def _separate(plans: Sequence[_FilterPlan]) -> None:
@@ -229,8 +220,8 @@ def _separate(plans: Sequence[_FilterPlan]) -> None:
 
 def _settle(plans: Sequence[_FilterPlan], tol: Scalar) -> None:
     """Separate the plans, then run their LPs, a run of plans with at least
-    ``_FILTER_BATCH`` LPs at a time (one ``convex_combinations`` call per
-    regime each), so that only that run's results are held."""
+    ``_FILTER_BATCH`` LPs at a time (one ``convex_combinations`` call each,
+    whatever the plans' regimes), so that only that run's results are held."""
     _separate(plans)
     start = 0
     while start < len(plans):
@@ -239,9 +230,9 @@ def _settle(plans: Sequence[_FilterPlan], tol: Scalar) -> None:
             count += len(plans[stop].pending)
             stop += 1
         batch = plans[start:stop]
-        results = _solve([(plan.exact, plan) for plan in batch], _FilterPlan.lps, tol)
+        results = iter(convex_combinations((lp for plan in batch for lp in plan.lps()), tol))
         for plan in batch:
-            plan.settle(results[plan.exact])
+            plan.settle(results)
         start = stop
 
 
@@ -315,7 +306,7 @@ def caratheodory_decompose(point: Sequence[Scalar], vertices: Sequence[Point], *
     exact = _points_exact(pts) and all_exact(point)
     tol = resolve_tol(exact, tol)
     ext_idx = extreme_point_indices(pts, tol)
-    result = convex_combinations([([pts[i] for i in ext_idx], point)], exact, tol)[0]
+    result = convex_combinations([([pts[i] for i in ext_idx], point, exact)], tol)[0]
     return _decompose_over(point, pts, ext_idx, result)
 
 
@@ -406,13 +397,13 @@ def decompose_selection(T: PolytopeMap, s: SimpleFunction, grid: Grid,
             failure = NoExtremePointError(plan.tol, k)
             del cells[k:]
             break
-    results = _solve([(exact, (point, verts, plan)) for point, verts, plan, exact in cells],
-                     lambda job: [([job[1][i] for i in job[2].extreme], job[0])], tol)
+    results = iter(convex_combinations([([verts[i] for i in plan.extreme], point, exact)
+                                        for point, verts, plan, exact in cells], tol))
     weights = []
     points = []
-    for k, (point, verts, plan, exact) in enumerate(cells):
+    for k, (point, verts, plan, _) in enumerate(cells):
         try:
-            w, sup = _decompose_over(point, verts, plan.extreme, next(results[exact]))
+            w, sup = _decompose_over(point, verts, plan.extreme, next(results))
         except HullMembershipError as err:
             raise HullMembershipError(err.point, cell=k, direction=err.direction) from None
         pad = slots - len(sup)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bangbang import bang_bang
-from .condexp import BlockFunction, SimpleFunction, bf_sub, cond_exp
+from .condexp import BlockFunction, SimpleFunction, bf_sub
 from .numeric import Scalar, check_finite
 from .polytope import PolytopeMap
 from .spaces import BlockPartition, Grid, block_masses
@@ -235,7 +235,7 @@ def purify(delta: YoungMeasure, V: IntegrandFamily, C: BlockPartition, grid: Gri
     if actions is None:
         actions = action_set([f"a{i}" for i in range(len(V.values[0]))])
     strategy = PureStrategy(actions=actions, chunks=tuple(chunks))
-    lhs = cond_exp(mean, C, grid)
+    lhs = bb_report.rhs  # E(mean | C), which bang_bang has just computed
     rhs = strategy.payoff(V, C, grid)
     report = PurifyReport(lhs=lhs, rhs=rhs,
                           max_deviation=bf_sub(lhs, rhs).max_abs(),

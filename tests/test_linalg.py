@@ -636,7 +636,8 @@ CROSSOVER, CHUNK = linalg._LOCKSTEP_CROSSOVER, linalg._LOCKSTEP_CHUNK
 
 def assert_batch_matches_reference(problems, feas_tol):
     """``convex_combinations`` on floats against the reference, by ``repr``."""
-    got = convex_combinations(problems, False, feas_tol)
+    got = convex_combinations([(points, target, False) for points, target in problems],
+                              feas_tol)
     assert len(got) == len(problems)
     for (points, target), result in zip(problems, got):
         assert same_bits(result, reference_convex_combination(points, target, False, feas_tol)), \
@@ -715,9 +716,37 @@ def test_only_groups_from_the_crossover_on_run_in_lockstep():
     assert scalar.call_count == len(small) + 1
 
 
+@st.composite
+def mixed_streams(draw):
+    """Float groups of one LP, of the crossover and of a chunk and five, each
+    of its own shape and varying one ``lp_cases`` draw by rotating its
+    points, shuffled together with one to four exact ``lp_cases`` draws."""
+    problems, shapes = [], set()
+    for size in (1, CROSSOVER, CHUNK + 5):
+        points, target, _ = draw(lp_cases(exact=False))
+        assume((len(points), len(target)) not in shapes)
+        shapes.add((len(points), len(target)))
+        n = len(points)
+        problems += [(points[k % n:] + points[:k % n], target, False) for k in range(size)]
+    for _ in range(draw(st.integers(1, 4))):
+        points, target, _ = draw(lp_cases(exact=True))
+        problems.append((points, target, True))
+    random.Random(draw(st.integers(0, 2 ** 32 - 1))).shuffle(problems)
+    return problems, draw(st.sampled_from((0, 1e-9)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(mixed_streams())
+def test_a_mixed_stream_returns_each_lp_its_own_regime_result_in_input_order(case):
+    problems, feas_tol = case
+    got = convex_combinations(iter(problems), feas_tol)
+    want = [convex_combination(p, t, e, feas_tol) for p, t, e in problems]
+    assert repr(got) == repr(want)
+
+
 def test_exact_problems_run_the_integer_simplex_one_at_a_time():
     problems = [([(F(1, 3), 2), (0, F(-1, 2))], (F(1, 6), F(3, 4)))] * CROSSOVER
-    got = convex_combinations(problems, True, 0)
+    got = convex_combinations([(points, target, True) for points, target in problems], 0)
     assert got == [convex_combination(points, target, True, 0) for points, target in problems]
     assert all(type(v) is Fraction for v in got[0][0])
 

@@ -631,6 +631,15 @@ def test_partition_reduces_only_the_blocks_the_search_does_not_decide(monkeypatc
     assert sizes == [13]
     assert res.fractional_per_block[:2] == (0, 0)
     assert res.fractional_per_block[2] <= 2 * h.dim
+    # with h zero on one of its cells, the 13-cell block has 2**12 assignments
+    # of the cells that move a moment, and the search decides it
+    null = SimpleFunction(dim=h.dim, values=tuple(
+        (0.0,) * h.dim if k == 7 else row for k, row in enumerate(h.values)))
+    sizes.clear()
+    res = lyapunov_partition(null, alpha, mixed, g)
+    assert sizes == []
+    assert res.fractional_per_block == (0,) * 3
+    assert res.pieces[0].masses[7] == g.weights[7]
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])

@@ -507,10 +507,10 @@ def count_lps(monkeypatch):
     lps = []
     original = polytope.convex_combinations
 
-    def counted(problems, exact, feas_tol):
+    def counted(problems, feas_tol):
         problems = list(problems)
         lps.extend(problems)
-        return original(problems, exact, feas_tol)
+        return original(problems, feas_tol)
 
     monkeypatch.setattr(polytope, "convex_combinations", counted)
     return lps
