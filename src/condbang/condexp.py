@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .numeric import Scalar, check_finite, max_abs
-from .spaces import BlockPartition, CellRefinement, Grid, RefinedSet
+from .spaces import BlockPartition, CellRefinement, Grid, RefinedSet, block_masses
 
 
 @dataclass(frozen=True)
@@ -120,34 +120,37 @@ def _check_shapes(f: SimpleFunction | None, E: RefinedSet | None,
         raise ValueError("set references unknown cells")
 
 
-def _block_average(masses: Sequence[Scalar], values: Sequence[Sequence[Scalar]],
-                   dim: int, C: BlockPartition, grid: Grid) -> BlockFunction:
-    """Per block b and coordinate j: sum_k masses[k] * values[k][j] / mass(b)."""
-    rows = []
-    for cells in C.blocks:
-        den = sum(grid.weights[k] for k in cells)
-        rows.append(tuple(sum(masses[k] * values[k][j] for k in cells) / den
-                          for j in range(dim)))
-    return BlockFunction(dim=dim, values=tuple(rows))
+def block_average(terms: Sequence[Sequence[tuple[Scalar, Sequence[Scalar]]]], dim: int,
+                  C: BlockPartition, grid: Grid) -> BlockFunction:
+    """Per block b and coordinate j: the sum of m * v[j] over the (mass m,
+    vector v) terms of b's cells, ``terms[k]`` those of cell k, divided by
+    mass(b).
+
+    The sum is a left fold from the int 0 over the cells in block order and
+    each cell's terms in their order; mass(b) is ``block_masses``.
+    """
+    return BlockFunction(dim=dim, values=tuple(
+        tuple(sum(m * v[j] for k in cells for m, v in terms[k]) / den for j in range(dim))
+        for cells, den in zip(C.blocks, block_masses(C, grid))))
 
 
 def cond_exp(f: SimpleFunction, C: BlockPartition, grid: Grid) -> BlockFunction:
     """Block-wise weighted mean: value on block b is sum_k w_k f(k) / mass(b)."""
     _check_shapes(f, None, C, grid)
-    return _block_average(grid.weights, f.values, f.dim, C, grid)
+    return block_average([((w, row),) for w, row in zip(grid.weights, f.values)], f.dim, C, grid)
 
 
 def ce_measure(E: RefinedSet, C: BlockPartition, grid: Grid) -> BlockFunction:
     """Conditional mass of a set per block: mass(E within b) / mass(b)."""
     _check_shapes(None, E, C, grid)
-    return _block_average(E.masses, ((1,),) * grid.cell_count, 1, C, grid)
+    return block_average([((m, (1,)),) for m in E.masses], 1, C, grid)
 
 
 def weighted_ce_measure(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
                         grid: Grid) -> BlockFunction:
     """Measure of E weighted by f: per block, sum_k f(k) mass_E(k) / mass(b)."""
     _check_shapes(f, E, C, grid)
-    return _block_average(E.masses, f.values, f.dim, C, grid)
+    return block_average([((m, row),) for m, row in zip(E.masses, f.values)], f.dim, C, grid)
 
 
 def integrate_against(g: SimpleFunction, f: SimpleFunction, E: RefinedSet,

@@ -1,19 +1,17 @@
 """Small dense linear-algebra kernels used by the decomposition and
 partition solvers.
 
-Three primitives: a nullspace vector of a column set, the pivot step along a
-kernel direction (ratio test, smallest index leaves on ties, float
-round-off clamped), and a Phase-I simplex deciding convex-combination
-feasibility with a Farkas certificate on failure, also run on many LPs at
-once.  The first two serve the partition solver's transport reduction; the
-pivot step moves only the entries on the support of the kernel direction,
-and runs verbatim on floats (1e-12 thresholds) and on Fractions (zero
-thresholds).  The simplex's lam is a basic solution: positive only on basis
-columns, which are linearly independent, so at most dim+1 of its entries
-are positive and it is a Carathéodory representation as it stands.  The
-simplex pivots floats with 1e-12 thresholds, and exact input on a tableau of
-Python ints scaled by one common denominator (Edmonds' integer-preserving
-pivots); its pivots and results are those of the same simplex on Fractions.
+Two primitives: a nullspace vector of a column set, which serves the
+partition solver's transport reduction (that walk runs its own ratio test
+on the window it pivots), and a Phase-I simplex deciding
+convex-combination feasibility with a Farkas certificate on failure, also
+run on many LPs at once.  The simplex's lam is a basic solution: positive
+only on basis columns, which are linearly independent, so at most dim+1 of
+its entries are positive and it is a Carathéodory representation as it
+stands.  The simplex pivots floats with 1e-12 thresholds, and exact input on
+a tableau of Python ints scaled by one common denominator (Edmonds'
+integer-preserving pivots); its pivots and results are those of the same
+simplex on Fractions.
 It enters by Bland's rule over the variable columns alone: an artificial
 column starts basic and, once it leaves, is dropped for good, as usual in
 Phase I, so it never enters.  A basic variable column is an exact unit
@@ -25,11 +23,12 @@ record of which columns are basic or have left.
 The nullspace vector eliminates floats with partial pivoting, and exact
 integer columns fraction-free (Bareiss), returning the integral kernel
 |det|·z of the Fraction elimination's z, a positive multiple along which the
-pivot step moves every value as along z.  It eliminates left-looking, and an
-``Echelon`` carries the elimination between solves, so a solve that starts
-with the previous solve's leading pivot columns eliminates only the columns
-after them; the floats stay bit for bit those of a solve from scratch.  One
-solve is tens of rows, so plain lists beat array machinery for it.
+transport reduction moves every value as along z.  It eliminates
+left-looking, and an ``Echelon`` carries the elimination between solves, so
+a solve that starts with the previous solve's leading pivot columns
+eliminates only the columns after them; the floats stay bit for bit those of
+a solve from scratch.  One solve is tens of rows, so plain lists beat array
+machinery for it.
 
 Many float LPs at once are another matter: ``convex_combinations`` runs
 float LPs of one shape side by side, one pivot of each per step of a numpy
@@ -64,10 +63,6 @@ _MAX_SIMPLEX_ITERATIONS = 100000
 _LOCKSTEP_CROSSOVER = 32
 #: float LPs per lockstep batch (see ``convex_combinations``)
 _LOCKSTEP_CHUNK = 256
-
-
-def _zero(exact: bool) -> Scalar:
-    return Fraction(0) if exact else 0.0
 
 
 def integer_scaled(vectors: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
@@ -209,39 +204,6 @@ def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: boo
     return x + [nil] * (ncols - free - 1)
 
 
-def pivot_step(x: Sequence[Scalar], z: Sequence[Scalar], exact: bool) -> list[Scalar]:
-    """Move the nonnegative values x along the kernel direction z until one hits zero.
-
-    z is negated when no entry exceeds the threshold (zero on Fractions,
-    ``PIVOT_TOL`` on floats).  The step is the least ratio x[i] / z[i] over
-    the entries above it, the smallest index among the tied minimizers
-    leaves and is set to exactly zero, and on floats the round-off that
-    drove any other value below zero is clamped to 0.0.
-
-    Only the support of z is touched: an entry with ``z[i] == 0`` comes back
-    as it went in, which is what ``x[i] - theta * 0`` gives anyway for the
-    positive values x holds, bit for bit.
-    """
-    zero_thresh = 0 if exact else PIVOT_TOL
-    if not any(zv > zero_thresh for zv in z):
-        z = [-zv for zv in z]
-    theta = None
-    leave = None
-    for idx, zv in enumerate(z):
-        if zv > zero_thresh:
-            ratio = x[idx] / zv
-            if theta is None or ratio < theta:
-                theta = ratio
-                leave = idx
-    moved = list(x)
-    for idx, zv in enumerate(z):
-        if zv:
-            v = x[idx] - theta * zv
-            moved[idx] = 0.0 if not exact and v < 0 else v
-    moved[leave] = _zero(exact)
-    return moved
-
-
 def convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scalar],
                        exact: bool, feas_tol: Scalar
                        ) -> tuple[list[Scalar] | None, list[Scalar] | None, Scalar]:
@@ -368,7 +330,7 @@ def _phase_one_result(tail: Sequence[Sequence[Scalar]], basis: Sequence[int],
     if exact and artificial:
         objective = Fraction(objective, den * scale)
     if objective <= feas_tol:
-        lam = [_zero(exact)] * n
+        lam = [Fraction(0) if exact else 0.0] * n
         for i in range(nrows):
             if basis[i] < n:
                 v = tail[i][-1]

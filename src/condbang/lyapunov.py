@@ -28,8 +28,8 @@ import numpy as np
 
 from .condexp import (BlockFunction, SimpleFunction, bf_sub, cond_exp, indicator,
                       lift_function, lift_to_cells, sf_mul, weighted_ce_measure)
-from .linalg import Echelon, integer_row, integer_scaled, nullspace_vector, pivot_step
-from .numeric import Scalar, all_exact, check_finite, max_abs
+from .linalg import Echelon, integer_row, integer_scaled, nullspace_vector
+from .numeric import PIVOT_TOL, Scalar, all_exact, check_finite, max_abs
 from .spaces import (BlockPartition, CellRefinement, Grid, Mode, RefinedSet,
                      block_masses, full_set, refine_partition, split_cells,
                      validate_set)
@@ -92,8 +92,8 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     cell-major order; the equations are one sum row per window cell (its
     entries keep their total) and all moment rows.  A kernel direction
     exists as soon as the window holds enough fractional cells, and each
-    ``pivot_step`` zeroes at least one variable, so a cell keeps leaving the
-    window integral.  Window size is bounded by the moment row count, which
+    pivot zeroes at least one variable, so a cell keeps leaving the window
+    integral.  Window size is bounded by the moment row count, which
     keeps every kernel solve small regardless of block size.  The final
     solution has at most (moment rows) fractional cells and still satisfies
     every equation exactly.
@@ -115,20 +115,32 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     columns > moment rows), and the kernel vector with z[free] = 1 and zeros
     after ``free`` is unique in both.
 
-    The fractional cells are pulled lazily, one at a time.  After each, the
-    window pivots while it has more reduced columns than moment rows, where
-    a kernel always exists; once the last one has joined, it pivots while
+    The cells join in order, each fractional one as it is reached.  After
+    each, the window pivots while it has more reduced columns than moment
+    rows, where a kernel always exists; past the last cell, it pivots while
     any column is left and a kernel exists.  Each window cell keeps the list
     of its positive pieces; after a pivot only the cells whose variables
     moved are looked at again.
 
+    A pivot runs on the window as it stands.  Each window cell's direction
+    lists its pieces in order: minus the sum of its kernel tail, then the
+    tail.  The threshold is ``PIVOT_TOL`` on floats and 0 on exact data.
+    The kernel's free entry, 1.0 on floats and |det| >= 1 on ints, is a
+    direction entry above it, so no direction needs negating.  The ratio
+    test runs over the entries above the threshold, cell by cell in window
+    order and piece by piece within a cell; the step theta is the least
+    ratio rows[k][i] / d, and a strict ``<`` lets the first minimizer leave.
+    Only entries with a nonzero direction move, to rows[k][i] - theta·d, and
+    on floats a value driven below zero by round-off is clamped to 0.0.  The
+    leaving entry is set to the regime's zero: ``Fraction(0)`` on exact
+    data, 0.0 on floats.
+
     On exact data each block's moment rows are scaled to ints once, and each
     kernel comes back as the integral |det|·z, a positive multiple of the z
-    above (see ``nullspace_vector``); the lift and ``pivot_step`` run on it
-    as they are.  For any c > 0, replacing z by c·z changes no sign and
-    divides every ratio x[i] / z[i] by c, so the least ratio and its ties
-    stay where they were, and it leaves theta·z[i] as it was: every moved
-    value is the same Fraction.
+    above (see ``nullspace_vector``); the lift and the pivot run on it as
+    they are.  For any c > 0, replacing z by c·z changes no sign and divides
+    every ratio by c, so the least ratio and its ties stay where they were,
+    and it leaves theta·d as it was: every moved value is the same Fraction.
 
     One ``Echelon`` carries the kernel elimination between solves.  The
     window's column list changes only where a cell joins at the end, leaves,
@@ -146,9 +158,9 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
         # is and lets the windows be built from ints; folding only negates
         # entries within a row, so the scaling still holds
         mom_cols = [[integer_row(col) for col in cols] for cols in mom_cols]
-        nil = 0
+        nil, zero, thresh = 0, Fraction(0), 0
     else:
-        nil = 0.0
+        nil, zero, thresh = 0.0, 0.0, PIVOT_TOL
     rows_of = []  # the moment rows of each piece, as a slice
     mom_rows = 0
     for cols in mom_cols:
@@ -166,54 +178,58 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
             columns.append(column)
         return columns
 
-    def fractional_cells():
-        for kk in range(q):
-            pieces = [i for i in range(p) if rows[kk][i] > 0]
-            if len(pieces) >= 2:
-                yield kk, pieces, reduced_columns(kk, pieces)
-
     # window cells in joining order: (cell, its positive pieces, its columns)
     window: list[tuple[int, list[int], list[list[Scalar]]]] = []
     echelon = Echelon()
-    stream = fractional_cells()
-    while True:
-        joining = next(stream, None)
-        if joining is not None:
-            window.append(joining)
-        # past the last fractional cell, pivot until no kernel is left
-        while sum(len(cols) for _, _, cols in window) > (mom_rows if joining else 0):
+    # cell q stands for the end of the block: past the last fractional cell,
+    # pivot until no kernel is left
+    for kk in range(q + 1):
+        if kk < q:
+            pieces = [i for i in range(p) if rows[kk][i] > 0]
+            if len(pieces) < 2:
+                continue
+            window.append((kk, pieces, reduced_columns(kk, pieces)))
+        while True:
             columns = [column for _, _, cols in window for column in cols]
+            if len(columns) <= (mom_rows if kk < q else 0):
+                break
             z = nullspace_vector(columns, len(columns), exact, echelon=echelon)
             if z is None:
                 break
-            x: list[Scalar] = []
-            direction: list[Scalar] = []
+            # each cell's direction in piece order: minus the sum of its tail,
+            # then the tail; the ratio test runs over it as it is built
+            directions = []
+            theta = leave = None
             col = 0
-            for kk, pieces, cols in window:
+            for cell, pieces, cols in window:
                 tail = z[col:col + len(cols)]
                 col += len(cols)
-                direction.append(-sum(tail))
-                direction.extend(tail)
-                x.extend(rows[kk][i] for i in pieces)
-            moved = pivot_step(x, direction, exact)
+                dirn = [-sum(tail), *tail]
+                directions.append(dirn)
+                for i, d in zip(pieces, dirn):
+                    if d > thresh:
+                        ratio = rows[cell][i] / d
+                        if theta is None or ratio < theta:
+                            theta, leave = ratio, (cell, i)
             kept = []
-            at = 0
-            for cell in window:
-                kk, pieces, _ = cell
-                start, at = at, at + len(pieces)
-                if any(direction[start:at]):
-                    row = rows[kk]
-                    for i, v in zip(pieces, moved[start:at]):
-                        row[i] = v
+            for entry, dirn in zip(window, directions):
+                cell, pieces, _ = entry
+                if any(dirn):
+                    row = rows[cell]
+                    for i, d in zip(pieces, dirn):
+                        if d:
+                            v = row[i] - theta * d
+                            row[i] = 0.0 if not exact and v < 0 else v
+                    if cell == leave[0]:
+                        row[leave[1]] = zero
                     left = [i for i in pieces if row[i] > 0]
                     if len(left) < 2:
                         continue
                     if len(left) < len(pieces):
-                        cell = (kk, left, reduced_columns(kk, left))
-                kept.append(cell)
+                        entry = (cell, left, reduced_columns(cell, left))
+                kept.append(entry)
             window = kept
-        if joining is None:
-            return rows
+    return rows
 
 
 def _polish(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],

@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bangbang import bang_bang
-from .condexp import BlockFunction, SimpleFunction, bf_sub
+from .condexp import BlockFunction, SimpleFunction, bf_sub, block_average
 from .numeric import Scalar, check_finite
 from .polytope import PolytopeMap
-from .spaces import BlockPartition, Grid, block_masses
+from .spaces import BlockPartition, Grid
 
 
 @dataclass(frozen=True)
@@ -141,18 +141,8 @@ class PureStrategy:
 
     def payoff(self, V: IntegrandFamily, C: BlockPartition, grid: Grid) -> BlockFunction:
         """E(strategy payoff | C): chunk-weighted payoff averages per block."""
-        mu = block_masses(C, grid)
-        rows = []
-        for b, cells in enumerate(C.blocks):
-            vals = []
-            for j in range(V.dim):
-                acc = 0
-                for k in cells:
-                    for _, m, a in self.chunks[k]:
-                        acc = acc + m * V.values[k][a][j]
-                vals.append(acc / mu[b])
-            rows.append(tuple(vals))
-        return BlockFunction(dim=V.dim, values=tuple(rows))
+        return block_average([[(m, V.values[k][a]) for _, m, a in chunks]
+                              for k, chunks in enumerate(self.chunks)], V.dim, C, grid)
 
     def cell_action(self, k: int) -> int | None:
         """The single action of a cell-pure cell, else None."""

@@ -11,11 +11,12 @@ diagnostic decides whether the partition leaves room below every set.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .numeric import Scalar, all_exact, resolve_tol
 
@@ -55,6 +56,9 @@ def grid_from_weights(weights: Sequence[Scalar], mode: Mode | str) -> Grid:
     weights = tuple(weights)
     if not weights:
         raise ValueError("grid needs at least one cell")
+    for i, w in enumerate(weights):
+        if isinstance(w, float) and not math.isfinite(w):
+            raise ValueError(f"cell {i}: non-finite weight {w!r}")
     if any(w <= 0 for w in weights):
         raise ValueError("cell weights must be positive")
     return Grid(weights=weights, mode=mode)
@@ -99,11 +103,24 @@ class BlockPartition:
     blocks: tuple[tuple[int, ...], ...]
 
 
+def _indices(values: Iterable[object], error: str) -> tuple[int, ...]:
+    """The values as ints, by ``operator.index``: 1.7 or "1" is refused, not
+    truncated, with ``ValueError(error.format(k=position, v=value))`` for
+    the first value that is not an integer."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        k = next(k for k, v in enumerate(values) if not hasattr(type(v), "__index__"))
+        raise ValueError(error.format(k=k, v=values[k])) from None
+
+
 def make_partition(block_of: Sequence[int], block_count: int | None = None) -> BlockPartition:
-    labels = tuple(int(b) for b in block_of)
+    labels = _indices(block_of, "cell {k}: block label {v!r} is not an integer")
     if not labels:
         raise ValueError("partition needs at least one cell")
-    count = (max(labels) + 1) if block_count is None else int(block_count)
+    count = (max(labels) + 1) if block_count is None else \
+        _indices([block_count], "block count {v!r} is not an integer")[0]
     # keyed by label, so that nothing grows with the block count before every
     # block is known to hold a cell
     cells: dict[int, list[int]] = {}
@@ -168,8 +185,8 @@ def set_from_triples(grid: Grid, triples: Sequence[tuple[int, Scalar, Scalar]]) 
     zero = Fraction(0) if grid.is_exact else 0.0
     offsets = [zero] * grid.cell_count
     masses = [zero] * grid.cell_count
-    for cell, offset, mass in triples:
-        k = int(cell)
+    cells = _indices((t[0] for t in triples), "set entry {k}: cell {v!r} is not an integer")
+    for k, (_, offset, mass) in zip(cells, triples):
         if not 0 <= k < grid.cell_count:
             raise ValueError(f"set references unknown cell {k}")
         if masses[k] > 0:

@@ -1,8 +1,13 @@
 """The kernel solves against the row-by-row Fraction elimination they
-replaced, the reuse of an elimination between solves, the pivot step of
-transport reduction, and the Phase-I simplex against the Fraction simplex it
-replaced.  ``test_polytope`` keeps the support reduction that used the kernel
-and the pivot step before the simplex's basic solution replaced it.
+replaced, the reuse of an elimination between solves, and the Phase-I
+simplex against the Fraction simplex it replaced.  ``test_polytope`` keeps
+the support reduction that used the kernel and the pivot step before the
+simplex's basic solution replaced it.
+
+``pivot_step`` is ``linalg.pivot_step`` as it was before the transport
+reduction took its ratio test onto the window it pivots, kept verbatim: the
+reference walks of ``test_transport`` and ``reference_reduce_support`` in
+``test_polytope`` call it.
 
 ``reference_nullspace_vector`` is the elimination ``linalg.nullspace_vector``
 ran on both regimes before exact solves moved to integers and before the
@@ -39,7 +44,7 @@ from hypothesis import strategies as st
 
 from condbang import linalg
 from condbang.linalg import (Echelon, convex_combination, convex_combinations, integer_row,
-                             nullspace_vector, pivot_step)
+                             nullspace_vector)
 from condbang.numeric import PIVOT_TOL, Scalar
 
 
@@ -351,64 +356,37 @@ def test_exact_kernel_rejects_a_column_that_is_not_all_ints(entry):
         nullspace_vector(columns + [[entry, 3]], 3, True, echelon=echelon)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 4), st.integers(-3, 3)), min_size=1, max_size=8),
-       st.sampled_from(("mixed", "nonpositive")), st.integers(1, 10 ** 9))
-def test_exact_pivot_step_moves_alike_along_any_positive_multiple(entries, signs, c):
-    # small numerators and z entries make tied ratios common
-    x = [F(a, 2) for a, _ in entries]
-    z = [b if signs == "mixed" else -abs(b) for _, b in entries]
-    assume(any(z))
-    moved = pivot_step(x, z, True)
-    assert pivot_step(x, [c * v for v in z], True) == moved
-    assert pivot_step(x, [F(v, c) for v in z], True) == moved
-    assert all(type(v) is Fraction for v in moved)
+def pivot_step(x: Sequence[Scalar], z: Sequence[Scalar], exact: bool) -> list[Scalar]:
+    """Move the nonnegative values x along the kernel direction z until one hits zero.
 
+    z is negated when no entry exceeds the threshold (zero on Fractions,
+    ``PIVOT_TOL`` on floats).  The step is the least ratio x[i] / z[i] over
+    the entries above it, the smallest index among the tied minimizers
+    leaves and is set to exactly zero, and on floats the round-off that
+    drove any other value below zero is clamped to 0.0.
 
-def test_pivot_step_smallest_index_leaves_a_tie():
-    # both ratios are 9.0 in binary64, but 9.0 * 0.1 rounds below the second
-    # value: only the first entry leaves, the second keeps its round-off
-    assert 1.8 / 0.2 == 0.9000000000000001 / 0.1
-    moved = pivot_step([1.8, 0.9000000000000001, 5.0], [0.2, 0.1, 0.0], False)
-    assert moved[0] == 0.0 and moved[2] == 5.0
-    assert moved[1] == 0.9000000000000001 - 9.0 * 0.1 > 0
-    # exact ties all reach zero; the result stays in Fractions
-    moved = pivot_step([F(1), F(2), F(3)], [F(1), F(2), F(1)], True)
-    assert moved == [0, 0, 2] and all(type(v) is Fraction for v in moved)
-
-
-def test_pivot_step_negates_a_direction_with_no_positive_entry():
-    assert pivot_step([3.0, 2.0, 1.0], [-1.0, -2.0, 0.0], False) == [2.0, 0.0, 1.0]
-    assert pivot_step([F(3), F(2)], [F(-1), F(-2)], True) == [2, 0]
-
-
-def test_pivot_step_clamps_float_round_off_only():
-    # z's second entry is below PIVOT_TOL, so the ratio test skips it and the
-    # step drives it below zero: floats clamp it, Fractions take it into the test
-    assert 0 < 1e-13 < PIVOT_TOL
-    assert pivot_step([1.0, 1e-14], [1.0, 1e-13], False) == [0.0, 0.0]
-    assert pivot_step([F(1), F(1, 10 ** 14)], [F(1), F(1, 10 ** 13)], True) == \
-        [F(9, 10), 0]
-
-
-def test_pivot_step_leaves_entries_off_the_support_of_z_as_they_are():
-    # floats: entry 0 leaves, entry 2 is driven below zero by round-off and
-    # clamped, entries 1, 3 and 4 (z zero, one of them -0.0) come back as is
-    x = [1.0, 0.3, 1e-14, 7.25, 0.1]
-    z = [1.0, 0.0, 1e-13, -0.0, 0.0]
-    moved = pivot_step(x, z, False)
-    assert moved == [0.0, 0.3, 0.0, 7.25, 0.1]
-    assert all(moved[i] is x[i] for i in (1, 3, 4))
-    # the same with every z entry negated: the step flips z back
-    assert pivot_step(x, [-v for v in z], False) == moved
-    # Fractions: entry 2 has the least ratio and leaves, entry 0 moves,
-    # entries 1 and 3 (z zero) stay the very objects passed in
-    x = [F(3), F(2, 7), F(1), F(5, 3)]
-    z = [F(1), F(0), F(2), 0]
-    moved = pivot_step(x, z, True)
-    assert moved == [F(5, 2), F(2, 7), 0, F(5, 3)]
-    assert moved[1] is x[1] and moved[3] is x[3]
-    assert all(type(v) is Fraction for v in moved)
+    Only the support of z is touched: an entry with ``z[i] == 0`` comes back
+    as it went in, which is what ``x[i] - theta * 0`` gives anyway for the
+    positive values x holds, bit for bit.
+    """
+    zero_thresh = 0 if exact else PIVOT_TOL
+    if not any(zv > zero_thresh for zv in z):
+        z = [-zv for zv in z]
+    theta = None
+    leave = None
+    for idx, zv in enumerate(z):
+        if zv > zero_thresh:
+            ratio = x[idx] / zv
+            if theta is None or ratio < theta:
+                theta = ratio
+                leave = idx
+    moved = list(x)
+    for idx, zv in enumerate(z):
+        if zv:
+            v = x[idx] - theta * zv
+            moved[idx] = 0.0 if not exact and v < 0 else v
+    moved[leave] = _zero(exact)
+    return moved
 
 
 def reference_convex_combination(points: Sequence[Sequence[Scalar]], target: Sequence[Scalar],

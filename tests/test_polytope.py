@@ -16,12 +16,12 @@ from condbang import (HullMembershipError, Mode, NoExtremePointError, build_grid
 from condbang import polytope
 from condbang.cli import run
 from condbang.documents import parse_problem
-from condbang.linalg import convex_combination, integer_scaled, nullspace_vector, pivot_step
+from condbang.linalg import convex_combination, integer_scaled, nullspace_vector
 from condbang.numeric import Scalar, all_exact, is_exact, max_abs, resolve_tol
 from condbang.polytope import _dedupe, _points_exact
 
 from gen import interior_selection, random_grid, random_polytopes
-from test_linalg import _integer_columns, reference_convex_combination
+from test_linalg import _integer_columns, pivot_step, reference_convex_combination
 
 TOL = 1e-9
 BIG = 2 ** 64

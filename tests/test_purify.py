@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -59,6 +60,29 @@ def test_purify_dirac_returns_unchanged():
     # read back as a Young measure, the pure strategy is the input
     as_young = dirac_measure([strategy.cell_action(k) for k in range(4)], acts, g)
     assert as_young.rows == delta.rows
+
+
+def test_payoff_is_the_chunk_weighted_fold_and_refuses_another_cell_count():
+    g = build_grid([1, 2, 3, 4], Mode.SPLITTABLE)
+    C = make_partition([0, 1, 0, 1])
+    acts = action_set(["a", "b", "c"])
+    V = integrand_family([[(0, 1), (1, 0), (2, -1)]] * 4)
+    delta = young_measure([[F(1, 5), F(3, 10), F(1, 2)]] * 4, acts, g)
+    strategy, _ = purify(delta, V, C, g, actions=acts)
+    # the per-block loop the payoff ran before it became a block_average
+    want = []
+    for cells in C.blocks:
+        row = []
+        for j in range(V.dim):
+            acc = 0
+            for k in cells:
+                for _, m, a in strategy.chunks[k]:
+                    acc = acc + m * V.values[k][a][j]
+            row.append(acc / sum(g.weights[k] for k in cells))
+        want.append(tuple(row))
+    assert strategy.payoff(V, C, g).values == tuple(want)
+    with pytest.raises(ValueError, match="partition and grid cell counts differ"):
+        strategy.payoff(V, make_partition([0, 1, 0]), g)
 
 
 def test_purify_two_action_example():

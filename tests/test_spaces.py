@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from condbang import spaces
@@ -30,6 +31,35 @@ def test_build_grid_rejects_bad_input():
         build_grid([0.3, 0.0], Mode.ATOMIC)
     with pytest.raises(ValueError):
         build_grid([0.3, float("nan")], Mode.ATOMIC)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+def test_grid_from_weights_rejects_a_non_finite_weight(weight):
+    with pytest.raises(ValueError, match=r"cell 1: non-finite weight"):
+        spaces.grid_from_weights([0.5, weight], "splittable")
+
+
+@pytest.mark.parametrize("label", [1.7, 1.0, "1", Fraction(1)])
+def test_make_partition_refuses_a_label_that_is_not_an_integer(label):
+    # int() would truncate 1.7 to block 1 without a word
+    with pytest.raises(ValueError, match=r"cell 1: block label .* is not an integer"):
+        make_partition([0, label, 1])
+    # integers of other types pass as their index
+    assert make_partition([0, np.int64(1), 1]).blocks == ((0,), (1, 2))
+
+
+def test_make_partition_refuses_a_block_count_that_is_not_an_integer():
+    # int() would truncate 2.7 to 2 blocks
+    with pytest.raises(ValueError, match=r"block count 2\.7 is not an integer"):
+        make_partition([0, 1], 2.7)
+    assert make_partition([0, 1], np.int64(2)).block_count == 2
+
+
+def test_set_from_triples_refuses_a_cell_that_is_not_an_integer():
+    g = build_grid([0.5, 0.5], Mode.SPLITTABLE)
+    with pytest.raises(ValueError, match=r"set entry 1: cell 1\.9 is not an integer"):
+        set_from_triples(g, [(0, 0.0, 0.25), (1.9, 0.0, 0.25)])
+    assert set_from_triples(g, [(True, 0.0, 0.25)]).masses == (0.0, 0.25)
 
 
 def test_make_partition_names_the_first_empty_block():

@@ -13,6 +13,13 @@ rows) fractional cells.  Float results must match ``_reduce_transport`` run
 with the row-by-row reference kernel of ``test_linalg``, which ignores the
 elimination carried between solves, bit for bit and with the same number of
 kernel solves.
+
+``reference_window_walk`` is ``lyapunov._reduce_transport`` as it was
+before its pivot moved onto the window: every pivot copies the window into
+flat value and direction lists for ``pivot_step`` (kept in ``test_linalg``),
+and the fractional cells come from a generator.  The live walk must match
+it on both regimes, floats by ``repr`` and exact values entry for entry,
+with the same number of kernel solves.
 """
 
 from __future__ import annotations
@@ -23,14 +30,15 @@ import sys
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condbang import lyapunov
-from condbang.linalg import integer_row, nullspace_vector, pivot_step
-from condbang.numeric import Scalar
+from condbang import linalg, lyapunov
+from condbang.linalg import Echelon, integer_row, nullspace_vector
+from condbang.numeric import PIVOT_TOL, Scalar
 
-from test_linalg import reference_nullspace_vector, rows_of, same_bits
+from test_linalg import pivot_step, reference_nullspace_vector, rows_of, same_bits
 
 F = Fraction
 
@@ -95,6 +103,88 @@ def reference_reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
         for (kk, i), v in zip(variables, moved):
             rows[kk][i] = v
         window = [kk for kk in window if fractional(kk)]
+
+
+def reference_window_walk(rows: list[list[Scalar]], avail: list[Scalar],
+                          mom_cols: list[list[list[Scalar]]], p: int,
+                          exact: bool) -> list[list[Scalar]]:
+    """The folded window walk with a flat ``pivot_step`` per pivot (see the
+    module docstring and ``lyapunov._reduce_transport``)."""
+    q = len(avail)
+    rows = [list(r) for r in rows]
+    if exact:
+        # a positive factor per moment row leaves every window's kernel as it
+        # is and lets the windows be built from ints; folding only negates
+        # entries within a row, so the scaling still holds
+        mom_cols = [[integer_row(col) for col in cols] for cols in mom_cols]
+        nil = 0
+    else:
+        nil = 0.0
+    rows_of = []  # the moment rows of each piece, as a slice
+    mom_rows = 0
+    for cols in mom_cols:
+        rows_of.append(slice(mom_rows, mom_rows + len(cols)))
+        mom_rows += len(cols)
+
+    def reduced_columns(kk: int, pieces: list[int]) -> list[list[Scalar]]:
+        i0 = pieces[0]
+        negated = [-mom_row[kk] for mom_row in mom_cols[i0]]
+        columns = []
+        for i in pieces[1:]:
+            column = [nil] * mom_rows
+            column[rows_of[i0]] = negated
+            column[rows_of[i]] = [mom_row[kk] for mom_row in mom_cols[i]]
+            columns.append(column)
+        return columns
+
+    def fractional_cells():
+        for kk in range(q):
+            pieces = [i for i in range(p) if rows[kk][i] > 0]
+            if len(pieces) >= 2:
+                yield kk, pieces, reduced_columns(kk, pieces)
+
+    # window cells in joining order: (cell, its positive pieces, its columns)
+    window: list[tuple[int, list[int], list[list[Scalar]]]] = []
+    echelon = Echelon()
+    stream = fractional_cells()
+    while True:
+        joining = next(stream, None)
+        if joining is not None:
+            window.append(joining)
+        # past the last fractional cell, pivot until no kernel is left
+        while sum(len(cols) for _, _, cols in window) > (mom_rows if joining else 0):
+            columns = [column for _, _, cols in window for column in cols]
+            z = nullspace_vector(columns, len(columns), exact, echelon=echelon)
+            if z is None:
+                break
+            x: list[Scalar] = []
+            direction: list[Scalar] = []
+            col = 0
+            for kk, pieces, cols in window:
+                tail = z[col:col + len(cols)]
+                col += len(cols)
+                direction.append(-sum(tail))
+                direction.extend(tail)
+                x.extend(rows[kk][i] for i in pieces)
+            moved = pivot_step(x, direction, exact)
+            kept = []
+            at = 0
+            for cell in window:
+                kk, pieces, _ = cell
+                start, at = at, at + len(pieces)
+                if any(direction[start:at]):
+                    row = rows[kk]
+                    for i, v in zip(pieces, moved[start:at]):
+                        row[i] = v
+                    left = [i for i in pieces if row[i] > 0]
+                    if len(left) < 2:
+                        continue
+                    if len(left) < len(pieces):
+                        cell = (kk, left, reduced_columns(kk, left))
+                kept.append(cell)
+            window = kept
+        if joining is None:
+            return rows
 
 
 def make_block(rng: random.Random, p: int, dims: list[int], q: int, exact: bool, *,
@@ -245,3 +335,144 @@ def test_float_reduction_is_bit_identical_with_kernels_solved_from_scratch():
             want = lyapunov._reduce_transport(rows, avail, mom_cols, p, False)
         assert same_bits(got, want)
         assert carried.call_count == scratch.call_count
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_reduction_matches_the_flat_window_walk_it_replaced(exact):
+    for seed in range(120):
+        rng = random.Random(f"walk-{exact}-{seed}")
+        p = rng.randint(2, 5)
+        dims = [rng.randint(1, 3) for _ in range(p)]
+        q = rng.randint(1, 24 if exact else 60)
+        rows, avail, mom_cols = make_block(rng, p, dims, q, exact,
+                                           zero_share=rng.choice((0.0, 0.3, 0.6)),
+                                           duplicate_share=rng.choice((0.0, 0.3, 0.8)))
+        with mock.patch.object(lyapunov, "nullspace_vector",
+                               wraps=lyapunov.nullspace_vector) as new_calls:
+            got = lyapunov._reduce_transport(rows, avail, mom_cols, p, exact)
+        with mock.patch.object(sys.modules[__name__], "nullspace_vector",
+                               wraps=nullspace_vector) as ref_calls:
+            want = reference_window_walk(rows, avail, mom_cols, p, exact)
+        if exact:
+            assert got == want
+            assert [type(v) for row in got for v in row] == \
+                [type(v) for row in want for v in row]
+        else:
+            assert repr(got) == repr(want)
+        assert new_calls.call_count == ref_calls.call_count
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_blocks(), st.randoms(use_true_random=False))
+def test_exact_reduction_moves_alike_along_any_positive_multiple_of_each_kernel(case, rng):
+    # c·z for an int c > 0 changes no sign and divides every ratio by c, so
+    # the same entries leave and every moved value is the same Fraction
+    rows, avail, mom_cols, p = case
+
+    def scaled(columns, ncols, exact, echelon=None):
+        z = nullspace_vector(columns, ncols, exact, echelon=echelon)
+        if z is None:
+            return None
+        c = rng.randint(1, 10 ** 9)
+        return [c * v for v in z]
+
+    want = lyapunov._reduce_transport(rows, avail, mom_cols, p, True)
+    with mock.patch.object(lyapunov, "nullspace_vector", side_effect=scaled):
+        got = lyapunov._reduce_transport(rows, avail, mom_cols, p, True)
+    assert got == want
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+def both_walks(rows, mom_cols, p, exact, kernels):
+    """``_reduce_transport`` and ``reference_window_walk`` with every kernel
+    solve replaced by ``kernels()``, a fresh solver for each walk."""
+    avail = [sum(row) for row in rows]
+    with mock.patch.object(lyapunov, "nullspace_vector", side_effect=kernels()):
+        got = lyapunov._reduce_transport(rows, avail, mom_cols, p, exact)
+    with mock.patch.object(sys.modules[__name__], "nullspace_vector", side_effect=kernels()):
+        want = reference_window_walk(rows, avail, mom_cols, p, exact)
+    return got, want
+
+
+def scripted(*kernels):
+    """A kernel solver returning the given kernels in turn, then None."""
+    def solver():
+        it = iter(kernels)
+        return lambda columns, ncols, exact, echelon=None: next(it, None)
+    return solver
+
+
+def test_walk_lets_the_first_of_tied_minimizers_leave():
+    # both cells' piece 1 have the ratio 9.0 in binary64, but 9.0 * 0.1
+    # rounds below the second value: only the first cell's entry leaves, the
+    # second keeps its round-off and stays fractional
+    assert 1.8 / 0.2 == 0.9000000000000001 / 0.1
+    rows = [[1.0, 1.8], [1.0, 0.9000000000000001]]
+    mom_cols = [[[1.0, 2.0]], [[3.0, 4.0]]]
+    got, want = both_walks(rows, mom_cols, 2, False, scripted([0.2, 0.1]))
+    assert repr(got) == repr(want)
+    assert got == [[1.0 + 9.0 * 0.2, 0.0], [1.0 + 9.0 * 0.1, 0.9000000000000001 - 9.0 * 0.1]]
+    assert got[1][1] > 0
+    # exact ties all reach zero, as Fractions
+    rows = [[F(1), F(1)], [F(1), F(2)], [F(1), F(3)]]
+    mom_cols = [[[1, 2, 3]], [[4, 5, 6], [7, 8, 9]]]
+    got, want = both_walks(rows, mom_cols, 2, True, scripted([1, 2, 1]))
+    assert got == want == [[2, 0], [3, 0], [2, 2]]
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+def test_walk_clamps_float_round_off_and_leaves_unmoved_cells_as_they_are():
+    # cell 1's direction is below PIVOT_TOL, so the ratio test skips it and
+    # the step drives it below zero: floats clamp it to 0.0, exact data take
+    # it into the test.  Cell 2's direction is zero (-0.0 on floats), and it
+    # does not move
+    assert 0 < 1e-13 < PIVOT_TOL
+    rows = [[1.0, 1.0], [1.0, 1e-14], [0.5, 0.25]]
+    mom_cols = [[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]]
+    got, want = both_walks(rows, mom_cols, 2, False, scripted([1.0, 1e-13, -0.0]))
+    assert repr(got) == repr(want)
+    assert got == [[2.0, 0.0], [1.0 + 1e-13, 0.0], [0.5, 0.25]]
+    rows = [[F(1), F(1)], [F(1), F(1, 10 ** 14)], [F(1, 2), F(1, 4)]]
+    mom_cols = [[[1, 2, 3]], [[4, 5, 6]]]
+    got, want = both_walks(rows, mom_cols, 2, True, scripted([10 ** 13, 1, 0]))
+    assert got == want
+    assert got[:2] == [[F(11, 10), F(9, 10)], [F(1) + F(1, 10 ** 14), 0]]
+    assert all(type(v) is Fraction for row in got for v in row)
+    # only entries with a nonzero direction move: cell 0's piece 2 and all of
+    # cell 1 keep the very objects passed in
+    mom_cols = [[[1, 2]], [[3, 4]], [[5, 6]]]
+    for exact, rows in ((False, [[1.0, 1.0, 0.5], [0.5, 0.25, 0.125]]),
+                        (True, [[F(1), F(1), F(1, 2)], [F(1, 2), F(1, 4), F(1, 8)]])):
+        one = 1 if exact else 1.0
+        avail = [sum(row) for row in rows]
+        with mock.patch.object(lyapunov, "nullspace_vector",
+                               side_effect=scripted([one, 0 * one, 0 * one, 0 * one])()):
+            got = lyapunov._reduce_transport(rows, avail, mom_cols, 3, exact)
+        assert got[0] == [2, 0, F(1, 2)]
+        assert got[0][2] is rows[0][2]
+        assert all(g is r for g, r in zip(got[1], rows[1]))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_every_kernel_of_the_walk_has_an_entry_above_the_threshold(exact):
+    # the free entry, its last nonzero one: 1.0 on floats and |det| >= 1 on
+    # ints, so the walk needs no negation of a direction without such an entry
+    kernels = []
+
+    def solve(*args, **kwargs):
+        kernels.append(linalg.nullspace_vector(*args, **kwargs))
+        return kernels[-1]
+
+    for seed in range(30):
+        rng = random.Random(f"free-{exact}-{seed}")
+        p = rng.randint(2, 4)
+        rows, avail, mom_cols = make_block(rng, p, [rng.randint(1, 3) for _ in range(p)],
+                                           rng.randint(1, 24), exact,
+                                           duplicate_share=rng.choice((0.0, 0.3)))
+        with mock.patch.object(lyapunov, "nullspace_vector", side_effect=solve):
+            lyapunov._reduce_transport(rows, avail, mom_cols, p, exact)
+    found = [z for z in kernels if z is not None]
+    assert found
+    for z in found:
+        free = z[max(c for c, v in enumerate(z) if v)]
+        assert (type(free) is int and free >= 1) if exact else free == 1.0
