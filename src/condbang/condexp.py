@@ -120,37 +120,37 @@ def _check_shapes(f: SimpleFunction | None, E: RefinedSet | None,
         raise ValueError("set references unknown cells")
 
 
-def block_average(terms: Sequence[Sequence[tuple[Scalar, Sequence[Scalar]]]], dim: int,
-                  C: BlockPartition, grid: Grid) -> BlockFunction:
-    """Per block b and coordinate j: the sum of m * v[j] over the (mass m,
-    vector v) terms of b's cells, ``terms[k]`` those of cell k, divided by
-    mass(b).
+def block_average(masses: Sequence[Scalar], vectors: Sequence[Sequence[Scalar]], dim: int,
+                  blocks: Sequence[Sequence[int]], dens: Sequence[Scalar]) -> BlockFunction:
+    """Per block b and coordinate j: the sum of masses[t] * vectors[t][j] over
+    the terms t of ``blocks[b]``, divided by ``dens[b]``.
 
-    The sum is a left fold from the int 0 over the cells in block order and
-    each cell's terms in their order; mass(b) is ``block_masses``.
+    The sum is a left fold from the int 0 over b's terms in their order.  A
+    term is a cell for every caller but ``PureStrategy.payoff``, whose terms
+    are the chunks of b's cells; the denominators are ``block_masses``.
     """
     return BlockFunction(dim=dim, values=tuple(
-        tuple(sum(m * v[j] for k in cells for m, v in terms[k]) / den for j in range(dim))
-        for cells, den in zip(C.blocks, block_masses(C, grid))))
+        tuple(sum(masses[t] * vectors[t][j] for t in terms) / den for j in range(dim))
+        for terms, den in zip(blocks, dens)))
 
 
 def cond_exp(f: SimpleFunction, C: BlockPartition, grid: Grid) -> BlockFunction:
     """Block-wise weighted mean: value on block b is sum_k w_k f(k) / mass(b)."""
     _check_shapes(f, None, C, grid)
-    return block_average([((w, row),) for w, row in zip(grid.weights, f.values)], f.dim, C, grid)
+    return block_average(grid.weights, f.values, f.dim, C.blocks, block_masses(C, grid))
 
 
 def ce_measure(E: RefinedSet, C: BlockPartition, grid: Grid) -> BlockFunction:
     """Conditional mass of a set per block: mass(E within b) / mass(b)."""
     _check_shapes(None, E, C, grid)
-    return block_average([((m, (1,)),) for m in E.masses], 1, C, grid)
+    return block_average(E.masses, ((1,),) * len(E.masses), 1, C.blocks, block_masses(C, grid))
 
 
 def weighted_ce_measure(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
                         grid: Grid) -> BlockFunction:
     """Measure of E weighted by f: per block, sum_k f(k) mass_E(k) / mass(b)."""
     _check_shapes(f, E, C, grid)
-    return block_average([((m, row),) for m, row in zip(E.masses, f.values)], f.dim, C, grid)
+    return block_average(E.masses, f.values, f.dim, C.blocks, block_masses(C, grid))
 
 
 def integrate_against(g: SimpleFunction, f: SimpleFunction, E: RefinedSet,

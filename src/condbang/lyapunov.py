@@ -11,11 +11,13 @@ so both regimes return the first best assignment in the same order.  Every
 other block is pivoted by kernel steps to a basic solution, which leaves
 few fractional cells, and those are rounded.  The pivoting folds each
 cell's sum row into that cell's columns (generalized upper bounding), so
-its kernel solves run on the moment rows only, and each solve reuses the
-elimination of the window's unchanged leading columns.  Half-sets, the
-annihilator witness of non-injectivity, and the multi-measure variant, one
-partition whose moments are each measure's density against the grid's own
-weights, are built on top.
+its kernel solves run on the independent moment rows only: the last piece's
+rows are dropped when every piece has the same moments, since the cell
+totals imply them.  Each solve reuses the elimination of the window's
+unchanged leading columns.  Half-sets, the annihilator witness of
+non-injectivity, and the multi-measure variant, one partition whose moments
+are each measure's density against the grid's own weights, are built on
+top.
 """
 
 from __future__ import annotations
@@ -93,10 +95,10 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     entries keep their total) and all moment rows.  A kernel direction
     exists as soon as the window holds enough fractional cells, and each
     pivot zeroes at least one variable, so a cell keeps leaving the window
-    integral.  Window size is bounded by the moment row count, which
-    keeps every kernel solve small regardless of block size.  The final
-    solution has at most (moment rows) fractional cells and still satisfies
-    every equation exactly.
+    integral.  Window size is bounded by the kept moment row count (below),
+    which keeps every kernel solve small regardless of block size.  The
+    final solution has at most (kept moment rows) fractional cells and still
+    satisfies every equation exactly.
 
     The sum rows are convexity constraints, so they are substituted out
     (generalized upper bounding; Dantzig and Van Slyke, J. Comput. Syst.
@@ -115,12 +117,29 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     columns > moment rows), and the kernel vector with z[free] = 1 and zeros
     after ``free`` is unique in both.
 
+    When every piece has the same moment rows h (every caller but the
+    diagonal bang-bang), the last piece's rows are implied: a reduced
+    column (k, i) carries h_k on piece i's rows and -h_k on piece i0's, so
+    the rows of all pieces sum to zero on every column, as the cell totals
+    make the p-th of the equations E(1_{B_i} h | C) = E(alpha_i h | C)
+    follow from the others.  The check is by value, once per block, before
+    the exact scaling.  Then only the rows of pieces 0..p-2 are kept, and a
+    column (k, p-1) carries just -h_k on piece i0's rows (i0 is never p-1,
+    since a window cell has at least two pieces): (p-1)·d rows instead of
+    p·d.  Dropping implied rows leaves every window's null space as it was,
+    so the first dependent column and the kernel with z[free] = 1 are the
+    same.  Moment rows below mean the kept ones.
+
     The cells join in order, each fractional one as it is reached.  After
     each, the window pivots while it has more reduced columns than moment
     rows, where a kernel always exists; past the last cell, it pivots while
-    any column is left and a kernel exists.  Each window cell keeps the list
-    of its positive pieces; after a pivot only the cells whose variables
-    moved are looked at again.
+    any column is left and a kernel exists.  A pivot reads only the columns
+    through the free one, and a joining cell only appends behind them, so
+    with implied rows dropped the window pivots earlier but runs the same
+    pivots, in the same order and with the same number of kernel solves,
+    as with every row kept.  Each window cell keeps the list of its
+    positive pieces; after a pivot only the cells whose variables moved are
+    looked at again.
 
     A pivot runs on the window as it stands.  Each window cell's direction
     lists its pieces in order: minus the sum of its kernel tail, then the
@@ -153,6 +172,10 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     """
     q = len(avail)
     rows = [list(r) for r in rows]
+    # the pieces whose moment rows are kept: the last piece's rows are implied
+    # when every piece has the same moment rows
+    row_pieces = p - 1 if all(cols == mom_cols[0] for cols in mom_cols[1:]) else p
+    mom_cols = mom_cols[:row_pieces]
     if exact:
         # a positive factor per moment row leaves every window's kernel as it
         # is and lets the windows be built from ints; folding only negates
@@ -174,7 +197,8 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
         for i in pieces[1:]:
             column = [nil] * mom_rows
             column[rows_of[i0]] = negated
-            column[rows_of[i]] = [mom_row[kk] for mom_row in mom_cols[i]]
+            if i < row_pieces:
+                column[rows_of[i]] = [mom_row[kk] for mom_row in mom_cols[i]]
             columns.append(column)
         return columns
 
@@ -232,17 +256,32 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     return rows
 
 
+def _digit_masks(p: int, q: int, start: int, stop: int, exact: bool) -> list[np.ndarray]:
+    """Per piece i, which cells the assignments start..stop-1 put in piece i:
+    booleans for exact searches, float64 zeros and ones for float ones, so
+    that ``mask @ coef`` casts nothing (a 0/1 mask multiplies as the boolean
+    one does, bit for bit)."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    pows = np.array([p ** (q - 1 - c) for c in range(q)], dtype=np.int64)
+    digits = (idx[:, None] // pows[None, :]) % p
+    return [digits == i if exact else (digits == i).astype(float) for i in range(p)]
+
+
 def _polish(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],
-            targets: list[list[Scalar]], p: int, exact: bool) -> list[int]:
+            targets: list[list[Scalar]], p: int, exact: bool,
+            masks: dict[int, list[np.ndarray]]) -> list[int]:
     """The whole-cell assignment of a block with the least worst moment deviation.
 
     Enumerates all p**q assignments of the q cells to pieces in chunks, each
     assignment the base-p digits of its index (cell 0 the most significant),
     so index order is ``itertools.product(range(p), repeat=q)``'s order.  Per
-    chunk, a boolean mask per piece and ``mask @ coef`` give every achieved
-    moment, a running ``np.maximum`` the worst deviation; ``np.argmin`` takes
-    the first minimizer within a chunk and a strict ``<`` keeps the earlier
-    chunk's on ties, so the result is the first minimizer in index order.
+    chunk, a mask per piece (``_digit_masks``) and ``mask @ coef`` give every
+    achieved moment, a running ``np.maximum`` the worst deviation;
+    ``np.argmin`` takes the first minimizer within a chunk and a strict ``<``
+    keeps the earlier chunk's on ties, so the result is the first minimizer
+    in index order.  The masks depend only on p, q and the chunk, so a search
+    that fits one chunk takes them from ``masks``, keyed by q, which the
+    caller keeps for the blocks of one call with one p and one regime.
 
     Floats run on float64 arrays.  Exact blocks run the same search on object
     arrays of Python ints: every coefficient avail[k] * col[k] and every target
@@ -262,17 +301,20 @@ def _polish(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],
         w = np.asarray(avail, dtype=float)
         coefs = [w * np.asarray(col, dtype=float) for cols in mom_cols for col in cols]
     total = p ** q
-    pows = np.array([p ** (q - 1 - c) for c in range(q)], dtype=np.int64)
     best_val = None
     best_idx = None
     chunk = 1 << 15
     for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // pows[None, :]) % p
-        masks = [digits == i for i in range(p)]
-        worst = np.zeros(len(idx), dtype=object if exact else float)
+        stop = min(start + chunk, total)
+        if total > chunk:
+            bits = _digit_masks(p, q, start, stop, exact)
+        elif q in masks:
+            bits = masks[q]
+        else:
+            bits = masks[q] = _digit_masks(p, q, start, stop, exact)
+        worst = np.zeros(stop - start, dtype=object if exact else float)
         for i, coef, goal in zip(owner, coefs, goals):
-            np.maximum(worst, np.abs(masks[i] @ coef - goal), out=worst)
+            np.maximum(worst, np.abs(bits[i] @ coef - goal), out=worst)
         a = int(np.argmin(worst))
         if best_val is None or worst[a] < best_val:
             best_val = worst[a]
@@ -310,6 +352,8 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
     mass: list[list[Scalar]] = [[zero] * grid.cell_count for _ in range(p)]
     residual: list[list[tuple[Scalar, ...]]] = [[] for _ in range(p)]
     fractional: list[int] = []
+    # the exhaustive search's digit masks, by cell count (see _polish)
+    masks: dict[int, list[np.ndarray]] = {}
     w_rel_max: Scalar = zero
     h_max: Scalar = zero
 
@@ -350,7 +394,7 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
                     avail_active = [avail_active[kk] for kk in moving]
                 if moving:
                     for kk, piece in zip(moving, _polish(avail_active, mom_cols, targets, p,
-                                                         exact)):
+                                                         exact, masks)):
                         assign[kk] = piece
             else:
                 rows = _reduce_transport(seed_rows, avail_active, mom_cols, p, exact)

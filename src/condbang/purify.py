@@ -11,6 +11,7 @@ polytope, which is one of the supported actions' payoff vectors itself.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -19,7 +20,7 @@ from .bangbang import bang_bang
 from .condexp import BlockFunction, SimpleFunction, bf_sub, block_average
 from .numeric import Scalar, check_finite
 from .polytope import PolytopeMap
-from .spaces import BlockPartition, Grid
+from .spaces import BlockPartition, Grid, block_masses
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,15 @@ class PureStrategy:
 
     def payoff(self, V: IntegrandFamily, C: BlockPartition, grid: Grid) -> BlockFunction:
         """E(strategy payoff | C): chunk-weighted payoff averages per block."""
-        return block_average([[(m, V.values[k][a]) for _, m, a in chunks]
-                              for k, chunks in enumerate(self.chunks)], V.dim, C, grid)
+        # first, so that a partition of another cell count is refused
+        dens = block_masses(C, grid)
+        # one term per chunk, in cell order: cell k's are first[k] to first[k + 1] - 1
+        first = list(itertools.accumulate(map(len, self.chunks), initial=0))
+        return block_average([m for chunks in self.chunks for _, m, _ in chunks],
+                             [V.values[k][a] for k, chunks in enumerate(self.chunks)
+                              for _, _, a in chunks], V.dim,
+                             [[t for k in cells for t in range(first[k], first[k + 1])]
+                              for cells in C.blocks], dens)
 
     def cell_action(self, k: int) -> int | None:
         """The single action of a cell-pure cell, else None."""

@@ -25,8 +25,13 @@ for neither) and a verdict under the metric's bound b and direction:
 
     python3 tests/bench_diff.py --pairs BENCH_10.json
 
-Exits 1 when a verdict is a regression, and 2, naming the file and the
-place, when a file is not of that layout.
+Per workload it also prints the runs' health, naming every run with
+``failed`` above 0 or ``correct`` false, and whether ``report_sha256`` is
+equal in every pair ("not recorded" when a run lacks it).  A differing hash
+is printed but fails nothing, since a change may declare new reports.
+
+Exits 1 when a verdict is a regression or a run is not healthy, and 2,
+naming the file and the place, when a file is not of that layout.
 """
 
 from __future__ import annotations
@@ -120,6 +125,9 @@ def _side(path: str, workload: str, sides: dict, side: str, names: list[str]) ->
             value = entry.get("value") if isinstance(entry, dict) else None
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise Malformed(f"{path}: {workload}: {side} run {i}: {name} has no number")
+        failed = run.get("failed", 0)
+        if isinstance(failed, bool) or not isinstance(failed, (int, float)):
+            raise Malformed(f"{path}: {workload}: {side} run {i}: failed is no number")
     return runs
 
 
@@ -147,13 +155,34 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float
     return wins, "within bound"
 
 
+def _health_lines(workload: str, parent: list[dict], change: list[dict]
+                  ) -> tuple[list[str], bool]:
+    """A workload's run health and report hashes, and whether a run is not
+    healthy; see the module docstring."""
+    sick = [f"{side} run {i}" for side, runs in (("parent", parent), ("change", change))
+            for i, run in enumerate(runs)
+            if run.get("failed", 0) > 0 or run.get("correct") is False]
+    hashes = [(p.get("report_sha256"), c.get("report_sha256")) for p, c in zip(parent, change)]
+    if any(None in pair for pair in hashes):
+        same = "not recorded"
+    elif all(a == b for a, b in hashes):
+        same = f"equal in all {len(hashes)} pairs"
+    else:
+        same = "differs in pairs " + ", ".join(str(i) for i, (a, b) in enumerate(hashes)
+                                                if a != b)
+    health = "failed or incorrect: " + ", ".join(sick) if sick else "all runs healthy"
+    return [f"{workload:30s} runs          {health}",
+            f"{workload:30s} report_sha256 {same}"], bool(sick)
+
+
 def pair_lines(path: str) -> tuple[list[str], bool]:
-    """The table of ``--pairs`` and whether any verdict is a regression."""
+    """The table of ``--pairs`` and whether any verdict is a regression or
+    any run is not healthy."""
     runs, bounds = _load_runs(path), _bounds()
     names = [name for name, _, _ in bounds]
     lines = [f"{'workload':30s} {'metric':13s} {'parent [q1, q3]':>30s} "
              f"{'change [q1, q3]':>30s} {'chg/par':>8s} {'wins':>6s}  verdict"]
-    regressed = False
+    failing = False
     for workload, sides in runs.items():
         if not isinstance(sides, dict):
             raise Malformed(f"{path}: {workload}: not an object of runs")
@@ -166,7 +195,7 @@ def pair_lines(path: str) -> tuple[list[str], bool]:
             p = [run["metrics"][name]["value"] for run in parent]
             c = [run["metrics"][name]["value"] for run in change]
             wins, word = verdict(p, c, better, bound)
-            regressed |= word == "regression"
+            failing |= word == "regression"
             cells = []
             for values in (p, c):
                 q1, med, q3 = _quartiles(values)
@@ -175,7 +204,10 @@ def pair_lines(path: str) -> tuple[list[str], bool]:
                 f"{statistics.median(c) / statistics.median(p):.3f}"
             lines.append(f"{workload:30s} {name:13s} {cells[0]:>30s} {cells[1]:>30s} "
                          f"{ratio:>8s} {f'{wins}/{len(p)}':>6s}  {word}")
-    return lines, regressed
+        health, sick = _health_lines(workload, parent, change)
+        lines.extend(health)
+        failing |= sick
+    return lines, failing
 
 
 def main(argv: list[str]) -> int:
@@ -185,14 +217,14 @@ def main(argv: list[str]) -> int:
         return 2
     try:
         if pairs:
-            lines, regressed = pair_lines(argv[1])
+            lines, failing = pair_lines(argv[1])
         else:
-            lines, regressed = diff_lines(*argv), False
+            lines, failing = diff_lines(*argv), False
     except Malformed as err:
         print(f"bench_diff: malformed {err}", file=sys.stderr)
         return 2
     print("\n".join(lines))
-    return 1 if regressed else 0
+    return 1 if failing else 0
 
 
 if __name__ == "__main__":

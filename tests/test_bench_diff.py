@@ -1,7 +1,7 @@
 """The benchmark history diff: medians of the ``change`` runs, their ratio,
 and a non-zero exit on a file that is not of the history layout; and the
 pair check of one file's parent and change runs under the bounds of
-``BENCHMARK.json``."""
+``BENCHMARK.json``, with the runs' health and report hashes."""
 
 from __future__ import annotations
 
@@ -116,13 +116,59 @@ def test_committed_newest_history_file_passes_the_pair_check(capsys):
     assert "cells_per_s" in capsys.readouterr().out
 
 
+def _health_file(tmp_path, parent: list[dict], change: list[dict]) -> str:
+    """Pairs with every end-to-end metric at 1.0, each run updated by the
+    matching dict."""
+    def runs(updates):
+        return [{**_run(dict.fromkeys(E2E, 1.0)), **u} for u in updates]
+    return _history(tmp_path, "health.json", {"w/seed1": {"parent": runs(parent),
+                                                          "change": runs(change)}})
+
+
+def _health(out: str) -> dict[str, str]:
+    return {line.split()[1]: " ".join(line.split()[2:]) for line in out.splitlines()
+            if line.split()[1:2] in (["runs"], ["report_sha256"])}
+
+
+@pytest.mark.parametrize("parent, change, code, runs, hashes", [
+    ([{"report_sha256": "a"}] * 3, [{"report_sha256": "a"}] * 3, 0,
+     "all runs healthy", "equal in all 3 pairs"),
+    # a differing hash is printed, but a change may declare new reports
+    ([{"report_sha256": "a"}] * 3, [{"report_sha256": h} for h in "aba"], 0,
+     "all runs healthy", "differs in pairs 1"),
+    ([{}] * 2, [{"report_sha256": "a"}] * 2, 0, "all runs healthy", "not recorded"),
+    ([{}, {"failed": 2}], [{}, {}], 1,
+     "failed or incorrect: parent run 1", "not recorded"),
+    ([{}, {}], [{"correct": False}, {"failed": 1}], 1,
+     "failed or incorrect: change run 0, change run 1", "not recorded"),
+], ids=["equal", "differs", "not-recorded", "parent-failed", "change-incorrect"])
+def test_pairs_check_run_health_and_report_hashes(tmp_path, capsys, parent, change, code,
+                                                  runs, hashes):
+    assert main(["--pairs", _health_file(tmp_path, parent, change)]) == code
+    assert _health(capsys.readouterr().out) == {"runs": runs, "report_sha256": hashes}
+
+
+def test_committed_pair_file_of_equal_reports_reads_healthy(capsys):
+    # every run of BENCH_19.json has failed 0, and its reports are equal in
+    # every pair of every workload
+    assert main(["--pairs", str(ROOT / "BENCH_19.json")]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    workloads = {line[0] for line in lines[1:]}
+    assert len(workloads) == 4
+    for workload in workloads:
+        assert [workload, "runs", "all", "runs", "healthy"] in lines
+        assert [workload, "report_sha256", "equal", "in", "all", "4", "pairs"] in lines
+
+
 @pytest.mark.parametrize("runs", [
     {"w/seed1": {"change": [_run(dict.fromkeys(E2E, 1.0))]}},
     {"w/seed1": {"parent": [_run(dict.fromkeys(E2E, 1.0))] * 2,
                  "change": [_run(dict.fromkeys(E2E, 1.0))]}},
     {"w/seed1": {"parent": [_run({"setup_s": 1.0})], "change": [_run({"setup_s": 1.0})]}},
     {"w/seed1": []},
-], ids=["no-parent-runs", "unpaired", "metric-missing", "not-an-object"])
+    {"w/seed1": {"parent": [{**_run(dict.fromkeys(E2E, 1.0)), "failed": "0"}],
+                 "change": [_run(dict.fromkeys(E2E, 1.0))]}},
+], ids=["no-parent-runs", "unpaired", "metric-missing", "not-an-object", "failed-text"])
 def test_pairs_of_a_malformed_file_exit_2(tmp_path, capsys, runs):
     assert main(["--pairs", _history(tmp_path, "bad.json", runs)]) == 2
     assert "malformed" in capsys.readouterr().err

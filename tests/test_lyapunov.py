@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from condbang import (Mode, RefinedSet, SimpleFunction, annihilator_witness, bang_bang,
@@ -12,7 +13,8 @@ from condbang import (Mode, RefinedSet, SimpleFunction, annihilator_witness, ban
                       sf_stack, simple_function, trivial_partition,
                       weighted_ce_measure, witness_block_integrals)
 from condbang import lyapunov
-from condbang.lyapunov import _polish, _reduce_transport, partition_with_moments
+from condbang.lyapunov import (_digit_masks, _polish, _reduce_transport,
+                               partition_with_moments)
 from condbang.spaces import block_masses
 
 from gen import (random_alpha, random_atomic_instance, random_exact_alpha,
@@ -484,8 +486,8 @@ def random_polish_block(rng, q, p, rows, exact):
     return avail, mom_cols, targets
 
 
-def assert_polish_matches_reference(avail, mom_cols, targets, p, exact):
-    got = _polish(avail, mom_cols, targets, p, exact)
+def assert_polish_matches_reference(avail, mom_cols, targets, p, exact, masks=None):
+    got = _polish(avail, mom_cols, targets, p, exact, {} if masks is None else masks)
     assert got == reference_polish(avail, mom_cols, targets, p)
     assert all(type(d) is int for d in got)
     return got
@@ -493,6 +495,9 @@ def assert_polish_matches_reference(avail, mom_cols, targets, p, exact):
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_polish_matches_the_reference_loop_on_random_blocks(exact):
+    # the digit masks are shared by every search of one p, as within one
+    # partition call: blocks of the same cell count reuse them
+    shared = {2: {}, 3: {}}
     rng = random.Random(131)
     for _ in range(40):
         p = rng.randint(2, 3)
@@ -500,7 +505,22 @@ def test_polish_matches_the_reference_loop_on_random_blocks(exact):
         # one-row pieces, multi-row pieces, and pieces of different row counts
         rows = rng.choice([[1] * p, [2] * p, [rng.randint(1, 3) for _ in range(p)]])
         avail, mom_cols, targets = random_polish_block(rng, q, p, rows, exact)
-        assert_polish_matches_reference(avail, mom_cols, targets, p, exact)
+        assert_polish_matches_reference(avail, mom_cols, targets, p, exact, shared[p])
+    for p, masks in shared.items():
+        for q, bits in masks.items():
+            assert len(bits) == p
+            assert all(m.shape == (p ** q, q) for m in bits)
+            assert all(m.dtype == (bool if exact else float) for m in bits)
+
+
+def test_float_digit_masks_multiply_as_the_boolean_masks_bit_for_bit():
+    rng = np.random.default_rng(39)
+    for p, q in [(2, 9), (3, 6), (4, 4), (5, 2)]:
+        bits = _digit_masks(p, q, 0, p ** q, False)
+        for _ in range(20):
+            coef = rng.uniform(-2, 2, q) * rng.uniform(0.1, 3, q)
+            for m in bits:
+                assert (m.astype(bool) @ coef).tobytes() == (m @ coef).tobytes()
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -545,7 +565,10 @@ def test_polish_runs_more_than_one_chunk(exact):
     want = [1] + [rng.randint(0, 1) for _ in range(q - 1)]
     targets = [[sum(avail[k] * col[k] for k in range(q) if want[k] == i) + offset
                 for col in mom_cols[i]] for i in range(p)]
-    assert assert_polish_matches_reference(avail, mom_cols, targets, p, exact) == want
+    masks = {}
+    assert assert_polish_matches_reference(avail, mom_cols, targets, p, exact, masks) == want
+    # a search of more than one chunk keeps no masks
+    assert masks == {}
     # equal cells tie within and across the chunks: the first minimizer wins
     num = int if exact else float
     avail = [num(1)] * q
@@ -590,7 +613,7 @@ def reference_partition_atomic(moments, alpha, C, grid, polish_budget, within):
             frac_count = sum(1 for row in rows if sum(1 for v in row if v > 0) >= 2)
             assign = [max(range(p), key=row.__getitem__) for row in rows]
             if 1 < p ** q <= polish_budget:
-                assign = _polish(avail_active, mom_cols, targets, p, exact)
+                assign = _polish(avail_active, mom_cols, targets, p, exact, {})
             for kk, k in enumerate(active):
                 mass[assign[kk]][k] = avail[k]
         fractional.append(frac_count)

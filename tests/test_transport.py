@@ -12,7 +12,11 @@ equation within a tolerance scaled to the data and leave at most (moment
 rows) fractional cells.  Float results must match ``_reduce_transport`` run
 with the row-by-row reference kernel of ``test_linalg``, which ignores the
 elimination carried between solves, bit for bit and with the same number of
-kernel solves.
+kernel solves.  On blocks where every piece has the same moment rows
+(``make_block(shared=True)``), ``_reduce_transport`` drops the last piece's
+rows, which the others and the cell sums imply, and pivots as soon as more
+than (p-1)·d columns are held; ``reference_reduce_transport`` keeps every
+row and waits for more than p·d, and exact results must still match it.
 
 ``reference_window_walk`` is ``lyapunov._reduce_transport`` as it was
 before its pivot moved onto the window: every pivot copies the window into
@@ -24,6 +28,7 @@ with the same number of kernel solves.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -35,8 +40,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condbang import linalg, lyapunov
+from condbang.condexp import simple_function
 from condbang.linalg import Echelon, integer_row, nullspace_vector
 from condbang.numeric import PIVOT_TOL, Scalar
+from condbang.spaces import Mode, build_grid, make_partition
 
 from test_linalg import pivot_step, reference_nullspace_vector, rows_of, same_bits
 
@@ -188,11 +195,14 @@ def reference_window_walk(rows: list[list[Scalar]], avail: list[Scalar],
 
 
 def make_block(rng: random.Random, p: int, dims: list[int], q: int, exact: bool, *,
-               zero_share: float = 0.3, duplicate_share: float = 0.0):
+               zero_share: float = 0.3, duplicate_share: float = 0.0, shared: bool = False):
     """Seed rows (some entries zero), cell masses and per-piece moment rows.
 
     With ``duplicate_share`` a cell copies the seed row and moment entries of
-    an earlier cell, which makes dependent columns turn up early.
+    an earlier cell, which makes dependent columns turn up early.  With
+    ``shared`` every piece gets the same moment rows (equal lists, not the
+    same ones), as every partition but the diagonal bang-bang gives them;
+    ``dims`` must then be equal.
     """
     if exact:
         avail = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(q)]
@@ -210,7 +220,12 @@ def make_block(rng: random.Random, p: int, dims: list[int], q: int, exact: bool,
             return rng.choice((0, rng.randint(-6, 6), F(rng.randint(-9, 9), rng.randint(1, 4))))
         return rng.uniform(-2.0, 2.0)
 
-    cell_moments = [[[entry() for _ in range(dims[i])] for i in range(p)] for _ in range(q)]
+    if shared:
+        assert len(set(dims)) == 1
+        cell_moments = [[row] * p for row in ([entry() for _ in range(dims[0])]
+                                               for _ in range(q))]
+    else:
+        cell_moments = [[[entry() for _ in range(dims[i])] for i in range(p)] for _ in range(q)]
     for k in range(1, q):
         if rng.random() < duplicate_share:
             src = rng.randrange(k)
@@ -242,15 +257,18 @@ def run_both(rows, avail, mom_cols, p, exact):
 
 
 @st.composite
-def exact_blocks(draw):
+def exact_blocks(draw, shared=False):
     p = draw(st.integers(2, 4))
-    dims = [draw(st.integers(1, 3)) for _ in range(p)]
+    if shared:
+        dims = [draw(st.integers(1, 3))] * p
+    else:
+        dims = [draw(st.integers(1, 3)) for _ in range(p)]
     q = draw(st.integers(1, 40))
     zero_share = draw(st.sampled_from((0.0, 0.3, 0.6)))
     duplicate_share = draw(st.sampled_from((0.0, 0.0, 0.3, 0.8)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     rows, avail, mom_cols = make_block(rng, p, dims, q, True, zero_share=zero_share,
-                                       duplicate_share=duplicate_share)
+                                       duplicate_share=duplicate_share, shared=shared)
     return rows, avail, mom_cols, p
 
 
@@ -263,6 +281,67 @@ def test_exact_reduction_matches_the_full_window_entry_for_entry(case):
     assert all(type(v) is Fraction for row in got for v in row)
     assert got_calls == want_calls
     assert count_fractional(got) <= sum(len(cols) for cols in mom_cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_blocks(shared=True))
+def test_exact_reduction_on_implied_rows_matches_the_full_window_entry_for_entry(case):
+    # the reference keeps every piece's rows and the sum rows, and pivots
+    # only past p·d reduced columns: the same pivots, kernels and solves
+    rows, avail, mom_cols, p = case
+    got, got_calls, want, want_calls = run_both(rows, avail, mom_cols, p, True)
+    assert got == want
+    assert all(type(v) is Fraction for row in got for v in row)
+    assert got_calls == want_calls
+    assert count_fractional(got) <= (p - 1) * len(mom_cols[0])
+
+
+def kernel_heights(solver, *args, **kwargs) -> list[int]:
+    """The row count of every kernel solve that ``solver(*args, **kwargs)``
+    makes."""
+    heights = []
+
+    def solve(columns, ncols, exact, echelon=None):
+        heights.extend({len(column) for column in columns})
+        return nullspace_vector(columns, ncols, exact, echelon=echelon)
+
+    with mock.patch.object(lyapunov, "nullspace_vector", side_effect=solve):
+        solver(*args, **kwargs)
+    return heights
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_kernels_drop_the_last_piece_rows_only_when_every_piece_shares_them(exact):
+    for seed in range(20):
+        rng = random.Random(f"implied-{exact}-{seed}")
+        p, d = rng.randint(2, 4), rng.randint(1, 3)
+        rows, avail, mom_cols = make_block(rng, p, [d] * p, rng.randint(8, 30), exact,
+                                           zero_share=0.0, shared=True)
+        heights = kernel_heights(lyapunov._reduce_transport, rows, avail, mom_cols, p, exact)
+        assert heights and set(heights) == {(p - 1) * d}
+        # one entry of one piece differs: every piece's rows are kept
+        i, j, k = rng.randrange(p), rng.randrange(d), rng.randrange(len(avail))
+        mom_cols[i] = [list(col) for col in mom_cols[i]]
+        mom_cols[i][j][k] += 1
+        heights = kernel_heights(lyapunov._reduce_transport, rows, avail, mom_cols, p, exact)
+        assert heights and set(heights) == {p * d}
+
+
+def test_partition_keeps_every_row_only_for_per_piece_moments():
+    # lyapunov_partition gives every piece h, the diagonal bang-bang gives
+    # each piece its own moments
+    rng = random.Random(20)
+    q, p = 30, 3
+    grid = build_grid([rng.randint(1, 9) / 8 for _ in range(q)], Mode.ATOMIC)
+    C = make_partition([0] * q)
+    h = simple_function([(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(q)])
+    alpha = simple_function([(0.25, 0.25, 0.5)] * q)
+    others = [simple_function([(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(q)])
+              for _ in range(p - 1)]
+    for moments, height in (([h] * p, (p - 1) * 2), ([h, *others], p * 2)):
+        heights = kernel_heights(lyapunov.partition_with_moments, moments, alpha, C, grid,
+                                 polish_budget=1)
+        assert heights and set(heights) == {height}
 
 
 def test_exact_window_exhausted_before_any_kernel():
@@ -288,6 +367,23 @@ def test_exact_duplicated_cells_reduce_to_one_fractional_cell():
     assert count_fractional(got) == 1
 
 
+def assert_float_block_equations(rows, avail, mom_cols, p, got):
+    """Every cell keeps its total and every piece's moment rows keep their
+    seeded values, within a tolerance scaled to the data."""
+    q = len(avail)
+    h_max = max(abs(v) for cols in mom_cols for col in cols for v in col)
+    scale = sum(avail) * max(h_max, 1.0)
+    tol = 1e-12 * scale * (q + p)
+    for k in range(q):
+        assert all(v >= 0 for v in got[k])
+        assert abs(math.fsum(got[k]) - avail[k]) <= tol
+    for i in range(p):
+        for col in mom_cols[i]:
+            achieved = math.fsum(got[k][i] * col[k] for k in range(q))
+            seeded = math.fsum(rows[k][i] * col[k] for k in range(q))
+            assert abs(achieved - seeded) <= tol
+
+
 def test_float_reduction_satisfies_the_block_equations():
     for seed in range(40):
         rng = random.Random(seed)
@@ -300,17 +396,22 @@ def test_float_reduction_satisfies_the_block_equations():
         mom_rows = sum(dims)
         assert count_fractional(got) <= mom_rows
         assert count_fractional(want) <= mom_rows
-        h_max = max(abs(v) for cols in mom_cols for col in cols for v in col)
-        scale = sum(avail) * max(h_max, 1.0)
-        tol = 1e-12 * scale * (q + p)
-        for k in range(q):
-            assert all(v >= 0 for v in got[k])
-            assert abs(math.fsum(got[k]) - avail[k]) <= tol
-        for i in range(p):
-            for col in mom_cols[i]:
-                achieved = math.fsum(got[k][i] * col[k] for k in range(q))
-                seeded = math.fsum(rows[k][i] * col[k] for k in range(q))
-                assert abs(achieved - seeded) <= tol
+        assert_float_block_equations(rows, avail, mom_cols, p, got)
+
+
+def test_float_reduction_on_implied_rows_satisfies_every_piece_equations():
+    # the last piece's rows are left out of every kernel solve, and its
+    # equations still hold, as the cell totals and the others imply them
+    for seed in range(40):
+        rng = random.Random(f"implied-{seed}")
+        p, d = rng.randint(2, 4), rng.randint(1, 3)
+        q = rng.randint(1, 40)
+        rows, avail, mom_cols = make_block(rng, p, [d] * p, q, False,
+                                           duplicate_share=rng.choice((0.0, 0.3)),
+                                           shared=True)
+        got = lyapunov._reduce_transport(rows, avail, mom_cols, p, False)
+        assert count_fractional(got) <= (p - 1) * d
+        assert_float_block_equations(rows, avail, mom_cols, p, got)
 
 
 def test_float_reduction_is_bit_identical_with_kernels_solved_from_scratch():
@@ -319,14 +420,15 @@ def test_float_reduction_is_bit_identical_with_kernels_solved_from_scratch():
     def from_scratch(columns, ncols, exact, echelon=None):
         return reference_nullspace_vector(rows_of(columns), ncols, exact)
 
-    for seed in range(60):
-        rng = random.Random(f"scratch-{seed}")
+    for seed, shared in itertools.product(range(60), (False, True)):
+        rng = random.Random(f"scratch-shared-{seed}" if shared else f"scratch-{seed}")
         p = rng.randint(2, 5)
-        dims = [rng.randint(1, 3) for _ in range(p)]
+        dims = [rng.randint(1, 3)] * p if shared else [rng.randint(1, 3) for _ in range(p)]
         q = rng.randint(1, 60)
         rows, avail, mom_cols = make_block(rng, p, dims, q, False,
                                            zero_share=rng.choice((0.0, 0.3, 0.6)),
-                                           duplicate_share=rng.choice((0.0, 0.3, 0.8)))
+                                           duplicate_share=rng.choice((0.0, 0.3, 0.8)),
+                                           shared=shared)
         with mock.patch.object(lyapunov, "nullspace_vector",
                                wraps=lyapunov.nullspace_vector) as carried:
             got = lyapunov._reduce_transport(rows, avail, mom_cols, p, False)
