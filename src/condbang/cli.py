@@ -37,11 +37,11 @@ import numpy as np
 from . import __version__
 from .condexp import BlockFunction, SimpleFunction, bf_sub, cond_exp, ce_measure
 from .bangbang import ExtremeSelection, bang_bang
-from .documents import (ProblemDocument, SchemaError, canonical_dumps,
+from .documents import (ProblemDocument, SchemaError, as_object, canonical_dumps,
                         document_digest, echo, encode_block_function, encode_number,
                         encode_refined_set, encode_simple_function, load_json,
-                        parse_actions, parse_block_function, parse_integrands,
-                        parse_number, parse_polytopes, parse_problem,
+                        parse_actions, parse_block_function, parse_chunks,
+                        parse_integrands, parse_number, parse_polytopes, parse_problem,
                         parse_refined_set, parse_simple_function,
                         parse_young_measure)
 from .linalg import convex_combinations
@@ -293,7 +293,7 @@ def _run_annihilator(p: ProblemDocument, inputs):
 def _verify_annihilator(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
     f, E = inputs
     out = rep["outputs"]
-    space = _object(out.get("space", {}), "outputs.space")
+    space = as_object(out.get("space", {}), "outputs.space")
     weights = [parse_number(w, p.exact, "outputs.space.weights")
                for w in space.get("weights", [])]
     rgrid = grid_from_weights(weights, space.get("mode", "splittable"))
@@ -322,7 +322,7 @@ def _verify_annihilator(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> N
                 (mass > chk.tol and abs(E_r.offsets[j] - (start - lo[j])) > chk.tol):
             chk.fail(f"refined cell {j}: outputs.set is not the problem's set lifted")
             break
-    blocks = _object(out.get("partition", {}), "outputs.partition").get("blocks", [])
+    blocks = as_object(out.get("partition", {}), "outputs.partition").get("blocks", [])
     if blocks != [p.partition.block_of[q] for q in parent]:
         chk.fail("outputs.partition is not the problem's partition lifted through parent")
     C_r = make_partition(blocks)
@@ -428,8 +428,7 @@ def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> Non
         return
     keys = list(dict.fromkeys((k, values[i].values[k]) for i, piece in enumerate(pieces)
                               for k in range(p.grid.cell_count) if piece.masses[k] > 0))
-    cells = {k: list(dict.fromkeys(tuple(v) for v in T.vertices[k]))
-             for k in dict.fromkeys(k for k, _ in keys)}
+    cells = {k: list(dict.fromkeys(T.vertices[k])) for k in dict.fromkeys(k for k, _ in keys)}
     # the distinct vertices within tol of each value
     tests = dict(zip(keys, _matching_vertices(keys, cells, chk.tol, p.exact, T.dim)))
     results = iter(convex_combinations(_extremeness_lps(tests, cells, p.exact), chk.tol))
@@ -501,20 +500,11 @@ def _run_purify(p: ProblemDocument, inputs):
 def _verify_purify(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
     actions, delta, _, V = inputs
     out = rep["outputs"]
-    per_cell: list[list[tuple[Scalar, Scalar, int]]] = [[] for _ in range(p.grid.cell_count)]
-    for row in out.get("chunks", []):
-        if not isinstance(row, list) or len(row) != 4:
-            chk.fail("chunks must be [cell, offset, mass, action] rows")
-            return
-        k, a = row[0], row[3]
-        if type(k) is not int or not 0 <= k < p.grid.cell_count:
-            chk.fail(f"chunk references unknown cell {k!r}")
-            return
-        if type(a) is not int or not 0 <= a < actions.size:
-            chk.fail(f"chunk references unknown action {a!r}")
-            return
-        per_cell[k].append((parse_number(row[1], p.exact, "chunk offset"),
-                            parse_number(row[2], p.exact, "chunk mass"), a))
+    per_cell, failure = parse_chunks(out.get("chunks", []), p.exact, p.grid.cell_count,
+                                     actions.size)
+    if failure is not None:
+        chk.fail(failure)
+        return
     for k, chunks in enumerate(per_cell):
         _spans_tile_cell(chk, k, [(off, m) for off, m, _ in chunks], p.grid, "chunk")
         for _, m, a in chunks:
@@ -646,12 +636,6 @@ def run(command: str, problem: ProblemDocument) -> dict:
     }
 
 
-def _object(v: Any, what: str) -> dict:
-    if not isinstance(v, dict):
-        raise SchemaError(f"{what} must be an object")
-    return v
-
-
 def verify_report(problem_raw: Any, report_raw: Any, tol: float | None = None) -> list[str]:
     """Recheck every claim of a report against its problem; empty means valid.
 
@@ -664,7 +648,7 @@ def verify_report(problem_raw: Any, report_raw: Any, tol: float | None = None) -
     command = report_raw.get("command")
     if not isinstance(command, str) or command not in _COMMANDS:
         raise SchemaError(f"report carries unknown command {echo(command)}")
-    params = _object(report_raw.get("parameters", {}), "report parameters")
+    params = as_object(report_raw.get("parameters", {}), "report parameters")
     problem = parse_problem(problem_raw,
                             mode_override=params.get("mode"),
                             exact_override=params.get("exact"),
@@ -676,8 +660,8 @@ def verify_report(problem_raw: Any, report_raw: Any, tol: float | None = None) -
         return chk.violations
     if "outputs" not in report_raw or "residuals" not in report_raw:
         raise SchemaError("report needs outputs and residuals")
-    _object(report_raw["outputs"], "report outputs")
-    _object(report_raw["residuals"], "report residuals")
+    as_object(report_raw["outputs"], "report outputs")
+    as_object(report_raw["residuals"], "report residuals")
     spec = _COMMANDS[command]
     try:
         spec.verify(chk, problem, spec.parse(problem, command), report_raw)
