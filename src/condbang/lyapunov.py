@@ -14,7 +14,10 @@ cell's sum row into that cell's columns (generalized upper bounding), so
 its kernel solves run on the independent moment rows only: the last piece's
 rows are dropped when every piece has the same moments, since the cell
 totals imply them.  Each solve reuses the elimination of the window's
-unchanged leading columns.  Half-sets, the annihilator witness of
+unchanged leading columns.  An exact block stays on ints from the seed to
+the residual: the kernels, the walk's values, its ratio test and its moves,
+and the sums of the targets and residuals, each entry divided back into a
+Fraction once.  Half-sets, the annihilator witness of
 non-injectivity, and the multi-measure variant, one partition whose moments
 are each measure's density against the grid's own weights, are built on
 top.
@@ -22,6 +25,7 @@ top.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -149,17 +153,28 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     test runs over the entries above the threshold, cell by cell in window
     order and piece by piece within a cell; the step theta is the least
     ratio rows[k][i] / d, and a strict ``<`` lets the first minimizer leave.
-    Only entries with a nonzero direction move, to rows[k][i] - theta·d, and
-    on floats a value driven below zero by round-off is clamped to 0.0.  The
-    leaving entry is set to the regime's zero: ``Fraction(0)`` on exact
-    data, 0.0 on floats.
+    Only entries with a nonzero direction move, to rows[k][i] - theta·d.  On
+    floats a value driven below zero by round-off is clamped to 0.0, and the
+    leaving entry is set to 0.0; on exact data it reaches 0 by itself, as
+    do its ties.
 
-    On exact data each block's moment rows are scaled to ints once, and each
-    kernel comes back as the integral |det|·z, a positive multiple of the z
-    above (see ``nullspace_vector``); the lift and the pivot run on it as
-    they are.  For any c > 0, replacing z by c·z changes no sign and divides
-    every ratio by c, so the least ratio and its ties stay where they were,
-    and it leaves theta·d as it was: every moved value is the same Fraction.
+    On exact data the walk runs on ints alone.  Each block's moment rows are
+    scaled to ints once, and each kernel comes back as the integral |det|·z,
+    a positive multiple of the z above (see ``nullspace_vector``); the lift
+    and the pivot run on it as they are.  For any c > 0, replacing z by c·z
+    changes no sign and divides every ratio by c, so the least ratio and its
+    ties stay where they were, and it leaves theta·d as it was.  Each cell's
+    values are held as int numerators over one positive denominator per
+    cell, in lowest terms: the lcm of the cell's seed denominators at the
+    start.  The ratio num / (den·d) is compared with the least one so far,
+    top / bottom, by cross-multiplying, num·bottom < top·den·d, so the
+    first minimizer still leaves.  A moved cell's values become
+    (num·bottom - top·den·d) / (den·bottom), entries with a zero direction
+    scaled alike, and one gcd over its denominator and numerators brings
+    them back to lowest terms.  Only when the walk ends does each moved
+    entry become the Fraction num / den; an entry that never moved keeps
+    the object passed in.  The values are those of the walk run on
+    Fractions, entry for entry, so every moved value is the same Fraction.
 
     One ``Echelon`` carries the kernel elimination between solves.  The
     window's column list changes only where a cell joins at the end, leaves,
@@ -181,9 +196,16 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
         # is and lets the windows be built from ints; folding only negates
         # entries within a row, so the scaling still holds
         mom_cols = [[integer_row(col) for col in cols] for cols in mom_cols]
-        nil, zero, thresh = 0, Fraction(0), 0
-    else:
-        nil, zero, thresh = 0.0, 0.0, PIVOT_TOL
+        # cell k's values are nums[k][i] / dens[k], reduced to lowest terms;
+        # bit i of moved[k] marks a piece whose value the walk has changed
+        dens: list[int] = []
+        nums: list[list[int]] = []
+        for row in rows:
+            den, (num,) = integer_scaled([row])
+            dens.append(den)
+            nums.append(num)
+        moved = [0] * q
+    nil = 0 if exact else 0.0
     rows_of = []  # the moment rows of each piece, as a slice
     mom_rows = 0
     for cols in mom_cols:
@@ -209,7 +231,8 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     # pivot until no kernel is left
     for kk in range(q + 1):
         if kk < q:
-            pieces = [i for i in range(p) if rows[kk][i] > 0]
+            values = nums[kk] if exact else rows[kk]
+            pieces = [i for i in range(p) if values[i] > 0]
             if len(pieces) < 2:
                 continue
             window.append((kk, pieces, reduced_columns(kk, pieces)))
@@ -223,36 +246,65 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
             # each cell's direction in piece order: minus the sum of its tail,
             # then the tail; the ratio test runs over it as it is built
             directions = []
-            theta = leave = None
+            # on exact data theta = top / bottom, each ratio num / (den·d)
+            # compared with it by cross-multiplying (both bottoms are positive)
+            theta = leave = top = bottom = None
             col = 0
             for cell, pieces, cols in window:
                 tail = z[col:col + len(cols)]
                 col += len(cols)
                 dirn = [-sum(tail), *tail]
                 directions.append(dirn)
-                for i, d in zip(pieces, dirn):
-                    if d > thresh:
-                        ratio = rows[cell][i] / d
-                        if theta is None or ratio < theta:
-                            theta, leave = ratio, (cell, i)
+                if exact:
+                    den, num = dens[cell], nums[cell]
+                    for i, d in zip(pieces, dirn):
+                        if d > 0 and (top is None or num[i] * bottom < top * den * d):
+                            top, bottom = num[i], den * d
+                else:
+                    for i, d in zip(pieces, dirn):
+                        if d > PIVOT_TOL:
+                            ratio = rows[cell][i] / d
+                            if theta is None or ratio < theta:
+                                theta, leave = ratio, (cell, i)
             kept = []
             for entry, dirn in zip(window, directions):
                 cell, pieces, _ = entry
                 if any(dirn):
-                    row = rows[cell]
-                    for i, d in zip(pieces, dirn):
-                        if d:
-                            v = row[i] - theta * d
-                            row[i] = 0.0 if not exact and v < 0 else v
-                    if cell == leave[0]:
-                        row[leave[1]] = zero
-                    left = [i for i in pieces if row[i] > 0]
+                    if exact:
+                        # num/den - (top/bottom)·d over the denominator
+                        # den·bottom, then back to lowest terms; the leaving
+                        # entry and its ties reach 0 exactly
+                        den, num = dens[cell], nums[cell]
+                        step = top * den
+                        for i, d in zip(pieces, dirn):
+                            num[i] = num[i] * bottom - step * d
+                            if d:
+                                moved[cell] |= 1 << i
+                        g = math.gcd(den * bottom, *(num[i] for i in pieces))
+                        dens[cell] = den * bottom // g
+                        for i in pieces:
+                            num[i] //= g
+                        values = num
+                    else:
+                        values = rows[cell]
+                        for i, d in zip(pieces, dirn):
+                            if d:
+                                v = values[i] - theta * d
+                                values[i] = 0.0 if v < 0 else v
+                        if cell == leave[0]:
+                            values[leave[1]] = 0.0
+                    left = [i for i in pieces if values[i] > 0]
                     if len(left) < 2:
                         continue
                     if len(left) < len(pieces):
                         entry = (cell, left, reduced_columns(cell, left))
                 kept.append(entry)
             window = kept
+    if exact:
+        for row, den, num, bits in zip(rows, dens, nums, moved):
+            for i in range(p):
+                if bits >> i & 1:
+                    row[i] = Fraction(num[i], den)
     return rows
 
 
@@ -360,17 +412,40 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
     for b, cells in enumerate(C.blocks):
         active = [k for k in cells if avail[k] > 0]
         seed_rows = [[alpha.values[k][i] * avail[k] for i in range(p)] for k in active]
-        targets = [[sum(seed_rows[kk][i] * moments[i].values[k][j]
-                        for kk, k in enumerate(active))
-                    for j in range(moments[i].dim)] for i in range(p)]
+        if exact:
+            # the block on ints: the masses and the seed over one scale, each
+            # moment coordinate over its own, shared by the pieces that share
+            # a moment function; a target is divided back once
+            scale, (held, *seed) = integer_scaled([[avail[k] for k in active], *seed_rows])
+            mu_num, mu_den = mu[b].numerator, mu[b].denominator
+            distinct = {id(mom): mom for mom in moments}
+            scaled = {key: [(unit, ints) for unit, (ints,) in
+                            (integer_scaled([[mom.values[k][j] for k in active]])
+                             for j in range(mom.dim))]
+                      for key, mom in distinct.items()}
+            coords = [scaled[id(mom)] for mom in moments]
+            sums = [[sum(s[i] * h for s, h in zip(seed, ints)) for _, ints in coords[i]]
+                    for i in range(p)]
+            targets = [[Fraction(t, scale * unit) for t, (unit, _) in zip(sums[i], coords[i])]
+                       for i in range(p)]
+        else:
+            targets = [[sum(seed_rows[kk][i] * moments[i].values[k][j]
+                            for kk, k in enumerate(active))
+                        for j in range(moments[i].dim)] for i in range(p)]
 
         frac_count = 0
         if active:
-            rel = max(avail[k] for k in active) / mu[b]
+            if exact:
+                rel = Fraction(max(held) * mu_den, scale * mu_num)
+                h_block = max(Fraction(max(map(abs, ints)), unit)
+                              for coord in scaled.values() for unit, ints in coord)
+            else:
+                rel = max(avail[k] for k in active) / mu[b]
+                h_block = max_abs(v for i in range(p) for k in active
+                                  for v in moments[i].values[k])
             if rel > w_rel_max:
                 w_rel_max = rel
-            h_max = max(h_max, max_abs(v for i in range(p) for k in active
-                                       for v in moments[i].values[k]))
+            h_max = max(h_max, h_block)
 
         if grid.mode is Mode.ATOMIC and active:
             q = len(active)
@@ -409,12 +484,26 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
                     mass[i][k] = seed_rows[kk][i]
         fractional.append(frac_count)
 
-        for i in range(p):
-            vals = tuple(
-                (sum(mass[i][k] * moments[i].values[k][j] for k in active)
-                 - targets[i][j]) / mu[b]
-                for j in range(moments[i].dim))
-            residual[i].append(vals)
+        if exact:
+            # each piece's masses on the active cells, on the block's scale;
+            # a residual entry is divided back once
+            if grid.mode is Mode.ATOMIC and active:
+                parts = [[a if piece == i else 0 for a, piece in zip(held, assign)]
+                         for i in range(p)]
+            else:
+                parts = [[s[i] for s in seed] for i in range(p)]
+            for i in range(p):
+                residual[i].append(tuple(
+                    Fraction((sum(m * h for m, h in zip(parts[i], ints)) - t) * mu_den,
+                             scale * unit * mu_num)
+                    for t, (unit, ints) in zip(sums[i], coords[i])))
+        else:
+            for i in range(p):
+                vals = tuple(
+                    (sum(mass[i][k] * moments[i].values[k][j] for k in active)
+                     - targets[i][j]) / mu[b]
+                    for j in range(moments[i].dim))
+                residual[i].append(vals)
 
     # piece i starts where pieces 0..i-1 end, summed in piece order
     pieces = []

@@ -30,8 +30,15 @@ Per workload it also prints the runs' health, naming every run with
 equal in every pair ("not recorded" when a run lacks it).  A differing hash
 is printed but fails nothing, since a change may declare new reports.
 
-Exits 1 when a verdict is a regression or a run is not healthy, and 2,
-naming the file and the place, when a file is not of that layout.
+A file may carry a top-level ``"claim": {"metric": M, "workload": W}``, the
+gain its change claims: M an end-to-end metric of ``BENCHMARK.json`` and W
+a key of ``end_to_end.runs`` (``<workload>/seed<seed>``).  The last line
+then prints that pair's verdict, and anything but ``gain`` fails the check.
+A file without a claim claims nothing.
+
+Exits 1 when a verdict is a regression, a run is not healthy or a claim is
+not a gain, and 2, naming the file and the place, when a file is not of
+that layout.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ class Malformed(Exception):
 
 def _change_runs(path: str) -> dict[str, list[dict]]:
     """workload -> its ``change`` runs, each checked for the run layout."""
-    runs = _load_runs(path)
+    _, runs = _load(path)
     out = {}
     for workload, sides in runs.items():
         change = sides.get("change") if isinstance(sides, dict) else None
@@ -92,7 +99,8 @@ def diff_lines(old_path: str, new_path: str) -> list[str]:
     return lines
 
 
-def _load_runs(path: str) -> dict:
+def _load(path: str) -> tuple[dict, dict]:
+    """The file's document and its ``end_to_end.runs``."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -101,7 +109,19 @@ def _load_runs(path: str) -> dict:
     runs = doc.get("end_to_end", {}).get("runs") if isinstance(doc, dict) else None
     if not isinstance(runs, dict) or not runs:
         raise Malformed(f"{path}: no end_to_end.runs object")
-    return runs
+    return doc, runs
+
+
+def _claim(path: str, doc: dict, runs: dict, names: list[str]) -> tuple[str, str] | None:
+    """The (workload key, metric) the file claims a gain in, or None."""
+    if "claim" not in doc:
+        return None
+    claim = doc["claim"] if isinstance(doc["claim"], dict) else {}
+    workload, metric = claim.get("workload"), claim.get("metric")
+    if not (isinstance(workload, str) and workload in runs and metric in names):
+        raise Malformed(f"{path}: claim: not a metric of BENCHMARK.json and a key of "
+                        "end_to_end.runs")
+    return workload, metric
 
 
 def _bounds(path: pathlib.Path = BENCHMARK) -> list[tuple[str, str, float]]:
@@ -176,10 +196,12 @@ def _health_lines(workload: str, parent: list[dict], change: list[dict]
 
 
 def pair_lines(path: str) -> tuple[list[str], bool]:
-    """The table of ``--pairs`` and whether any verdict is a regression or
-    any run is not healthy."""
-    runs, bounds = _load_runs(path), _bounds()
+    """The table of ``--pairs`` and whether any verdict is a regression, any
+    run is not healthy or the claim is not a gain."""
+    (doc, runs), bounds = _load(path), _bounds()
     names = [name for name, _, _ in bounds]
+    claim = _claim(path, doc, runs, names)
+    claimed = None
     lines = [f"{'workload':30s} {'metric':13s} {'parent [q1, q3]':>30s} "
              f"{'change [q1, q3]':>30s} {'chg/par':>8s} {'wins':>6s}  verdict"]
     failing = False
@@ -196,6 +218,8 @@ def pair_lines(path: str) -> tuple[list[str], bool]:
             c = [run["metrics"][name]["value"] for run in change]
             wins, word = verdict(p, c, better, bound)
             failing |= word == "regression"
+            if (workload, name) == claim:
+                claimed = word
             cells = []
             for values in (p, c):
                 q1, med, q3 = _quartiles(values)
@@ -207,6 +231,9 @@ def pair_lines(path: str) -> tuple[list[str], bool]:
         health, sick = _health_lines(workload, parent, change)
         lines.extend(health)
         failing |= sick
+    if claim is not None:
+        lines.append(f"claim: {claim[1]} on {claim[0]}: {claimed}")
+        failing |= claimed != "gain"
     return lines, failing
 
 

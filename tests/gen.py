@@ -2,11 +2,12 @@
 
 Everything is driven by an explicit ``random.Random`` so failures reproduce;
 exact-regime variants draw small rationals so denominators stay tame under
-pivoting.
+pivoting, except where ``coprime_denominators`` makes them hard on purpose.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -212,3 +213,13 @@ def random_young_instance(rng: random.Random, *, max_cells: int = 12,
                              for _ in range(a)) for _ in range(m))
     from condbang import IntegrandFamily, YoungMeasure
     return grid, C, YoungMeasure(rows=tuple(rows)), IntegrandFamily(dim=n, values=values)
+
+
+def coprime_denominators(rng: random.Random, count: int, bits: int = 64) -> list[int]:
+    """``count`` pairwise coprime ints just below 2**bits."""
+    dens: list[int] = []
+    while len(dens) < count:
+        d = 2 ** bits - rng.randrange(1, 2 ** 24)
+        if all(math.gcd(d, e) == 1 for e in dens):
+            dens.append(d)
+    return dens

@@ -172,3 +172,47 @@ def test_committed_pair_file_of_equal_reports_reads_healthy(capsys):
 def test_pairs_of_a_malformed_file_exit_2(tmp_path, capsys, runs):
     assert main(["--pairs", _history(tmp_path, "bad.json", runs)]) == 2
     assert "malformed" in capsys.readouterr().err
+
+
+def _claim_file(tmp_path, claim, parent, change) -> str:
+    """``_pairs_file``'s pairs in ``cells_per_s``, with a top-level claim."""
+    path = pathlib.Path(_pairs_file(tmp_path, parent, change))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["claim"] = claim
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+GAIN = ([100, 101, 99, 100, 102, 98, 100, 101, 99, 100],
+        [200, 199, 201, 200, 202, 198, 200, 203, 197, 200])
+
+
+@pytest.mark.parametrize("parent, change, code, word", [
+    (*GAIN, 0, "gain"),
+    # 8 of 10 pairs won: within the bound, but no gain, so the claim fails
+    ([100] * 10, [101] * 8 + [50, 50], 1, "within bound"),
+    ([100, 101, 99], [70, 71, 69], 1, "regression"),
+], ids=["gain", "within", "regression"])
+def test_pairs_check_the_claimed_metric_is_a_gain(tmp_path, capsys, parent, change, code,
+                                                  word):
+    claim = {"metric": "cells_per_s", "workload": "w/seed1"}
+    assert main(["--pairs", _claim_file(tmp_path, claim, parent, change)]) == code
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == f"claim: cells_per_s on w/seed1: {word}"
+
+
+def test_pairs_without_a_claim_print_no_claim_line(tmp_path, capsys):
+    assert main(["--pairs", _pairs_file(tmp_path, [100] * 10, [101] * 8 + [50, 50])]) == 0
+    assert "claim" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("claim", [
+    "cells_per_s",
+    {"metric": "cells_per_s"},
+    {"metric": "cells_per_s", "workload": "w"},
+    {"metric": "lyapunov.kernel_s", "workload": "w/seed1"},
+    {"metric": "cells_per_s", "workload": ["w/seed1"]},
+], ids=["not-an-object", "no-workload", "not-a-run-key", "not-end-to-end", "workload-list"])
+def test_a_malformed_claim_exits_2(tmp_path, capsys, claim):
+    assert main(["--pairs", _claim_file(tmp_path, claim, *GAIN)]) == 2
+    assert "malformed" in capsys.readouterr().err

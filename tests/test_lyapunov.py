@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condbang import (Mode, RefinedSet, SimpleFunction, annihilator_witness, bang_bang,
                       build_grid, constant_function, full_set, half_set,
@@ -17,9 +19,9 @@ from condbang.lyapunov import (_digit_masks, _polish, _reduce_transport,
                                partition_with_moments)
 from condbang.spaces import block_masses
 
-from gen import (random_alpha, random_atomic_instance, random_exact_alpha,
-                 random_exact_function, random_exact_grid, random_function,
-                 random_grid, random_partition, random_refined_set)
+from gen import (coprime_denominators, random_alpha, random_atomic_instance,
+                 random_exact_alpha, random_exact_function, random_exact_grid,
+                 random_function, random_grid, random_partition, random_refined_set)
 
 TOL = 1e-9
 
@@ -700,3 +702,118 @@ def test_partition_matches_the_reduce_then_polish_order(exact):
                 reduced += 1
                 assert got == old <= rows
     assert polished and reduced
+
+
+# ---------------------------------------------------------------------------
+# exact blocks on hard denominators
+# ---------------------------------------------------------------------------
+
+
+def hard_partition_instance(rng, mode):
+    """An exact grid whose piece weights have pairwise coprime per-cell
+    denominators near 2**64, some of them zero; some cells copy an earlier
+    cell's weight, piece weights and moments, and a ``within`` set leaves
+    some cells out (zero available mass)."""
+    m, p, d = rng.randint(4, 24), rng.randint(2, 4), rng.randint(1, 3)
+    dens = coprime_denominators(rng, m)
+    weights, h_rows, alpha_rows = [], [], []
+    for k in range(m):
+        if k and rng.random() < 0.25:
+            src = rng.randrange(k)
+            for column in (weights, h_rows, alpha_rows):
+                column.append(column[src])
+            continue
+        weights.append(Fraction(rng.randint(1, 24)))
+        h_rows.append(tuple(Fraction(rng.randint(-32, 32), 4) for _ in range(d)))
+        cuts = sorted(0 if rng.random() < 0.2 else rng.randrange(dens[k] + 1)
+                      for _ in range(p - 1))
+        alpha_rows.append(tuple(Fraction(hi - lo, dens[k])
+                                for lo, hi in zip([0, *cuts], [*cuts, dens[k]])))
+    grid = build_grid(weights, mode)
+    C = random_partition(rng, grid, 3)
+    h = SimpleFunction(dim=d, values=tuple(h_rows))
+    alpha = SimpleFunction(dim=p, values=tuple(alpha_rows))
+    if rng.random() < 0.5:
+        moments = [h] * p
+    else:
+        moments = [random_exact_function(rng, grid, rng.randint(1, 2)) for _ in range(p)]
+    within = set_from_cells(grid, [k for k in range(m) if rng.random() < 0.7] or [0])
+    return grid, C, moments, alpha, within
+
+
+def plain_targets_and_residuals(moments, alpha, C, grid, within, pieces):
+    """Per block the targets, and the residuals of ``pieces``, by plain
+    Fraction sums over the cells with available mass."""
+    mu = block_masses(C, grid)
+    p = alpha.dim
+    targets, residual = [], [[] for _ in range(p)]
+    for b, cells in enumerate(C.blocks):
+        active = [k for k in cells if within.masses[k] > 0]
+        block = [[sum((alpha.values[k][i] * within.masses[k] * moments[i].values[k][j]
+                       for k in active), Fraction(0))
+                  for j in range(moments[i].dim)] for i in range(p)]
+        targets.append(block)
+        for i in range(p):
+            residual[i].append(tuple(
+                (sum((pieces[i].masses[k] * moments[i].values[k][j] for k in active),
+                     Fraction(0)) - block[i][j]) / mu[b]
+                for j in range(moments[i].dim)))
+    return targets, tuple(tuple(r) for r in residual)
+
+
+def plain_atomic_bound(moments, C, grid, within):
+    """rows * max relative available mass * max |moment entry|, over the cells
+    with available mass."""
+    mu = block_masses(C, grid)
+    active = [(k, b) for b, cells in enumerate(C.blocks) for k in cells if within.masses[k] > 0]
+    rel = max(within.masses[k] / mu[b] for k, b in active)
+    h = max(abs(v) for mom in moments for k, _ in active for v in mom.values[k])
+    return sum(mom.dim for mom in moments) * rel * h
+
+
+def assert_hard_partition_matches_plain_sums(grid, C, moments, alpha, within, budget):
+    searched = []
+
+    def spy(avail, mom_cols, targets, p, exact, masks):
+        searched.append(targets)
+        return _polish(avail, mom_cols, targets, p, exact, masks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lyapunov, "_polish", spy)
+        res = partition_with_moments(moments, alpha, C, grid, polish_budget=budget,
+                                     within=within)
+    targets, residual = plain_targets_and_residuals(moments, alpha, C, grid, within,
+                                                    res.pieces)
+    assert res.residual == residual
+    assert all(type(v) is Fraction for per_block in res.residual for row in per_block
+               for v in row)
+    # the searched blocks' targets, in block order
+    blocks = iter(targets)
+    assert all(any(t == block for block in blocks) for t in searched)
+    if grid.mode is Mode.ATOMIC:
+        pieces, residual, _ = reference_partition_atomic(moments, alpha, C, grid, budget,
+                                                         within)
+        assert res.pieces == pieces
+        assert res.residual == residual
+        assert res.residual_bound == plain_atomic_bound(moments, C, grid, within)
+    else:
+        assert all(v == 0 for per_block in res.residual for row in per_block for v in row)
+    return len(searched)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(list(Mode)), st.sampled_from([0, 64, 4096]))
+def test_exact_partition_on_hard_denominators_matches_plain_fraction_sums(seed, mode, budget):
+    grid, C, moments, alpha, within = hard_partition_instance(random.Random(seed), mode)
+    assert_hard_partition_matches_plain_sums(grid, C, moments, alpha, within, budget)
+
+
+def test_exact_partition_on_hard_denominators_fixed_instances():
+    searched = 0
+    for seed in range(6):
+        for budget in (0, 4096):
+            grid, C, moments, alpha, within = hard_partition_instance(
+                random.Random(f"hard-partition-{seed}"), Mode.ATOMIC)
+            searched += assert_hard_partition_matches_plain_sums(grid, C, moments, alpha,
+                                                                 within, budget)
+    assert searched

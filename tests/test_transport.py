@@ -45,6 +45,7 @@ from condbang.linalg import Echelon, integer_row, nullspace_vector
 from condbang.numeric import PIVOT_TOL, Scalar
 from condbang.spaces import Mode, build_grid, make_partition
 
+from gen import coprime_denominators
 from test_linalg import pivot_step, reference_nullspace_vector, rows_of, same_bits
 
 F = Fraction
@@ -365,6 +366,67 @@ def test_exact_duplicated_cells_reduce_to_one_fractional_cell():
     assert got == want
     assert got_calls == want_calls
     assert count_fractional(got) == 1
+
+
+def hard_block(rng: random.Random, p: int, dims: list[int], q: int, *, shared: bool = False):
+    """Exact seed rows over pairwise coprime per-cell denominators near 2**64,
+    some cells empty (zero ``avail``, as a ``within`` set leaves a cell) and
+    some copies of an earlier cell, moments included; the moment rows are
+    ``make_block``'s."""
+    _, _, mom_cols = make_block(rng, p, dims, q, True, shared=shared)
+    dens = coprime_denominators(rng, q)
+    rows = []
+    for k in range(q):
+        u = rng.random()
+        if k and u < 0.25:
+            src = rng.randrange(k)
+            rows.append(list(rows[src]))
+            for cols in mom_cols:
+                for col in cols:
+                    col[k] = col[src]
+        elif u < 0.4:
+            rows.append([F(0)] * p)
+        else:
+            rows.append([F(0 if rng.random() < 0.3 else rng.randrange(1, 2 ** 62), dens[k])
+                         for _ in range(p)])
+    return rows, [sum(row) for row in rows], mom_cols
+
+
+def assert_matches_both_references(rows, avail, mom_cols, p) -> int:
+    """``_reduce_transport`` against ``reference_reduce_transport`` and
+    ``reference_window_walk`` on exact data: equal entry for entry, with the
+    same number of kernel solves, which it returns."""
+    got, got_calls, want, want_calls = run_both(rows, avail, mom_cols, p, True)
+    with mock.patch.object(sys.modules[__name__], "nullspace_vector",
+                           wraps=nullspace_vector) as walk_calls:
+        walked = reference_window_walk(rows, avail, mom_cols, p, True)
+    assert got == want == walked
+    assert got_calls == want_calls == walk_calls.call_count
+    assert all(type(v) is Fraction for row in got for v in row)
+    return got_calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 30), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_exact_reduction_on_hard_denominators_matches_both_references(p, d, q, shared, seed):
+    rng = random.Random(seed)
+    dims = [d] * p if shared else [rng.randint(1, 3) for _ in range(p)]
+    rows, avail, mom_cols = hard_block(rng, p, dims, q, shared=shared)
+    assert_matches_both_references(rows, avail, mom_cols, p)
+
+
+def test_exact_reduction_on_hard_denominators_fixed_block():
+    rng = random.Random("hard-fixed")
+    p, d, q = 3, 2, 28
+    rows, avail, mom_cols = hard_block(rng, p, [d] * p, q, shared=True)
+    # the block holds every hard feature: empty cells, copied cells, and
+    # fractional cells over distinct coprime denominators near 2**64
+    assert any(a == 0 for a in avail)
+    assert any(rows[k] == rows[j] and avail[k] for j in range(q) for k in range(j))
+    dens = {v.denominator for row in rows for v in row if v}
+    assert len(dens) > 4 and all(2 ** 63 < den < 2 ** 64 for den in dens)
+    assert assert_matches_both_references(rows, avail, mom_cols, p) > 0
 
 
 def assert_float_block_equations(rows, avail, mom_cols, p, got):
