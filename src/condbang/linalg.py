@@ -71,13 +71,6 @@ def integer_scaled(vectors: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[
     return scale, [[v.numerator * (scale // v.denominator) for v in vec] for vec in vectors]
 
 
-def integer_row(row: Sequence[Scalar]) -> list[int]:
-    """The exact row times the lcm of its denominators; int rows come back as is."""
-    if all(type(v) is int for v in row):
-        return list(row)
-    return integer_scaled([row])[1][0]
-
-
 class Echelon:
     """The elimination of a column list, kept between kernel solves.
 

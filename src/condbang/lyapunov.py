@@ -14,18 +14,26 @@ cell's sum row into that cell's columns (generalized upper bounding), so
 its kernel solves run on the independent moment rows only: the last piece's
 rows are dropped when every piece has the same moments, since the cell
 totals imply them.  Each solve reuses the elimination of the window's
-unchanged leading columns.  An exact block stays on ints from the seed to
-the residual: the kernels, the walk's values, its ratio test and its moves,
-and the sums of the targets and residuals, each entry divided back into a
-Fraction once.  Half-sets, the annihilator witness of
-non-injectivity, and the multi-measure variant, one partition whose moments
-are each measure's density against the grid's own weights, are built on
-top.
+unchanged leading columns.
+
+Each block is read through one block form, built once in both regimes: its
+masses and seed over one scale, and one (unit, column) pair per coordinate
+of each distinct moment function.  Exact grids hold ints over their lcms;
+float grids hold the values over 1, where every product and quotient by a
+scale or unit is exact, so no float bit moves.  The targets, the a-priori
+bound and the residuals are sums over that form, whose one regime choice
+is the quotient (a Fraction, or a float division); the search's rows and
+the walk's values are built from it too.  So an exact block stays on ints
+from the seed to the residual, each entry divided back into a Fraction
+once.  Half-sets, the annihilator witness of non-injectivity, and the
+multi-measure variant, one partition whose moments are each measure's
+density against the grid's own weights, are built on top.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -34,7 +42,7 @@ import numpy as np
 
 from .condexp import (BlockFunction, SimpleFunction, bf_sub, cond_exp, indicator,
                       lift_function, lift_to_cells, sf_mul, weighted_ce_measure)
-from .linalg import Echelon, integer_row, integer_scaled, nullspace_vector
+from .linalg import Echelon, integer_scaled, nullspace_vector
 from .numeric import PIVOT_TOL, Scalar, all_exact, check_finite, max_abs
 from .spaces import (BlockPartition, CellRefinement, Grid, Mode, RefinedSet,
                      block_masses, full_set, refine_partition, split_cells,
@@ -88,10 +96,15 @@ def _validate_alpha(alpha: SimpleFunction, grid: Grid, tol: Scalar) -> None:
             raise ValueError(f"cell {k}: piece weights sum to {s!r}, expected 1")
 
 
-def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
-                      mom_cols: list[list[list[Scalar]]], p: int,
+def _reduce_transport(seed: list[list[Scalar]], scale: int,
+                      coords: list[list[tuple[int, list[Scalar]]]], p: int,
                       exact: bool) -> list[list[Scalar]]:
     """Pivot the proportional seed to a basic solution of the block system.
+
+    Reads the block form of ``partition_with_moments``: cell k's seed is
+    seed[k][i] / scale on piece i, and coords[i] holds one (unit, column)
+    pair per moment coordinate of piece i, the column's entries over unit.
+    Exact forms hold ints, float forms the values over 1.
 
     Works through the cells with a sliding window of fractional cells.  The
     variables are the positive entries (k, i) of the window cells, in
@@ -126,8 +139,9 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     column (k, i) carries h_k on piece i's rows and -h_k on piece i0's, so
     the rows of all pieces sum to zero on every column, as the cell totals
     make the p-th of the equations E(1_{B_i} h | C) = E(alpha_i h | C)
-    follow from the others.  The check is by value, once per block, before
-    the exact scaling.  Then only the rows of pieces 0..p-2 are kept, and a
+    follow from the others.  The check compares the (unit, column) pairs,
+    so it is one by value: two exact columns with equal ints over different
+    units differ.  Then only the rows of pieces 0..p-2 are kept, and a
     column (k, p-1) carries just -h_k on piece i0's rows (i0 is never p-1,
     since a window cell has at least two pieces): (p-1)·d rows instead of
     p·d.  Dropping implied rows leaves every window's null space as it was,
@@ -158,23 +172,23 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     leaving entry is set to 0.0; on exact data it reaches 0 by itself, as
     do its ties.
 
-    On exact data the walk runs on ints alone.  Each block's moment rows are
-    scaled to ints once, and each kernel comes back as the integral |det|·z,
-    a positive multiple of the z above (see ``nullspace_vector``); the lift
-    and the pivot run on it as they are.  For any c > 0, replacing z by c·z
-    changes no sign and divides every ratio by c, so the least ratio and its
-    ties stay where they were, and it leaves theta·d as it was.  Each cell's
+    On exact data the walk runs on ints alone.  The kernels are solved on
+    the columns' ints, one positive factor per moment row, which moves no
+    kernel, and each comes back as the integral |det|·z, a positive
+    multiple of the z above (see ``nullspace_vector``); the lift and the
+    pivot run on it as they are.  For any c > 0, replacing z by c·z changes
+    no sign and divides every ratio by c, so the least ratio and its ties
+    stay where they were, and it leaves theta·d as it was.  Each cell's
     values are held as int numerators over one positive denominator per
-    cell, in lowest terms: the lcm of the cell's seed denominators at the
-    start.  The ratio num / (den·d) is compared with the least one so far,
-    top / bottom, by cross-multiplying, num·bottom < top·den·d, so the
-    first minimizer still leaves.  A moved cell's values become
-    (num·bottom - top·den·d) / (den·bottom), entries with a zero direction
-    scaled alike, and one gcd over its denominator and numerators brings
-    them back to lowest terms.  Only when the walk ends does each moved
-    entry become the Fraction num / den; an entry that never moved keeps
-    the object passed in.  The values are those of the walk run on
-    Fractions, entry for entry, so every moved value is the same Fraction.
+    cell, in lowest terms: the cell starts from its seed over ``scale``,
+    divided by the gcd of the scale and its seed.  The ratio num / (den·d)
+    is compared with the least one so far, top / bottom, by
+    cross-multiplying, num·bottom < top·den·d, so the first minimizer still
+    leaves.  A moved cell's values become (num·bottom - top·den·d) /
+    (den·bottom), entries with a zero direction scaled alike, and one gcd
+    over its denominator and numerators brings them back to lowest terms.
+    When the walk ends, every entry becomes the Fraction num / den, once.
+    The values are those of the walk run on Fractions, entry for entry.
 
     One ``Echelon`` carries the kernel elimination between solves.  The
     window's column list changes only where a cell joins at the end, leaves,
@@ -185,26 +199,21 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     and the kernels stay bit for bit those of a solve from scratch (see
     ``nullspace_vector``).
     """
-    q = len(avail)
-    rows = [list(r) for r in rows]
+    q = len(seed)
     # the pieces whose moment rows are kept: the last piece's rows are implied
     # when every piece has the same moment rows
-    row_pieces = p - 1 if all(cols == mom_cols[0] for cols in mom_cols[1:]) else p
-    mom_cols = mom_cols[:row_pieces]
+    row_pieces = p - 1 if all(cols == coords[0] for cols in coords[1:]) else p
+    mom_cols = [[col for _, col in cols] for cols in coords[:row_pieces]]
     if exact:
-        # a positive factor per moment row leaves every window's kernel as it
-        # is and lets the windows be built from ints; folding only negates
-        # entries within a row, so the scaling still holds
-        mom_cols = [[integer_row(col) for col in cols] for cols in mom_cols]
-        # cell k's values are nums[k][i] / dens[k], reduced to lowest terms;
-        # bit i of moved[k] marks a piece whose value the walk has changed
+        # cell k's values are rows[k][i] / dens[k], in lowest terms
         dens: list[int] = []
-        nums: list[list[int]] = []
-        for row in rows:
-            den, (num,) = integer_scaled([row])
-            dens.append(den)
-            nums.append(num)
-        moved = [0] * q
+        rows = []
+        for row in seed:
+            g = math.gcd(scale, *row)
+            dens.append(scale // g)
+            rows.append([v // g for v in row])
+    else:
+        rows = [list(row) for row in seed]
     nil = 0 if exact else 0.0
     rows_of = []  # the moment rows of each piece, as a slice
     mom_rows = 0
@@ -231,8 +240,7 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     # pivot until no kernel is left
     for kk in range(q + 1):
         if kk < q:
-            values = nums[kk] if exact else rows[kk]
-            pieces = [i for i in range(p) if values[i] > 0]
+            pieces = [i for i in range(p) if rows[kk][i] > 0]
             if len(pieces) < 2:
                 continue
             window.append((kk, pieces, reduced_columns(kk, pieces)))
@@ -255,38 +263,36 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
                 col += len(cols)
                 dirn = [-sum(tail), *tail]
                 directions.append(dirn)
+                values = rows[cell]
                 if exact:
-                    den, num = dens[cell], nums[cell]
+                    den = dens[cell]
                     for i, d in zip(pieces, dirn):
-                        if d > 0 and (top is None or num[i] * bottom < top * den * d):
-                            top, bottom = num[i], den * d
+                        if d > 0 and (top is None or values[i] * bottom < top * den * d):
+                            top, bottom = values[i], den * d
                 else:
                     for i, d in zip(pieces, dirn):
                         if d > PIVOT_TOL:
-                            ratio = rows[cell][i] / d
+                            ratio = values[i] / d
                             if theta is None or ratio < theta:
                                 theta, leave = ratio, (cell, i)
             kept = []
             for entry, dirn in zip(window, directions):
                 cell, pieces, _ = entry
                 if any(dirn):
+                    values = rows[cell]
                     if exact:
                         # num/den - (top/bottom)·d over the denominator
                         # den·bottom, then back to lowest terms; the leaving
                         # entry and its ties reach 0 exactly
-                        den, num = dens[cell], nums[cell]
+                        den = dens[cell]
                         step = top * den
                         for i, d in zip(pieces, dirn):
-                            num[i] = num[i] * bottom - step * d
-                            if d:
-                                moved[cell] |= 1 << i
-                        g = math.gcd(den * bottom, *(num[i] for i in pieces))
+                            values[i] = values[i] * bottom - step * d
+                        g = math.gcd(den * bottom, *(values[i] for i in pieces))
                         dens[cell] = den * bottom // g
                         for i in pieces:
-                            num[i] //= g
-                        values = num
+                            values[i] //= g
                     else:
-                        values = rows[cell]
                         for i, d in zip(pieces, dirn):
                             if d:
                                 v = values[i] - theta * d
@@ -301,10 +307,7 @@ def _reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
                 kept.append(entry)
             window = kept
     if exact:
-        for row, den, num, bits in zip(rows, dens, nums, moved):
-            for i in range(p):
-                if bits >> i & 1:
-                    row[i] = Fraction(num[i], den)
+        return [[Fraction(v, den) for v in row] for row, den in zip(rows, dens)]
     return rows
 
 
@@ -319,11 +322,12 @@ def _digit_masks(p: int, q: int, start: int, stop: int, exact: bool) -> list[np.
     return [digits == i if exact else (digits == i).astype(float) for i in range(p)]
 
 
-def _polish(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],
-            targets: list[list[Scalar]], p: int, exact: bool,
+def _polish(rows: list[tuple[int, np.ndarray, Scalar]], p: int, q: int, exact: bool,
             masks: dict[int, list[np.ndarray]]) -> list[int]:
     """The whole-cell assignment of a block with the least worst moment deviation.
 
+    Each of ``rows`` is one moment equation (piece i, coef, goal): piece i
+    achieves the moment ``coef`` summed over its cells, against ``goal``.
     Enumerates all p**q assignments of the q cells to pieces in chunks, each
     assignment the base-p digits of its index (cell 0 the most significant),
     so index order is ``itertools.product(range(p), repeat=q)``'s order.  Per
@@ -335,23 +339,13 @@ def _polish(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],
     that fits one chunk takes them from ``masks``, keyed by q, which the
     caller keeps for the blocks of one call with one p and one regime.
 
-    Floats run on float64 arrays.  Exact blocks run the same search on object
-    arrays of Python ints: every coefficient avail[k] * col[k] and every target
-    is multiplied by one common L > 0, the lcm of their denominators
-    (``integer_scaled``).  Each achieved moment and each deviation is then L
-    times the rational one, so the worst deviations compare as the rational
-    ones do, and the first minimizer is the rational search's.
+    Float rows hold float64 arrays and the float goals.  Exact rows hold
+    object arrays of Python ints and int goals, every coefficient and goal
+    being one common L > 0 times the rational one.  Each achieved moment and
+    each deviation is then L times the rational one, so the worst deviations
+    compare as the rational ones do, and the first minimizer is the rational
+    search's.
     """
-    q = len(avail)
-    owner = [i for i in range(p) for _ in mom_cols[i]]
-    goals = [t for row in targets for t in row]
-    if exact:
-        coefs = [[a * c for a, c in zip(avail, col)] for cols in mom_cols for col in cols]
-        _, (goals, *coefs) = integer_scaled([goals, *coefs])
-        coefs = [np.array(coef, dtype=object) for coef in coefs]
-    else:
-        w = np.asarray(avail, dtype=float)
-        coefs = [w * np.asarray(col, dtype=float) for cols in mom_cols for col in cols]
     total = p ** q
     best_val = None
     best_idx = None
@@ -365,7 +359,7 @@ def _polish(avail: list[Scalar], mom_cols: list[list[list[Scalar]]],
         else:
             bits = masks[q] = _digit_masks(p, q, start, stop, exact)
         worst = np.zeros(stop - start, dtype=object if exact else float)
-        for i, coef, goal in zip(owner, coefs, goals):
+        for i, coef, goal in rows:
             np.maximum(worst, np.abs(bits[i] @ coef - goal), out=worst)
         a = int(np.argmin(worst))
         if best_val is None or worst[a] < best_val:
@@ -400,6 +394,10 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
             raise ValueError("an exact grid needs an exact set")
     avail = within.masses
     mu = block_masses(C, grid)
+    # the one regime choice of the block form's sums: the quotient, which on
+    # float grids divides by scales and units of 1 and so moves no bit
+    quotient = Fraction if exact else operator.truediv
+    distinct = {id(mom): mom for mom in moments}
 
     mass: list[list[Scalar]] = [[zero] * grid.cell_count for _ in range(p)]
     residual: list[list[tuple[Scalar, ...]]] = [[] for _ in range(p)]
@@ -412,98 +410,80 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
     for b, cells in enumerate(C.blocks):
         active = [k for k in cells if avail[k] > 0]
         seed_rows = [[alpha.values[k][i] * avail[k] for i in range(p)] for k in active]
+        # the block form: the masses and the seed over one scale, and one
+        # (unit, column) pair per coordinate of each distinct moment function,
+        # shared by the pieces that share it; ints over their lcms on exact
+        # grids, the values over 1 on float ones
         if exact:
-            # the block on ints: the masses and the seed over one scale, each
-            # moment coordinate over its own, shared by the pieces that share
-            # a moment function; a target is divided back once
             scale, (held, *seed) = integer_scaled([[avail[k] for k in active], *seed_rows])
-            mu_num, mu_den = mu[b].numerator, mu[b].denominator
-            distinct = {id(mom): mom for mom in moments}
-            scaled = {key: [(unit, ints) for unit, (ints,) in
-                            (integer_scaled([[mom.values[k][j] for k in active]])
-                             for j in range(mom.dim))]
-                      for key, mom in distinct.items()}
-            coords = [scaled[id(mom)] for mom in moments]
-            sums = [[sum(s[i] * h for s, h in zip(seed, ints)) for _, ints in coords[i]]
-                    for i in range(p)]
-            targets = [[Fraction(t, scale * unit) for t, (unit, _) in zip(sums[i], coords[i])]
-                       for i in range(p)]
+            form = {key: [(unit, ints) for unit, (ints,) in
+                          (integer_scaled([[mom.values[k][j] for k in active]])
+                           for j in range(mom.dim))] for key, mom in distinct.items()}
         else:
-            targets = [[sum(seed_rows[kk][i] * moments[i].values[k][j]
-                            for kk, k in enumerate(active))
-                        for j in range(moments[i].dim)] for i in range(p)]
+            scale, held, seed = 1, [avail[k] for k in active], seed_rows
+            form = {key: [(1, [mom.values[k][j] for k in active]) for j in range(mom.dim)]
+                    for key, mom in distinct.items()}
+        coords = [form[id(mom)] for mom in moments]
+        # each piece's masses on the block's scale: the seed's, until an
+        # atomic block's assignment replaces them
+        by_piece = [[s[i] for s in seed] for i in range(p)]
+        sums = [[sum(map(operator.mul, by_piece[i], col)) for _, col in coords[i]]
+                for i in range(p)]
 
         frac_count = 0
         if active:
-            if exact:
-                rel = Fraction(max(held) * mu_den, scale * mu_num)
-                h_block = max(Fraction(max(map(abs, ints)), unit)
-                              for coord in scaled.values() for unit, ints in coord)
-            else:
-                rel = max(avail[k] for k in active) / mu[b]
-                h_block = max_abs(v for i in range(p) for k in active
-                                  for v in moments[i].values[k])
+            rel = quotient(max(held), scale * mu[b])
             if rel > w_rel_max:
                 w_rel_max = rel
-            h_max = max(h_max, h_block)
+            h_max = max(h_max, max((quotient(max(map(abs, col)), unit)
+                                    for coord in form.values() for unit, col in coord),
+                                   default=0))
 
         if grid.mode is Mode.ATOMIC and active:
             q = len(active)
-            mom_cols = [[[moments[i].values[k][j] for k in active]
-                         for j in range(moments[i].dim)] for i in range(p)]
-            avail_active = [avail[k] for k in active]
             moving = range(q)
             if p ** q > polish_budget:
                 # a cell whose moment entries are all zero moves no moment:
                 # the search's first minimizer puts it in piece 0, so only the
                 # other cells count toward the budget and are searched
-                entries = zip(*(col for cols in mom_cols for col in cols))
+                entries = zip(*(col for coord in form.values() for _, col in coord))
                 moving = [kk for kk, cell in enumerate(entries) if any(cell)]
             # the search enumerates every whole-cell assignment, the rounded
             # basic solution among them, so it alone decides a small block;
             # with one piece the rounding's assignment is the only one
             if p > 1 and p ** len(moving) <= polish_budget:
                 assign = [0] * q
-                if len(moving) < q:
-                    mom_cols = [[[col[kk] for kk in moving] for col in cols] for cols in mom_cols]
-                    avail_active = [avail_active[kk] for kk in moving]
                 if moving:
-                    for kk, piece in zip(moving, _polish(avail_active, mom_cols, targets, p,
-                                                         exact, masks)):
+                    # one coefficient array per distinct column; every row is
+                    # over scale times the lcm of the units
+                    lcm = math.lcm(*(unit for coord in form.values() for unit, _ in coord))
+                    dtype = object if exact else float
+                    weights = np.array([held[kk] for kk in moving], dtype=dtype)
+                    arrays = {id(col): weights * np.array([col[kk] * (lcm // unit)
+                                                           for kk in moving], dtype=dtype)
+                              for coord in form.values() for unit, col in coord}
+                    search = [(i, arrays[id(col)], t * (lcm // unit)) for i in range(p)
+                              for t, (unit, col) in zip(sums[i], coords[i])]
+                    for kk, piece in zip(moving, _polish(search, p, len(moving), exact, masks)):
                         assign[kk] = piece
             else:
-                rows = _reduce_transport(seed_rows, avail_active, mom_cols, p, exact)
+                rows = _reduce_transport(seed, scale, coords, p, exact)
                 frac_count = sum(1 for row in rows if sum(1 for v in row if v > 0) >= 2)
                 # the largest share of each cell, the first on ties
                 assign = [max(range(p), key=row.__getitem__) for row in rows]
             for kk, k in enumerate(active):
                 mass[assign[kk]][k] = avail[k]
+            by_piece = [[a if piece == i else 0 for a, piece in zip(held, assign)]
+                        for i in range(p)]
         else:
             for kk, k in enumerate(active):
                 for i in range(p):
                     mass[i][k] = seed_rows[kk][i]
         fractional.append(frac_count)
-
-        if exact:
-            # each piece's masses on the active cells, on the block's scale;
-            # a residual entry is divided back once
-            if grid.mode is Mode.ATOMIC and active:
-                parts = [[a if piece == i else 0 for a, piece in zip(held, assign)]
-                         for i in range(p)]
-            else:
-                parts = [[s[i] for s in seed] for i in range(p)]
-            for i in range(p):
-                residual[i].append(tuple(
-                    Fraction((sum(m * h for m, h in zip(parts[i], ints)) - t) * mu_den,
-                             scale * unit * mu_num)
-                    for t, (unit, ints) in zip(sums[i], coords[i])))
-        else:
-            for i in range(p):
-                vals = tuple(
-                    (sum(mass[i][k] * moments[i].values[k][j] for k in active)
-                     - targets[i][j]) / mu[b]
-                    for j in range(moments[i].dim))
-                residual[i].append(vals)
+        for i in range(p):
+            residual[i].append(tuple(
+                quotient(sum(map(operator.mul, by_piece[i], col)) - t, scale * unit * mu[b])
+                for t, (unit, col) in zip(sums[i], coords[i])))
 
     # piece i starts where pieces 0..i-1 end, summed in piece order
     pieces = []

@@ -34,7 +34,7 @@ A file may carry a top-level ``"claim": {"metric": M, "workload": W}``, the
 gain its change claims: M an end-to-end metric of ``BENCHMARK.json`` and W
 a key of ``end_to_end.runs`` (``<workload>/seed<seed>``).  The last line
 then prints that pair's verdict, and anything but ``gain`` fails the check.
-A file without a claim claims nothing.
+A file without a claim, or with ``"claim": null``, claims nothing.
 
 Exits 1 when a verdict is a regression, a run is not healthy or a claim is
 not a gain, and 2, naming the file and the place, when a file is not of
@@ -114,7 +114,7 @@ def _load(path: str) -> tuple[dict, dict]:
 
 def _claim(path: str, doc: dict, runs: dict, names: list[str]) -> tuple[str, str] | None:
     """The (workload key, metric) the file claims a gain in, or None."""
-    if "claim" not in doc:
+    if doc.get("claim") is None:
         return None
     claim = doc["claim"] if isinstance(doc["claim"], dict) else {}
     workload, metric = claim.get("workload"), claim.get("metric")

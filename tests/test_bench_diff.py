@@ -201,8 +201,12 @@ def test_pairs_check_the_claimed_metric_is_a_gain(tmp_path, capsys, parent, chan
     assert last == f"claim: cells_per_s on w/seed1: {word}"
 
 
-def test_pairs_without_a_claim_print_no_claim_line(tmp_path, capsys):
-    assert main(["--pairs", _pairs_file(tmp_path, [100] * 10, [101] * 8 + [50, 50])]) == 0
+@pytest.mark.parametrize("null", [False, True], ids=["absent", "null"])
+def test_pairs_without_a_claim_print_no_claim_line(tmp_path, capsys, null):
+    parent, change = [100] * 10, [101] * 8 + [50, 50]
+    path = _claim_file(tmp_path, None, parent, change) if null else \
+        _pairs_file(tmp_path, parent, change)
+    assert main(["--pairs", path]) == 0
     assert "claim" not in capsys.readouterr().out
 
 

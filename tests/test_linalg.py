@@ -43,8 +43,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from condbang import linalg
-from condbang.linalg import (Echelon, convex_combination, convex_combinations, integer_row,
-                             nullspace_vector)
+from condbang.linalg import (Echelon, convex_combination, convex_combinations,
+                             integer_scaled, nullspace_vector)
 from condbang.numeric import PIVOT_TOL, Scalar
 
 
@@ -117,7 +117,7 @@ def _integer_columns(columns: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[S
     """
     if all(type(v) is int for col in columns for v in col):
         return columns
-    return [list(col) for col in zip(*(integer_row(r) for r in zip(*columns)))]
+    return [list(col) for col in zip(*(integer_scaled([r])[1][0] for r in zip(*columns)))]
 
 
 def assert_scaled_kernel(got, want):

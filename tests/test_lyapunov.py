@@ -15,13 +15,16 @@ from condbang import (Mode, RefinedSet, SimpleFunction, annihilator_witness, ban
                       sf_stack, simple_function, trivial_partition,
                       weighted_ce_measure, witness_block_integrals)
 from condbang import lyapunov
+from condbang.linalg import integer_scaled
 from condbang.lyapunov import (_digit_masks, _polish, _reduce_transport,
                                partition_with_moments)
+from condbang.numeric import max_abs
 from condbang.spaces import block_masses
 
 from gen import (coprime_denominators, random_alpha, random_atomic_instance,
                  random_exact_alpha, random_exact_function, random_exact_grid,
                  random_function, random_grid, random_partition, random_refined_set)
+from test_transport import reduce_block
 
 TOL = 1e-9
 
@@ -488,8 +491,25 @@ def random_polish_block(rng, q, p, rows, exact):
     return avail, mom_cols, targets
 
 
+def polish_rows(avail, mom_cols, targets, exact):
+    """``_polish``'s (piece, coefficient array, goal) rows of a block: floats
+    as float64 arrays; on exact data every coefficient avail[k] * col[k] and
+    every target times the lcm of their denominators, as object arrays."""
+    owner = [i for i, cols in enumerate(mom_cols) for _ in cols]
+    goals = [t for row in targets for t in row]
+    coefs = [[a * c for a, c in zip(avail, col)] for cols in mom_cols for col in cols]
+    if exact:
+        _, (goals, *coefs) = integer_scaled([goals, *coefs])
+        coefs = [np.array(coef, dtype=object) for coef in coefs]
+    else:
+        w = np.asarray(avail, dtype=float)
+        coefs = [w * np.asarray(col, dtype=float) for cols in mom_cols for col in cols]
+    return list(zip(owner, coefs, goals))
+
+
 def assert_polish_matches_reference(avail, mom_cols, targets, p, exact, masks=None):
-    got = _polish(avail, mom_cols, targets, p, exact, {} if masks is None else masks)
+    got = _polish(polish_rows(avail, mom_cols, targets, exact), p, len(avail), exact,
+                  {} if masks is None else masks)
     assert got == reference_polish(avail, mom_cols, targets, p)
     assert all(type(d) is int for d in got)
     return got
@@ -611,11 +631,12 @@ def reference_partition_atomic(moments, alpha, C, grid, polish_budget, within):
             mom_cols = [[[moments[i].values[k][j] for k in active]
                          for j in range(moments[i].dim)] for i in range(p)]
             avail_active = [avail[k] for k in active]
-            rows = _reduce_transport(seed_rows, avail_active, mom_cols, p, exact)
+            rows = reduce_block(seed_rows, mom_cols, p, exact)
             frac_count = sum(1 for row in rows if sum(1 for v in row if v > 0) >= 2)
             assign = [max(range(p), key=row.__getitem__) for row in rows]
             if 1 < p ** q <= polish_budget:
-                assign = _polish(avail_active, mom_cols, targets, p, exact, {})
+                assign = _polish(polish_rows(avail_active, mom_cols, targets, exact), p, q,
+                                 exact, {})
             for kk, k in enumerate(active):
                 mass[assign[kk]][k] = avail[k]
         fractional.append(frac_count)
@@ -635,9 +656,9 @@ def reference_partition_atomic(moments, alpha, C, grid, polish_budget, within):
 def test_partition_reduces_only_the_blocks_the_search_does_not_decide(monkeypatch):
     sizes = []
 
-    def counting(rows, avail, mom_cols, p, exact):
-        sizes.append(len(avail))
-        return _reduce_transport(rows, avail, mom_cols, p, exact)
+    def counting(seed, scale, coords, p, exact):
+        sizes.append(len(seed))
+        return _reduce_transport(seed, scale, coords, p, exact)
 
     monkeypatch.setattr(lyapunov, "_reduce_transport", counting)
     rng = random.Random(137)
@@ -705,6 +726,96 @@ def test_partition_matches_the_reduce_then_polish_order(exact):
 
 
 # ---------------------------------------------------------------------------
+# float blocks: the block form moves no bit
+# ---------------------------------------------------------------------------
+
+
+def plain_float_partition(moments, alpha, C, grid, within, pieces):
+    """Per block the targets, the residuals of ``pieces`` and the atomic
+    bound, by the float formulas the block form replaced: targets
+    sum(seed·h), residuals (sum(mass·h) - target) / mu[b], and the bound's
+    max avail / mu[b] and max_abs."""
+    mu = block_masses(C, grid)
+    avail = within.masses
+    p = alpha.dim
+    targets, residual = [], [[] for _ in range(p)]
+    w_rel_max = h_max = 0.0
+    for b, cells in enumerate(C.blocks):
+        active = [k for k in cells if avail[k] > 0]
+        block = [[sum(alpha.values[k][i] * avail[k] * moments[i].values[k][j] for k in active)
+                  for j in range(moments[i].dim)] for i in range(p)]
+        targets.append(block)
+        if active:
+            rel = max(avail[k] for k in active) / mu[b]
+            if rel > w_rel_max:
+                w_rel_max = rel
+            h_max = max(h_max, max_abs(v for i in range(p) for k in active
+                                       for v in moments[i].values[k]))
+        for i in range(p):
+            residual[i].append(tuple(
+                (sum(pieces[i].masses[k] * moments[i].values[k][j] for k in active)
+                 - block[i][j]) / mu[b]
+                for j in range(moments[i].dim)))
+    bound = sum(m.dim for m in moments) * w_rel_max * h_max
+    return targets, tuple(tuple(r) for r in residual), bound
+
+
+@pytest.mark.parametrize("mode", [Mode.SPLITTABLE, Mode.ATOMIC], ids=["splittable", "atomic"])
+def test_float_partition_matches_the_plain_float_formulas_by_repr(mode):
+    # on float grids every scale and unit of the block form is 1, so the
+    # targets, residuals and bound are those of the plain formulas, bit for bit
+    rng = random.Random(f"float-parity-{mode.value}")
+    seen = set()
+    for trial in range(60):
+        m = rng.randint(3, 14)
+        grid = random_grid(rng, m, mode)
+        blocks = rng.randint(2, 3)
+        C = make_partition([k if k < blocks else rng.randrange(blocks) for k in range(m)],
+                           blocks)
+        p = rng.randint(1, 3)
+        alpha = random_alpha(rng, grid, p)
+        if trial % 3 == 2:
+            # int moment values on a float grid
+            h = SimpleFunction(dim=2, values=tuple((rng.randint(-3, 3), rng.randint(-3, 3))
+                                                   for _ in range(m)))
+        else:
+            h = random_function(rng, grid, rng.randint(1, 2))
+        shared = trial % 2 == 0
+        moments = [h] * p if shared else [h, *(random_function(rng, grid, rng.randint(1, 2))
+                                                for _ in range(p - 1))]
+        # the cells of one block get no mass
+        empty = rng.randrange(blocks)
+        within = set_from_cells(grid, [k for k in range(m)
+                                       if C.block_of[k] != empty and rng.random() < 0.8])
+        budget = rng.choice([0, 16, 4096])
+        searched = []
+
+        def spy(rows, p, q, exact, masks):
+            searched.append(repr([goal for _, _, goal in rows]))
+            return _polish(rows, p, q, exact, masks)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lyapunov, "_polish", spy)
+            res = partition_with_moments(moments, alpha, C, grid, polish_budget=budget,
+                                         within=within)
+        targets, residual, bound = plain_float_partition(moments, alpha, C, grid, within,
+                                                         res.pieces)
+        assert repr(res.residual) == repr(residual)
+        # the searched blocks' targets, in block order
+        flat = iter(repr([t for row in block for t in row]) for block in targets)
+        assert all(any(goals == block for block in flat) for goals in searched)
+        if mode is Mode.ATOMIC:
+            assert repr(res.residual_bound) == repr(bound)
+            seen.add(("searched", bool(searched)))
+            seen.add(("reduced", any(res.fractional_per_block)))
+        seen.add(("shared", shared))
+        seen.add(("int", trial % 3 == 2))
+    assert all(("shared", v) in seen and ("int", v) in seen for v in (True, False))
+    if mode is Mode.ATOMIC:
+        assert {("searched", True), ("reduced", True)} <= seen
+
+
+# ---------------------------------------------------------------------------
 # exact blocks on hard denominators
 # ---------------------------------------------------------------------------
 
@@ -761,6 +872,14 @@ def plain_targets_and_residuals(moments, alpha, C, grid, within, pieces):
     return targets, tuple(tuple(r) for r in residual)
 
 
+def scaled_targets(goals, targets):
+    """Whether the search goals are the block's targets, piece by piece and
+    coordinate by coordinate, times one L > 0."""
+    flat = [t for row in targets for t in row]
+    c = next((Fraction(g) / t for g, t in zip(goals, flat) if t), Fraction(1))
+    return len(goals) == len(flat) and c > 0 and all(g == c * t for g, t in zip(goals, flat))
+
+
 def plain_atomic_bound(moments, C, grid, within):
     """rows * max relative available mass * max |moment entry|, over the cells
     with available mass."""
@@ -774,9 +893,9 @@ def plain_atomic_bound(moments, C, grid, within):
 def assert_hard_partition_matches_plain_sums(grid, C, moments, alpha, within, budget):
     searched = []
 
-    def spy(avail, mom_cols, targets, p, exact, masks):
-        searched.append(targets)
-        return _polish(avail, mom_cols, targets, p, exact, masks)
+    def spy(rows, p, q, exact, masks):
+        searched.append([goal for _, _, goal in rows])
+        return _polish(rows, p, q, exact, masks)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lyapunov, "_polish", spy)
@@ -787,9 +906,10 @@ def assert_hard_partition_matches_plain_sums(grid, C, moments, alpha, within, bu
     assert res.residual == residual
     assert all(type(v) is Fraction for per_block in res.residual for row in per_block
                for v in row)
-    # the searched blocks' targets, in block order
+    # the searched blocks' targets, in block order, each block's over one
+    # common positive scale
     blocks = iter(targets)
-    assert all(any(t == block for block in blocks) for t in searched)
+    assert all(any(scaled_targets(goals, block) for block in blocks) for goals in searched)
     if grid.mode is Mode.ATOMIC:
         pieces, residual, _ = reference_partition_atomic(moments, alpha, C, grid, budget,
                                                          within)

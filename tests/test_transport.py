@@ -41,7 +41,7 @@ from hypothesis import strategies as st
 
 from condbang import linalg, lyapunov
 from condbang.condexp import simple_function
-from condbang.linalg import Echelon, integer_row, nullspace_vector
+from condbang.linalg import Echelon, integer_scaled, nullspace_vector
 from condbang.numeric import PIVOT_TOL, Scalar
 from condbang.spaces import Mode, build_grid, make_partition
 
@@ -49,6 +49,25 @@ from gen import coprime_denominators
 from test_linalg import pivot_step, reference_nullspace_vector, rows_of, same_bits
 
 F = Fraction
+
+
+def block_form(rows: list[list[Scalar]], mom_cols: list[list[list[Scalar]]], exact: bool):
+    """The block form that ``lyapunov._reduce_transport`` reads, (seed,
+    scale, coords), of seed rows and per-piece moment columns: on exact data
+    the rows over their lcm and each column over its own, as
+    ``partition_with_moments`` builds it; floats over 1."""
+    if exact:
+        scale, seed = integer_scaled(rows)
+        return seed, scale, [[(unit, ints) for unit, (ints,) in
+                              (integer_scaled([col]) for col in cols)] for cols in mom_cols]
+    return rows, 1, [[(1, col) for col in cols] for cols in mom_cols]
+
+
+def reduce_block(rows: list[list[Scalar]], mom_cols: list[list[list[Scalar]]], p: int,
+                 exact: bool) -> list[list[Scalar]]:
+    """``lyapunov._reduce_transport`` on the block form of ``rows`` and
+    ``mom_cols``."""
+    return lyapunov._reduce_transport(*block_form(rows, mom_cols, exact), p, exact)
 
 
 def reference_reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
@@ -71,7 +90,7 @@ def reference_reduce_transport(rows: list[list[Scalar]], avail: list[Scalar],
     if exact:
         # a positive factor per moment row leaves every window's kernel as it
         # is and lets the windows be built from ints
-        mom_cols = [[integer_row(col) for col in cols] for cols in mom_cols]
+        mom_cols = [[integer_scaled([col])[1][0] for col in cols] for cols in mom_cols]
         one, nil = 1, 0
     else:
         one, nil = 1.0, 0.0
@@ -124,7 +143,7 @@ def reference_window_walk(rows: list[list[Scalar]], avail: list[Scalar],
         # a positive factor per moment row leaves every window's kernel as it
         # is and lets the windows be built from ints; folding only negates
         # entries within a row, so the scaling still holds
-        mom_cols = [[integer_row(col) for col in cols] for cols in mom_cols]
+        mom_cols = [[integer_scaled([col])[1][0] for col in cols] for cols in mom_cols]
         nil = 0
     else:
         nil = 0.0
@@ -250,7 +269,7 @@ def run_both(rows, avail, mom_cols, p, exact):
     """(new result, its kernel solves, reference result, its kernel solves)."""
     with mock.patch.object(lyapunov, "nullspace_vector",
                            wraps=lyapunov.nullspace_vector) as new_calls:
-        got = lyapunov._reduce_transport(rows, avail, mom_cols, p, exact)
+        got = reduce_block(rows, mom_cols, p, exact)
     with mock.patch.object(sys.modules[__name__], "nullspace_vector",
                            wraps=nullspace_vector) as ref_calls:
         want = reference_reduce_transport(rows, avail, mom_cols, p, exact)
@@ -318,13 +337,13 @@ def test_kernels_drop_the_last_piece_rows_only_when_every_piece_shares_them(exac
         p, d = rng.randint(2, 4), rng.randint(1, 3)
         rows, avail, mom_cols = make_block(rng, p, [d] * p, rng.randint(8, 30), exact,
                                            zero_share=0.0, shared=True)
-        heights = kernel_heights(lyapunov._reduce_transport, rows, avail, mom_cols, p, exact)
+        heights = kernel_heights(reduce_block, rows, mom_cols, p, exact)
         assert heights and set(heights) == {(p - 1) * d}
         # one entry of one piece differs: every piece's rows are kept
         i, j, k = rng.randrange(p), rng.randrange(d), rng.randrange(len(avail))
         mom_cols[i] = [list(col) for col in mom_cols[i]]
         mom_cols[i][j][k] += 1
-        heights = kernel_heights(lyapunov._reduce_transport, rows, avail, mom_cols, p, exact)
+        heights = kernel_heights(reduce_block, rows, mom_cols, p, exact)
         assert heights and set(heights) == {p * d}
 
 
@@ -340,6 +359,21 @@ def test_partition_keeps_every_row_only_for_per_piece_moments():
     others = [simple_function([(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(q)])
               for _ in range(p - 1)]
     for moments, height in (([h] * p, (p - 1) * 2), ([h, *others], p * 2)):
+        heights = kernel_heights(lyapunov.partition_with_moments, moments, alpha, C, grid,
+                                 polish_budget=1)
+        assert heights and set(heights) == {height}
+
+
+def test_implied_rows_are_decided_on_values_not_on_scaled_ints():
+    # piece 0's row [1/2, 1] and piece 1's [1, 2] scale to the same ints, [1, 2],
+    # over the units 2 and 1: their values differ, so every row is kept
+    grid = build_grid([F(1), F(1)], Mode.ATOMIC)
+    C = make_partition([0, 0])
+    alpha = simple_function([(F(1, 2), F(1, 2))] * 2)
+    h0 = simple_function([F(1, 2), F(1)])
+    h1 = simple_function([F(1), F(2)])
+    p, d = 2, 1
+    for moments, height in (([h0, h1], p * d), ([h0] * p, (p - 1) * d)):
         heights = kernel_heights(lyapunov.partition_with_moments, moments, alpha, C, grid,
                                  polish_budget=1)
         assert heights and set(heights) == {height}
@@ -471,7 +505,7 @@ def test_float_reduction_on_implied_rows_satisfies_every_piece_equations():
         rows, avail, mom_cols = make_block(rng, p, [d] * p, q, False,
                                            duplicate_share=rng.choice((0.0, 0.3)),
                                            shared=True)
-        got = lyapunov._reduce_transport(rows, avail, mom_cols, p, False)
+        got = reduce_block(rows, mom_cols, p, False)
         assert count_fractional(got) <= (p - 1) * d
         assert_float_block_equations(rows, avail, mom_cols, p, got)
 
@@ -493,10 +527,10 @@ def test_float_reduction_is_bit_identical_with_kernels_solved_from_scratch():
                                            shared=shared)
         with mock.patch.object(lyapunov, "nullspace_vector",
                                wraps=lyapunov.nullspace_vector) as carried:
-            got = lyapunov._reduce_transport(rows, avail, mom_cols, p, False)
+            got = reduce_block(rows, mom_cols, p, False)
         with mock.patch.object(lyapunov, "nullspace_vector",
                                side_effect=from_scratch) as scratch:
-            want = lyapunov._reduce_transport(rows, avail, mom_cols, p, False)
+            want = reduce_block(rows, mom_cols, p, False)
         assert same_bits(got, want)
         assert carried.call_count == scratch.call_count
 
@@ -513,7 +547,7 @@ def test_reduction_matches_the_flat_window_walk_it_replaced(exact):
                                            duplicate_share=rng.choice((0.0, 0.3, 0.8)))
         with mock.patch.object(lyapunov, "nullspace_vector",
                                wraps=lyapunov.nullspace_vector) as new_calls:
-            got = lyapunov._reduce_transport(rows, avail, mom_cols, p, exact)
+            got = reduce_block(rows, mom_cols, p, exact)
         with mock.patch.object(sys.modules[__name__], "nullspace_vector",
                                wraps=nullspace_vector) as ref_calls:
             want = reference_window_walk(rows, avail, mom_cols, p, exact)
@@ -540,9 +574,9 @@ def test_exact_reduction_moves_alike_along_any_positive_multiple_of_each_kernel(
         c = rng.randint(1, 10 ** 9)
         return [c * v for v in z]
 
-    want = lyapunov._reduce_transport(rows, avail, mom_cols, p, True)
+    want = reduce_block(rows, mom_cols, p, True)
     with mock.patch.object(lyapunov, "nullspace_vector", side_effect=scaled):
-        got = lyapunov._reduce_transport(rows, avail, mom_cols, p, True)
+        got = reduce_block(rows, mom_cols, p, True)
     assert got == want
     assert all(type(v) is Fraction for row in got for v in row)
 
@@ -552,7 +586,7 @@ def both_walks(rows, mom_cols, p, exact, kernels):
     solve replaced by ``kernels()``, a fresh solver for each walk."""
     avail = [sum(row) for row in rows]
     with mock.patch.object(lyapunov, "nullspace_vector", side_effect=kernels()):
-        got = lyapunov._reduce_transport(rows, avail, mom_cols, p, exact)
+        got = reduce_block(rows, mom_cols, p, exact)
     with mock.patch.object(sys.modules[__name__], "nullspace_vector", side_effect=kernels()):
         want = reference_window_walk(rows, avail, mom_cols, p, exact)
     return got, want
@@ -603,18 +637,20 @@ def test_walk_clamps_float_round_off_and_leaves_unmoved_cells_as_they_are():
     assert got[:2] == [[F(11, 10), F(9, 10)], [F(1) + F(1, 10 ** 14), 0]]
     assert all(type(v) is Fraction for row in got for v in row)
     # only entries with a nonzero direction move: cell 0's piece 2 and all of
-    # cell 1 keep the very objects passed in
+    # cell 1 keep their values, on floats the very objects passed in (exact
+    # entries all come back as new Fractions)
     mom_cols = [[[1, 2]], [[3, 4]], [[5, 6]]]
     for exact, rows in ((False, [[1.0, 1.0, 0.5], [0.5, 0.25, 0.125]]),
                         (True, [[F(1), F(1), F(1, 2)], [F(1, 2), F(1, 4), F(1, 8)]])):
         one = 1 if exact else 1.0
-        avail = [sum(row) for row in rows]
         with mock.patch.object(lyapunov, "nullspace_vector",
                                side_effect=scripted([one, 0 * one, 0 * one, 0 * one])()):
-            got = lyapunov._reduce_transport(rows, avail, mom_cols, 3, exact)
+            got = reduce_block(rows, mom_cols, 3, exact)
         assert got[0] == [2, 0, F(1, 2)]
-        assert got[0][2] is rows[0][2]
-        assert all(g is r for g, r in zip(got[1], rows[1]))
+        assert got[1] == rows[1]
+        if not exact:
+            assert got[0][2] is rows[0][2]
+            assert all(g is r for g, r in zip(got[1], rows[1]))
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
@@ -634,7 +670,7 @@ def test_every_kernel_of_the_walk_has_an_entry_above_the_threshold(exact):
                                            rng.randint(1, 24), exact,
                                            duplicate_share=rng.choice((0.0, 0.3)))
         with mock.patch.object(lyapunov, "nullspace_vector", side_effect=solve):
-            lyapunov._reduce_transport(rows, avail, mom_cols, p, exact)
+            reduce_block(rows, mom_cols, p, exact)
     found = [z for z in kernels if z is not None]
     assert found
     for z in found:
