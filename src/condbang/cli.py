@@ -4,7 +4,10 @@ One command per process: parse a problem document, dispatch to the library,
 emit a canonical JSON report.  ``verify`` re-reads a problem/report pair and
 independently recomputes both sides of every equality the report claims,
 exiting 4 on any violation beyond tolerance.  Every block-level sum it needs
-goes through ``oracle.direct_*``; this module sums only within a cell.
+goes through ``oracle.direct_*``; this module sums only within a cell.  It
+proves branch values extreme with a separating direction of its own
+(``_certified``), sharing no code with the solver's extreme-point filter,
+and runs the Phase-I LP only on the values the certificate leaves open.
 
 Each command is one ``_Spec`` of the ``_COMMANDS`` table, which both ``run``
 and ``verify_report`` dispatch through: ``parse`` reads the payload once into
@@ -26,6 +29,7 @@ Exit codes: 0 success, 2 schema error, 3 mathematical precondition failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -46,7 +50,7 @@ from .documents import (ProblemDocument, SchemaError, as_object, canonical_dumps
                         parse_young_measure)
 from .linalg import convex_combinations
 from .lyapunov import annihilator_witness, half_set, lyapunov_partition, witness_block_integrals
-from .numeric import Scalar
+from .numeric import Scalar, is_exact
 from .oracle import direct_integrate, direct_mixture_payoff, direct_payoff
 from .purify import (IntegrandFamily, PureStrategy, density_step, purify,
                      stack_integrands)
@@ -368,25 +372,68 @@ def _run_bang_bang(p: ProblemDocument, inputs):
     return outputs, residuals, rep.residual_bound
 
 
-def _extremeness_lps(tests: dict[tuple[int, tuple], list[int]], cells: dict[int, list],
-                     exact: bool) -> Iterator[tuple[list, tuple, bool]]:
-    """The Phase-I LP of each matching vertex against the cell's other
-    distinct vertices, in the document's regime, test by test, built as
-    they are read."""
-    for (k, _), matches in tests.items():
-        distinct = cells[k]
-        if len(distinct) > 1:
-            for j in matches:
-                yield distinct[:j] + distinct[j + 1:], distinct[j], exact
+def _certified(cols: np.ndarray, sizes: list[int], hits: np.ndarray, tol: Scalar,
+               scales: list[int] | None) -> list[bool]:
+    """For each column of ``hits``, whether a separating direction proves that
+    vertex extreme at ``tol``; a vertex alone in its cell always is.  Each
+    column of ``cols`` (dim, rows) is a vertex: the columns stack the
+    distinct vertices of consecutive cells, ``sizes[c]`` columns for cell c.
+
+    For vertex q_j of a cell of n >= 2 distinct vertices, d = n q_j - sum_i q_i,
+    m = max over i != j of d.q_i and g = d.q_j - m.  Then y = (d, -m) has
+    y.(q_i, 1) <= 0 for every other vertex and y.(q_j, 1) = g, so any convex
+    combination of the others misses (q_j, 1) by an l1 residual of at least
+    g / max(||d||_inf, |m|): the vertex is extreme at ``tol`` once g exceeds
+    ``tol`` max(||d||_inf, |m|).  Floats test it with ``tol`` plus a round-off
+    allowance of 1e-10 (1 + the cell's largest |coordinate|), and only where
+    g and the width are finite.  Exact cells come as ints times their lcm L
+    (``scales``), so d' = L d, m' = L^2 m and g' = L^2 g, and the test runs
+    multiplied through by L^2 as g' > tol max(L ||d'||_inf, |m'|), with an
+    exact ``tol``'s denominator carried to the left.  Under a float ``tol``
+    no exact vertex of a cell with others is settled.
+    """
+    sizes = np.array(sizes)
+    starts = np.cumsum(sizes) - sizes
+    owner = np.searchsorted(starts, hits, side="right") - 1
+    # a vertex alone in its cell is extreme: there is nothing to combine
+    settled = sizes[owner] == 1
+    tested = ~settled
+    if not tested.any() or (scales is not None and not is_exact(tol)):
+        return settled.tolist()
+    hits, owner = hits[tested], owner[tested]
+    n = sizes[owner]
+    # the columns of the other vertices of each hit's cell, hit by hit
+    first = np.cumsum(n - 1) - (n - 1)
+    pair = np.repeat(np.arange(len(hits)), n - 1)
+    rows = np.arange(len(pair)) - first[pair] + starts[owner][pair]
+    rows += rows >= hits[pair]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.take(cols, hits, axis=1)
+        d = n * q - np.take(np.add.reduceat(cols, starts, axis=1), owner, axis=1)
+        m = np.maximum.reduceat((np.take(d, pair, axis=1) * np.take(cols, rows, axis=1))
+                                .sum(axis=0), first)
+        gap = (d * q).sum(axis=0) - m
+        if scales is None:
+            scale = den = 1
+            tol = tol + 1e-10 * (1 + np.maximum.reduceat(np.abs(cols).max(axis=0),
+                                                         starts)[owner])
+        else:
+            scale, (tol, den) = np.array(scales, dtype=object)[owner], tol.as_integer_ratio()
+        width = np.maximum(scale * np.abs(d).max(axis=0), np.abs(m))
+        # ints are finite; a float overflow or NaN settles nothing
+        settled[tested] = (np.abs(gap) < np.inf) & (width < np.inf) & (den * gap > tol * width)
+    return settled.tolist()
 
 
 def _matching_vertices(keys: list[tuple[int, tuple]], cells: dict[int, list], tol: Scalar,
-                       exact: bool, dim: int) -> Iterator[list[int]]:
+                       exact: bool, dim: int) -> Iterator[tuple[list[int], list[bool]]]:
     """For each (cell, value) of ``keys``, the indices of the cell's distinct
-    vertices within ``tol`` of the value in every coordinate.  Every
-    ``_MATCH_BATCH`` keys are one array comparison of each value with each
-    vertex of its cell: on float64, or on object arrays of the exact values
-    (whose tol is zero)."""
+    vertices within ``tol`` of the value in every coordinate, and for each
+    whether ``_certified`` proves it extreme.  Every ``_MATCH_BATCH`` keys
+    are one array comparison of each value with each vertex of its cell: on
+    float64, or on object arrays of the exact values (whose tol is zero).
+    The certificates of the batch's matches run on the same vertices, scaled
+    to ints per cell when exact."""
     dtype = object if exact else float
     for first in range(0, len(keys), _MATCH_BATCH):
         batch = keys[first:first + _MATCH_BATCH]
@@ -398,12 +445,22 @@ def _matching_vertices(keys: list[tuple[int, tuple]], cells: dict[int, list], to
         # within a zero tol is equality (of finite numbers), which spares
         # the exact values a subtraction each
         near = (a == b if tol == 0 else np.abs(a - b) <= tol).reshape(-1, dim).all(axis=1)
+        sizes = [len(cells[k]) for k, _ in batch]
+        pts, scales = b, None
+        if exact:
+            scales = [math.lcm(*(c.denominator for v in cells[k] for c in v))
+                      for k, _ in batch]
+            pts = np.array([c.numerator * (scale // c.denominator)
+                            for (k, _), scale in zip(batch, scales)
+                            for v in cells[k] for c in v], dtype=object)
+        cols = np.ascontiguousarray(pts.reshape(-1, dim).T)
+        settled = iter(_certified(cols, sizes, np.flatnonzero(near), tol, scales))
         near = near.tolist()
         start = 0
-        for k, _ in batch:
-            stop = start + len(cells[k])
-            yield [j for j, hit in enumerate(near[start:stop]) if hit]
-            start = stop
+        for size in sizes:
+            matches = [j for j, hit in enumerate(near[start:start + size]) if hit]
+            yield matches, [next(settled) for _ in matches]
+            start += size
 
 
 def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
@@ -419,9 +476,11 @@ def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> Non
     _pieces_partition_space(chk, pieces, p.grid)
     # A value on a piece of positive mass must be, within tol, one of its
     # cell's distinct vertices that lies outside the hull of the others: the
-    # filter's rule, run here as one Phase-I LP per matching vertex, without
-    # the filter's shortcut, so verify does not rest on the solver's
-    # extreme-point code.  Each distinct (cell, value) pair is tested once,
+    # filter's rule, decided here by verify's own code.  A matching vertex
+    # that its separating-direction certificate (``_certified``) proves
+    # extreme settles its value; the values it settles no match of run one
+    # Phase-I LP per matching vertex instead, the LP that the certificate
+    # bounds from below.  Each distinct (cell, value) pair is tested once,
     # and every LP runs in one batch before any verdict is read.
     if any(v.dim != T.dim for v in values):
         chk.fail("branch values and vertices differ in dimension")
@@ -431,12 +490,15 @@ def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> Non
     cells = {k: list(dict.fromkeys(T.vertices[k])) for k in dict.fromkeys(k for k, _ in keys)}
     # the distinct vertices within tol of each value
     tests = dict(zip(keys, _matching_vertices(keys, cells, chk.tol, p.exact, T.dim)))
-    results = iter(convex_combinations(_extremeness_lps(tests, cells, p.exact), chk.tol))
-    # a list, not a generator, so every result of the test is read; a match
-    # with no other vertex has no LP and is extreme
-    extreme = {key: bool(matches) and (len(cells[key[0]]) == 1 or
-                                       any([next(results)[0] is None for _ in matches]))
-               for key, matches in tests.items()}
+    # the Phase-I LP of each matching vertex against the cell's other distinct
+    # vertices, for every test that no certificate settled
+    lps = ((cells[k][:j] + cells[k][j + 1:], cells[k][j], p.exact)
+           for (k, _), (matches, settled) in tests.items() if not any(settled)
+           for j in matches)
+    results = iter(convex_combinations(lps, chk.tol))
+    # a list, not a generator, so every result of the test is read
+    extreme = {key: any(settled) or any([next(results)[0] is None for _ in matches])
+               for key, (matches, settled) in tests.items()}
     for i, piece in enumerate(pieces):
         for k in range(p.grid.cell_count):
             if piece.masses[k] > 0 and not extreme[k, values[i].values[k]]:

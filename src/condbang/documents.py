@@ -45,8 +45,10 @@ class SchemaError(Exception):
 
 
 def canonical_dumps(obj: Any) -> str:
+    """Sorted keys, no spaces, text as is, no NaN or infinity, one newline.
+    Documents and reports are acyclic trees, so no circular check runs."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False, allow_nan=False) + "\n"
+                      ensure_ascii=False, allow_nan=False, check_circular=False) + "\n"
 
 
 _ECHO = reprlib.Repr()

@@ -85,15 +85,22 @@ def _validate_alpha(alpha: SimpleFunction, grid: Grid, tol: Scalar) -> None:
     if len(alpha.values) != grid.cell_count:
         raise ValueError("weight function and grid cell counts differ")
     check_tol = tol if tol > 0 else 0
+    # exact rows are checked on ints: each weight's numerator over the lcm of
+    # the row's denominators, times the denominator of the tolerance, against
+    # its numerator times that lcm; the sum is built only to name a failure
+    ints = grid.is_exact and check_tol != math.inf
+    tol_num, tol_den = Fraction(check_tol).as_integer_ratio() if ints else (check_tol, 1)
     for k, row in enumerate(alpha.values):
         if grid.is_exact and not all_exact(row):
             raise ValueError(f"cell {k}: an exact grid needs exact piece weights")
-        for a in row:
-            if a < -check_tol:
+        scale = math.lcm(*(a.denominator for a in row)) if ints else 1
+        terms = [a.numerator * (scale // a.denominator) * tol_den for a in row] if ints else row
+        one, bound = scale * tol_den, tol_num * scale
+        for a, t in zip(row, terms):
+            if t < -bound:
                 raise ValueError(f"cell {k}: negative piece weight {a!r}")
-        s = sum(row)
-        if abs(s - 1) > check_tol:
-            raise ValueError(f"cell {k}: piece weights sum to {s!r}, expected 1")
+        if abs(sum(terms) - one) > bound:
+            raise ValueError(f"cell {k}: piece weights sum to {sum(row)!r}, expected 1")
 
 
 def _reduce_transport(seed: list[list[Scalar]], scale: int,
@@ -485,12 +492,13 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
                 quotient(sum(map(operator.mul, by_piece[i], col)) - t, scale * unit * mu[b])
                 for t, (unit, col) in zip(sums[i], coords[i])))
 
-    # piece i starts where pieces 0..i-1 end, summed in piece order
+    # piece i starts where pieces 0..i-1 end, summed in piece order; an exact
+    # zero mass moves no offset, so it is not added
     pieces = []
     offsets = within.offsets
     for i in range(p):
         pieces.append(RefinedSet(offsets=tuple(offsets), masses=tuple(mass[i])))
-        offsets = [off + m for off, m in zip(offsets, mass[i])]
+        offsets = [off + m if m or not exact else off for off, m in zip(offsets, mass[i])]
 
     if grid.mode is Mode.ATOMIC:
         mom_rows = sum(m.dim for m in moments)

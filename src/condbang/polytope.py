@@ -182,7 +182,10 @@ def _separate(plans: Sequence[_FilterPlan]) -> None:
     the exact values as given under a float tol.  A point is settled when
     g' > tol max(L ||d'||_inf, |m'|), with L = 1 when unscaled, tol plus the
     round-off allowance on floats, and an exact tol's denominator multiplied
-    over to the left; a NaN gap is not settled, so its point runs the LP.
+    over to the left.  A float gap or width that is not finite (a NaN, or an
+    overflow of the products beyond about 1e150) settles nothing, so its
+    point runs the LP; the products run under a local ``np.errstate``, so
+    no overflow warning leaves the library.
     """
     groups: dict[tuple[bool, int, int], list[_FilterPlan]] = {}
     for plan in plans:
@@ -208,12 +211,14 @@ def _separate(plans: Sequence[_FilterPlan]) -> None:
                 # exact points under a float tol: its products would round
                 # differently once scaled by L^2
                 pts = np.array([plan.kept for plan in chunk], dtype=object)
-            d = n * pts - pts.sum(axis=1, keepdims=True)
-            dq = d @ pts.transpose(0, 2, 1)
-            m = dq[:, ~np.eye(n, dtype=bool)].reshape(len(chunk), n, n - 1).max(axis=2)
-            gap = np.diagonal(dq, axis1=1, axis2=2) - m
-            width = np.maximum(scale * np.abs(d).max(axis=2), np.abs(m))
-            settled = den * gap > tol * width
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = n * pts - pts.sum(axis=1, keepdims=True)
+                dq = d @ pts.transpose(0, 2, 1)
+                m = dq[:, ~np.eye(n, dtype=bool)].reshape(len(chunk), n, n - 1).max(axis=2)
+                gap = np.diagonal(dq, axis1=1, axis2=2) - m
+                width = np.maximum(scale * np.abs(d).max(axis=2), np.abs(m))
+                # exact values are finite; a float overflow or NaN settles nothing
+                settled = (np.abs(gap) < np.inf) & (width < np.inf) & (den * gap > tol * width)
             for plan, row in zip(chunk, settled.tolist()):
                 plan.pending = [i for i, done in enumerate(row) if not done]
 

@@ -8,6 +8,13 @@ document goes through ``parse_problem -> run -> canonical_dumps``; the digest
 covers the reports with ``wall_time`` removed.  Every report is also checked
 by ``verify_report``, and the script exits 1 if any is rejected.
 
+``verify`` proves most branch values of ``bang-bang`` and
+``pointset-bang-bang`` reports extreme with a separating-direction
+certificate (``cli._certified``) and runs the Phase-I LP only on the rest.
+For every (cell, vertex) pair that the certificate settled, the script runs
+that LP too, prints how many pairs each path decided, and exits 1 when the
+LP finds a settled vertex inside the hull of the others.
+
 A second digest covers the exact reports only (the exact corpus cells and
 the ``exact-atomic`` instances).  Exact bits do not depend on the Python
 version (``test_golden_exact`` relies on this too), so that digest is
@@ -39,8 +46,10 @@ ROOT = Path(__file__).resolve().parents[1]
 for _path in (ROOT / "src", ROOT / "tests", ROOT / "bench"):
     sys.path.insert(0, str(_path))
 
+from condbang import cli  # noqa: E402
 from condbang.cli import RUN_COMMANDS, run, verify_report  # noqa: E402
 from condbang.documents import canonical_dumps, parse_problem  # noqa: E402
+from condbang.linalg import convex_combinations  # noqa: E402
 
 import workloads  # noqa: E402
 from cli_corpus import make_problem  # noqa: E402
@@ -73,14 +82,57 @@ def corpus():
             yield f"{name}/{WORKLOAD_SEED}/{i}", inst.command, inst.document
 
 
+def recording(tests: list):
+    """``cli._matching_vertices`` that also appends to ``tests`` each test of
+    a cell with more than one distinct vertex, as (the cell's distinct
+    vertices, its matches, their certificate flags, tol, exact)."""
+    matching = cli._matching_vertices
+
+    def wrapper(keys, cells, tol, exact, dim):
+        for (k, _), test in zip(keys, matching(keys, cells, tol, exact, dim)):
+            if len(cells[k]) > 1:
+                tests.append((cells[k], *test, tol, exact))
+            yield test
+    return wrapper
+
+
+def certified_pairs(tests: list) -> list:
+    """The Phase-I LP problem (the other distinct vertices, the vertex,
+    exact) of every pair of ``tests`` that the certificate settled."""
+    return [(cell[:j] + cell[j + 1:], cell[j], exact)
+            for cell, matches, flags, _, exact in tests
+            for j, flag in zip(matches, flags) if flag]
+
+
+def certificate_disagreements(tests: list) -> tuple[int, int, int]:
+    """(pairs the certificate settled, pairs left to the LP, settled pairs
+    whose LP writes the vertex as a convex combination of the others)."""
+    settled = certified_pairs(tests)
+    to_lp = sum(len(matches) for _, matches, flags, _, _ in tests if not any(flags))
+    if not settled:
+        return 0, to_lp, 0
+    results = convex_combinations(settled, tests[0][3])
+    return len(settled), to_lp, sum(1 for lam, _, _ in results if lam is not None)
+
+
 def main() -> int:
     digest, exact_digest = hashlib.sha256(), hashlib.sha256()
     count = exact_count = 0
     rejected = []
+    tests: list = []
+    cli._matching_vertices = recording(tests)
+    by_certificate = by_lp = 0
     for label, command, doc in corpus():
         problem = parse_problem(doc)
         report = json.loads(canonical_dumps(run(command, problem)))
+        tests.clear()
         violations = verify_report(doc, report)
+        settled, to_lp, wrong = certificate_disagreements(tests)
+        by_certificate += settled
+        by_lp += to_lp
+        if wrong:
+            violations.append(f"{wrong} vertices the certificate settled are not "
+                              "extreme by the LP")
         if violations:
             rejected.append(f"{label}: {'; '.join(violations)}")
         del report["wall_time"]
@@ -94,6 +146,8 @@ def main() -> int:
         print(f"rejected {line}", file=sys.stderr)
     print(f"{digest.hexdigest()}  {count} reports, wall_time removed")
     print(f"{exact_digest.hexdigest()}  {exact_count} exact reports, wall_time removed")
+    print(f"extremeness of branch values: {by_certificate} pairs settled by the certificate "
+          f"and confirmed by the LP, {by_lp} pairs decided by the LP")
     drift = exact_digest.hexdigest() != EXACT_DIGEST
     if drift:
         print(f"exact reports changed: the committed digest is {EXACT_DIGEST}",

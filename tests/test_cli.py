@@ -1,17 +1,20 @@
 import copy
 import json
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from condbang import cli
+from condbang import cli, linalg, polytope
 from condbang.cli import (EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, EXIT_VERIFY,
                           RUN_COMMANDS, main, run, verify_report)
 from condbang.documents import SchemaError, canonical_dumps, parse_problem
 
 from cli_corpus import make_problem
+from report_digest import certified_pairs, recording
+from test_polytope import _near_degenerate, exact_sets, hull_feasible_lp
 
 
 def run_cli(tmp_path, args):
@@ -321,28 +324,40 @@ def test_seed_is_neither_a_flag_nor_a_report_parameter(tmp_path):
     assert exit_info.value.code == EXIT_SCHEMA
 
 
+def _pointset_doc(cells, selection, exact, weights=None, blocks=None):
+    """A ``pointset-bang-bang`` problem, of equal cell weights in one block
+    unless ``weights`` and ``blocks`` are given, and its number encoder."""
+    enc = (lambda x: {"num": Fraction(x).numerator, "den": Fraction(x).denominator}) \
+        if exact else float
+    doc = {"space": {"weights": [enc(w) for w in weights or [1] * len(cells)],
+                     "mode": "splittable"},
+           "partition": {"blocks": blocks or [0] * len(cells)},
+           "payload": {"points": {"dim": len(selection[0]),
+                                  "vertices": [[[enc(c) for c in pt] for pt in cell]
+                                               for cell in cells]},
+                       "selection": {"dim": len(selection[0]),
+                                     "values": [[enc(c) for c in pt] for pt in selection]}}}
+    if exact:
+        doc["parameters"] = {"exact": True}
+    return doc, enc
+
+
 def _pointset_with_interior_points(exact, count=3):
     """``count`` cells, each a square with one interior point; shifted apart
     so no cell shares a point with another."""
-    enc = (lambda x: {"num": Fraction(x).numerator, "den": Fraction(x).denominator}) \
-        if exact else float
     cells = [[(10 * k, 0), (10 * k + 4, 0), (10 * k, 4), (10 * k + 4, 4), (10 * k + 1, 1)]
              for k in range(count)]
     selection = [(10 * k + Fraction(3, 2), Fraction(5, 2)) for k in range(count)]
-    doc = {"space": {"weights": [enc(1 + k % 3) for k in range(count)], "mode": "splittable"},
-           "partition": {"blocks": [2 * k // count for k in range(count)]},
-           "payload": {"points": {"dim": 2, "vertices": [[[enc(c) for c in pt] for pt in cell]
-                                                         for cell in cells]},
-                       "selection": {"dim": 2, "values": [[enc(c) for c in pt]
-                                                          for pt in selection]}}}
-    if exact:
-        doc["parameters"] = {"exact": True}
+    doc, enc = _pointset_doc(cells, selection, exact, [1 + k % 3 for k in range(count)],
+                             [2 * k // count for k in range(count)])
     return doc, cells, enc
 
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_verify_rejects_a_branch_value_that_is_not_an_extreme_point(exact):
-    # 80 cells take verify's float LPs past the crossover into lockstep batches
+    # 3 cells and 80; verify's certificate settles the square corners without
+    # LPs, so the lockstep LPs are covered by
+    # test_verify_runs_the_lps_the_certificate_leaves_in_lockstep
     for count in (3, 80):
         doc, cells, enc = _pointset_with_interior_points(exact, count)
         report = json.loads(canonical_dumps(run("pointset-bang-bang", parse_problem(doc))))
@@ -577,3 +592,190 @@ def test_verify_matches_a_branch_value_to_a_vertex_within_tol(monkeypatch, exact
     short = copy.deepcopy(report)
     short["outputs"]["branch_values"][0] = {"dim": 1, "values": [value[:1] for value in values]}
     assert verify_report(doc, short) == ["branch values and vertices differ in dimension"]
+
+
+# ---------------------------------------------------------------------------
+# verify's separating-direction certificate of extremeness
+# ---------------------------------------------------------------------------
+
+
+def _assert_settled_pairs_are_extreme(pairs, tol):
+    """Every settled pair is extreme by the solver's Phase-I LP and by scipy's."""
+    assert all(lam is None for lam, _, _ in linalg.convex_combinations(pairs, tol))
+    for others, vertex, _ in pairs:
+        # a settled float vertex may lie just above 1e-9 from the hull of the
+        # others, below scipy's default feasibility tolerance
+        assert not hull_feasible_lp(vertex, others, feasibility_tol=1e-10), (vertex, others)
+
+
+def _record_point_sets(sets, tol, exact):
+    """The tests ``cli._matching_vertices`` makes of every distinct point of
+    every set as a branch value of that set's cell."""
+    tests = []
+    for dim in sorted({len(pts[0]) for pts in sets}):
+        cells = {k: list(dict.fromkeys(pts)) for k, pts in enumerate(sets)
+                 if len(pts[0]) == dim}
+        keys = [(k, v) for k, distinct in cells.items() for v in distinct]
+        list(recording(tests)(keys, cells, tol, exact, dim))
+    return tests
+
+
+@pytest.mark.parametrize("workload", ["atomic-bangbang", "splittable-geometry",
+                                      "exact-atomic"])
+def test_the_certificate_settles_only_extreme_vertices_of_the_workloads(
+        monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    inst = next(inst for inst in workloads.instances(workload, 1)
+                if inst.command in ("bang-bang", "pointset-bang-bang"))
+    report = json.loads(canonical_dumps(run(inst.command, parse_problem(inst.document))))
+    tests = []
+    monkeypatch.setattr(cli, "_matching_vertices", recording(tests))
+    assert verify_report(inst.document, report) == []
+    pairs = certified_pairs(tests)
+    # most pairs need no LP
+    assert len(pairs) > sum(len(matches) for _, matches, _, _, _ in tests) / 2
+    _assert_settled_pairs_are_extreme(pairs, tests[0][3])
+
+
+def test_the_certificate_settles_only_extreme_vertices_of_near_degenerate_sets():
+    rng = random.Random(67)
+    sets = [_near_degenerate(rng) for _ in range(300)]
+    pairs = certified_pairs(_record_point_sets(sets, 1e-9, False))
+    assert len(pairs) > 300
+    _assert_settled_pairs_are_extreme(pairs, 1e-9)
+
+
+def test_the_certificate_settles_only_extreme_vertices_of_exact_sets():
+    rng = random.Random(71)
+    # a midpoint of two int points has float coordinates, which are exact
+    sets = [[tuple(map(Fraction, pt)) for pt in pts] for pts in exact_sets(rng, 300)]
+    pairs = certified_pairs(_record_point_sets(sets, Fraction(0), True))
+    assert len(pairs) > 300
+    _assert_settled_pairs_are_extreme(pairs, Fraction(0))
+
+
+def _gap_and_bound(pts, j, tol):
+    """The certificate's g and (tol + round-off allowance) max(||d||_inf, |m|)
+    for point j of the float set ``pts``, in exact arithmetic."""
+    exact = [tuple(map(Fraction, pt)) for pt in pts]
+    d = [len(pts) * c - sum(col) for c, col in zip(exact[j], zip(*exact))]
+    dots = [sum(a * b for a, b in zip(d, pt)) for pt in exact]
+    m = max(dots[:j] + dots[j + 1:])
+    allowance = 1e-10 * (1 + max(abs(c) for pt in pts for c in pt))
+    return dots[j] - m, Fraction(tol + allowance) * max(max(map(abs, d)), abs(m))
+
+
+def test_the_float_certificate_keeps_the_round_off_allowance():
+    # a probe 10**k tol off a square's edge or corner, on either side, at
+    # scales where the allowance 1e-10 (1 + max |coordinate|) reaches past tol
+    square = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    probes = [(1 + side * 10.0 ** k * 1e-9, y) for k in range(5) for side in (-1, 1)
+              for y in (0.5, 1.0)]
+    sets = [[(x * s, y * s) for x, y in square + [probe]]
+            for s in (1.0, 1e3, 1e6) for probe in probes]
+    tests = _record_point_sets(sets, 1e-9, False)
+    decided = 0
+    for cell, matches, flags, _, _ in tests:
+        for j, flag in zip(matches, flags):
+            gap, bound = _gap_and_bound(cell, j, 1e-9)
+            if abs(gap - bound) > 1e-6 * bound:
+                assert flag == (gap > bound), (cell, j)
+                decided += 1
+    assert decided > len(tests) / 2
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_the_certificate_settles_nothing_under_overflow_and_warns_nothing(exact):
+    # beyond about 1e150 the float products overflow; the pairs go to the LP,
+    # whose verdicts stand alone (tier-1 makes a RuntimeWarning an error)
+    rng = random.Random(73)
+    scale = 10 ** 200 if exact else 1e200
+    unit = [[tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(8)] for _ in range(20)]
+    if not exact:
+        unit = [[tuple(map(float, pt)) for pt in pts] for pts in unit]
+    tol = Fraction(0) if exact else 1e-9
+    tests = _record_point_sets([[tuple(c * scale for c in pt) for pt in pts] for pts in unit],
+                               tol, exact)
+    # one point at 1e155 among small ones: its d.q alone overflows, so its gap
+    # is infinite while the width, even times tol, is finite
+    far = 10 ** 155 if exact else 1e155
+    far_tests = _record_point_sets([[tuple(c * far for c in pts[0])] + pts[1:]
+                                    for pts in unit], tol, exact)
+    if exact:
+        # ints do not overflow: the exact certificate still settles most pairs
+        assert len(certified_pairs(tests)) > len(tests) / 2
+        _assert_settled_pairs_are_extreme(certified_pairs(tests), tol)
+        assert certified_pairs(far_tests)
+    else:
+        assert certified_pairs(tests) == []
+        assert not any(flag for cell, matches, flags, _, _ in far_tests
+                       for j, flag in zip(matches, flags) if max(map(abs, cell[j])) > 1e100)
+
+
+@pytest.mark.parametrize("command", ["bang-bang", "pointset-bang-bang"])
+@pytest.mark.parametrize("exact", [False, True])
+def test_verify_uses_none_of_the_solvers_extreme_point_code(monkeypatch, command, exact):
+    docs = [make_problem(random.Random(f"own-{command}-{trial}"), command, exact=exact)
+            for trial in range(4)]
+    reports = [json.loads(canonical_dumps(run(command, parse_problem(doc)))) for doc in docs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify called the solver's extreme-point code")
+
+    monkeypatch.setattr(polytope, "_separate", refuse)
+    monkeypatch.setattr(polytope, "extreme_point_indices", refuse)
+    for doc, report in zip(docs, reports):
+        assert verify_report(doc, report) == []
+
+
+def _submitted_lps(monkeypatch):
+    """The list that the LP problems ``verify`` submits are appended to."""
+    submitted, convex_combinations = [], cli.convex_combinations
+
+    def spy(problems, tol):
+        problems = list(problems)
+        submitted.extend(problems)
+        return convex_combinations(problems, tol)
+
+    monkeypatch.setattr(cli, "convex_combinations", spy)
+    return submitted
+
+
+def test_verify_runs_fewer_lps_than_it_matches_vertices(monkeypatch):
+    # Gaussian clouds of 12 points in dim 3, each selecting its centroid
+    rng = random.Random(307)
+    cells = [[tuple(rng.gauss(0, 1) for _ in range(3)) for _ in range(12)] for _ in range(60)]
+    selection = [tuple(sum(c) / len(cell) for c in zip(*cell)) for cell in cells]
+    doc, _ = _pointset_doc(cells, selection, False)
+    report = json.loads(canonical_dumps(run("pointset-bang-bang", parse_problem(doc))))
+    tests, submitted = [], _submitted_lps(monkeypatch)
+    monkeypatch.setattr(cli, "_matching_vertices", recording(tests))
+    assert verify_report(doc, report) == []
+    matched = sum(len(matches) for _, matches, _, _, _ in tests)
+    assert 0 < len(submitted) < matched
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_verify_runs_the_lps_the_certificate_leaves_in_lockstep(monkeypatch, exact):
+    # (0, 0) is a vertex of each triangle, but the centroid direction does not
+    # separate it: with c the centroid, d = 3 (p - c) has d.(1, 0) = 4 > 0 =
+    # d.p.  So each cell's (0, 0) value runs an LP of the same shape, and 40
+    # of them take the float ones past the crossover into one lockstep batch
+    count = 40
+    cells = [[(10 * k, 0), (10 * k + 1, 0), (10 * k - 5, 1)] for k in range(count)]
+    selection = [(10 * k - Fraction(4, 3), Fraction(1, 3)) for k in range(count)]
+    doc, _ = _pointset_doc(cells, selection, exact)
+    report = json.loads(canonical_dumps(run("pointset-bang-bang", parse_problem(doc))))
+    lockstep, submitted = [], _submitted_lps(monkeypatch)
+    run_lockstep = linalg._lockstep
+
+    def spy_lockstep(group, *args):
+        lockstep.append(len(group))
+        return run_lockstep(group, *args)
+
+    monkeypatch.setattr(linalg, "_lockstep", spy_lockstep)
+    assert verify_report(doc, report) == []
+    assert len(submitted) >= count
+    assert sum(1 for points, _, _ in submitted if len(points) == 2) >= count
+    assert lockstep == ([] if exact else [len(submitted)])

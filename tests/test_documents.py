@@ -5,8 +5,10 @@ number."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -16,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condbang import cli, documents
-from condbang.cli import EXIT_OK, EXIT_SCHEMA, main, verify_report
-from condbang.documents import (SchemaError, load_json, parse_block_function, parse_chunks,
+from condbang.cli import EXIT_OK, EXIT_SCHEMA, RUN_COMMANDS, main, run, verify_report
+from condbang.documents import (SchemaError, canonical_dumps, load_json, parse_block_function, parse_chunks,
                                 parse_integrands, parse_number, parse_polytopes,
                                 parse_problem, parse_refined_set, parse_simple_function,
                                 parse_young_measure)
 from condbang.purify import action_set
+
+from cli_corpus import make_problem
 
 
 @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "[1.0, NaN]",
@@ -601,3 +605,25 @@ def test_a_bad_entry_deep_in_a_report_table_is_named(tmp_path, capsys, where, va
     capsys.readouterr()
     assert main(["verify", str(prob), str(rep), "-o", "/dev/null"]) == EXIT_SCHEMA
     assert capsys.readouterr().err == f"schema error: {message}\n"
+
+
+def test_canonical_dumps_is_the_checked_json_dump_of_every_corpus_document():
+    def checked(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                          allow_nan=False) + "\n"
+
+    # every command in both regimes and modes (annihilator witnesses exist on
+    # splittable grids only)
+    for exact, mode, command in itertools.product((False, True), ("splittable", "atomic"),
+                                                  RUN_COMMANDS):
+        if command == "annihilator" and mode == "atomic":
+            continue
+        rng = random.Random(f"canonical-{exact}-{mode}-{command}")
+        for _ in range(2):
+            doc = make_problem(rng, command, exact=exact, mode=mode)
+            report = run(command, parse_problem(doc))
+            for obj in (doc, report):
+                assert canonical_dumps(obj) == checked(obj)
+    for bad in (math.nan, [1.0, math.inf], {"x": -math.inf}):
+        with pytest.raises(ValueError):
+            canonical_dumps(bad)

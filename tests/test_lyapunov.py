@@ -86,6 +86,63 @@ def test_partition_rejects_bad_alpha():
         lyapunov_partition(h, negative, trivial_partition(g), g)
 
 
+def reference_validate_alpha(alpha, grid, tol):
+    """``_validate_alpha`` as it was before exact rows were checked on ints."""
+    if len(alpha.values) != grid.cell_count:
+        raise ValueError("weight function and grid cell counts differ")
+    check_tol = tol if tol > 0 else 0
+    for k, row in enumerate(alpha.values):
+        if grid.is_exact and not all(isinstance(a, (int, Fraction)) for a in row):
+            raise ValueError(f"cell {k}: an exact grid needs exact piece weights")
+        for a in row:
+            if a < -check_tol:
+                raise ValueError(f"cell {k}: negative piece weight {a!r}")
+        s = sum(row)
+        if abs(s - 1) > check_tol:
+            raise ValueError(f"cell {k}: piece weights sum to {s!r}, expected 1")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("tol", [None, 0, Fraction(1, 7), Fraction(1, 10 ** 30), 1e-9,
+                                 0.25, -1.0, math.inf, math.nan])
+def test_exact_weight_rows_checked_on_ints_keep_every_verdict_and_message(tol):
+    rng = random.Random(83)
+    grid = build_grid([Fraction(1, 4)] * 4, Mode.SPLITTABLE)
+    failing = 0
+    for _ in range(400):
+        rows = []
+        for _ in range(grid.cell_count):
+            row = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
+            total = sum(row)
+            row = [a / total for a in row]
+            # off by a little, negative, or ints in place of Fractions
+            tweak = rng.random()
+            if tweak < 0.2:
+                row[rng.randrange(len(row))] += rng.choice((1, -1)) * Fraction(1, rng.choice(
+                    (7, 10 ** 9, 10 ** 30)))
+            elif tweak < 0.3:
+                row[0] -= rng.randint(1, 3)
+                row[-1] += rng.randint(1, 3)
+            elif tweak < 0.35:
+                row = [1] + [0] * (len(row) - 1)
+            rows.append(tuple(row))
+        width = max(map(len, rows))
+        rows = [row + (Fraction(0),) * (width - len(row)) for row in rows]
+        alpha = SimpleFunction(dim=width, values=tuple(rows))
+        want = _outcome(reference_validate_alpha, alpha, grid, grid.tol(tol))
+        assert _outcome(lyapunov._validate_alpha, alpha, grid, grid.tol(tol)) == want
+        failing += want is not None
+    # an infinite tol passes every row
+    assert failing == 0 if tol == math.inf else failing > 40
+
+
 def test_partition_validity_and_exactness_random_splittable():
     rng = random.Random(47)
     for _ in range(60):

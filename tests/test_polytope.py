@@ -27,12 +27,15 @@ TOL = 1e-9
 BIG = 2 ** 64
 
 
-def hull_feasible_lp(point, vertices):
-    """Independent hull-membership oracle via scipy's interior LP machinery."""
+def hull_feasible_lp(point, vertices, feasibility_tol=None):
+    """Independent hull-membership oracle via scipy's interior LP machinery.
+    ``feasibility_tol`` replaces HiGHS's primal feasibility tolerance (1e-7),
+    for points that lie closer than that to the hull of the others."""
     A_eq = np.vstack([np.array(vertices, dtype=float).T, np.ones(len(vertices))])
     b_eq = np.append(np.array(point, dtype=float), 1.0)
+    options = {} if feasibility_tol is None else {"primal_feasibility_tolerance": feasibility_tol}
     res = linprog(np.zeros(len(vertices)), A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, None)] * len(vertices), method="highs")
+                  bounds=[(0, None)] * len(vertices), method="highs", options=options)
     return res.status == 0
 
 
@@ -443,6 +446,27 @@ def test_separation_on_arrays_matches_the_scalar_loop_exactly(tol):
     sets = exact_sets(random.Random(67), 150)
     assert_pending_agrees(sets, tol)
     assert_pending_agrees(sets + gaussian_sets(random.Random(71), 50), tol)
+
+
+def test_separation_leaves_overflowing_points_to_the_lp_without_a_warning():
+    # beyond about 1e150 the float d.q products overflow; no gap settles a
+    # point then, and no RuntimeWarning (an error under tier-1) leaves numpy
+    sets = [[tuple(c * 1e200 for c in pt) for pt in pts]
+            for pts in gaussian_sets(random.Random(79), 40, sizes=(2, 12))]
+    plans = [polytope._FilterPlan(pts, None) for pts in sets]
+    polytope._separate(plans)
+    assert all(plan.pending == list(range(len(plan.kept))) for plan in plans
+               if len(plan.kept) > 1)
+    for pts in sets:
+        assert_filter_agrees(pts)
+    # one point at 1e155 among unit ones: its d.q alone overflows, so its gap
+    # is infinite while the width, even times tol, is finite; it too is left
+    # to its LP
+    far = [[tuple(math.copysign(1e155, c) for c in pts[0])] + pts[1:]
+           for pts in gaussian_sets(random.Random(83), 40, sizes=(3, 12))]
+    plans = [polytope._FilterPlan(pts, None) for pts in far]
+    polytope._separate(plans)
+    assert all(0 in plan.pending for plan in plans if len(plan.kept) > 1)
 
 
 def test_separation_slices_a_large_group(monkeypatch):
