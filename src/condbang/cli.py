@@ -50,7 +50,7 @@ from .documents import (ProblemDocument, SchemaError, as_object, canonical_dumps
                         parse_young_measure)
 from .linalg import convex_combinations
 from .lyapunov import annihilator_witness, half_set, lyapunov_partition, witness_block_integrals
-from .numeric import Scalar, is_exact
+from .numeric import Scalar
 from .oracle import direct_integrate, direct_mixture_payoff, direct_payoff
 from .purify import (IntegrandFamily, PureStrategy, density_step, purify,
                      stack_integrands)
@@ -373,7 +373,7 @@ def _run_bang_bang(p: ProblemDocument, inputs):
 
 
 def _certified(cols: np.ndarray, sizes: list[int], hits: np.ndarray, tol: Scalar,
-               scales: list[int] | None) -> list[bool]:
+               exact: bool) -> list[bool]:
     """For each column of ``hits``, whether a separating direction proves that
     vertex extreme at ``tol``; a vertex alone in its cell always is.  Each
     column of ``cols`` (dim, rows) is a vertex: the columns stack the
@@ -386,11 +386,9 @@ def _certified(cols: np.ndarray, sizes: list[int], hits: np.ndarray, tol: Scalar
     g / max(||d||_inf, |m|): the vertex is extreme at ``tol`` once g exceeds
     ``tol`` max(||d||_inf, |m|).  Floats test it with ``tol`` plus a round-off
     allowance of 1e-10 (1 + the cell's largest |coordinate|), and only where
-    g and the width are finite.  Exact cells come as ints times their lcm L
-    (``scales``), so d' = L d, m' = L^2 m and g' = L^2 g, and the test runs
-    multiplied through by L^2 as g' > tol max(L ||d'||_inf, |m'|), with an
-    exact ``tol``'s denominator carried to the left.  Under a float ``tol``
-    no exact vertex of a cell with others is settled.
+    g and the width are finite.  Exact cells come as ints, each cell's times
+    its lcm L, so g' = L^2 g; an exact problem compares at tol zero
+    (``parse_problem``), where the test is g' > 0.
     """
     sizes = np.array(sizes)
     starts = np.cumsum(sizes) - sizes
@@ -398,7 +396,7 @@ def _certified(cols: np.ndarray, sizes: list[int], hits: np.ndarray, tol: Scalar
     # a vertex alone in its cell is extreme: there is nothing to combine
     settled = sizes[owner] == 1
     tested = ~settled
-    if not tested.any() or (scales is not None and not is_exact(tol)):
+    if not tested.any():
         return settled.tolist()
     hits, owner = hits[tested], owner[tested]
     n = sizes[owner]
@@ -413,15 +411,13 @@ def _certified(cols: np.ndarray, sizes: list[int], hits: np.ndarray, tol: Scalar
         m = np.maximum.reduceat((np.take(d, pair, axis=1) * np.take(cols, rows, axis=1))
                                 .sum(axis=0), first)
         gap = (d * q).sum(axis=0) - m
-        if scales is None:
-            scale = den = 1
-            tol = tol + 1e-10 * (1 + np.maximum.reduceat(np.abs(cols).max(axis=0),
-                                                         starts)[owner])
+        if exact:
+            settled[tested] = gap > 0
         else:
-            scale, (tol, den) = np.array(scales, dtype=object)[owner], tol.as_integer_ratio()
-        width = np.maximum(scale * np.abs(d).max(axis=0), np.abs(m))
-        # ints are finite; a float overflow or NaN settles nothing
-        settled[tested] = (np.abs(gap) < np.inf) & (width < np.inf) & (den * gap > tol * width)
+            tol = tol + 1e-10 * (1 + np.maximum.reduceat(np.abs(cols).max(axis=0), starts)[owner])
+            width = np.maximum(np.abs(d).max(axis=0), np.abs(m))
+            # a float overflow or NaN settles nothing
+            settled[tested] = (np.abs(gap) < np.inf) & (width < np.inf) & (gap > tol * width)
     return settled.tolist()
 
 
@@ -446,7 +442,7 @@ def _matching_vertices(keys: list[tuple[int, tuple]], cells: dict[int, list], to
         # the exact values a subtraction each
         near = (a == b if tol == 0 else np.abs(a - b) <= tol).reshape(-1, dim).all(axis=1)
         sizes = [len(cells[k]) for k, _ in batch]
-        pts, scales = b, None
+        pts = b
         if exact:
             scales = [math.lcm(*(c.denominator for v in cells[k] for c in v))
                       for k, _ in batch]
@@ -454,7 +450,7 @@ def _matching_vertices(keys: list[tuple[int, tuple]], cells: dict[int, list], to
                             for (k, _), scale in zip(batch, scales)
                             for v in cells[k] for c in v], dtype=object)
         cols = np.ascontiguousarray(pts.reshape(-1, dim).T)
-        settled = iter(_certified(cols, sizes, np.flatnonzero(near), tol, scales))
+        settled = iter(_certified(cols, sizes, np.flatnonzero(near), tol, exact))
         near = near.tolist()
         start = 0
         for size in sizes:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric import Scalar, check_finite, max_abs
+from .numeric import Scalar, check_finite, fold, max_abs
 from .spaces import BlockPartition, CellRefinement, Grid, RefinedSet, block_masses
 
 
@@ -93,7 +93,7 @@ def sf_stack(fs: Sequence[SimpleFunction]) -> SimpleFunction:
         for f in fs:
             row.extend(f.values[k])
         rows.append(tuple(row))
-    return SimpleFunction(dim=sum(f.dim for f in fs), values=tuple(rows))
+    return SimpleFunction(dim=fold(f.dim for f in fs), values=tuple(rows))
 
 
 def bf_sub(a: BlockFunction, b: BlockFunction) -> BlockFunction:
@@ -125,12 +125,13 @@ def block_average(masses: Sequence[Scalar], vectors: Sequence[Sequence[Scalar]],
     """Per block b and coordinate j: the sum of masses[t] * vectors[t][j] over
     the terms t of ``blocks[b]``, divided by ``dens[b]``.
 
-    The sum is a left fold from the int 0 over b's terms in their order.  A
-    term is a cell for every caller but ``PureStrategy.payoff``, whose terms
-    are the chunks of b's cells; the denominators are ``block_masses``.
+    The sum is ``numeric.fold``: a left fold from the int 0 over b's terms in
+    their order, so its bits are the same on every supported Python.  A term
+    is a cell for every caller but ``PureStrategy.payoff``, whose terms are
+    the chunks of b's cells; the denominators are ``block_masses``.
     """
     return BlockFunction(dim=dim, values=tuple(
-        tuple(sum(masses[t] * vectors[t][j] for t in terms) / den for j in range(dim))
+        tuple(fold(masses[t] * vectors[t][j] for t in terms) / den for j in range(dim))
         for terms, den in zip(blocks, dens)))
 
 

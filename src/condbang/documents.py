@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .condexp import BlockFunction, SimpleFunction
-from .numeric import Scalar
+from .numeric import DEFAULT_TOL, Scalar
 from .polytope import PolytopeMap
 from .purify import ActionSet, IntegrandFamily, YoungMeasure, action_set, young_measure
 from .spaces import (BlockPartition, Grid, Mode, RefinedSet, build_grid,
@@ -374,7 +374,7 @@ def parse_problem(raw: Any, *, mode_override: str | None = None,
     diagonal = _boolean(params.get("diagonal_only", False), "parameters.diagonal_only")
     if diagonal_override is not None:
         diagonal = _boolean(diagonal_override, "the diagonal_only override")
-    tolerance: Scalar = 1e-9
+    tolerance: Scalar = DEFAULT_TOL
     if params.get("tolerance") is not None:
         tolerance = _tolerance(params["tolerance"], "parameters.tolerance")
     if tol_override is not None:

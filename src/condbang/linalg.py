@@ -54,7 +54,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numeric import PIVOT_TOL, Scalar
+from .numeric import PIVOT_TOL, Scalar, fold
 
 _MAX_SIMPLEX_ITERATIONS = 100000
 
@@ -319,7 +319,7 @@ def _phase_one_result(tail: Sequence[Sequence[Scalar]], basis: Sequence[int],
     """
     nrows = len(basis)
     artificial = [i for i in range(nrows) if basis[i] >= n]
-    objective = sum(tail[i][-1] for i in artificial)
+    objective = fold(tail[i][-1] for i in artificial)
     if exact and artificial:
         objective = Fraction(objective, den * scale)
     if objective <= feas_tol:

@@ -43,7 +43,7 @@ import numpy as np
 from .condexp import (BlockFunction, SimpleFunction, bf_sub, cond_exp, indicator,
                       lift_function, lift_to_cells, sf_mul, weighted_ce_measure)
 from .linalg import Echelon, integer_scaled, nullspace_vector
-from .numeric import PIVOT_TOL, Scalar, all_exact, check_finite, max_abs
+from .numeric import PIVOT_TOL, Scalar, all_exact, check_finite, fold, max_abs
 from .spaces import (BlockPartition, CellRefinement, Grid, Mode, RefinedSet,
                      block_masses, full_set, refine_partition, split_cells,
                      validate_set)
@@ -99,8 +99,8 @@ def _validate_alpha(alpha: SimpleFunction, grid: Grid, tol: Scalar) -> None:
         for a, t in zip(row, terms):
             if t < -bound:
                 raise ValueError(f"cell {k}: negative piece weight {a!r}")
-        if abs(sum(terms) - one) > bound:
-            raise ValueError(f"cell {k}: piece weights sum to {sum(row)!r}, expected 1")
+        if abs(fold(terms) - one) > bound:
+            raise ValueError(f"cell {k}: piece weights sum to {fold(row)!r}, expected 1")
 
 
 def _reduce_transport(seed: list[list[Scalar]], scale: int,
@@ -268,7 +268,7 @@ def _reduce_transport(seed: list[list[Scalar]], scale: int,
             for cell, pieces, cols in window:
                 tail = z[col:col + len(cols)]
                 col += len(cols)
-                dirn = [-sum(tail), *tail]
+                dirn = [-fold(tail), *tail]
                 directions.append(dirn)
                 values = rows[cell]
                 if exact:
@@ -434,7 +434,7 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
         # each piece's masses on the block's scale: the seed's, until an
         # atomic block's assignment replaces them
         by_piece = [[s[i] for s in seed] for i in range(p)]
-        sums = [[sum(map(operator.mul, by_piece[i], col)) for _, col in coords[i]]
+        sums = [[fold(map(operator.mul, by_piece[i], col)) for _, col in coords[i]]
                 for i in range(p)]
 
         frac_count = 0
@@ -475,7 +475,7 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
                         assign[kk] = piece
             else:
                 rows = _reduce_transport(seed, scale, coords, p, exact)
-                frac_count = sum(1 for row in rows if sum(1 for v in row if v > 0) >= 2)
+                frac_count = len([row for row in rows if len([v for v in row if v > 0]) >= 2])
                 # the largest share of each cell, the first on ties
                 assign = [max(range(p), key=row.__getitem__) for row in rows]
             for kk, k in enumerate(active):
@@ -489,7 +489,7 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
         fractional.append(frac_count)
         for i in range(p):
             residual[i].append(tuple(
-                quotient(sum(map(operator.mul, by_piece[i], col)) - t, scale * unit * mu[b])
+                quotient(fold(map(operator.mul, by_piece[i], col)) - t, scale * unit * mu[b])
                 for t, (unit, col) in zip(sums[i], coords[i])))
 
     # piece i starts where pieces 0..i-1 end, summed in piece order; an exact
@@ -501,7 +501,7 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
         offsets = [off + m if m or not exact else off for off, m in zip(offsets, mass[i])]
 
     if grid.mode is Mode.ATOMIC:
-        mom_rows = sum(m.dim for m in moments)
+        mom_rows = fold(m.dim for m in moments)
         bound = mom_rows * w_rel_max * h_max
     else:
         bound = Fraction(0) if exact else tol
@@ -628,8 +628,8 @@ def annihilator_witness(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
                          if E.masses[k] > 0}, reverse=True)
         eps = zero
         for level in levels:
-            kept_mass = sum(E.masses[k] for k in range(grid.cell_count)
-                            if E.masses[k] > 0 and abs(f.values[k][0]) > level)
+            kept_mass = fold(E.masses[k] for k in range(grid.cell_count)
+                             if E.masses[k] > 0 and abs(f.values[k][0]) > level)
             if 2 * kept_mass >= mu_E:
                 eps = level
                 break
@@ -732,7 +732,7 @@ def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
                 raise ValueError(f"cell {k}: negative measure mass {v!r}")
     # summed from the grid's zero, int masses divide as Fractions on exact grids
     zero: Scalar = Fraction(0) if grid.is_exact else 0.0
-    mu_blocks = [[sum((mu_i[k] for k in cells), zero) for cells in C.blocks]
+    mu_blocks = [[fold((mu_i[k] for k in cells), zero) for cells in C.blocks]
                  for mu_i in measures]
     missing = [b for b in range(C.block_count) if not any(mb[b] > 0 for mb in mu_blocks)]
     if missing:

@@ -4,12 +4,19 @@ Everything runs in one of two regimes: binary64 floats with a comparison
 tolerance, or exact rationals (``fractions.Fraction``) with tolerance zero.
 Operations never mix regimes on their own; the grid fixes the regime and
 these helpers keep the decisions in one place.
+
+The solver adds through one primitive, ``fold``: a left fold in the terms'
+order, so a float sum is the same bits on every supported Python (the
+builtin ``sum`` compensates float sums from CPython 3.12 on).  The oracle
+keeps its own summation, which ``verify``'s independence rests on.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable, Union
 
 #: user-facing comparison tolerance in the float regime
@@ -41,6 +48,13 @@ def check_finite(x: Scalar, what: str) -> Scalar:
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"{what}: non-finite value {x!r}")
     return x
+
+
+def fold(terms: Iterable[Scalar], start: Scalar = 0) -> Scalar:
+    """``start`` plus the terms, added left to right, one rounding per
+    addition on floats: what the builtin ``sum`` computes on Python 3.10 and
+    3.11, and the same bits on every version, since it never compensates."""
+    return reduce(add, terms, start)
 
 
 def max_abs(values: Iterable[Scalar]) -> Scalar:

@@ -4,7 +4,8 @@ These deliberately avoid the main code paths.  Every block average goes
 through one loop, ``_block_means``, over per-(cell, coordinate) terms,
 summed with ``math.fsum`` in the float regime and right to left in the exact
 one, never through the solvers' summation.  The atomic partition quality is
-established by exhaustive enumeration of whole-cell assignments.  ``verify``
+established by exhaustive enumeration of whole-cell assignments, against
+block masses and targets summed by the same rule.  ``verify``
 recomputes every block-level sum of a report through the ``direct_*``
 functions, and the test suite checks the solvers against them.
 """
@@ -108,10 +109,11 @@ def enumerate_atomic_partitions(grid: Grid, p: int, h: SimpleFunction,
             f"enumeration needs {total_work} assignments, budget is {budget}")
     assignment = [0] * grid.cell_count
     worst: Scalar = 0
+    combine = _sum_right_to_left if grid.is_exact else math.fsum
     for cells in C.blocks:
-        mu_b = sum(grid.weights[k] for k in cells)
-        targets = [[sum(alpha.values[k][i] * grid.weights[k] * h.values[k][j]
-                        for k in cells) for j in range(h.dim)] for i in range(p)]
+        mu_b = combine([grid.weights[k] for k in cells])
+        targets = [[combine([alpha.values[k][i] * grid.weights[k] * h.values[k][j]
+                             for k in cells]) for j in range(h.dim)] for i in range(p)]
         if exact:
             best_assign, best_val = _enumerate_block_exact(
                 [grid.weights[k] for k in cells],

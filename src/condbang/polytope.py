@@ -48,7 +48,7 @@ import numpy as np
 
 from .condexp import SimpleFunction
 from .linalg import LPProblem, LPResult, convex_combinations, integer_scaled
-from .numeric import Scalar, all_exact, check_finite, is_exact, resolve_tol
+from .numeric import Scalar, all_exact, check_finite, fold, is_exact, resolve_tol
 from .spaces import Grid
 
 Point = tuple[Scalar, ...]
@@ -323,8 +323,8 @@ def _decompose_over(point: Point, pts: Sequence[Point], ext_idx: list[int],
     lam, certificate, _ = result
     if lam is None:
         d = tuple(certificate[:n])
-        margin = min(sum(dc * pc for dc, pc in zip(d, point)) -
-                     sum(dc * vc for dc, vc in zip(d, v)) for v in pts)
+        margin = min(fold(dc * pc for dc, pc in zip(d, point)) -
+                     fold(dc * vc for dc, vc in zip(d, v)) for v in pts)
         raise HullMembershipError(point, direction=d if margin > 0 else None)
     support = [j for j, w in enumerate(lam) if w > 0]
     if len(support) > n + 1:
@@ -361,11 +361,8 @@ class CaratheodoryDecomposition:
         return [self.branch_function(i) for i in range(self.branch_count)]
 
     def reconstruct(self, k: int) -> Point:
-        acc = [0] * self.dim
-        for w, pt in zip(self.weights[k], self.points[k]):
-            for j in range(self.dim):
-                acc[j] = acc[j] + w * pt[j]
-        return tuple(acc)
+        return tuple(fold(w * pt[j] for w, pt in zip(self.weights[k], self.points[k]))
+                     for j in range(self.dim))
 
 
 def decompose_selection(T: PolytopeMap, s: SimpleFunction, grid: Grid,

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .bangbang import bang_bang
 from .condexp import BlockFunction, SimpleFunction, bf_sub, block_average
-from .numeric import Scalar, check_finite
+from .numeric import Scalar, check_finite, fold
 from .polytope import PolytopeMap
 from .spaces import BlockPartition, Grid, block_masses
 
@@ -63,8 +63,8 @@ def young_measure(rows: Sequence[Sequence[Scalar]], actions: ActionSet, grid: Gr
             raise ValueError(f"cell {k}: expected {actions.size} action weights")
         if any(v < 0 for v in row):
             raise ValueError(f"cell {k}: negative action weight")
-        if abs(sum(row) - 1) > tol:
-            raise ValueError(f"cell {k}: action weights sum to {sum(row)!r}")
+        if abs(fold(row) - 1) > tol:
+            raise ValueError(f"cell {k}: action weights sum to {fold(row)!r}")
         if not any(v > 0 for v in row):
             raise ValueError(f"cell {k}: empty support")
         out.append(row)
@@ -126,7 +126,7 @@ def stack_integrands(families: Sequence[IntegrandFamily]) -> IntegrandFamily:
                 row.extend(f.values[k][a])
             rows.append(tuple(row))
         out.append(tuple(rows))
-    return IntegrandFamily(dim=sum(f.dim for f in families), values=tuple(out))
+    return IntegrandFamily(dim=fold(f.dim for f in families), values=tuple(out))
 
 
 @dataclass(frozen=True)
@@ -179,13 +179,8 @@ def barycenter(delta: YoungMeasure, V: IntegrandFamily, grid: Grid) -> SimpleFun
     for k in range(grid.cell_count):
         if len(V.values[k]) != len(delta.rows[k]):
             raise ValueError(f"cell {k}: mixture and integrand action counts differ")
-        vals = []
-        for j in range(V.dim):
-            acc = 0
-            for a, w in enumerate(delta.rows[k]):
-                acc = acc + w * V.values[k][a][j]
-            vals.append(acc)
-        rows.append(tuple(vals))
+        rows.append(tuple(fold(w * V.values[k][a][j] for a, w in enumerate(delta.rows[k]))
+                          for j in range(V.dim)))
     return SimpleFunction(dim=V.dim, values=tuple(rows))
 
 

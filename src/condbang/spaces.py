@@ -18,7 +18,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .numeric import Scalar, all_exact, resolve_tol
+from .numeric import Scalar, all_exact, fold, resolve_tol
 
 
 class Mode(str, Enum):
@@ -85,8 +85,12 @@ def build_grid(weights: Sequence[Scalar], mode: Mode | str) -> Grid:
         if w <= 0:
             raise ValueError(f"cell {i}: weight must be positive, got {w!r}")
         cleaned.append(w)
-    total = sum(cleaned)
-    return Grid(weights=tuple(w / total for w in cleaned), mode=mode)
+    total = fold(cleaned)
+    normalized = tuple(w / total for w in cleaned)
+    # a float total can overflow, or dwarf a weight until it divides to zero
+    if not all(w > 0 for w in normalized):
+        raise ValueError(f"cell weights over their float total {total!r} are not all positive")
+    return Grid(weights=normalized, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +146,7 @@ def trivial_partition(grid: Grid) -> BlockPartition:
 def block_masses(partition: BlockPartition, grid: Grid) -> tuple[Scalar, ...]:
     if len(partition.block_of) != grid.cell_count:
         raise ValueError("partition and grid cell counts differ")
-    return tuple(sum(grid.weights[k] for k in cells) for cells in partition.blocks)
+    return tuple(fold(grid.weights[k] for k in cells) for cells in partition.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +166,7 @@ class RefinedSet:
     masses: tuple[Scalar, ...]
 
     def total_mass(self) -> Scalar:
-        return sum(self.masses)
+        return fold(self.masses)
 
     def triples(self) -> list[tuple[int, Scalar, Scalar]]:
         return [(k, self.offsets[k], m) for k, m in enumerate(self.masses) if m > 0]

@@ -1,9 +1,16 @@
-"""Problem-document generators for every CLI command (float and exact)."""
+"""Problem-document generators for every CLI command (float and exact).
+
+Floats are added with ``numeric.fold``, the program's own left fold, not
+with ``sum``, which compensates float sums from Python 3.12 on: so a seed
+gives the same documents on every supported Python.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+from condbang.numeric import fold
 
 
 def _enc(x, exact: bool):
@@ -82,7 +89,7 @@ def make_problem(rng: random.Random, command: str, exact: bool = False,
     if exact:
         doc["parameters"] = {"exact": True}
     # set entries must reference the normalized weights for whole cells
-    total = sum(Fraction(w["num"], w["den"]) if exact else w for w in weights)
+    total = fold(Fraction(w["num"], w["den"]) if exact else w for w in weights)
     if exact:
         norm = [{"num": (Fraction(w["num"], w["den"]) / total).numerator,
                  "den": (Fraction(w["num"], w["den"]) / total).denominator}
@@ -124,8 +131,8 @@ def make_problem(rng: random.Random, command: str, exact: bool = False,
             else:
                 verts = [[rng.uniform(-2, 2) for _ in range(n)] for _ in range(count)]
                 lam = [rng.uniform(0.05, 1.0) for _ in range(count)]
-                s = sum(lam)
-                point = [sum(l / s * v[j] for l, v in zip(lam, verts))
+                s = fold(lam)
+                point = [fold(l / s * v[j] for l, v in zip(lam, verts))
                          for j in range(n)]
             cells.append(verts)
             selection.append(point)

@@ -147,6 +147,21 @@ def test_exit_code_contract_on_error_corpus(tmp_path):
         == EXIT_PRECONDITION
 
 
+@pytest.mark.parametrize("command, weights, mode, payload", [
+    # the total overflows, so every weight would divide to 0.0
+    ("cond-exp", [1e308, 1e308], "splittable", {"function": {"dim": 1, "values": [[1.0], [2.0]]}}),
+    # cell 0 would normalize to 0.0, an atom of no mass
+    ("coarseness", [1e-300, 1e300], "atomic",
+     {"set": {"triples": [[0, 0.0, 0.0], [1, 0.0, 1.0]]}}),
+])
+def test_weights_that_do_not_normalize_to_positive_floats_are_a_schema_error(
+        tmp_path, capsys, command, weights, mode, payload):
+    doc = write_doc(tmp_path, "w.json", {"space": {"weights": weights, "mode": mode},
+                                         "payload": payload})
+    assert main([command, str(doc), "-o", "/dev/null"]) == EXIT_SCHEMA
+    assert "schema error: space: cell weights over their float total" in capsys.readouterr().err
+
+
 def test_a_point_set_too_small_for_the_tolerance_is_a_precondition_failure(tmp_path, capsys):
     # five planar points within 1e-10 of the origin: at tolerance 1e-9 each is
     # inside the hull of the others, which no longer reads as "outside the hull"

@@ -33,6 +33,15 @@ def test_build_grid_rejects_bad_input():
         build_grid([0.3, float("nan")], Mode.ATOMIC)
 
 
+@pytest.mark.parametrize("weights, mode", [([1e308, 1e308], "splittable"),
+                                           ([1e-300, 1e300], "atomic")])
+def test_build_grid_refuses_weights_that_do_not_normalize_to_positive_floats(weights, mode):
+    # the float total overflows to inf, where every weight divides to 0.0; or
+    # 1e-300 / 1e300 underflows to 0.0, an atom of no mass
+    with pytest.raises(ValueError, match="not all positive"):
+        build_grid(weights, mode)
+
+
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
 def test_grid_from_weights_rejects_a_non_finite_weight(weight):
     with pytest.raises(ValueError, match=r"cell 1: non-finite weight"):
