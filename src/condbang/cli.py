@@ -33,7 +33,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -176,8 +175,7 @@ def _oracle_partition_residual(pieces, h: SimpleFunction, alpha: SimpleFunction,
 
 def _one(p: ProblemDocument) -> SimpleFunction:
     """The constant-one function, whose integral over a set is its mass."""
-    return SimpleFunction(dim=1, values=((Fraction(1) if p.exact else 1.0,),)
-                          * p.grid.cell_count)
+    return SimpleFunction(dim=1, values=((p.grid.one,),) * p.grid.cell_count)
 
 
 def _payload_function(p: ProblemDocument, key: str) -> SimpleFunction:
@@ -298,8 +296,8 @@ def _verify_annihilator(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> N
     f, E = inputs
     out = rep["outputs"]
     space = as_object(out.get("space", {}), "outputs.space")
-    weights = [parse_number(w, p.exact, "outputs.space.weights")
-               for w in space.get("weights", [])]
+    weights = [parse_number(w, p.exact, f"outputs.space.weights[{j}]")
+               for j, w in enumerate(space.get("weights", []))]
     rgrid = grid_from_weights(weights, space.get("mode", "splittable"))
     parent = out.get("parent", [])
     if len(parent) != len(weights):
@@ -603,7 +601,7 @@ def _verify_coarseness(chk: _Check, p: ProblemDocument, E: RefinedSet | None,
         if not isinstance(values, list) or len(values) != p.partition.block_count:
             chk.fail(f"verdict must carry {key} with one entry per block")
             return None
-        return [parse_number(v, p.exact, key) for v in values]
+        return [parse_number(v, p.exact, f"outputs.{key}[{b}]") for b, v in enumerate(values)]
 
     claimed_r = claimed("reference_conditional")
     if claimed_r is not None:

@@ -10,7 +10,6 @@ simple function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .numeric import Scalar, check_finite, fold, max_abs
@@ -179,12 +178,10 @@ def lift_function(f: SimpleFunction, refinement: CellRefinement) -> SimpleFuncti
 def indicator(E: RefinedSet, grid: Grid, tol: Scalar | None = None) -> SimpleFunction:
     """Indicator of a cell-aligned set as a scalar simple function."""
     tol = grid.tol(tol)
-    one: Scalar = Fraction(1) if grid.is_exact else 1.0
-    zero: Scalar = Fraction(0) if grid.is_exact else 0.0
     rows = []
     for k, (m, w) in enumerate(zip(E.masses, grid.weights)):
         if m > tol and abs(m - w) > tol:
             raise ValueError(f"cell {k}: indicator needs a cell-aligned set")
-        rows.append((one,) if m > tol else (zero,))
+        rows.append((grid.one,) if m > tol else (grid.zero,))
     return SimpleFunction(dim=1, values=tuple(rows))
 

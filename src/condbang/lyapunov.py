@@ -383,7 +383,6 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
     """Partition solver with one moment function per piece (see lyapunov_partition)."""
     tol = grid.tol(tol)
     exact = grid.is_exact
-    zero: Scalar = Fraction(0) if exact else 0.0
     p = alpha.dim
     if len(moments) != p:
         raise ValueError("need one moment function per piece")
@@ -404,32 +403,29 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
     # the one regime choice of the block form's sums: the quotient, which on
     # float grids divides by scales and units of 1 and so moves no bit
     quotient = Fraction if exact else operator.truediv
+    # the block form's one scaling: ints over their lcm on exact grids, the
+    # values over 1 on float ones
+    scaled = integer_scaled if exact else lambda vectors: (1, vectors)
     distinct = {id(mom): mom for mom in moments}
 
-    mass: list[list[Scalar]] = [[zero] * grid.cell_count for _ in range(p)]
+    mass: list[list[Scalar]] = [[grid.zero] * grid.cell_count for _ in range(p)]
     residual: list[list[tuple[Scalar, ...]]] = [[] for _ in range(p)]
     fractional: list[int] = []
     # the exhaustive search's digit masks, by cell count (see _polish)
     masks: dict[int, list[np.ndarray]] = {}
-    w_rel_max: Scalar = zero
-    h_max: Scalar = zero
+    w_rel_max: Scalar = grid.zero
+    h_max: Scalar = grid.zero
 
     for b, cells in enumerate(C.blocks):
         active = [k for k in cells if avail[k] > 0]
         seed_rows = [[alpha.values[k][i] * avail[k] for i in range(p)] for k in active]
         # the block form: the masses and the seed over one scale, and one
         # (unit, column) pair per coordinate of each distinct moment function,
-        # shared by the pieces that share it; ints over their lcms on exact
-        # grids, the values over 1 on float ones
-        if exact:
-            scale, (held, *seed) = integer_scaled([[avail[k] for k in active], *seed_rows])
-            form = {key: [(unit, ints) for unit, (ints,) in
-                          (integer_scaled([[mom.values[k][j] for k in active]])
-                           for j in range(mom.dim))] for key, mom in distinct.items()}
-        else:
-            scale, held, seed = 1, [avail[k] for k in active], seed_rows
-            form = {key: [(1, [mom.values[k][j] for k in active]) for j in range(mom.dim)]
-                    for key, mom in distinct.items()}
+        # shared by the pieces that share it
+        scale, (held, *seed) = scaled([[avail[k] for k in active], *seed_rows])
+        form = {key: [(unit, col) for unit, (col,) in
+                      (scaled([[mom.values[k][j] for k in active]]) for j in range(mom.dim))]
+                for key, mom in distinct.items()}
         coords = [form[id(mom)] for mom in moments]
         # each piece's masses on the block's scale: the seed's, until an
         # atomic block's assignment replaces them
@@ -557,9 +553,7 @@ class HalfSetResult:
 
 def half_set(h: SimpleFunction, E: RefinedSet, C: BlockPartition, grid: Grid, *,
              tol: Scalar | None = None) -> HalfSetResult:
-    exact = grid.is_exact
-    half_w: Scalar = Fraction(1, 2) if exact else 0.5
-    alpha = SimpleFunction(dim=2, values=((half_w, half_w),) * grid.cell_count)
+    alpha = SimpleFunction(dim=2, values=((grid.half, grid.half),) * grid.cell_count)
     part = partition_with_moments([h, h], alpha, C, grid, tol=tol, within=E)
     F = part.pieces[0]
     achieved = weighted_ce_measure(h, F, C, grid)
@@ -605,10 +599,7 @@ def annihilator_witness(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
     if f.dim != 1:
         raise ValueError("witness construction needs a scalar function")
     tol = grid.tol(tol)
-    exact = grid.is_exact
-    zero: Scalar = Fraction(0) if exact else 0.0
-    one: Scalar = Fraction(1) if exact else 1.0
-    half: Scalar = Fraction(1, 2) if exact else 0.5
+    zero, one, half = grid.zero, grid.one, grid.half
     mu_E = E.total_mass()
     if not mu_E > tol:
         raise ValueError("witness needs a set of positive mass")
@@ -731,8 +722,7 @@ def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
             if v < 0:
                 raise ValueError(f"cell {k}: negative measure mass {v!r}")
     # summed from the grid's zero, int masses divide as Fractions on exact grids
-    zero: Scalar = Fraction(0) if grid.is_exact else 0.0
-    mu_blocks = [[fold((mu_i[k] for k in cells), zero) for cells in C.blocks]
+    mu_blocks = [[fold((mu_i[k] for k in cells), grid.zero) for cells in C.blocks]
                  for mu_i in measures]
     missing = [b for b in range(C.block_count) if not any(mb[b] > 0 for mb in mu_blocks)]
     if missing:
@@ -740,7 +730,7 @@ def lyapunov_partition_multi(measures: Sequence[Sequence[Scalar]],
 
     w_blocks = block_masses(C, grid)
     H = SimpleFunction(dim=d, values=tuple(
-        tuple(f.values[k][0] * mu_i[k] / mb[b] * w_blocks[b] / w if mb[b] > 0 else zero
+        tuple(f.values[k][0] * mu_i[k] / mb[b] * w_blocks[b] / w if mb[b] > 0 else grid.zero
               for f, mu_i, mb in zip(fs, measures, mu_blocks))
         for k, (b, w) in enumerate(zip(C.block_of, grid.weights))))
     part = partition_with_moments([H] * alpha.dim, alpha, C, grid, tol=tol)

@@ -2,8 +2,10 @@
 
 Everything runs in one of two regimes: binary64 floats with a comparison
 tolerance, or exact rationals (``fractions.Fraction``) with tolerance zero.
-Operations never mix regimes on their own; the grid fixes the regime and
-these helpers keep the decisions in one place.
+Operations never mix regimes on their own; the grid fixes the regime, and
+its numbers live on it: ``Grid.zero``, ``Grid.one`` and ``Grid.half`` are
+``Fraction``s on exact grids and floats on float ones, so no caller spells
+out a regime choice.  These helpers keep the other decisions in one place.
 
 The solver adds through one primitive, ``fold``: a left fold in the terms'
 order, so a float sum is the same bits on every supported Python (the

@@ -13,8 +13,9 @@ g / max(||d||_inf, |m|), g = y.(p, 1); a bound above the tolerance (plus
 without the LP, so the verdicts stay the LP's.  Exact point sets are
 scaled to integers once, P = L p with L the lcm of their denominators, and
 the bound is tested as g' > tol max(L ||d'||_inf, |m'|) on the scaled
-d' = L d, m' = L^2 m, g' = L^2 g: the same test multiplied through by L^2,
-so no Fraction arithmetic and the same verdicts.
+d' = L d, m' = L^2 m, g' = L^2 g, at tol's exact ratio (a float tol's too):
+the same test multiplied through by L^2 and by tol's denominator, so no
+Fraction arithmetic and the same verdicts.
 
 The bound runs on arrays, one computation per group of point sets with the
 same regime, distinct point count n and dimension, over all the sets of a
@@ -40,15 +41,15 @@ of the hull of the others (a set too small for the tolerance) raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .condexp import SimpleFunction
 from .linalg import LPProblem, LPResult, convex_combinations, integer_scaled
-from .numeric import Scalar, all_exact, check_finite, fold, is_exact, resolve_tol
+from .numeric import Scalar, all_exact, check_finite, fold, resolve_tol
 from .spaces import Grid
 
 Point = tuple[Scalar, ...]
@@ -178,14 +179,14 @@ def _separate(plans: Sequence[_FilterPlan]) -> None:
     minus each plan's sum of points holds every d = n (p - c), and
     ``dq`` = d pts^T (g, n, n) every d.q: row i's diagonal entry is d.p and
     its largest other entry the m of point i.  Floats run on float64, exact
-    points on object arrays: of Python ints scaled by each plan's L, or of
-    the exact values as given under a float tol.  A point is settled when
-    g' > tol max(L ||d'||_inf, |m'|), with L = 1 when unscaled, tol plus the
-    round-off allowance on floats, and an exact tol's denominator multiplied
-    over to the left.  A float gap or width that is not finite (a NaN, or an
-    overflow of the products beyond about 1e150) settles nothing, so its
-    point runs the LP; the products run under a local ``np.errstate``, so
-    no overflow warning leaves the library.
+    points on object arrays of Python ints scaled by each plan's L.  A point
+    is settled when g' > tol max(L ||d'||_inf, |m'|), with L = 1 and tol
+    plus the round-off allowance on floats, and on exact points tol's exact
+    ratio, a Fraction's or a float's, its denominator multiplied over to the
+    left.  A float gap or width that is not finite (a NaN, or an overflow of
+    the products beyond about 1e150) settles nothing, so its point runs the
+    LP; the products run under a local ``np.errstate``, so no overflow
+    warning leaves the library.
     """
     groups: dict[tuple[bool, int, int], list[_FilterPlan]] = {}
     for plan in plans:
@@ -197,20 +198,18 @@ def _separate(plans: Sequence[_FilterPlan]) -> None:
         for start in range(0, len(group), step):
             chunk = group[start:start + step]
             tol, scale, den = chunk[0].tol, 1, 1
-            if not exact:
+            if exact:
+                scales, scaled = zip(*(integer_scaled(plan.kept) for plan in chunk))
+                pts = np.array(scaled, dtype=object)
+                scale = np.array(scales, dtype=object)[:, None]
+                # a float tol's ratio is as exact as a Fraction's; a tol that
+                # is not finite settles nothing (den = 0), as on floats
+                tol, den = tol.as_integer_ratio() if abs(tol) < math.inf else (1, 0)
+            else:
                 pts = np.array([plan.kept for plan in chunk], dtype=float)
                 # the tolerance plus the round-off allowance, per plan
                 tol = float(tol) + _FLOAT_SEPARATION_SLACK * (
                     1 + np.abs(pts).max(axis=(1, 2))[:, None])
-            elif is_exact(tol):
-                scales, scaled = zip(*(integer_scaled(plan.kept) for plan in chunk))
-                pts = np.array(scaled, dtype=object)
-                scale = np.array(scales, dtype=object)[:, None]
-                tol, den = tol.as_integer_ratio()
-            else:
-                # exact points under a float tol: its products would round
-                # differently once scaled by L^2
-                pts = np.array([plan.kept for plan in chunk], dtype=object)
             with np.errstate(over="ignore", invalid="ignore"):
                 d = n * pts - pts.sum(axis=1, keepdims=True)
                 dq = d @ pts.transpose(0, 2, 1)
@@ -266,15 +265,13 @@ def extreme_point_indices(points: Sequence[Point], tol: Scalar | None = None) ->
     Exact points are scaled to integers first, by L the lcm of all their
     denominators, which makes d' = L d, m' = L^2 m and g' = L^2 g; the test
     g > tol max(||d||_inf, |m|) is then run multiplied through by L^2, as
-    g' > tol max(L ||d'||_inf, |m'|), on ints (``tol`` = 0 leaves g' > 0).
-    Floats run the same expression with L = 1, and so do exact points under
-    a float ``tol``, whose products would round differently once scaled.
-    The LPs get the points as given.
+    g' > tol max(L ||d'||_inf, |m'|), on ints, at ``tol``'s exact ratio, a
+    float ``tol``'s included (``tol`` = 0 leaves g' > 0).  Floats run the
+    same expression with L = 1.  The LPs get the points as given.
 
     The set is separated as a group of one of ``_separate``, the code that
     separates every set of a ``decompose_selection`` call: float64 arrays
-    for floats, object arrays of Python ints (or of the exact points, under
-    a float ``tol``) otherwise.
+    for floats, object arrays of Python ints otherwise.
     """
     pts = [tuple(p) for p in points]
     if not pts:
@@ -373,7 +370,6 @@ def decompose_selection(T: PolytopeMap, s: SimpleFunction, grid: Grid,
     if len(T.vertices) != grid.cell_count or len(s.values) != grid.cell_count:
         raise ValueError("cell counts differ")
     tol = grid.tol(tol)
-    zero: Scalar = Fraction(0) if grid.is_exact else 0.0
     slots = T.dim + 1
     # Cells are taken up to the first one that fails, which is raised after
     # the cells before it, as a cell-by-cell loop would.  One filter plan per
@@ -410,7 +406,7 @@ def decompose_selection(T: PolytopeMap, s: SimpleFunction, grid: Grid,
             raise HullMembershipError(err.point, cell=k, direction=err.direction) from None
         pad = slots - len(sup)
         sup = sup + [sup[0]] * pad
-        w = w + [zero] * pad
+        w = w + [grid.zero] * pad
         weights.append(tuple(w))
         points.append(tuple(verts[i] for i in sup))
     if failure is not None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .bangbang import bang_bang
@@ -72,13 +71,11 @@ def young_measure(rows: Sequence[Sequence[Scalar]], actions: ActionSet, grid: Gr
 
 
 def dirac_measure(choices: Sequence[int], actions: ActionSet, grid: Grid) -> YoungMeasure:
-    one: Scalar = Fraction(1) if grid.is_exact else 1.0
-    zero: Scalar = Fraction(0) if grid.is_exact else 0.0
     rows = []
     for k, a in enumerate(choices):
         if not 0 <= a < actions.size:
             raise ValueError(f"cell {k}: action index {a} out of range")
-        rows.append(tuple(one if i == a else zero for i in range(actions.size)))
+        rows.append(tuple(grid.one if i == a else grid.zero for i in range(actions.size)))
     return YoungMeasure(rows=tuple(rows))
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -41,6 +42,19 @@ class Grid:
     def is_exact(self) -> bool:
         # the weights never change, so the regime is read off them once
         return all_exact(self.weights)
+
+    # the regime's numbers, so that no caller spells out a regime choice
+    @cached_property
+    def zero(self) -> Scalar:
+        return Fraction(0) if self.is_exact else 0.0
+
+    @cached_property
+    def one(self) -> Scalar:
+        return Fraction(1) if self.is_exact else 1.0
+
+    @cached_property
+    def half(self) -> Scalar:
+        return self.one / 2
 
     @property
     def splittable(self) -> bool:
@@ -87,9 +101,13 @@ def build_grid(weights: Sequence[Scalar], mode: Mode | str) -> Grid:
         cleaned.append(w)
     total = fold(cleaned)
     normalized = tuple(w / total for w in cleaned)
-    # a float total can overflow, or dwarf a weight until it divides to zero
-    if not all(w > 0 for w in normalized):
-        raise ValueError(f"cell weights over their float total {total!r} are not all positive")
+    # a float total can overflow, or dwarf a weight until it divides to zero,
+    # or to a subnormal, whose products (a piece's mass, a mixture's payoff)
+    # keep too few bits to be accurate relative to the weight
+    low = min(normalized)
+    if not low > 0 or (not exact and low < sys.float_info.min):
+        raise ValueError(f"cell weights over their float total {total!r} are not all "
+                         f"positive normal floats: the smallest is {low!r}")
     return Grid(weights=normalized, mode=mode)
 
 
@@ -173,22 +191,19 @@ class RefinedSet:
 
 
 def full_set(grid: Grid) -> RefinedSet:
-    zero = Fraction(0) if grid.is_exact else 0.0
-    return RefinedSet(offsets=(zero,) * grid.cell_count, masses=tuple(grid.weights))
+    return RefinedSet(offsets=(grid.zero,) * grid.cell_count, masses=tuple(grid.weights))
 
 
 def set_from_cells(grid: Grid, cells: Sequence[int]) -> RefinedSet:
-    zero = Fraction(0) if grid.is_exact else 0.0
-    masses = [zero] * grid.cell_count
+    masses = [grid.zero] * grid.cell_count
     for k in cells:
         masses[k] = grid.weights[k]
-    return RefinedSet(offsets=(zero,) * grid.cell_count, masses=tuple(masses))
+    return RefinedSet(offsets=(grid.zero,) * grid.cell_count, masses=tuple(masses))
 
 
 def set_from_triples(grid: Grid, triples: Sequence[tuple[int, Scalar, Scalar]]) -> RefinedSet:
-    zero = Fraction(0) if grid.is_exact else 0.0
-    offsets = [zero] * grid.cell_count
-    masses = [zero] * grid.cell_count
+    offsets = [grid.zero] * grid.cell_count
+    masses = [grid.zero] * grid.cell_count
     cells = _indices((t[0] for t in triples), "set entry {k}: cell {v!r} is not an integer")
     for k, (_, offset, mass) in zip(cells, triples):
         if not 0 <= k < grid.cell_count:
@@ -294,9 +309,8 @@ def coarseness_check(grid: Grid, C: BlockPartition, E: RefinedSet | None = None,
     if not E.total_mass() > tol:
         raise ValueError("coarseness check needs a set of positive mass")
     if grid.splittable:
-        # a regime half, not m / 2, which would turn an int 0 mass into 0.0
-        half = Fraction(1, 2) if grid.is_exact else 0.5
-        witness = RefinedSet(offsets=E.offsets, masses=tuple(m * half for m in E.masses))
+        # the regime's half, not m / 2, which would turn an int 0 mass into 0.0
+        witness = RefinedSet(offsets=E.offsets, masses=tuple(m * grid.half for m in E.masses))
         return CoarsenessVerdict(
             is_coarser=True,
             witness=witness,
@@ -334,7 +348,6 @@ class CellRefinement:
 
     def lift_set(self, E: RefinedSet, grid: Grid) -> RefinedSet:
         """Trace of a per-cell interval set on the refined cells."""
-        zero = Fraction(0) if grid.is_exact else 0.0
         offsets: list[Scalar] = []
         masses: list[Scalar] = []
         for j, p in enumerate(self.parent):
@@ -347,8 +360,8 @@ class CellRefinement:
                 offsets.append(lo - a)
                 masses.append(hi - lo)
             else:
-                offsets.append(zero)
-                masses.append(zero)
+                offsets.append(grid.zero)
+                masses.append(grid.zero)
         return RefinedSet(offsets=tuple(offsets), masses=tuple(masses))
 
 
@@ -365,9 +378,8 @@ def split_cells(grid: Grid, cuts: Sequence[Sequence[Scalar]]) -> tuple[Grid, Cel
     parent: list[int] = []
     lo: list[Scalar] = []
     hi: list[Scalar] = []
-    zero = Fraction(0) if grid.is_exact else 0.0
     for k, w in enumerate(grid.weights):
-        points: list[Scalar] = [zero]
+        points: list[Scalar] = [grid.zero]
         for c in sorted(set(cuts[k])):
             if c <= 0 or c >= w:
                 continue
@@ -387,10 +399,6 @@ def subdivide(grid: Grid, parts: int) -> tuple[Grid, CellRefinement]:
     """Split every cell into ``parts`` equal children."""
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    cuts = []
-    for w in grid.weights:
-        if grid.is_exact:
-            cuts.append([w * Fraction(i, parts) for i in range(1, parts)])
-        else:
-            cuts.append([w * (i / parts) for i in range(1, parts)])
+    # i / parts as a Fraction on exact grids, the float quotient on float ones
+    cuts = [[w * (grid.one * i / parts) for i in range(1, parts)] for w in grid.weights]
     return split_cells(grid, cuts)

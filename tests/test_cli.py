@@ -247,6 +247,20 @@ def test_verify_compares_the_atomic_reference_conditional():
     assert verify_report(doc, report)
 
 
+@pytest.mark.parametrize("key, mode", [("reference_conditional", "atomic"),
+                                       ("witness_conditional", "splittable")])
+def test_verify_labels_a_claimed_conditional_by_its_place_in_the_outputs(tmp_path, key, mode):
+    doc = make_problem(random.Random(269), "coarseness", mode=mode)
+    report = json.loads(canonical_dumps(run("coarseness", parse_problem(doc))))
+    report["outputs"][key][-1] = "x"
+    last = len(report["outputs"][key]) - 1
+    with pytest.raises(SchemaError, match=rf"^outputs\.{key}\[{last}\]: expected a number"):
+        verify_report(doc, report)
+    prob = write_doc(tmp_path, "label-p.json", doc)
+    path = write_doc(tmp_path, "label-r.json", report)
+    assert main(["verify", str(prob), str(path), "-o", "/dev/null"]) == EXIT_SCHEMA
+
+
 def test_verify_rejects_a_splittable_witness_outside_the_set():
     doc = {"space": {"weights": [0.5, 0.5], "mode": "splittable"},
            "payload": {"set": {"triples": [[0, 0.0, 0.5]]}}}
@@ -269,6 +283,17 @@ def test_verify_rejects_annihilator_refined_weights_that_do_not_add_up():
     space = report["outputs"]["space"]
     space["weights"] = [2 * w for w in space["weights"]]
     assert verify_report(doc, report)
+
+
+def test_verify_labels_an_annihilator_refined_weight_by_its_index(tmp_path):
+    doc, report = _annihilator_report()
+    report["outputs"]["space"]["weights"][1] = "x"
+    with pytest.raises(SchemaError,
+                       match=r"^outputs\.space\.weights\[1\]: expected a number, got str"):
+        verify_report(doc, report)
+    prob = write_doc(tmp_path, "weight-p.json", doc)
+    path = write_doc(tmp_path, "weight-r.json", report)
+    assert main(["verify", str(prob), str(path), "-o", "/dev/null"]) == EXIT_SCHEMA
 
 
 def test_verify_rejects_an_annihilator_set_other_than_the_lifted_problem_set():

@@ -13,6 +13,11 @@
   report at 1e7, and at 1e8 the hull test rejects a selection value that
   lies in its cell's hull (ROADMAP item 2, scale-invariant thresholds).
   Those offsets are strict expected failures until that item lands.
+- *Refinement:* splitting every cell of a splittable grid into 2 or 3 equal
+  children (``spaces.subdivide``), with the function and the partition
+  lifted to the children, leaves every conditional expectation the same:
+  equal Fractions on exact grids, and on float grids within the rounding
+  allowance that the test derives from its own terms.
 """
 
 from __future__ import annotations
@@ -20,18 +25,21 @@ from __future__ import annotations
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condbang import (Mode, bang_bang, build_grid, cli, make_partition, pointset_bang_bang,
-                      polytope_map)
+from condbang import (Mode, bang_bang, build_grid, cli, cond_exp, make_partition,
+                      pointset_bang_bang, polytope_map, subdivide)
+from condbang.condexp import lift_function
 from condbang.documents import canonical_dumps, parse_problem
 from condbang.spaces import RefinedSet
 
-from gen import (interior_selection, random_exact_grid, random_exact_polytopes,
-                 random_grid, random_partition, random_polytopes)
+from gen import (interior_selection, random_exact_function, random_exact_grid,
+                 random_exact_polytopes, random_function, random_grid, random_partition,
+                 random_polytopes)
 
 
 def _centroid(points, exact):
@@ -132,3 +140,55 @@ def test_translation_shifts_the_conditional_expectations_and_verify_accepts(offs
                               shifted["outputs"]["rhs"]["values"]):
         for v, v_s in zip(block, block_s):
             assert abs((v_s - offset) - v) <= 1e-12 + 64 * math.ulp(offset)
+
+
+def _gamma(n: int) -> Fraction:
+    """Higham's gamma_n = n u / (1 - n u), u = 2**-53 the unit roundoff of
+    binary64, as an exact Fraction."""
+    u = Fraction(1, 2 ** 53)
+    return n * u / (1 - n * u)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.booleans(), st.sampled_from([2, 3]))
+def test_subdividing_every_cell_leaves_the_conditional_expectations(seed, exact, parts):
+    """E(f | C) on a splittable grid equals E(f' | C') on ``subdivide(grid,
+    parts)``, f' and C' lifted to the children.
+
+    The children of a cell add up to its weight exactly (asserted below, in
+    Fractions), so on block b both sides are the same real number N / M, with
+    N = sum w_k f(k) and M = sum w_k over the block's n cells.  Exact grids
+    give equal Fractions.  On floats, ``cond_exp`` computes a side over n
+    terms as fold(w f) / fold(w): with A = sum |w_k f(k)|, the numerator is
+    within gamma_n A of N and the denominator within gamma_n M of M (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 3-4), and
+    with the division's rounding the quotient is within gamma_{2n+1} A / M
+    of N / M.  The refined side has parts * n terms with the same A and M.
+    So the allowance is (gamma_{2n+1} + gamma_{2 parts n + 1}) A / M, taken
+    exactly from the terms, and the two sides are compared as Fractions.
+    """
+    rng = random.Random(seed)
+    m, dim = rng.randint(1, 24), rng.randint(1, 3)
+    grid = (random_exact_grid if exact else random_grid)(rng, m, Mode.SPLITTABLE)
+    C = random_partition(rng, grid, 4)
+    f = (random_exact_function if exact else random_function)(rng, grid, dim)
+    fine, ref = subdivide(grid, parts)
+    assert ref.parent == tuple(k for k in range(m) for _ in range(parts))
+    children = [Fraction(0)] * m
+    for p, v in zip(ref.parent, fine.weights):
+        children[p] += Fraction(v)
+    assert children == [Fraction(w) for w in grid.weights]
+
+    coarse = cond_exp(f, C, grid)
+    refined = cond_exp(lift_function(f, ref), ref.lift_partition(C), fine)
+    if exact:
+        assert refined == coarse
+        return
+    for cells, row, row_r in zip(C.blocks, coarse.values, refined.values):
+        n = len(cells)
+        mass = sum(Fraction(grid.weights[k]) for k in cells)
+        for j, (v, v_r) in enumerate(zip(row, row_r)):
+            spread = sum(abs(Fraction(grid.weights[k]) * Fraction(f.values[k][j]))
+                         for k in cells)
+            allowance = (_gamma(2 * n + 1) + _gamma(2 * parts * n + 1)) * spread / mass
+            assert abs(Fraction(v_r) - Fraction(v)) <= allowance, (n, j, v, v_r)

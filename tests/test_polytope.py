@@ -17,7 +17,7 @@ from condbang import polytope
 from condbang.cli import run
 from condbang.documents import parse_problem
 from condbang.linalg import convex_combination, integer_scaled, nullspace_vector
-from condbang.numeric import Scalar, all_exact, is_exact, max_abs, resolve_tol
+from condbang.numeric import Scalar, all_exact, max_abs, resolve_tol
 from condbang.polytope import _dedupe, _points_exact
 
 from gen import interior_selection, random_grid, random_polytopes
@@ -321,9 +321,9 @@ def test_exact_bound_on_integers_agrees_near_a_face():
                 assert_filter_agrees(case, tol, (case, tol))
 
 
-def test_exact_points_under_a_float_tol_keep_the_unscaled_bound():
+def test_exact_points_under_a_float_tol_are_bounded_at_its_exact_ratio():
     # the lcm of these denominators squared is far beyond the float range, so
-    # a float tol must not meet the integer-scaled products
+    # the integer-scaled products meet a float tol only as its integer ratio
     rng = random.Random(9)
     for dim in (1, 2, 3):
         pts = [tuple(Fraction(rng.randint(-BIG, BIG), BIG - rng.randint(0, 10 ** 6))
@@ -331,6 +331,22 @@ def test_exact_points_under_a_float_tol_keep_the_unscaled_bound():
         pts.append(tuple((x + y) / 2 for x, y in zip(pts[0], pts[1])))
         for tol in (1e-9, 0.25):
             assert_filter_agrees(pts, tol)
+    # the gap equals tol times the width exactly, for tol the float 0.1: the
+    # bound does not exceed tol, so neither point is settled, and the LP
+    # keeps the verdict
+    pts = [(0,), (Fraction(0.1),)]
+    plan = polytope._FilterPlan(pts, 0.1)
+    polytope._separate([plan])
+    assert plan.pending == [0, 1]
+    assert_filter_agrees(pts, 0.1)
+    assert extreme_point_indices(pts, 0.1) == [0]
+    # a tol that is not finite has no integer ratio: the bound settles
+    # nothing and the LP decides, as on floats
+    for tol in (math.inf, math.nan):
+        plan = polytope._FilterPlan(pts, tol)
+        polytope._separate([plan])
+        assert plan.pending == [0, 1]
+    assert_filter_agrees(pts, math.inf)
 
 
 @settings(max_examples=100, deadline=None)
@@ -343,7 +359,7 @@ def test_exact_bound_on_integers_agrees_with_mixed_denominators(data):
                                 st.integers(-BIG, BIG), st.integers(0, 1000)))
     pts = [tuple(data.draw(entry) for _ in range(dim))
            for _ in range(data.draw(st.integers(1, 9)))]
-    # a float tol on exact points keeps the unscaled test
+    # a float tol on exact points is compared at its exact ratio
     tol = data.draw(st.sampled_from((Fraction(0), Fraction(1, 10 ** 9), Fraction(1, 3), 1e-9)))
     if len(pts) > 1:
         a, b = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
@@ -354,8 +370,9 @@ def test_exact_bound_on_integers_agrees_with_mixed_denominators(data):
 
 def reference_separation_pending(pts, tol):
     """The separation bound as ``_FilterPlan`` ran it point by point before
-    it ran on arrays, kept verbatim as the reference: the indices, into the
-    deduped points, of the points it leaves to an LP."""
+    it ran on arrays, kept as the reference (exact points under a float tol
+    now take the exact rule too): the indices, into the deduped points, of
+    the points it leaves to an LP."""
     exact = _points_exact(pts)
     tol = resolve_tol(exact, tol)
     kept, _ = _dedupe(pts)
@@ -363,14 +380,11 @@ def reference_separation_pending(pts, tol):
     n = len(kept)
     if n == 1:
         return pending
-    bound = tol if exact else tol + polytope._FLOAT_SEPARATION_SLACK * (
+    # exact points are scaled to ints and compared at tol's exact ratio, a
+    # float tol's included
+    bound = Fraction(tol) if exact else tol + polytope._FLOAT_SEPARATION_SLACK * (
         1 + max_abs(c for p in kept for c in p))
-    if exact and is_exact(tol):
-        scale, scaled = integer_scaled(kept)
-    else:
-        # floats, and exact points under a float tol: its products would
-        # round differently once scaled by L^2
-        scale, scaled = 1, kept
+    scale, scaled = integer_scaled(kept) if exact else (1, kept)
     total = [sum(coords) for coords in zip(*scaled)]
     for i, p in enumerate(scaled):
         d = [n * pc - tc for pc, tc in zip(p, total)]
@@ -442,7 +456,7 @@ def test_separation_on_arrays_matches_the_scalar_loop_on_floats():
 
 @pytest.mark.parametrize("tol", [None, Fraction(1, 10 ** 9), Fraction(1, 7), 1e-9, 0.25])
 def test_separation_on_arrays_matches_the_scalar_loop_exactly(tol):
-    # tol None is 0 on exact sets; a float tol keeps the sets unscaled
+    # tol None is 0 on exact sets; a float tol is compared at its exact ratio
     sets = exact_sets(random.Random(67), 150)
     assert_pending_agrees(sets, tol)
     assert_pending_agrees(sets + gaussian_sets(random.Random(71), 50), tol)

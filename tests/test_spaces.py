@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -40,6 +42,21 @@ def test_build_grid_refuses_weights_that_do_not_normalize_to_positive_floats(wei
     # 1e-300 / 1e300 underflows to 0.0, an atom of no mass
     with pytest.raises(ValueError, match="not all positive"):
         build_grid(weights, mode)
+
+
+def test_build_grid_refuses_a_weight_that_normalizes_to_a_subnormal_float():
+    # products of a subnormal weight keep too few bits to be accurate
+    # relative to it, so a float grid stops at the smallest normal float
+    tiny = sys.float_info.min
+    for weights in ([1.0, 1e-320], [0.7, math.nextafter(tiny, 0.0), 0.3], [1e300, 1e-10]):
+        with pytest.raises(ValueError, match="not all positive normal floats"):
+            build_grid(weights, "atomic")
+    assert build_grid([1.0, tiny], "splittable").weights == (1.0, tiny)
+    assert build_grid([2.0, 2e-300], "atomic").weights == (1.0, 1e-300)
+    # exact weights have no floor
+    tiny_exact = Fraction(1, 10 ** 400)
+    assert build_grid([1, tiny_exact], "atomic").weights == (1 / (1 + tiny_exact),
+                                                             tiny_exact / (1 + tiny_exact))
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
