@@ -9,7 +9,7 @@ from .spaces import (Mode, Grid, BlockPartition, RefinedSet, CoarsenessVerdict,
                      CellRefinement, build_grid, grid_from_weights, make_partition,
                      trivial_partition, block_masses, full_set, set_from_cells,
                      set_from_triples, refine_partition, coarseness_check,
-                     split_cells, subdivide, is_cell_aligned)
+                     split_cells, subdivide)
 from .condexp import (SimpleFunction, BlockFunction, simple_function,
                       constant_function, cond_exp, ce_measure, weighted_ce_measure,
                       integrate_against, lift_to_cells, lift_function, indicator,

@@ -14,8 +14,8 @@ and ``verify_report`` dispatch through: ``parse`` reads the payload once into
 the command's inputs, ``run`` calls the library on them, and ``verify``
 rechecks a report's claims against them.  ``bang-bang`` shares its spec with
 ``pointset-bang-bang`` and ``purify`` with ``density-step``; ``parse`` gets
-the command name, which picks the payload key of the vertex sets and whether
-``density_step`` runs.  ``verify`` compares at ``--tol`` when given, else at
+the command name, which picks the payload key of the vertex sets and of the
+payoff integrands.  ``verify`` compares at ``--tol`` when given, else at
 the problem document's tolerance, never at the tolerance a report states
 about itself, and reads mode, regime and ``diagonal_only`` from the report
 (the problem's own where the report leaves one out).  A non-finite number in
@@ -51,8 +51,7 @@ from .linalg import convex_combinations
 from .lyapunov import annihilator_witness, half_set, lyapunov_partition, witness_block_integrals
 from .numeric import Scalar
 from .oracle import direct_integrate, direct_mixture_payoff, direct_payoff
-from .purify import (IntegrandFamily, PureStrategy, density_step, purify,
-                     stack_integrands)
+from .purify import IntegrandFamily, PureStrategy, purify
 from .spaces import (BlockPartition, Grid, Mode, RefinedSet, coarseness_check,
                      full_set, grid_from_weights, make_partition)
 
@@ -506,42 +505,35 @@ def _verify_bang_bang(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> Non
     chk.bounded(rep, "max_deviation", bf_sub(lhs, rhs).max_abs(), "bang-bang deviation")
 
 
-def _parse_family(p: ProblemDocument, actions_size: int) -> list[IntegrandFamily]:
+def _parse_purify(p: ProblemDocument, command: str):
+    """(actions, mixture, payoff integrands); density-step's scalar family
+    is stacked into one integrand, integrand i as coordinate i."""
+    actions = parse_actions(p.payload.get("actions"), "payload.actions")
+    delta = parse_young_measure(p.payload.get("young_measure"), p.exact, actions,
+                                p.grid, p.tolerance, "payload.young_measure")
+    if command == "purify":
+        return actions, delta, parse_integrands(p.payload.get("integrands"), p.exact,
+                                                p.grid.cell_count, actions.size,
+                                                "payload.integrands")
     family_raw = p.payload.get("family")
     if not isinstance(family_raw, list) or not family_raw:
         raise SchemaError("payload.family must be a nonempty array of scalar integrands")
-    fams = []
+    tables = []
     for idx, entry in enumerate(family_raw):
         if not isinstance(entry, dict) or "values" not in entry:
             raise SchemaError(f"payload.family[{idx}] needs a values table")
         # a scalar integrand is a per-cell vector over the actions
-        table = parse_simple_function({"dim": actions_size, "values": entry["values"]},
-                                      p.exact, p.grid.cell_count, f"payload.family[{idx}]")
-        fams.append(IntegrandFamily(dim=1, values=tuple(tuple((v,) for v in row)
-                                                        for row in table.values)))
-    return fams
-
-
-def _parse_purify(p: ProblemDocument, command: str):
-    """(actions, mixture, scalar family or None, payoff integrands)."""
-    actions = parse_actions(p.payload.get("actions"), "payload.actions")
-    delta = parse_young_measure(p.payload.get("young_measure"), p.exact, actions,
-                                p.grid, p.tolerance, "payload.young_measure")
-    if command == "density-step":
-        family = _parse_family(p, actions.size)
-        return actions, delta, family, stack_integrands(family)
-    V = parse_integrands(p.payload.get("integrands"), p.exact, p.grid.cell_count,
-                         actions.size, "payload.integrands")
-    return actions, delta, None, V
+        tables.append(parse_simple_function({"dim": actions.size, "values": entry["values"]},
+                                            p.exact, p.grid.cell_count,
+                                            f"payload.family[{idx}]").values)
+    return actions, delta, IntegrandFamily(dim=len(tables), values=tuple(
+        tuple(zip(*rows)) for rows in zip(*tables)))
 
 
 def _run_purify(p: ProblemDocument, inputs):
-    actions, delta, family, V = inputs
-    if family is None:
-        strategy, rep = purify(delta, V, p.partition, p.grid, tol=p.tolerance,
-                               diagonal_only=p.diagonal_only, actions=actions)
-    else:
-        strategy, rep = density_step(delta, family, p.partition, p.grid, tol=p.tolerance)
+    actions, delta, V = inputs
+    strategy, rep = purify(delta, V, p.partition, p.grid, tol=p.tolerance,
+                           diagonal_only=p.diagonal_only, actions=actions)
     chunks = [[k, encode_number(off, p.exact), encode_number(m, p.exact), a]
               for k, cell_chunks in enumerate(strategy.chunks)
               for off, m, a in cell_chunks]
@@ -554,7 +546,7 @@ def _run_purify(p: ProblemDocument, inputs):
 
 
 def _verify_purify(chk: _Check, p: ProblemDocument, inputs, rep: dict) -> None:
-    actions, delta, _, V = inputs
+    actions, delta, V = inputs
     out = rep["outputs"]
     per_cell, failure = parse_chunks(out.get("chunks", []), p.exact, p.grid.cell_count,
                                      actions.size)

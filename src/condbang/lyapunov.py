@@ -32,6 +32,7 @@ density against the grid's own weights, are built on top.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -85,22 +86,15 @@ def _validate_alpha(alpha: SimpleFunction, grid: Grid, tol: Scalar) -> None:
     if len(alpha.values) != grid.cell_count:
         raise ValueError("weight function and grid cell counts differ")
     check_tol = tol if tol > 0 else 0
-    # exact rows are checked on ints: each weight's numerator over the lcm of
-    # the row's denominators, times the denominator of the tolerance, against
-    # its numerator times that lcm; the sum is built only to name a failure
-    ints = grid.is_exact and check_tol != math.inf
-    tol_num, tol_den = Fraction(check_tol).as_integer_ratio() if ints else (check_tol, 1)
     for k, row in enumerate(alpha.values):
         if grid.is_exact and not all_exact(row):
             raise ValueError(f"cell {k}: an exact grid needs exact piece weights")
-        scale = math.lcm(*(a.denominator for a in row)) if ints else 1
-        terms = [a.numerator * (scale // a.denominator) * tol_den for a in row] if ints else row
-        one, bound = scale * tol_den, tol_num * scale
-        for a, t in zip(row, terms):
-            if t < -bound:
+        for a in row:
+            if a < -check_tol:
                 raise ValueError(f"cell {k}: negative piece weight {a!r}")
-        if abs(fold(terms) - one) > bound:
-            raise ValueError(f"cell {k}: piece weights sum to {fold(row)!r}, expected 1")
+        s = fold(row)
+        if abs(s - 1) > check_tol:
+            raise ValueError(f"cell {k}: piece weights sum to {s!r}, expected 1")
 
 
 def _reduce_transport(seed: list[list[Scalar]], scale: int,
@@ -488,13 +482,12 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
                 quotient(fold(map(operator.mul, by_piece[i], col)) - t, scale * unit * mu[b])
                 for t, (unit, col) in zip(sums[i], coords[i])))
 
-    # piece i starts where pieces 0..i-1 end, summed in piece order; an exact
-    # zero mass moves no offset, so it is not added
+    # piece i starts where pieces 0..i-1 end, summed in piece order
     pieces = []
     offsets = within.offsets
     for i in range(p):
         pieces.append(RefinedSet(offsets=tuple(offsets), masses=tuple(mass[i])))
-        offsets = [off + m if m or not exact else off for off, m in zip(offsets, mass[i])]
+        offsets = [off + m for off, m in zip(offsets, mass[i])]
 
     if grid.mode is Mode.ATOMIC:
         mom_rows = fold(m.dim for m in moments)
@@ -614,16 +607,15 @@ def annihilator_witness(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
     else:
         # Keep the half of E's mass where |f| is largest: the threshold is the
         # largest attained |f| value whose strict super-level set still
-        # carries at least half the mass.
+        # carries at least half the mass.  That mass only grows as the level
+        # falls (nonnegative terms added in cell order, and rounding is
+        # monotone), so the first such level is found by bisection.
         levels = sorted({abs(f.values[k][0]) for k in range(grid.cell_count)
                          if E.masses[k] > 0}, reverse=True)
-        eps = zero
-        for level in levels:
-            kept_mass = fold(E.masses[k] for k in range(grid.cell_count)
-                             if E.masses[k] > 0 and abs(f.values[k][0]) > level)
-            if 2 * kept_mass >= mu_E:
-                eps = level
-                break
+        i = bisect.bisect_left(range(len(levels)), True, key=lambda j: 2 * fold(
+            E.masses[k] for k in range(grid.cell_count)
+            if E.masses[k] > 0 and abs(f.values[k][0]) > levels[j]) >= mu_E)
+        eps = levels[i] if i < len(levels) else zero
         keep = {k for k in range(grid.cell_count)
                 if E.masses[k] > 0 and abs(f.values[k][0]) > eps}
         # Split every retained cell at the part boundaries and at its midpoint

@@ -5,8 +5,11 @@ vector of payoff integrands it induces a barycenter selection of the per-cell
 support polytope.  Running the bang-bang pipeline on that selection and
 matching the resulting extreme values back to supported actions yields a pure
 strategy with the same conditional payoffs, supported where the mixture was.
-The match cannot fail: every extreme value is a vertex of the support
-polytope, which is one of the supported actions' payoff vectors itself.
+The match is by equality and cannot fail: the decomposition returns the very
+vertex tuples that ``support_polytope`` built from the supported actions'
+payoff vectors.  A match within tol could name a supported action whose
+payoff vector the extreme-point filter dropped as lying within tol of the
+hull of the others, and so spend the bound on a non-extreme action.
 """
 
 from __future__ import annotations
@@ -201,11 +204,12 @@ def purify(delta: YoungMeasure, V: IntegrandFamily, C: BlockPartition, grid: Gri
     """Replace a mixed strategy by a supported pure one with the same
     conditional payoffs (exact on splittable grids, bounded on atomic ones).
 
-    The strategy carries ``actions`` as its action set; without one, the
+    Each chunk plays the first supported action whose payoff vector equals
+    its branch value, an extreme point of the cell's support polytope.  The
+    strategy carries ``actions`` as its action set; without one, the
     actions are labelled ``a0, a1, ...``.  On an exact grid, float mixture
     weights or payoffs raise ``ValueError`` (see ``bang_bang``).
     """
-    tol = grid.tol(tol)
     mean = barycenter(delta, V, grid)
     T = support_polytope(delta, V, grid)
     selection, bb_report = bang_bang(T, mean, C, grid, tol=tol,
@@ -214,12 +218,9 @@ def purify(delta: YoungMeasure, V: IntegrandFamily, C: BlockPartition, grid: Gri
     for k in range(grid.cell_count):
         cell_chunks = []
         for off, m, point, _ in selection.chunks(k):
-            # the branch value is one of the supported payoff vectors (see the
-            # module docstring), so some action matches at distance 0; the
-            # first within tol is taken
-            action = next(a for a in delta.support(k)
-                          if all(abs(V.values[k][a][j] - point[j]) <= tol
-                                 for j in range(V.dim)))
+            # the first supported action whose payoff vector is the branch
+            # value itself (see the module docstring)
+            action = next(a for a in delta.support(k) if tuple(V.values[k][a]) == point)
             cell_chunks.append((off, m, action))
         chunks.append(tuple(cell_chunks))
     if actions is None:

@@ -230,14 +230,6 @@ def validate_set(E: RefinedSet, grid: Grid, tol: Scalar | None = None) -> None:
             raise ValueError(f"cell {k}: atomic mode requires all-or-nothing mass, got {m!r}")
 
 
-def is_cell_aligned(E: RefinedSet, grid: Grid, tol: Scalar | None = None) -> bool:
-    tol = grid.tol(tol)
-    for m, w in zip(E.masses, grid.weights):
-        if m > tol and abs(m - w) > tol:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # sigma-algebra refinement by a cell-aligned set
 # ---------------------------------------------------------------------------
@@ -254,7 +246,7 @@ def refine_partition(C: BlockPartition, E: RefinedSet, grid: Grid,
     """
     tol = grid.tol(tol)
     validate_set(E, grid, tol)
-    if not is_cell_aligned(E, grid, tol):
+    if any(m > tol and abs(m - w) > tol for m, w in zip(E.masses, grid.weights)):
         raise ValueError("refine_partition requires a cell-aligned set; split cells first")
     member = [m > tol for m in E.masses]
     new_blocks: list[list[int]] = []

@@ -352,6 +352,53 @@ def test_verify_refuses_the_flags_it_reads_from_the_report(tmp_path):
             == EXIT_SCHEMA, flag
 
 
+def _stacked_purify_doc(doc):
+    """The ``purify`` problem of a ``density-step`` problem: its payoff
+    integrand stacks the scalar family, integrand i as coordinate i."""
+    out = copy.deepcopy(doc)
+    family = out["payload"].pop("family")
+    out["payload"]["integrands"] = {"dim": len(family), "values": [
+        [list(vector) for vector in zip(*rows)]
+        for rows in zip(*(entry["values"] for entry in family))]}
+    return out
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("mode", ["splittable", "atomic"])
+def test_density_step_diagonal_only_is_purify_diagonal_only_of_the_stacked_family(
+        tmp_path, exact, mode):
+    rng = random.Random(281)
+    for trial in range(8):
+        doc = make_problem(rng, "density-step", exact=exact, mode=mode)
+        reports = []
+        for command, problem in (("density-step", doc), ("purify", _stacked_purify_doc(doc))):
+            rc, prob, out = emit(tmp_path, command, problem, ["--diagonal-only"])
+            assert rc == EXIT_OK
+            assert main(["verify", str(prob), str(out), "-o", "/dev/null"]) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        density, purified = reports
+        assert density["parameters"]["diagonal_only"] is True
+        for key in ("parameters", "outputs", "residuals", "certified_bound"):
+            assert density[key] == purified[key], (trial, key)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_density_step_diagonal_only_shrinks_the_atomic_bound(tmp_path, exact):
+    # the diagonal moment system has fewer rows, so the bound, which is
+    # proportional to the row count, is smaller on every atomic document
+    rng = random.Random(283)
+    for trial in range(8):
+        doc = make_problem(rng, "density-step", exact=exact, mode="atomic")
+        bounds = []
+        for flags in ([], ["--diagonal-only"]):
+            rc, _, out = emit(tmp_path, "density-step", doc, flags)
+            assert rc == EXIT_OK
+            bound = json.loads(out.read_text())["certified_bound"]
+            bounds.append(Fraction(bound["num"], bound["den"]) if exact else bound)
+        full, diagonal = bounds
+        assert 0 < diagonal < full, trial
+
+
 def test_seed_is_neither_a_flag_nor_a_report_parameter(tmp_path):
     rng = random.Random(277)
     doc = make_problem(rng, "cond-exp")

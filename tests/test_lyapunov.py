@@ -18,7 +18,7 @@ from condbang import lyapunov
 from condbang.linalg import integer_scaled
 from condbang.lyapunov import (_digit_masks, _polish, _reduce_transport,
                                partition_with_moments)
-from condbang.numeric import max_abs
+from condbang.numeric import fold, max_abs
 from condbang.spaces import block_masses
 
 from gen import (coprime_denominators, random_alpha, random_atomic_instance,
@@ -283,6 +283,72 @@ def test_annihilator_stays_exact_on_int_masses():
     assert all(type(x) is Fraction for x in w.grid.weights)
     assert all(type(row[0]) is Fraction for row in w.g.values)
     assert sorted(row[0] for row in w.g.values) == [Fraction(-1, 6), Fraction(1, 6)]
+
+
+class _LinearScan:
+    """``bisect.bisect_left`` as the loop the threshold search ran before it
+    bisected: the first level, from the largest |f| down, whose strict
+    super-level set carries at least half of E's mass."""
+
+    @staticmethod
+    def bisect_left(levels, x, *, key):
+        for i in levels:
+            if key(i) >= x:
+                return i
+        return len(levels)
+
+
+def _annihilator_instance(rng, exact):
+    """A splittable instance whose |f| ties across cells, with zeros of f in
+    and out of E: float sets with sub-cell pieces, exact sets of whole cells."""
+    m = rng.randint(2, 40)
+    g = (random_exact_grid if exact else random_grid)(rng, m, Mode.SPLITTABLE)
+    pool = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(1, 8))]
+    values = [rng.choice(pool) for _ in range(m)]
+    if rng.random() < 0.5:  # most zeros of f go, so the threshold search runs
+        values = [v if v or rng.random() < 0.1 else Fraction(1) for v in values]
+    f = simple_function([v if exact else float(v) for v in values])
+    if exact:
+        cells = [k for k in range(m) if rng.random() < 0.7] or [rng.randrange(m)]
+        E = full_set(g) if rng.random() < 0.3 else set_from_cells(g, cells)
+    else:
+        E = full_set(g) if rng.random() < 0.3 else random_refined_set(rng, g)
+    return f, E, random_partition(rng, g, 8), g
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_annihilator_threshold_bisection_finds_the_levels_loop_witness(monkeypatch, exact):
+    rng = random.Random(331 + exact)
+    witnesses = []
+    for _ in range(150):
+        f, E, C, g = _annihilator_instance(rng, exact)
+        try:
+            witnesses.append((f, E, C, g, repr(annihilator_witness(f, E, C, g))))
+        except (ValueError, RuntimeError) as err:
+            witnesses.append((f, E, C, g, repr(err)))
+    monkeypatch.setattr(lyapunov, "bisect", _LinearScan)
+    for f, E, C, g, got in witnesses:
+        try:
+            want = repr(annihilator_witness(f, E, C, g))
+        except (ValueError, RuntimeError) as err:
+            want = repr(err)
+        assert got == want
+
+
+def test_annihilator_threshold_search_folds_logarithmically_many_masses(monkeypatch):
+    levels = 256
+    rng = random.Random(337)
+    g = random_grid(rng, levels, Mode.SPLITTABLE)
+    f = simple_function([float(k + 1) for k in range(levels)])
+    folds = []
+
+    def counting_fold(terms):
+        folds.append(1)
+        return fold(terms)
+
+    monkeypatch.setattr(lyapunov, "fold", counting_fold)
+    annihilator_witness(f, full_set(g), random_partition(rng, g, 8), g)
+    assert 0 < len(folds) <= math.ceil(math.log2(levels)) + 1
 
 
 def test_annihilator_atomic_mode_rejected():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from condbang import (Mode, action_set, barycenter, bf_sub, build_grid,
+from condbang import (Mode, action_set, bang_bang, barycenter, bf_sub, build_grid,
                       caratheodory_decompose,
                       dirac_measure, density_step, direct_mixture_payoff,
                       direct_payoff, integrand_family, make_partition, purify,
@@ -206,3 +206,21 @@ def test_purify_single_cell_mixture_uses_both_actions():
     delta = young_measure([[0.5, 0.5]], acts, g)
     strategy, _ = purify(delta, V, trivial_partition(g), g, actions=acts)
     assert {a for _, _, a in strategy.chunks[0]} == {0, 1}
+
+
+def test_purify_plays_the_action_whose_payoff_is_the_branch_value():
+    # a0 = (0, 0) lies within tol of the hull of a1, a2 and a3, so the
+    # extreme-point filter drops it and the decomposition runs over a1, a2
+    # and a3; a match within tol would play a0 on a1's chunk and spend
+    # 4.5e-10 of the 1e-9 bound
+    g = build_grid([1.0], Mode.SPLITTABLE)
+    C = trivial_partition(g)
+    V = integrand_family([[(0.0, 0.0), (-0.9e-9, -0.9e-9), (1.0, 0.0), (0.0, 1.0)]])
+    delta = young_measure([[0.25] * 4], action_set(["a0", "a1", "a2", "a3"]), g)
+    strategy, report = purify(delta, V, C, g)
+    selection, _ = bang_bang(support_polytope(delta, V, g), barycenter(delta, V, g), C, g)
+    chunks = selection.chunks(0)
+    assert [(off, m) for off, m, _ in strategy.chunks[0]] == [(off, m) for off, m, _, _ in chunks]
+    assert [V.values[0][a] for _, _, a in strategy.chunks[0]] == [v for _, _, v, _ in chunks]
+    assert [a for _, _, a in strategy.chunks[0]] == [1, 2, 3]
+    assert report.max_deviation < 1e-15
