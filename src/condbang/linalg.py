@@ -38,18 +38,20 @@ numpy's elementwise float64 ``+ - * /`` round each result correctly, as
 CPython's do, with no fused multiply-add; reduced costs are subtracted row
 by row in row order; the entering column is the first eligible variable
 column and the leaving row the lexicographic minimum of (ratio, basis
-index), which is the scalar running rule; zero-factor rows are skipped; and
-one reader, ``_phase_one_result``, assembles the results from the final
-tableau for both loops.  Each LP carries its regime, so one call takes a
-stream of exact and float LPs.  Below about 32 LPs of one shape the array
-loop's fixed cost outweighs what it saves, so smaller groups, and every
-exact LP, run the scalar loop.
+index), which is the scalar running rule; and zero-factor rows are skipped.
+The scalar loop reads its result from its final tableau with
+``_phase_one_result``; the lockstep loop reads every result of a batch at
+once, with whole-array operations in that reader's order.  Each LP carries
+its regime, so one call takes a stream of exact and float LPs.  Below about
+32 LPs of one shape the array loop's fixed cost outweighs what it saves, so
+smaller groups, and every exact LP, run the scalar loop.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -314,8 +316,8 @@ def _phase_one_result(tail: Sequence[Sequence[Scalar]], basis: Sequence[int],
     tableau: ``tail`` holds each row's columns n onward (the artificial
     columns, then the right-hand side), ``den`` is the tableau's common
     denominator (1.0 on floats) and ``scale`` the lcm the exact input was
-    multiplied by.  The lockstep simplex reads its results here too, so both
-    assemble them in one order.
+    multiplied by.  ``_lockstep`` reads a batch's results with the same
+    operations in the same order.
     """
     nrows = len(basis)
     artificial = [i for i in range(nrows) if basis[i] >= n]
@@ -363,13 +365,16 @@ def convex_combinations(problems: Iterable[LPProblem], feas_tol: Scalar) -> list
     rule (module docstring), so where an LP runs moves none of its bits.
 
     The constants come from timing filter-shaped LPs (a Gaussian point
-    against 11 others in dim 3, and against 5 in dim 2) on a 2-vCPU VM.  One
-    at a time they cost 84-92 us (41-44 us) each; in lockstep 570 us (290 us)
-    in a batch of one, 74-91 us (52-59 us) at 16, 46-62 us (34-40 us) at 32,
-    19-27 us (13-14 us) at 256 and 17-21 us (12 us) at 1024.  Chunks of 1024
-    ran the float pointset benchmark (``splittable-geometry``) 4-7%
-    faster than chunks of 256, but its peak RSS rose 0.7 MB more, to 4.5%
-    above the one-at-a-time code.
+    against 11 others in dim 3, and against 5 in dim 2) on a 2-vCPU Xeon VM.
+    One at a time they cost 50-56 us (22-24 us) each; in lockstep 200-220 us
+    (125-135 us) in a batch of one, 42-48 us (21-22 us) at 16, 26-29 us
+    (12-13 us) at 32, 10-12 us (4.5-5 us) at 256 and 8.6-9.2 us (3.8-4.1 us)
+    at 1024.  Groups of 16 to 31 LPs are too rare for a lower crossover to
+    show: 87 of the 33306 float LPs of the first 6 ``splittable-geometry``
+    instances.  Chunks of 512 or 1024 ran that benchmark's solve about 9%
+    faster than chunks of 256, but its verify about 12% slower, in every
+    alternating pair (2 pairs at 512, 4 at 1024; ``atomic-bangbang`` did
+    not move at 1024), so the chunk stays at 256.
     """
     results: list = []
     groups: dict[tuple[int, int], list[tuple[int, LPProblem]]] = {}
@@ -396,39 +401,50 @@ def _lockstep(group: list[tuple[int, LPProblem]], feas_tol: Scalar, results: lis
     """Run ``convex_combination``'s float simplex on every problem of one
     shape at once, one pivot of each per step, writing ``results[index]``.
 
-    Each problem sees the scalar loop's operations on the same operands, so
-    its results are the scalar loop's bit for bit.  numpy's elementwise
-    float64 ``+ - * /`` round each result correctly, as CPython's do, and no
-    ufunc fuses a multiply into an add.  Reduced costs are formed over the n
-    variable columns only, from 0.0, subtracting one artificial row at a
-    time in row order.  The entering column is the first one below
-    ``-PIVOT_TOL`` (Bland); a basic column's cost is ±0.0 and never is (see
-    the module docstring).  The leaving row is the lexicographic minimum of
-    (ratio, basis index) over the rows with an entry above ``PIVOT_TOL``,
-    which is what the scalar running rule "smaller ratio, or equal ratio and
-    smaller basis index" keeps.  A row whose factor is zero, of either sign,
-    is not touched, as the scalar loop skips it, so signed zeros agree.  A
-    problem leaves the arrays once no column enters, and its lam, certificate
-    and objective are read from its final tableau by the scalar loop's own
-    reader, ``_phase_one_result`` (so the objective is the int 0 when no
-    artificial is left).
+    The targets and points enter as one flat stream through ``np.fromiter``,
+    which converts each coordinate by its ``__float__``, as ``float()`` does
+    (an int beyond binary64 raises the same ``OverflowError``).  Each problem
+    sees the scalar loop's operations on the same operands, so its pivots are
+    the scalar loop's bit for bit.  numpy's elementwise float64 ``+ - * /``
+    round each result correctly, as CPython's do, and no ufunc fuses a
+    multiply into an add.  Reduced costs are formed over the n variable
+    columns only, from 0.0, subtracting one artificial row at a time in row
+    order.  The entering column is the first one below ``-PIVOT_TOL``
+    (Bland); a basic column's cost is ±0.0 and never is (see the module
+    docstring).  The leaving row is the lexicographic minimum of (ratio,
+    basis index) over the rows with an entry above ``PIVOT_TOL``, which is
+    what the scalar running rule "smaller ratio, or equal ratio and smaller
+    basis index" keeps.  A row whose factor is zero, of either sign, is not
+    touched, as the scalar loop skips it, so signed zeros agree.
+
+    A problem leaves the arrays once no column enters, its final tableau's
+    columns n onward and its basis copied aside.  After the last pivot every
+    result is read at once, in ``_phase_one_result``'s operations and order:
+    the objective adds the artificial rows' right-hand sides in row order
+    from 0.0 (as ``0 + x`` is ``0.0 + x``), and is the int 0 when no
+    artificial is left; lam holds the basic rows' right-hand sides, a
+    negative one set to 0.0; the certificate is sign·(1.0 - rc), rc starting
+    at 1.0 and losing the artificial rows in row order.
     """
     count = len(group)
     n, dim = len(group[0][1][0]), len(group[0][1][1])
     nrows = dim + 1
     width = n + nrows
+    flat = np.fromiter(chain.from_iterable(chain(target, *points)
+                                           for _, (points, target, _) in group),
+                       dtype=float, count=count * (n + 1) * dim).reshape(count, n + 1, dim)
     b = np.ones((count, nrows))
-    b[:, :dim] = np.array([target for _, (_, target, _) in group],
-                          dtype=float).reshape(count, dim)
+    b[:, :dim] = flat[:, 0]
     sign = np.where(b >= 0, 1.0, -1.0)
     tab = np.zeros((count, nrows, width + 1))
-    tab[:, :dim, :n] = np.array([points for _, (points, _, _) in group],
-                                dtype=float).reshape(count, n, dim).transpose(0, 2, 1)
+    tab[:, :dim, :n] = flat[:, 1:].transpose(0, 2, 1)
     tab[:, dim, :n] = 1.0
     tab[:, :, :n] *= sign[:, :, None]
     tab[:, :, n:width] = np.eye(nrows)
     tab[:, :, width] = b * sign
     basis = np.tile(np.arange(n, width), (count, 1))
+    final_tail = np.empty((count, nrows, nrows + 1))
+    final_basis = np.empty((count, nrows), dtype=basis.dtype)
     live = np.arange(count)  # group position of each problem still pivoting
     for _ in range(_MAX_SIMPLEX_ITERATIONS):
         cost = np.zeros((len(live), n))
@@ -439,15 +455,12 @@ def _lockstep(group: list[tuple[int, LPProblem]], feas_tol: Scalar, results: lis
         entering = eligible.any(axis=1)
         if not entering.all():
             done = ~entering
-            tails = tab[done][:, :, n:].tolist()
-            for pos, tail, basis_p, sign_p in zip(live[done].tolist(), tails,
-                                                  basis[done].tolist(), sign[done].tolist()):
-                results[group[pos][0]] = _phase_one_result(tail, basis_p, sign_p, n,
-                                                            feas_tol, False, 1.0, 1)
+            final_tail[live[done]] = tab[done, :, n:]
+            final_basis[live[done]] = basis[done]
             if not entering.any():
-                return
-            tab, basis, sign, live, eligible = (tab[entering], basis[entering], sign[entering],
-                                                live[entering], eligible[entering])
+                break
+            tab, basis, live, eligible = (tab[entering], basis[entering], live[entering],
+                                          eligible[entering])
         rows = np.arange(len(live))
         enter = eligible.argmax(axis=1)
         column = tab[rows, :, enter]
@@ -464,4 +477,21 @@ def _lockstep(group: list[tuple[int, LPProblem]], feas_tol: Scalar, results: lis
                     where=(column != 0)[:, :, None])
         tab[rows, leave] = pivot_row
         basis[rows, leave] = enter
-    raise RuntimeError("phase-one simplex exceeded the iteration cap")
+    else:
+        raise RuntimeError("phase-one simplex exceeded the iteration cap")
+    rhs = final_tail[:, :, nrows]
+    artificial = final_basis >= n
+    objective = np.zeros(count)
+    rc = np.ones((count, nrows))
+    for i in range(nrows):
+        np.add(objective, rhs[:, i], out=objective, where=artificial[:, i])
+        np.subtract(rc, final_tail[:, i, :nrows], out=rc, where=artificial[:, i, None])
+    lam = np.zeros((count, n))
+    at, row = np.nonzero(~artificial)
+    lam[at, final_basis[at, row]] = np.where(rhs[at, row] < 0, 0.0, rhs[at, row])
+    certificate = sign * (1.0 - rc)
+    for (index, _), lam_p, cert_p, obj, any_artificial in zip(
+            group, lam.tolist(), certificate.tolist(), objective.tolist(),
+            artificial.any(axis=1).tolist()):
+        obj = obj if any_artificial else 0
+        results[index] = (lam_p, None, obj) if obj <= feas_tol else (None, cert_p, obj)

@@ -6,16 +6,20 @@ that its own ``verify`` rejects, and never in a numpy warning, which is made
 an error here.  The documents are those of ``tests/cli_corpus.make_problem``
 with one change each:
 
-- one cell weight multiplied by a tiny factor, for the seven commands that
-  take no refined set (a refined set's masses name the normalized weights,
-  which that change would move).  At 1e-320 the weight normalizes to a
-  subnormal float, whose products (a piece's mass, a mixture's payoff) keep
-  too few bits to be accurate relative to the weight: the solver and
-  ``verify`` used to land about 1e-3 apart there, so some reports claimed a
-  bound that ``verify`` refused.  ``build_grid`` now refuses such a weight,
-  so every document ends in exit 2 naming ``space``.  At 1e-300 the weight
-  is still a normal float: every document runs, and ``verify`` accepts
-  every report;
+- one cell weight multiplied by a tiny factor, for every command.  A
+  refined set's masses name the normalized weights, which that change
+  moves, so ``ce-measure``, ``half-set``, ``annihilator`` and
+  ``coarseness`` (always given a set here) get their triples recomputed
+  from the new normalized weights, each offset and mass keeping its share
+  of its cell.  At 1e-320 the weight normalizes to a subnormal float,
+  whose products (a piece's mass, a mixture's payoff) keep too few bits to
+  be accurate relative to the weight: the solver and ``verify`` used to
+  land about 1e-3 apart there, so some reports claimed a bound that
+  ``verify`` refused.  ``build_grid`` now refuses such a weight, so every
+  document ends in exit 2 naming ``space``.  At 1e-300 the weight is still
+  a normal float: every document runs and ``verify`` accepts every report,
+  except that a set holding only the tiny cell has no mass above the
+  tolerance (exit 3), as atomic ``annihilator`` has no witness;
 - ``--tol 1e-3`` passed to ``run`` and to ``verify``, for every command in
   both regimes and both modes;
 - each cell its own block, or one block for all cells;
@@ -36,8 +40,9 @@ import pytest
 
 from condbang.cli import (EXIT_OK, EXIT_PRECONDITION, EXIT_SCHEMA, RUN_COMMANDS,
                           main)
+from condbang.numeric import fold
 
-from cli_corpus import make_problem
+from cli_corpus import _set, make_problem
 from test_cli import write_doc
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -99,6 +104,49 @@ def test_a_tiny_cell_weight_ends_in_a_schema_error_or_a_report_verify_accepts(
     if expected[0] == EXIT_SCHEMA:
         assert all("schema error: space: cell weights over their float total" in o[5]
                    for o in outcomes)
+
+
+#: the commands whose payload names a refined set
+SET_COMMANDS = ("ce-measure", "half-set", "annihilator", "coarseness")
+
+
+def _normalized(weights):
+    total = fold(weights)
+    return [w / total for w in weights]
+
+
+def _tiny_weight_with_its_set(seed, command, mode, factor):
+    """``make_problem``'s document with one weight times ``factor`` and its
+    set's offsets and masses moved to the new normalized weights."""
+    rng = random.Random(seed)
+    doc = make_problem(rng, command, mode=mode)
+    weights = doc["space"]["weights"]
+    before = _normalized(weights)
+    payload = doc["payload"]
+    if "set" not in payload:  # coarseness's set is optional
+        payload["set"] = _set(rng, len(weights), before, mode, False)
+    weights[rng.randrange(len(weights))] *= factor
+    after = _normalized(weights)
+    payload["set"]["triples"] = [[k, off / before[k] * after[k], mass / before[k] * after[k]]
+                                 for k, off, mass in payload["set"]["triples"]]
+    return doc
+
+
+@pytest.mark.parametrize("factor", [1e-300, 1e-320])
+def test_a_tiny_cell_weight_keeps_the_contract_on_refined_sets(tmp_path, capsys, factor):
+    outcomes = [((seed, command, mode), _outcome(
+        tmp_path, capsys, command, _tiny_weight_with_its_set(seed, command, mode, factor)))
+        for seed in SEEDS for command in SET_COMMANDS for mode in MODES]
+    assert _broken(outcomes) == []
+    if factor == 1e-320:
+        assert all(rc == EXIT_SCHEMA and "schema error: space: cell weights over their "
+                   "float total" in err for _, (rc, _, err) in outcomes)
+    else:
+        # atomic grids admit no annihilator witness, and a set that holds only
+        # the tiny cell has no mass above the tolerance: both are exit 3
+        assert all(rc == EXIT_PRECONDITION and (label[1:] == ("annihilator", "atomic")
+                                                or "a set of positive mass" in err)
+                   for label, (rc, _, err) in outcomes if rc != EXIT_OK)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])

@@ -779,3 +779,79 @@ def test_batched_lp_with_one_point(target):
 def test_batched_lp_converts_int_and_fraction_coordinates():
     in_a_batch([(1, F(1, 3)), (F(-2, 7), 0.5), (0, 2)], (F(1, 10), 1), 1e-9)
     in_a_batch([(1, F(1, 3)), (F(-2, 7), 0.5), (0, 2)], (F(5, 1), -1), 1e-9)
+
+
+def phase_one_pivots(points, target) -> int:
+    """The pivots the scalar float simplex makes on the LP: the smallest
+    iteration cap it finishes under, less one."""
+    cap = 1
+    while True:
+        with mock.patch.object(linalg, "_MAX_SIMPLEX_ITERATIONS", cap):
+            try:
+                convex_combination(points, target, False, 1e-9)
+            except RuntimeError:
+                cap += 1
+                continue
+        return cap - 1
+
+
+def one_shape_chunk():
+    """52 LPs of 4 points in dim 2, integer coordinates: targets at a
+    vertex, on an edge and inside a square, with its points rotated (all
+    artificials leave); on collinear points, whose dependent rows keep an
+    artificial basic at zero; outside both; and seeded points with targets
+    on an edge, inside or anywhere, whose sevenths round."""
+    square = [(0, 0), (6, 0), (0, 6), (6, 6)]
+    line = [(0, 0), (2, 2), (4, 4), (6, 6)]
+    problems = []
+    for k in range(4):
+        sq, ln = square[k:] + square[:k], line[k:] + line[:k]
+        problems += [(sq, (6, 0)), (sq, (3, 0)), (sq, (2, 3)), (sq, (5, 1)),
+                     (ln, (2, 2)), (ln, (3, 3)), (ln, (6, 6)),
+                     (sq, (7, 7)), (sq, (-3, 2)), (ln, (2, 3))]
+    rng = random.Random(68)
+    for _ in range(4):
+        points = [(6 * rng.randint(-9, 9), 6 * rng.randint(-9, 9)) for _ in range(4)]
+        problems += [(points, tuple((a + b) // 2 for a, b in zip(*points[:2]))),
+                     (points, tuple(sum(c) // 3 for c in zip(*points[1:]))),
+                     (points, (rng.randint(-60, 60), rng.randint(-60, 60)))]
+    return problems
+
+
+def test_one_shape_chunk_mixes_the_four_kinds_of_lp():
+    kinds, pivots = set(), set()
+    for points, target in one_shape_chunk():
+        lam, _, objective = reference_convex_combination(points, target, False, 1e-9)
+        kinds.add("infeasible" if lam is None else type(objective).__name__)
+        pivots.add(phase_one_pivots(points, target))
+    # int: no artificial left; float: one kept at zero
+    assert kinds == {"int", "float", "infeasible"}
+    assert len(pivots) >= 3
+
+
+@pytest.mark.parametrize("convert", [int, lambda v: v / 7, lambda v: F(v, 7)],
+                         ids=["int", "float", "fraction"])
+@pytest.mark.parametrize("feas_tol", [0, 1e-9, -1e-9])
+def test_a_lockstep_chunk_reads_each_result_as_the_reference(convert, feas_tol):
+    problems = [([tuple(map(convert, p)) for p in points], tuple(map(convert, target)))
+                for points, target in one_shape_chunk()]
+    with mock.patch.object(linalg, "_lockstep", wraps=linalg._lockstep) as lockstep:
+        assert_batch_matches_reference(problems, feas_tol)
+    assert [len(call.args[0]) for call in lockstep.call_args_list] == [len(problems)]
+
+
+@pytest.mark.parametrize("huge", ["point", "target"])
+def test_a_huge_int_coordinate_overflows_in_a_batch_as_one_at_a_time(huge):
+    points, target = [(0, 0), (1, 0), (0, 1)], (0.25, 0.25)
+    if huge == "point":
+        points = points[:2] + [(10 ** 400, 1)]
+    else:
+        target = (1, 10 ** 400)
+    with pytest.raises(OverflowError) as one:
+        convex_combination(points, target, False, 1e-9)
+    problems = [([(0, 0), (1, 0), (0, 1)], (0.25, 0.25), False)] * CROSSOVER
+    with mock.patch.object(linalg, "_lockstep", wraps=linalg._lockstep) as lockstep, \
+            pytest.raises(OverflowError) as batch:
+        convex_combinations(problems + [(points, target, False)], 1e-9)
+    assert lockstep.call_count == 1
+    assert str(batch.value) == str(one.value)
