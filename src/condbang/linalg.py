@@ -27,8 +27,11 @@ transport reduction moves every value as along z.  It eliminates
 left-looking, and an ``Echelon`` carries the elimination between solves, so
 a solve that starts with the previous solve's leading pivot columns
 eliminates only the columns after them; the floats stay bit for bit those of
-a solve from scratch.  One solve is tens of rows, so plain lists beat array
-machinery for it.
+a solve from scratch.  A float pivot keeps only its nonzero factors, which
+are all the elimination ever applies, and back substitution sums only the
+nonzero entries of the solution, so the float work follows the nonzeros
+while every update keeps its operands and order.  One solve is tens of rows,
+so plain lists beat array machinery for it.
 
 Many float LPs at once are another matter: ``convex_combinations`` runs
 float LPs of one shape side by side, one pivot of each per step of a numpy
@@ -79,12 +82,16 @@ class Echelon:
     Holds the pivot columns of the last solve, then the dependent column it
     stopped at.  ``columns[j]`` is the very list passed in and ``reduced[j]``
     what elimination made of it: entries k < j are column j of the upper
-    factor, and entry j of a pivot column is its pivot.  ``steps[k]`` is
-    what pivot k does to every later column: (k, the row swapped with row
-    k, the pivot, the pivot before it, the factors of rows k+1..), the
-    factors being the float multipliers, or on ints Bareiss's raw entries
-    below the pivot.  The columns must not be changed in place while they
-    are held.
+    factor, and entry j of a pivot column is its pivot (the entries below
+    it are not read again).  ``steps[k]`` is what pivot k does to every
+    later column: (k, the row swapped with row k, the pivot, the pivot
+    before it, the factors).  On floats the factors are the (row, multiplier)
+    pairs of the rows below the pivot whose multiplier is nonzero, in row
+    order: a zero multiplier's row is skipped by every elimination, so it
+    is dropped once, when the pivot is formed.  On ints they are Bareiss's
+    raw entries of rows k+1.., every one, zeros included, since each step
+    rescales every entry below the pivot.  The columns must not be changed
+    in place while they are held.
     """
 
     __slots__ = ("columns", "reduced", "steps")
@@ -92,7 +99,8 @@ class Echelon:
     def __init__(self) -> None:
         self.columns: list[Sequence[Scalar]] = []
         self.reduced: list[list[Scalar]] = []
-        self.steps: list[tuple[int, int, Scalar, Scalar, list[Scalar]]] = []
+        self.steps: list[tuple[int, int, Scalar, Scalar,
+                               list[tuple[int, float]] | list[int]]] = []
 
 
 def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: bool,
@@ -114,9 +122,13 @@ def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: boo
     the columns after that run are eliminated.  Every entry receives the
     same ``a - f * b`` updates, in the same order, as in a row-by-row sweep
     of the whole matrix (same swaps, same pivots, rows with a zero factor
-    skipped alike), so floats come out bit for bit those of a sweep from
-    scratch, whatever was reused.  Without ``echelon`` the solve starts from
-    scratch.
+    skipped alike: a float pivot stores only its nonzero factors, -0.0 and
+    factors that underflow to zero dropped as the sweep's ``f == 0``
+    drops them), so floats come out bit for bit those of a sweep from
+    scratch, whatever was reused.  Back substitution sums, row by row, the
+    products with the nonzero solution entries after the row, in column
+    order from 0.0, as the sweep does.  Without ``echelon`` the solve
+    starts from scratch.
 
     Exact columns hold Python ints: the caller scales its rows to integers
     once, which moves no kernel.  An eliminated column holding anything else
@@ -155,9 +167,8 @@ def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: boo
                 for i, f in enumerate(factors, k + 1):
                     col[i] = (piv * col[i] - f * b) // prev
             else:
-                for i, f in enumerate(factors, k + 1):
-                    if f:
-                        col[i] -= f * b
+                for i, f in factors:
+                    col[i] -= f * b
         echelon.columns.append(columns[c])
         reduced.append(col)
         rank = len(steps)
@@ -180,22 +191,28 @@ def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: boo
         if pivot_row != rank:
             col[rank], col[pivot_row] = col[pivot_row], col[rank]
         piv = col[rank]
-        if not exact:
-            for i in range(rank + 1, nrows):
-                col[i] /= piv
-        steps.append((rank, pivot_row, piv, steps[-1][2] if steps else 1, col[rank + 1:]))
+        if exact:
+            factors = col[rank + 1:]
+        else:
+            factors = [(i, f) for i in range(rank + 1, nrows) if (f := col[i] / piv)]
+        steps.append((rank, pivot_row, piv, steps[-1][2] if steps else 1, factors))
     if free is None:
         return None
     # reduced[cc][c] is row c, column cc of the upper factor, for cc <= free;
-    # floats solve for z on columns 0..free, ints for the integral |det| * z
+    # floats solve for z on columns 0..free, ints for the integral |det| * z.
+    # ``nonzero`` holds (reduced[cc], x[cc]) for the nonzero x[cc], cc > c, last
+    # column first, so each row sums, read backwards, the same terms in the
+    # same order as a sweep over every cc that skips the zero ones
     nil = 0 if exact else 0.0
     x = [nil] * free + [(abs(reduced[free - 1][free - 1]) if free else 1) if exact else 1.0]
+    nonzero = [(reduced[free], x[free])]
     for c in range(free - 1, -1, -1):
         s = nil
-        for u, xc in zip(reduced[c + 1:], x[c + 1:]):
-            if xc:
-                s += u[c] * xc
-        x[c] = -s // reduced[c][c] if exact else -s / reduced[c][c]
+        for u, xc in reversed(nonzero):
+            s += u[c] * xc
+        xc = x[c] = -s // reduced[c][c] if exact else -s / reduced[c][c]
+        if xc:
+            nonzero.append((reduced[c], xc))
     return x + [nil] * (ncols - free - 1)
 
 

@@ -192,13 +192,16 @@ def _reduce_transport(seed: list[list[Scalar]], scale: int,
     The values are those of the walk run on Fractions, entry for entry.
 
     One ``Echelon`` carries the kernel elimination between solves.  The
-    window's column list changes only where a cell joins at the end, leaves,
-    or gets its columns rebuilt after losing a piece; every other column is
-    the same list object as before.  The elimination is left-looking, so its
-    state after column k depends on columns 0..k alone: each solve keeps the
-    longest unchanged leading run and eliminates only the columns after it,
-    and the kernels stay bit for bit those of a solve from scratch (see
-    ``nullspace_vector``).
+    window's column list changes only where a cell joins at the end or
+    leaves, or where a cell loses a piece.  A reduced column (k, i) depends
+    on the cell, its first piece i0 and i alone, so a cell that loses a
+    piece other than i0 keeps the list objects of its remaining columns,
+    and only a cell that loses i0 gets its columns rebuilt over its new
+    first piece; every other column is the same list object as before.
+    The elimination is left-looking, so its state after column k depends
+    on columns 0..k alone: each solve keeps the longest unchanged leading
+    run and eliminates only the columns after it, and the kernels stay bit
+    for bit those of a solve from scratch (see ``nullspace_vector``).
     """
     q = len(seed)
     # the pieces whose moment rows are kept: the last piece's rows are implied
@@ -278,7 +281,7 @@ def _reduce_transport(seed: list[list[Scalar]], scale: int,
                                 theta, leave = ratio, (cell, i)
             kept = []
             for entry, dirn in zip(window, directions):
-                cell, pieces, _ = entry
+                cell, pieces, cols = entry
                 if any(dirn):
                     values = rows[cell]
                     if exact:
@@ -303,8 +306,12 @@ def _reduce_transport(seed: list[list[Scalar]], scale: int,
                     left = [i for i in pieces if values[i] > 0]
                     if len(left) < 2:
                         continue
-                    if len(left) < len(pieces):
+                    if left[0] != pieces[0]:
                         entry = (cell, left, reduced_columns(cell, left))
+                    elif len(left) < len(pieces):
+                        # column (k, i) depends on the cell, i0 and i alone
+                        entry = (cell, left, [column for i, column in zip(pieces[1:], cols)
+                                              if values[i] > 0])
                 kept.append(entry)
             window = kept
     if exact:
@@ -595,7 +602,8 @@ def annihilator_witness(f: SimpleFunction, E: RefinedSet, C: BlockPartition,
     zero, one, half = grid.zero, grid.one, grid.half
     mu_E = E.total_mass()
     if not mu_E > tol:
-        raise ValueError("witness needs a set of positive mass")
+        raise ValueError(f"witness needs a set whose mass exceeds the tolerance {tol!r}; "
+                         f"its mass is {mu_E!r}")
 
     vanish = [k for k in range(grid.cell_count)
               if E.masses[k] > 0 and abs(f.values[k][0]) <= tol]

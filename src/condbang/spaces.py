@@ -298,8 +298,10 @@ def coarseness_check(grid: Grid, C: BlockPartition, E: RefinedSet | None = None,
     validate_set(E, grid, tol)
     if len(C.block_of) != grid.cell_count:
         raise ValueError("partition and grid cell counts differ")
-    if not E.total_mass() > tol:
-        raise ValueError("coarseness check needs a set of positive mass")
+    mass = E.total_mass()
+    if not mass > tol:
+        raise ValueError(f"coarseness check needs a set whose mass exceeds the tolerance "
+                         f"{tol!r}; its mass is {mass!r}")
     if grid.splittable:
         # the regime's half, not m / 2, which would turn an int 0 mass into 0.0
         witness = RefinedSet(offsets=E.offsets, masses=tuple(m * grid.half for m in E.masses))

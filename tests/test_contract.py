@@ -145,7 +145,8 @@ def test_a_tiny_cell_weight_keeps_the_contract_on_refined_sets(tmp_path, capsys,
         # atomic grids admit no annihilator witness, and a set that holds only
         # the tiny cell has no mass above the tolerance: both are exit 3
         assert all(rc == EXIT_PRECONDITION and (label[1:] == ("annihilator", "atomic")
-                                                or "a set of positive mass" in err)
+                                                or "a set whose mass exceeds the "
+                                                   "tolerance" in err)
                    for label, (rc, _, err) in outcomes if rc != EXIT_OK)
 
 

@@ -214,11 +214,23 @@ _entries = st.one_of(
 )
 
 
+#: float entries the exact ones cannot give: a signed zero, subnormals, and
+#: magnitudes whose quotients by a pivot of another scale underflow to ±0.0,
+#: which a float pivot must drop from its factors as the sweep's ``f == 0``
+#: skips them
+_FLOAT_EDGES = (-0.0, 5e-324, -5e-324, 3e-320, -1e-310, 2.2250738585072014e-308,
+                1e-300, -1e-300, 1e200, -1e200)
+_float_entries = st.one_of(_entries, st.sampled_from(_FLOAT_EDGES))
+
+
 @st.composite
-def matrices(draw):
+def matrices(draw, floats=False):
+    """A row list and a column count; with ``floats`` the entries are floats,
+    edge values among them."""
     nrows = draw(st.integers(0, 6))
     ncols = draw(st.integers(1, 8))
-    rows = [[draw(_entries) for _ in range(ncols)] for _ in range(nrows)]
+    entries = _float_entries if floats else _entries
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
     # make some columns zero or combinations of earlier ones, so that the
     # first dependent column lands anywhere
     for c in range(ncols):
@@ -230,6 +242,8 @@ def matrices(draw):
             coefs = [draw(_entries) for _ in range(c)]
             for r in rows:
                 r[c] = sum((k * v for k, v in zip(coefs, r[:c])), Fraction(0))
+    if floats:
+        rows = [[float(v) for v in r] for r in rows]
     return rows, ncols
 
 
@@ -240,11 +254,10 @@ def test_exact_kernel_matches_reference(case):
     assert_exact_matches_reference(rows, ncols)
 
 
-@settings(max_examples=100, deadline=None)
-@given(matrices())
+@settings(max_examples=200, deadline=None)
+@given(matrices(floats=True))
 def test_float_kernel_matches_reference_bit_for_bit(case):
     rows, ncols = case
-    rows = [[float(v) for v in r] for r in rows]
     assert same_bits(nullspace_vector(columns_of(rows, ncols), ncols, False),
                      reference_nullspace_vector(rows, ncols, False))
 
@@ -265,7 +278,8 @@ def _draw_column(data, nrows: int, exact: bool, held: list) -> list:
     if exact:
         return [data.draw(st.sampled_from((0, data.draw(st.integers(-9, 9)))))
                 for _ in range(nrows)]
-    return [data.draw(st.sampled_from((0.0, data.draw(st.floats(-2, 2)))))
+    return [data.draw(st.sampled_from((0.0, data.draw(st.floats(-2, 2)),
+                                       data.draw(st.sampled_from(_FLOAT_EDGES)))))
             for _ in range(nrows)]
 
 
@@ -334,6 +348,21 @@ def test_echelon_keeps_the_elimination_of_unchanged_leading_columns():
     assert same_bits(nullspace_vector(rebuilt, 4, False), z)
     ints = [[1, 0, 2], [0, 3, -1], [1, 3, 1]]
     assert nullspace_vector(ints, 3, True, echelon=Echelon()) == [-3, -3, 3]
+
+
+def test_float_pivot_keeps_only_its_nonzero_factors():
+    # below the pivot 2.0: -0.0, and 5e-324 and -5e-324, whose halves round to
+    # 0.0 and -0.0; only row 4's factor 0.5 is kept, and the later columns
+    # get no update on the other rows, as in the row-by-row sweep
+    assert 5e-324 / 2.0 == 0.0 and repr(-5e-324 / 2.0) == "-0.0"
+    columns = [[2.0, -0.0, 5e-324, -5e-324, 1.0], [1.0, -0.0, 3e-320, 1.0, -0.0],
+               [0.0, 1.0, -0.0, 4.0, 2.0], [1.0, 0.5, 1e-300, -0.0, 2.0],
+               [-0.0, 2.0, 1.0, 1.0, 1.0], [5e-324, -0.0, 2.0, 0.5, 1.0]]
+    echelon = Echelon()
+    z = nullspace_vector(columns, 6, False, echelon=echelon)
+    assert same_bits(z, reference_nullspace_vector(rows_of(columns), 6, False))
+    assert echelon.steps[0] == (0, 0, 2.0, 1, [(4, 0.5)])
+    assert all(f for *_, factors in echelon.steps for _, f in factors)
 
 
 def test_exact_kernel_is_integral_positive_at_free_and_zero_after():

@@ -362,6 +362,22 @@ def test_annihilator_atomic_mode_rejected():
                             set_from_triples(g2, []), trivial_partition(g2), g2)
 
 
+@pytest.mark.parametrize("exact, mass", [(False, 0.0), (False, TOL / 2), (False, TOL),
+                                         (True, Fraction(0))],
+                         ids=["float-zero", "float-below-tol", "float-at-tol", "exact-zero"])
+def test_annihilator_refuses_a_set_whose_mass_does_not_exceed_the_tolerance(exact, mass):
+    # the message names the condition and both numbers, whether the mass is
+    # zero or positive but not above the tolerance
+    g = build_grid([1, 1] if exact else [0.5, 0.5], Mode.SPLITTABLE)
+    tol = Fraction(0) if exact else TOL
+    E = set_from_triples(g, [(0, g.zero, mass)] if mass else [])
+    assert E.total_mass() == mass
+    with pytest.raises(ValueError) as err:
+        annihilator_witness(constant_function(g, g.one), E, trivial_partition(g), g, tol=tol)
+    assert str(err.value) == (f"witness needs a set whose mass exceeds the tolerance {tol!r}; "
+                              f"its mass is {E.total_mass()!r}")
+
+
 def test_multi_measure_equal_reduces_to_single():
     rng = random.Random(71)
     g = random_exact_grid(rng, 6, Mode.SPLITTABLE)

@@ -16,6 +16,22 @@ from condbang import (Mode, RefinedSet, build_grid, coarseness_check, full_set,
 from gen import random_grid, random_partition
 
 
+@pytest.mark.parametrize("exact, mass", [(False, 0.0), (False, 5e-10), (False, 1e-9),
+                                         (True, Fraction(0))],
+                         ids=["float-zero", "float-below-tol", "float-at-tol", "exact-zero"])
+def test_coarseness_refuses_a_set_whose_mass_does_not_exceed_the_tolerance(exact, mass):
+    # the message names the condition and both numbers, whether the mass is
+    # zero or positive but not above the tolerance
+    g = build_grid([1, 1] if exact else [0.5, 0.5], Mode.SPLITTABLE)
+    tol = Fraction(0) if exact else 1e-9
+    E = set_from_triples(g, [(0, g.zero, mass)] if mass else [])
+    assert E.total_mass() == mass
+    with pytest.raises(ValueError) as err:
+        coarseness_check(g, trivial_partition(g), E, tol=tol)
+    assert str(err.value) == ("coarseness check needs a set whose mass exceeds the tolerance "
+                              f"{tol!r}; its mass is {E.total_mass()!r}")
+
+
 def test_build_grid_uniform_anchors():
     g = build_grid([0.25, 0.25, 0.25, 0.25], Mode.SPLITTABLE)
     assert g.weights == (0.25, 0.25, 0.25, 0.25)

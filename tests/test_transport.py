@@ -676,3 +676,70 @@ def test_every_kernel_of_the_walk_has_an_entry_above_the_threshold(exact):
     for z in found:
         free = z[max(c for c, v in enumerate(z) if v)]
         assert (type(free) is int and free >= 1) if exact else free == 1.0
+
+
+def test_float_reduction_at_the_benchmark_window_size_matches_kernels_from_scratch():
+    # an atomic-bangbang block: 3 pieces share one 6-coordinate moment
+    # function, so 12 rows are kept and the windows reach 13-14 columns
+    def from_scratch(columns, ncols, exact, echelon=None):
+        return reference_nullspace_vector(rows_of(columns), ncols, exact)
+
+    for seed in range(2):
+        rng = random.Random(f"bench-window-{seed}")
+        p, d, q = 3, 6, 250
+        rows, avail, mom_cols = make_block(rng, p, [d] * p, q, False, zero_share=0.2,
+                                           shared=True)
+        shapes = []
+
+        def carried(columns, ncols, exact, echelon=None):
+            shapes.append((len(columns[0]), ncols))
+            return nullspace_vector(columns, ncols, exact, echelon=echelon)
+
+        with mock.patch.object(lyapunov, "nullspace_vector", side_effect=carried):
+            got = reduce_block(rows, mom_cols, p, False)
+        with mock.patch.object(lyapunov, "nullspace_vector",
+                               side_effect=from_scratch) as scratch:
+            want = reduce_block(rows, mom_cols, p, False)
+        assert repr(got) == repr(want)
+        assert len(shapes) == scratch.call_count
+        assert {height for height, _ in shapes} == {(p - 1) * d}
+        assert max(ncols for _, ncols in shapes) in (13, 14)
+        assert count_fractional(got) <= (p - 1) * d
+        assert_float_block_equations(rows, avail, mom_cols, p, got)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_cell_keeps_its_column_objects_unless_it_loses_its_first_piece(exact):
+    # one cell on five pieces, each piece its own moment row, so no kernel is
+    # sought before the end of the block.  The scripted kernels, over the
+    # columns of pieces 1.., make piece 2 leave, then piece 4, then piece 0
+    one = 1 if exact else 1.0
+    rows = [[F(1) if exact else 1.0] * 5]
+    mom_cols = [[[one * (i + 1)]] for i in range(5)]
+    kernels = iter([[0 * one, one, 0 * one, 0 * one],   # piece 2, a middle one
+                    [0 * one, 0 * one, one],             # piece 4, the last one
+                    [-one, 0 * one]])                    # piece 0, the first one
+    seen = []
+
+    def solve(columns, ncols, exact, echelon=None):
+        seen.append(list(columns))
+        return next(kernels, None)
+
+    with mock.patch.object(lyapunov, "nullspace_vector", side_effect=solve):
+        got = reduce_block(rows, mom_cols, 5, exact)
+    assert [len(columns) for columns in seen] == [4, 3, 2, 1]
+    c1, c2, c3, c4 = seen[0]
+    # losing a middle or the last piece keeps the other columns, as objects
+    assert all(a is b for a, b in zip(seen[1], (c1, c3, c4)))
+    assert all(a is b for a, b in zip(seen[2], (c1, c3)))
+    # losing the first piece rebuilds the columns over the new first piece, 1
+    (rebuilt,) = seen[3]
+    assert rebuilt is not c3
+    assert rebuilt == [0 * one, -2 * one, 0 * one, 4 * one, 0 * one]
+    # the values are those of the walk that rebuilds every column of a cell
+    # that loses a piece
+    _, want = both_walks(rows, mom_cols, 5, exact,
+                         scripted([0 * one, one, 0 * one, 0 * one], [0 * one, 0 * one, one],
+                                  [-one, 0 * one]))
+    assert repr(got) == repr(want)
+    assert [v > 0 for v in got[0]] == [False, True, False, True, False]
