@@ -28,10 +28,12 @@ left-looking, and an ``Echelon`` carries the elimination between solves, so
 a solve that starts with the previous solve's leading pivot columns
 eliminates only the columns after them; the floats stay bit for bit those of
 a solve from scratch.  A float pivot keeps only its nonzero factors, which
-are all the elimination ever applies, and back substitution sums only the
+are all the elimination ever applies, a step whose entry on the pivot row is
+±0.0 is skipped (it could change only the sign of a zero, which no pivot,
+factor or back-substitution sum reads), and back substitution sums only the
 nonzero entries of the solution, so the float work follows the nonzeros
-while every update keeps its operands and order.  One solve is tens of rows,
-so plain lists beat array machinery for it.
+while every update of a nonzero entry keeps its operands and order.  One
+solve is tens of rows, so plain lists beat array machinery for it.
 
 Many float LPs at once are another matter: ``convex_combinations`` runs
 float LPs of one shape side by side, one pivot of each per step of a numpy
@@ -82,16 +84,17 @@ class Echelon:
     Holds the pivot columns of the last solve, then the dependent column it
     stopped at.  ``columns[j]`` is the very list passed in and ``reduced[j]``
     what elimination made of it: entries k < j are column j of the upper
-    factor, and entry j of a pivot column is its pivot (the entries below
-    it are not read again).  ``steps[k]`` is what pivot k does to every
-    later column: (k, the row swapped with row k, the pivot, the pivot
-    before it, the factors).  On floats the factors are the (row, multiplier)
-    pairs of the rows below the pivot whose multiplier is nonzero, in row
-    order: a zero multiplier's row is skipped by every elimination, so it
-    is dropped once, when the pivot is formed.  On ints they are Bareiss's
-    raw entries of rows k+1.., every one, zeros included, since each step
-    rescales every entry below the pivot.  The columns must not be changed
-    in place while they are held.
+    factor (on floats the signs of its zeros are free; see
+    ``nullspace_vector``), and entry j of a pivot column is its pivot (the
+    entries below it are not read again).  ``steps[k]`` is what pivot k
+    does to every later column: (k, the row swapped with row k, the pivot,
+    the pivot before it, the factors).  On floats the factors are the
+    (row, multiplier) pairs of the rows below the pivot whose multiplier is
+    nonzero, in row order: a zero multiplier's row is skipped by every
+    elimination, so it is dropped once, when the pivot is formed.  On ints
+    they are Bareiss's raw entries of rows k+1.., every one, zeros
+    included, since each step rescales every entry below the pivot.  The
+    columns must not be changed in place while they are held.
     """
 
     __slots__ = ("columns", "reduced", "steps")
@@ -119,16 +122,26 @@ def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: boo
     pivot k depends on columns 0..k and on itself only.  An ``echelon``
     carried from the previous solve therefore keeps the longest run of its
     pivot columns that are, by identity, the leading columns here, and only
-    the columns after that run are eliminated.  Every entry receives the
-    same ``a - f * b`` updates, in the same order, as in a row-by-row sweep
-    of the whole matrix (same swaps, same pivots, rows with a zero factor
-    skipped alike: a float pivot stores only its nonzero factors, -0.0 and
-    factors that underflow to zero dropped as the sweep's ``f == 0``
-    drops them), so floats come out bit for bit those of a sweep from
-    scratch, whatever was reused.  Back substitution sums, row by row, the
-    products with the nonzero solution entries after the row, in column
+    the columns after that run are eliminated.  Every nonzero entry
+    receives the same ``a - f * b`` updates, in the same order, as in a
+    row-by-row sweep of the whole matrix (same swaps, same pivots, rows
+    with a zero factor skipped alike: a float pivot stores only its nonzero
+    factors, -0.0 and factors that underflow to zero dropped as the sweep's
+    ``f == 0`` drops them), so floats come out bit for bit those of a sweep
+    from scratch, whatever was reused.  Back substitution sums, row by row,
+    the products with the nonzero solution entries after the row, in column
     order from 0.0, as the sweep does.  Without ``echelon`` the solve
     starts from scratch.
+
+    A float step whose entry ``b`` on the pivot row is ±0.0 is skipped
+    whole.  On finite columns partial pivoting keeps every factor within
+    [-1, 1], so ``f * b`` is ±0.0 and ``a - f * b`` is ``a`` again, except
+    that a zero ``a`` may change sign.  The signs of the zeros in eliminated
+    columns are therefore free, and none reaches the kernel: a zero is
+    never a pivot (a pivot exceeds ``PIVOT_TOL``, chosen by absolute value)
+    nor a kept factor (its quotient is ±0.0), and back substitution's sums
+    start from +0.0, to which a ±0.0 product adds nothing and a nonzero one
+    never gives -0.0, so z is bit for bit the sweep's.
 
     Exact columns hold Python ints: the caller scales its rows to integers
     once, which moves no kernel.  An eliminated column holding anything else
@@ -157,18 +170,24 @@ def nullspace_vector(columns: Sequence[Sequence[Scalar]], ncols: int, exact: boo
     free = None
     for c in range(kept, ncols):
         col = list(columns[c])
-        if exact and any(type(v) is not int for v in col):
-            raise TypeError(f"exact column {c} holds a non-int entry")
-        for k, swap, piv, prev, factors in steps:
-            if swap != k:
-                col[k], col[swap] = col[swap], col[k]
-            b = col[k]
-            if exact:
+        if exact:
+            if any(type(v) is not int for v in col):
+                raise TypeError(f"exact column {c} holds a non-int entry")
+            for k, swap, piv, prev, factors in steps:
+                if swap != k:
+                    col[k], col[swap] = col[swap], col[k]
+                b = col[k]
                 for i, f in enumerate(factors, k + 1):
                     col[i] = (piv * col[i] - f * b) // prev
-            else:
-                for i, f in factors:
-                    col[i] -= f * b
+        else:
+            for k, swap, _, _, factors in steps:
+                if swap != k:
+                    col[k], col[swap] = col[swap], col[k]
+                b = col[k]
+                # a ±0.0 entry can only change the sign of a zero below it
+                if b:
+                    for i, f in factors:
+                        col[i] -= f * b
         echelon.columns.append(columns[c])
         reduced.append(col)
         rank = len(steps)

@@ -157,21 +157,27 @@ def _reduce_transport(seed: list[list[Scalar]], scale: int,
     with implied rows dropped the window pivots earlier but runs the same
     pivots, in the same order and with the same number of kernel solves,
     as with every row kept.  Each window cell keeps the list of its
-    positive pieces; after a pivot only the cells whose variables moved are
-    looked at again.
+    positive pieces and of its columns, and the walk keeps the window's
+    columns flattened in window order, the list each kernel solve reads: it
+    is built afresh in each pivot's update pass, as each cell is kept, and
+    a joining cell appends its columns to it.
 
     A pivot runs on the window as it stands.  Each window cell's direction
     lists its pieces in order: minus the sum of its kernel tail, then the
-    tail.  The threshold is ``PIVOT_TOL`` on floats and 0 on exact data.
-    The kernel's free entry, 1.0 on floats and |det| >= 1 on ints, is a
-    direction entry above it, so no direction needs negating.  The ratio
+    tail (a one-column tail t gives -(0 + t), the left fold's bits, with no
+    fold called).  The threshold is ``PIVOT_TOL`` on floats and 0 on exact
+    data.  The kernel's free entry, 1.0 on floats and |det| >= 1 on ints, is
+    a direction entry above it, so no direction needs negating.  The ratio
     test runs over the entries above the threshold, cell by cell in window
     order and piece by piece within a cell; the step theta is the least
     ratio rows[k][i] / d, and a strict ``<`` lets the first minimizer leave.
     Only entries with a nonzero direction move, to rows[k][i] - theta·d.  On
     floats a value driven below zero by round-off is clamped to 0.0, and the
     leaving entry is set to 0.0; on exact data it reaches 0 by itself, as
-    do its ties.
+    do its ties.  A cell's list of positive pieces changes only where one of
+    its entries reached zero: the leaving entry, an exact tie, and on floats
+    a clamped value or one that lands on 0.0.  So a cell's pieces are read
+    again only then, and every other cell is kept as it was.
 
     On exact data the walk runs on ints alone.  The kernels are solved on
     the columns' ints, one positive factor per moment row, which moves no
@@ -237,8 +243,10 @@ def _reduce_transport(seed: list[list[Scalar]], scale: int,
             columns.append(column)
         return columns
 
-    # window cells in joining order: (cell, its positive pieces, its columns)
+    # window cells in joining order: (cell, its positive pieces, its columns),
+    # and all their columns in window order
     window: list[tuple[int, list[int], list[list[Scalar]]]] = []
+    columns: list[list[Scalar]] = []
     echelon = Echelon()
     # cell q stands for the end of the block: past the last fractional cell,
     # pivot until no kernel is left
@@ -247,25 +255,30 @@ def _reduce_transport(seed: list[list[Scalar]], scale: int,
             pieces = [i for i in range(p) if rows[kk][i] > 0]
             if len(pieces) < 2:
                 continue
-            window.append((kk, pieces, reduced_columns(kk, pieces)))
-        while True:
-            columns = [column for _, _, cols in window for column in cols]
-            if len(columns) <= (mom_rows if kk < q else 0):
-                break
+            cols = reduced_columns(kk, pieces)
+            window.append((kk, pieces, cols))
+            columns += cols
+        while len(columns) > (mom_rows if kk < q else 0):
             z = nullspace_vector(columns, len(columns), exact, echelon=echelon)
             if z is None:
                 break
-            # each cell's direction in piece order: minus the sum of its tail,
-            # then the tail; the ratio test runs over it as it is built
+            # each cell's direction in piece order: minus the sum of its tail
+            # (0 + t for a one-column tail t, as ``fold`` gives it), then the
+            # tail; the ratio test runs over it as it is built
             directions = []
             # on exact data theta = top / bottom, each ratio num / (den·d)
             # compared with it by cross-multiplying (both bottoms are positive)
-            theta = leave = top = bottom = None
+            theta = leave_cell = leave_piece = top = bottom = None
             col = 0
             for cell, pieces, cols in window:
-                tail = z[col:col + len(cols)]
-                col += len(cols)
-                dirn = [-fold(tail), *tail]
+                if len(cols) == 1:
+                    t = z[col]
+                    col += 1
+                    dirn = (-(0 + t), t)
+                else:
+                    tail = z[col:col + len(cols)]
+                    col += len(cols)
+                    dirn = [-fold(tail), *tail]
                 directions.append(dirn)
                 values = rows[cell]
                 if exact:
@@ -278,13 +291,17 @@ def _reduce_transport(seed: list[list[Scalar]], scale: int,
                         if d > PIVOT_TOL:
                             ratio = values[i] / d
                             if theta is None or ratio < theta:
-                                theta, leave = ratio, (cell, i)
+                                theta, leave_cell, leave_piece = ratio, cell, i
+            # the kept cells and their columns, a cell's pieces read again only
+            # when one of its entries reached zero
             kept = []
+            columns = []
             for entry, dirn in zip(window, directions):
                 cell, pieces, cols = entry
-                if any(dirn):
-                    values = rows[cell]
-                    if exact:
+                values = rows[cell]
+                zeroed = False
+                if exact:
+                    if any(dirn):
                         # num/den - (top/bottom)·d over the denominator
                         # den·bottom, then back to lowest terms; the leaving
                         # entry and its ties reach 0 exactly
@@ -296,23 +313,33 @@ def _reduce_transport(seed: list[list[Scalar]], scale: int,
                         dens[cell] = den * bottom // g
                         for i in pieces:
                             values[i] //= g
-                    else:
-                        for i, d in zip(pieces, dirn):
-                            if d:
-                                v = values[i] - theta * d
-                                values[i] = 0.0 if v < 0 else v
-                        if cell == leave[0]:
-                            values[leave[1]] = 0.0
+                            if not values[i]:
+                                zeroed = True
+                else:
+                    for i, d in zip(pieces, dirn):
+                        if d:
+                            v = values[i] - theta * d
+                            if v > 0:
+                                values[i] = v
+                            else:
+                                values[i] = 0.0
+                                zeroed = True
+                    if cell == leave_cell:
+                        values[leave_piece] = 0.0
+                        zeroed = True
+                if zeroed:
                     left = [i for i in pieces if values[i] > 0]
                     if len(left) < 2:
                         continue
                     if left[0] != pieces[0]:
-                        entry = (cell, left, reduced_columns(cell, left))
-                    elif len(left) < len(pieces):
+                        cols = reduced_columns(cell, left)
+                    else:
                         # column (k, i) depends on the cell, i0 and i alone
-                        entry = (cell, left, [column for i, column in zip(pieces[1:], cols)
-                                              if values[i] > 0])
+                        cols = [column for i, column in zip(pieces[1:], cols)
+                                if values[i] > 0]
+                    entry = (cell, left, cols)
                 kept.append(entry)
+                columns += cols
             window = kept
     if exact:
         return [[Fraction(v, den) for v in row] for row, den in zip(rows, dens)]

@@ -18,7 +18,10 @@ LP finds a settled vertex inside the hull of the others.
 Both digests are committed: ``FULL_DIGEST`` over every report and
 ``EXACT_DIGEST`` over the exact ones (the exact corpus cells and the
 ``exact-atomic`` instances), and the script exits 1 when either differs, on
-every supported Python.  Float bits would depend on the version if anything
+every supported Python.  A third, ``BENCH_DIGEST``, covers the reports of
+the first ``atomic-bangbang`` and ``exact-atomic`` instances at seed 17, the
+seed the benchmark pairs compare, verified and checked alike; it is pinned
+and fails the script in the same way.  Float bits would depend on the version if anything
 added floats with the builtin ``sum``, which compensates float sums from
 3.12 on: the solver adds through ``numeric.fold``, a left fold, and so do
 the ``cli_corpus`` generators.  The benchmark generators still call ``sum``,
@@ -56,10 +59,16 @@ from cli_corpus import make_problem  # noqa: E402
 CORPUS_TRIALS = 8
 WORKLOAD_INSTANCES = 3
 WORKLOAD_SEED = 7
+#: the workloads and seed of the reports ``BENCH_DIGEST`` covers, one
+#: instance each
+BENCH_WORKLOADS = ("atomic-bangbang", "exact-atomic")
+BENCH_SEED = 17
 #: sha256 over the exact reports of the corpus, wall_time removed
 EXACT_DIGEST = "65889a40f5be18014063359fbbc28094791d9a3661a2ff271319ba8c4f7526fa"
 #: sha256 over all reports of the corpus, wall_time removed
 FULL_DIGEST = "bc24f579cc615e1af6b9dcc6408b15ff8c60e0b0ff57e4596b0feb4fd63e1d50"
+#: sha256 over the reports of ``bench_instances``, wall_time removed
+BENCH_DIGEST = "a92aeb1cb3b245015d0118712a4163efdfa08f74389d82954af82ab0568fe6f8"
 
 
 def corpus_cells():
@@ -84,6 +93,14 @@ def corpus():
         stream = workloads.instances(name, WORKLOAD_SEED)
         for i, inst in enumerate(itertools.islice(stream, WORKLOAD_INSTANCES)):
             yield f"{name}/{WORKLOAD_SEED}/{i}", inst.command, inst.document
+
+
+def bench_instances():
+    """(label, command, document) of the first instance of each of
+    ``BENCH_WORKLOADS`` at ``BENCH_SEED``."""
+    for name in BENCH_WORKLOADS:
+        inst = next(workloads.instances(name, BENCH_SEED))
+        yield f"{name}/{BENCH_SEED}/0", inst.command, inst.document
 
 
 def recording(tests: list):
@@ -120,49 +137,59 @@ def certificate_disagreements(tests: list) -> tuple[int, int, int]:
 
 
 def main() -> int:
-    digest, exact_digest = hashlib.sha256(), hashlib.sha256()
-    count = exact_count = 0
+    digest, exact_digest, bench_digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    count = exact_count = bench_count = 0
     rejected = []
     tests: list = []
     cli._matching_vertices = recording(tests)
     # the same benchmark documents on every Python (see the module docstring)
     workloads.sum = fold
-    by_certificate = by_lp = 0
-    for label, command, doc in corpus():
+    decided = {"certificate": 0, "lp": 0}
+
+    def checked(label, command, doc) -> tuple[bytes, bool]:
+        """The report's canonical bytes, wall_time removed, and whether it is
+        exact; a rejection by verify or by the LP check goes to ``rejected``."""
         problem = parse_problem(doc)
         report = json.loads(canonical_dumps(run(command, problem)))
         tests.clear()
         violations = verify_report(doc, report)
         settled, to_lp, wrong = certificate_disagreements(tests)
-        by_certificate += settled
-        by_lp += to_lp
+        decided["certificate"] += settled
+        decided["lp"] += to_lp
         if wrong:
             violations.append(f"{wrong} vertices the certificate settled are not "
                               "extreme by the LP")
         if violations:
             rejected.append(f"{label}: {'; '.join(violations)}")
         del report["wall_time"]
-        encoded = canonical_dumps(report).encode("utf-8")
+        return canonical_dumps(report).encode("utf-8"), problem.exact
+
+    for label, command, doc in corpus():
+        encoded, exact = checked(label, command, doc)
         digest.update(encoded)
         count += 1
-        if problem.exact:
+        if exact:
             exact_digest.update(encoded)
             exact_count += 1
+    for label, command, doc in bench_instances():
+        bench_digest.update(checked(label, command, doc)[0])
+        bench_count += 1
     for line in rejected:
         print(f"rejected {line}", file=sys.stderr)
     print(f"{digest.hexdigest()}  {count} reports, wall_time removed")
     print(f"{exact_digest.hexdigest()}  {exact_count} exact reports, wall_time removed")
-    print(f"extremeness of branch values: {by_certificate} pairs settled by the certificate "
-          f"and confirmed by the LP, {by_lp} pairs decided by the LP")
-    drift = exact_digest.hexdigest() != EXACT_DIGEST
-    if drift:
-        print(f"exact reports changed: the committed digest is {EXACT_DIGEST}",
-              file=sys.stderr)
-    if digest.hexdigest() != FULL_DIGEST:
-        print(f"reports changed: the committed digest is {FULL_DIGEST}", file=sys.stderr)
-        drift = True
+    print(f"{bench_digest.hexdigest()}  {bench_count} benchmark reports at seed {BENCH_SEED}, "
+          "wall_time removed")
+    print(f"extremeness of branch values: {decided['certificate']} pairs settled by the "
+          f"certificate and confirmed by the LP, {decided['lp']} pairs decided by the LP")
+    drift = False
+    for name, got, committed in (("exact reports", exact_digest, EXACT_DIGEST),
+                                 ("reports", digest, FULL_DIGEST),
+                                 ("benchmark reports", bench_digest, BENCH_DIGEST)):
+        if got.hexdigest() != committed:
+            print(f"{name} changed: the committed digest is {committed}", file=sys.stderr)
+            drift = True
     return 1 if rejected or drift else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -17,7 +17,9 @@ sweep became left-looking, kept verbatim: it takes the matrix by rows, where
 kernel as ints, a positive multiple of the reference's: positive at the
 free column and zero after it.  Divided by that entry, it must match the
 reference entry for entry.  Float results must match it bit for bit, with
-or without an ``Echelon`` carried over from earlier solves.  The reference
+or without an ``Echelon`` carried over from earlier solves, and the upper
+factor the ``Echelon`` holds must be the reference sweep's, zeros matched
+as zeros of either sign.  The reference
 gets its exact input as ``Fraction``s, because on two ``int``s its ``/``
 leaves the exact regime.
 
@@ -34,6 +36,7 @@ it by ``repr`` as well.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from typing import Sequence
 from unittest import mock
@@ -154,6 +157,36 @@ def same_bits(got, want) -> bool:
     return repr(got) == repr(want)
 
 
+def reference_sweep(rows: Sequence[Sequence[float]], ncols: int
+                    ) -> tuple[list[float] | None, list[list[float]], int]:
+    """``reference_nullspace_vector`` on floats, with the rows its sweep left
+    and its rank, read from its frame as it returns."""
+    final = {}
+    previous = sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is reference_nullspace_vector.__code__:
+            final.update(frame.f_locals)
+
+    sys.setprofile(profile)
+    try:
+        z = reference_nullspace_vector(rows, ncols, False)
+    finally:
+        sys.setprofile(previous)
+    return z, final["work"], final["rank"]
+
+
+def assert_same_upper_factor(echelon: Echelon, work: list[list[float]], rank: int) -> None:
+    """The upper factor the carried ``echelon`` holds is the sweep's: entry
+    k <= j of column j, for every pivot row k, is ``work[k][j]``, nonzero
+    entries bit for bit and zeros as zeros, of either sign (the signs of
+    zeros in eliminated columns are free; see ``nullspace_vector``)."""
+    for j, col in enumerate(echelon.reduced):
+        for k in range(min(j + 1, rank)):
+            a, b = col[k], work[k][j]
+            assert (a == 0 and b == 0) or same_bits(a, b), (j, k, a, b)
+
+
 F = Fraction
 BIG = 2 ** 64
 
@@ -258,8 +291,11 @@ def test_exact_kernel_matches_reference(case):
 @given(matrices(floats=True))
 def test_float_kernel_matches_reference_bit_for_bit(case):
     rows, ncols = case
-    assert same_bits(nullspace_vector(columns_of(rows, ncols), ncols, False),
-                     reference_nullspace_vector(rows, ncols, False))
+    echelon = Echelon()
+    z, work, rank = reference_sweep(rows, ncols)
+    assert same_bits(nullspace_vector(columns_of(rows, ncols), ncols, False, echelon=echelon), z)
+    assert len(echelon.steps) == rank
+    assert_same_upper_factor(echelon, work, rank)
 
 
 def _draw_column(data, nrows: int, exact: bool, held: list) -> list:
@@ -319,11 +355,12 @@ def test_kernel_with_a_carried_echelon_matches_a_fresh_sweep(exact, data):
         got = nullspace_vector(_integer_columns(columns) if exact else columns, ncols, exact,
                                echelon=echelon)
         rows = [[F(v) if exact else v for v in r] for r in rows_of(columns)]
-        want = reference_nullspace_vector(rows, ncols, exact)
         if exact:
-            assert_scaled_kernel(got, want)
+            assert_scaled_kernel(got, reference_nullspace_vector(rows, ncols, exact))
         else:
+            want, work, rank = reference_sweep(rows, ncols)
             assert same_bits(got, want)
+            assert_same_upper_factor(echelon, work, rank)
         # the echelon holds a leading run of this window's columns, as passed
         assert all(a is b for a, b in zip(echelon.columns, columns))
 
@@ -363,6 +400,35 @@ def test_float_pivot_keeps_only_its_nonzero_factors():
     assert same_bits(z, reference_nullspace_vector(rows_of(columns), 6, False))
     assert echelon.steps[0] == (0, 0, 2.0, 1, [(4, 0.5)])
     assert all(f for *_, factors in echelon.steps for _, f in factors)
+
+
+def test_float_step_on_a_zero_pivot_row_entry_is_skipped_and_on_a_subnormal_one_applied():
+    # pivot 2.0 on row 0, factors 0.5 and -0.5 on rows 1 and 2.  Column 1 holds
+    # -0.0 on the pivot row, column 2 holds 0.0: the full update a - f * b
+    # would turn their -0.0 on rows 1 and 2 into 0.0 and leave every other
+    # entry as it is; the skipped step leaves the -0.0 too
+    columns = [[2.0, 1.0, -1.0], [-0.0, -0.0, 3.0], [0.0, 5.0, -0.0], [1.0, 1.0, 1.0]]
+    full = [[col[0]] + [a - f * col[0] for a, f in zip(col[1:], (0.5, -0.5))]
+            for col in columns[1:3]]
+    assert repr(full) == "[[-0.0, 0.0, 3.0], [0.0, 5.0, 0.0]]"
+    echelon = Echelon()
+    z, work, rank = reference_sweep(rows_of(columns), 4)
+    assert same_bits(nullspace_vector(columns, 4, False, echelon=echelon), z)
+    assert echelon.steps[0] == (0, 0, 2.0, 1, [(1, 0.5), (2, -0.5)])
+    # column 1 after step 0 and its own pivot swap (rows 1 and 2), column 2
+    # after both steps: the -0.0 kept, every nonzero entry the full update's
+    assert repr(echelon.reduced[1]) == "[-0.0, 3.0, -0.0]"
+    assert repr(echelon.reduced[2][:2]) == "[0.0, -0.0]"
+    assert echelon.reduced[1][1] == full[0][2] and echelon.reduced[2][2] == full[1][1]
+    assert_same_upper_factor(echelon, work, rank)
+    # a subnormal entry on the pivot row is no zero: its step is applied, and
+    # moves the upper factor's entry 1e-323 on row 1 by 5e-324
+    columns = [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [5e-324, 1e-323, 1.0], [1.0, 1.0, 1.0]]
+    echelon = Echelon()
+    z, work, rank = reference_sweep(rows_of(columns), 4)
+    assert same_bits(nullspace_vector(columns, 4, False, echelon=echelon), z)
+    assert echelon.reduced[2] == [5e-324, 1e-323 - 5e-324, 1.0] == [5e-324, 5e-324, 1.0]
+    assert_same_upper_factor(echelon, work, rank)
 
 
 def test_exact_kernel_is_integral_positive_at_free_and_zero_after():

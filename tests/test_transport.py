@@ -23,13 +23,17 @@ before its pivot moved onto the window: every pivot copies the window into
 flat value and direction lists for ``pivot_step`` (kept in ``test_linalg``),
 and the fractional cells come from a generator.  The live walk must match
 it on both regimes, floats by ``repr`` and exact values entry for entry,
-with the same number of kernel solves.
+with the same number of kernel solves; there the live walk's kernel runs
+behind ``window_checked``, which asserts at every solve that the columns
+passed are the window's, flattened.  The kernel solves, and the columns
+each eliminates, are counted and pinned on blocks of the benchmark's shape.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -40,9 +44,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condbang import linalg, lyapunov
+from condbang.cli import run
 from condbang.condexp import simple_function
+from condbang.documents import parse_problem
 from condbang.linalg import Echelon, integer_scaled, nullspace_vector
-from condbang.numeric import PIVOT_TOL, Scalar
+from condbang.numeric import PIVOT_TOL, Scalar, fold
 from condbang.spaces import Mode, build_grid, make_partition
 
 from gen import coprime_denominators
@@ -546,7 +552,7 @@ def test_reduction_matches_the_flat_window_walk_it_replaced(exact):
                                            zero_share=rng.choice((0.0, 0.3, 0.6)),
                                            duplicate_share=rng.choice((0.0, 0.3, 0.8)))
         with mock.patch.object(lyapunov, "nullspace_vector",
-                               wraps=lyapunov.nullspace_vector) as new_calls:
+                               side_effect=window_checked(nullspace_vector)) as new_calls:
             got = reduce_block(rows, mom_cols, p, exact)
         with mock.patch.object(sys.modules[__name__], "nullspace_vector",
                                wraps=nullspace_vector) as ref_calls:
@@ -581,11 +587,30 @@ def test_exact_reduction_moves_alike_along_any_positive_multiple_of_each_kernel(
     assert all(type(v) is Fraction for row in got for v in row)
 
 
+def window_checked(solver):
+    """``solver`` behind a check, at every solve, that the columns
+    ``_reduce_transport`` passes are its window's columns flattened in
+    window order, object for object."""
+    walk = lyapunov._reduce_transport.__code__
+
+    def solve(columns, ncols, exact, echelon=None):
+        frame = sys._getframe(1)
+        while frame.f_code is not walk:
+            frame = frame.f_back
+        flat = [column for _, _, cols in frame.f_locals["window"] for column in cols]
+        assert ncols == len(columns) == len(flat)
+        assert all(a is b for a, b in zip(columns, flat))
+        return solver(columns, ncols, exact, echelon=echelon)
+    return solve
+
+
 def both_walks(rows, mom_cols, p, exact, kernels):
     """``_reduce_transport`` and ``reference_window_walk`` with every kernel
-    solve replaced by ``kernels()``, a fresh solver for each walk."""
+    solve replaced by ``kernels()``, a fresh solver for each walk; the live
+    walk's columns are checked against its window at every solve."""
     avail = [sum(row) for row in rows]
-    with mock.patch.object(lyapunov, "nullspace_vector", side_effect=kernels()):
+    with mock.patch.object(lyapunov, "nullspace_vector",
+                           side_effect=window_checked(kernels())):
         got = reduce_block(rows, mom_cols, p, exact)
     with mock.patch.object(sys.modules[__name__], "nullspace_vector", side_effect=kernels()):
         want = reference_window_walk(rows, avail, mom_cols, p, exact)
@@ -725,7 +750,7 @@ def test_a_cell_keeps_its_column_objects_unless_it_loses_its_first_piece(exact):
         seen.append(list(columns))
         return next(kernels, None)
 
-    with mock.patch.object(lyapunov, "nullspace_vector", side_effect=solve):
+    with mock.patch.object(lyapunov, "nullspace_vector", side_effect=window_checked(solve)):
         got = reduce_block(rows, mom_cols, 5, exact)
     assert [len(columns) for columns in seen] == [4, 3, 2, 1]
     c1, c2, c3, c4 = seen[0]
@@ -743,3 +768,107 @@ def test_a_cell_keeps_its_column_objects_unless_it_loses_its_first_piece(exact):
                                   [-one, 0 * one]))
     assert repr(got) == repr(want)
     assert [v > 0 for v in got[0]] == [False, True, False, True, False]
+
+
+def test_a_moved_entry_that_lands_on_zero_leaves_its_cell_like_the_leaving_one():
+    # three pieces, each its own 3 moment rows, so no kernel is sought before
+    # the end of the block.  The first kernel makes cell 0's piece 1 leave at
+    # theta 1.0; cell 1's piece 1 ties it and lands on 0.0 exactly; cell 2's
+    # and cell 3's piece 1 move along 1e-13, below PIVOT_TOL, outside the
+    # ratio test: cell 2's lands on 0.0 exactly, cell 3's goes below zero and
+    # is clamped.  Every cell keeps pieces 0 and 2, and its piece-2 column
+    rows = [[1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1e-13, 1.0], [1.0, 1e-14, 1.0]]
+    mom_cols = [[[float(3 * i + j + 1)] * 4 for j in range(3)] for i in range(3)]
+    assert 1e-13 - 1.0 * 1e-13 == 0.0 and 1e-14 - 1.0 * 1e-13 < 0
+    first = [1.0, 0.0, 2.0, 0.0, 1e-13, 0.0, 1e-13, 0.0]
+    got, want = both_walks(rows, mom_cols, 3, False, scripted(first))
+    assert repr(got) == repr(want)
+    assert got == [[2.0, 0.0, 1.0], [3.0, 0.0, 1.0], [1.0 + 1e-13, 0.0, 1.0],
+                   [1.0 + 1e-13, 0.0, 1.0]]
+    seen = []
+
+    def solve(columns, ncols, exact, echelon=None):
+        seen.append(list(columns))
+        return first if len(seen) == 1 else None
+
+    with mock.patch.object(lyapunov, "nullspace_vector", side_effect=window_checked(solve)):
+        reduce_block(rows, mom_cols, 3, False)
+    assert [len(columns) for columns in seen] == [8, 4]
+    assert all(a is b for a, b in zip(seen[1], seen[0][1::2]))
+    # exact data: the tie reaches 0 by itself, and both cells stay fractional
+    rows = [[F(1), F(1), F(1)], [F(1), F(2), F(1)]]
+    mom_cols = [[[3 * i + j + 1] * 2 for j in range(3)] for i in range(3)]
+    got, want = both_walks(rows, mom_cols, 3, True, scripted([1, 0, 2, 0]))
+    assert got == want == [[2, 0, 1], [3, 0, 1]]
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_a_three_piece_cell_that_loses_its_middle_then_its_first_piece(exact):
+    # cell 0 holds pieces 0 and 1, cell 1 all three, each piece its own two
+    # moment rows.  The first pivot takes cell 1's middle piece, the second
+    # its first piece, which leaves the cell whole on piece 2
+    one = 1 if exact else 1.0
+    value = F(1) if exact else 1.0
+    rows = [[value, value, 0 * value], [value, value, value]]
+    mom_cols = [[[one * (2 * i + j + 1)] * 2 for j in range(2)] for i in range(3)]
+    kernels = ([0 * one, one, 0 * one], [0 * one, -one])
+    seen = []
+
+    def solve(columns, ncols, exact, echelon=None):
+        seen.append(list(columns))
+        return list(kernels[len(seen) - 1]) if len(seen) <= len(kernels) else None
+
+    with mock.patch.object(lyapunov, "nullspace_vector", side_effect=window_checked(solve)):
+        got = reduce_block(rows, mom_cols, 3, exact)
+    _, want = both_walks(rows, mom_cols, 3, exact, scripted(*kernels))
+    assert repr(got) == repr(want)
+    assert got == [[1, 1, 0], [0, 0, 3]]
+    assert [type(v) for row in got for v in row] == [type(value)] * 6
+    # cell 0's column and cell 1's piece-2 column are kept as objects until
+    # cell 1 leaves the window
+    assert [len(columns) for columns in seen] == [3, 2, 1]
+    assert seen[1][0] is seen[2][0] is seen[0][0]
+    assert seen[1][1] is seen[0][2]
+
+
+def eliminated_per_solve(solver, *args) -> list[int]:
+    """The columns each kernel solve of ``solver(*args)`` eliminates: those
+    after the leading run of its carried elimination that it kept."""
+    eliminated = []
+
+    def solve(columns, ncols, exact, echelon=None):
+        before = list(echelon.reduced)
+        z = nullspace_vector(columns, ncols, exact, echelon=echelon)
+        after = echelon.reduced
+        kept = 0
+        while kept < min(len(before), len(after)) and before[kept] is after[kept]:
+            kept += 1
+        eliminated.append(len(after) - kept)
+        return z
+
+    with mock.patch.object(lyapunov, "nullspace_vector", side_effect=window_checked(solve)):
+        solver(*args)
+    return eliminated
+
+
+@pytest.mark.parametrize("seed, solves, columns", [(0, 348, 1429), (1, 350, 1330)])
+def test_benchmark_window_block_solves_and_eliminates_a_pinned_count(seed, solves, columns):
+    # the blocks of the test above: a walk that adds a pivot or eliminates a
+    # column again that its carried elimination kept moves these counts
+    rng = random.Random(f"bench-window-{seed}")
+    p, d, q = 3, 6, 250
+    rows, _, mom_cols = make_block(rng, p, [d] * p, q, False, zero_share=0.2, shared=True)
+    eliminated = eliminated_per_solve(reduce_block, rows, mom_cols, p, False)
+    assert (len(eliminated), sum(eliminated)) == (solves, columns)
+
+
+def test_first_atomic_bangbang_instance_solves_and_eliminates_a_pinned_count(monkeypatch):
+    # the first instance of the benchmark workload at seed 17, as its
+    # generator builds it on Python 3.10 and 3.11
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+    monkeypatch.setattr(workloads, "sum", fold, raising=False)
+    inst = next(workloads.instances("atomic-bangbang", 17))
+    eliminated = eliminated_per_solve(run, inst.command, parse_problem(inst.document))
+    assert (len(eliminated), sum(eliminated), max(eliminated)) == (3912, 16555, 13)
