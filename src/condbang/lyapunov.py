@@ -5,9 +5,12 @@ cell's mass over p pieces so that each piece's conditional moments match the
 weight-function targets: exactly on splittable grids (the proportional seed
 is realized as stacked sub-intervals), and within a certified residual bound
 on atomic grids.  There, a small block is decided by an exhaustive search
-alone: one numpy search over the whole-cell assignments, run on float64
-arrays for float blocks and on integer-scaled object arrays for exact ones,
-so both regimes return the first best assignment in the same order.  Every
+alone over its whole-cell assignments.  The small blocks of one call are
+searched together, a stack of blocks of one cell count at a time, from
+each piece's subset sums added in cell order, so no float bit depends on
+the BLAS build; the search runs on float64 arrays for float blocks and on
+integer-scaled object arrays for exact ones, so both regimes return the
+first best assignment in the same order.  Every
 other block is pivoted by kernel steps to a basic solution, which leaves
 few fractional cells, and those are rounded.  The pivoting folds each
 cell's sum row into that cell's columns (generalized upper bounding), so
@@ -33,6 +36,7 @@ density against the grid's own weights, are built on top.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -346,61 +350,93 @@ def _reduce_transport(seed: list[list[Scalar]], scale: int,
     return rows
 
 
-def _digit_masks(p: int, q: int, start: int, stop: int, exact: bool) -> list[np.ndarray]:
-    """Per piece i, which cells the assignments start..stop-1 put in piece i:
-    booleans for exact searches, float64 zeros and ones for float ones, so
-    that ``mask @ coef`` casts nothing (a 0/1 mask multiplies as the boolean
-    one does, bit for bit)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    pows = np.array([p ** (q - 1 - c) for c in range(q)], dtype=np.int64)
-    digits = (idx[:, None] // pows[None, :]) % p
-    return [digits == i if exact else (digits == i).astype(float) for i in range(p)]
+#: blocks of one moving cell count that one search decides together, at most
+_SEARCH_BLOCKS = 16
+#: assignments whose worst deviations one search forms at once: a search of
+#: more assignments runs in slices of at most this many, and a search takes
+#: only as many blocks as fit in it (at least one)
+_SEARCH_ENTRIES = 1 << 15
 
 
-def _polish(rows: list[tuple[int, np.ndarray, Scalar]], p: int, q: int, exact: bool,
-            masks: dict[int, list[np.ndarray]]) -> list[int]:
-    """The whole-cell assignment of a block with the least worst moment deviation.
+@functools.lru_cache(maxsize=32)
+def _subset_masks(p: int, q: int, shift: int = 0) -> np.ndarray:
+    """(p, p**q) ints: bit shift + c of entry (i, a) is set when assignment
+    a of q cells puts cell c in piece i, an assignment being the base-p
+    digits of its index with cell 0 the most significant.  Built a cell at
+    a time, each appending the next digit, so entry (i, a p + d) is entry
+    (i, a) plus bit shift + c when d = i.  Read-only, since every search of
+    one (p, q) shares it; the searches ask only for tables of at most
+    ``_SEARCH_ENTRIES`` assignments, so each entry of the cache holds at
+    most p times that many ints."""
+    masks = np.zeros((p, 1), dtype=np.int64)
+    unit = np.eye(p, dtype=np.int64)[:, None, :]
+    for c in range(q):
+        masks = (masks[:, :, None] + (unit << shift + c)).reshape(p, -1)
+    masks.flags.writeable = False
+    return masks
 
-    Each of ``rows`` is one moment equation (piece i, coef, goal): piece i
-    achieves the moment ``coef`` summed over its cells, against ``goal``.
-    Enumerates all p**q assignments of the q cells to pieces in chunks, each
-    assignment the base-p digits of its index (cell 0 the most significant),
-    so index order is ``itertools.product(range(p), repeat=q)``'s order.  Per
-    chunk, a mask per piece (``_digit_masks``) and ``mask @ coef`` give every
-    achieved moment, a running ``np.maximum`` the worst deviation;
-    ``np.argmin`` takes the first minimizer within a chunk and a strict ``<``
-    keeps the earlier chunk's on ties, so the result is the first minimizer
-    in index order.  The masks depend only on p, q and the chunk, so a search
-    that fits one chunk takes them from ``masks``, keyed by q, which the
-    caller keeps for the blocks of one call with one p and one regime.
 
-    Float rows hold float64 arrays and the float goals.  Exact rows hold
-    object arrays of Python ints and int goals, every coefficient and goal
-    being one common L > 0 times the rational one.  Each achieved moment and
-    each deviation is then L times the rational one, so the worst deviations
-    compare as the rational ones do, and the first minimizer is the rational
-    search's.
+def _polish(owner: Sequence[int], coef: np.ndarray, goals: np.ndarray,
+            p: int) -> list[list[int]]:
+    """For each of a stack of blocks of q cells, the whole-cell assignment
+    with the least worst moment deviation.
+
+    Row r of block b is one moment equation: piece owner[r] achieves
+    coef[b, r] summed over its cells, against goals[b, r].  A piece's
+    achieved moment depends only on the set of cells it holds, so each row's
+    2**q subset sums are built by doubling in cell order: entry s is the sum
+    over the cells of s's set bits, and after cell c the entries 2**c to
+    2**(c+1) - 1 are the entries below 2**c plus cell c's coefficient.  So
+    every sum is the left fold in cell order that ``fold`` gives, on every
+    BLAS.  Per piece, the worst of its rows' deviations is taken on every
+    subset; an assignment's worst deviation is the largest, over the
+    pieces, of the piece's entry at the subset the assignment gives it, read
+    through ``_subset_masks``.
+
+    The p**q assignments run in index order, ``itertools.product(range(p),
+    repeat=q)``'s, in slices of at most ``_SEARCH_ENTRIES``: ``np.argmin``
+    takes the first minimizer within a slice and a strict ``<`` keeps the
+    earlier slice's on ties, so each block gets the first minimizer in index
+    order.
+
+    Float rows hold float64 arrays.  Exact rows hold object arrays of Python
+    ints, every coefficient and goal of a block being one common L > 0 times
+    the rational one.  Each achieved moment and each deviation is then L
+    times the rational one, so the worst deviations compare as the rational
+    ones do, and the first minimizer is the rational search's.
     """
-    total = p ** q
-    best_val = None
-    best_idx = None
-    chunk = 1 << 15
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        if total > chunk:
-            bits = _digit_masks(p, q, start, stop, exact)
-        elif q in masks:
-            bits = masks[q]
+    blocks, rows, q = coef.shape
+    sums = np.zeros((blocks, rows, 1 << q), dtype=coef.dtype)
+    for c in range(q):
+        np.add(sums[:, :, :1 << c], coef[:, :, c:c + 1], out=sums[:, :, 1 << c:2 << c])
+    dev = np.abs(sums - goals[:, :, None])
+    # per piece with rows, the worst deviation of its rows on every subset
+    worst_of = [(i, dev[:, [r for r in range(rows) if owner[r] == i]].max(axis=1))
+                for i in range(p) if i in owner]
+    # each slice fixes the leading q - h cells and runs the last h through
+    # all p**h assignments, the largest number within _SEARCH_ENTRIES
+    h = q
+    while p ** h > _SEARCH_ENTRIES:
+        h -= 1
+    lead = _subset_masks(p, q - h)
+    tail = _subset_masks(p, h, q - h)
+    best = best_idx = None
+    for j in range(p ** (q - h)):
+        masks = tail if h == q else tail + lead[:, j:j + 1]
+        worst = np.zeros((blocks, p ** h), dtype=coef.dtype)
+        for i, table in worst_of:
+            np.maximum(worst, table[:, masks[i]], out=worst)
+        a = np.argmin(worst, axis=1)
+        val = worst[np.arange(blocks), a]
+        a += j * p ** h
+        if best is None:
+            best, best_idx = val, a
         else:
-            bits = masks[q] = _digit_masks(p, q, start, stop, exact)
-        worst = np.zeros(stop - start, dtype=object if exact else float)
-        for i, coef, goal in rows:
-            np.maximum(worst, np.abs(bits[i] @ coef - goal), out=worst)
-        a = int(np.argmin(worst))
-        if best_val is None or worst[a] < best_val:
-            best_val = worst[a]
-            best_idx = start + a
-    return [int(d) for d in np.unravel_index(best_idx, (p,) * q)]
+            better = val < best
+            best = np.where(better, val, best)
+            best_idx = np.where(better, a, best_idx)
+    digits = np.unravel_index(best_idx, (p,) * q)
+    return [[int(d[b]) for d in digits] for b in range(blocks)]
 
 
 def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunction,
@@ -408,7 +444,15 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
                            tol: Scalar | None = None,
                            polish_budget: int = DEFAULT_POLISH_BUDGET,
                            within: RefinedSet | None = None) -> PartitionResult:
-    """Partition solver with one moment function per piece (see lyapunov_partition)."""
+    """Partition solver with one moment function per piece (see lyapunov_partition).
+
+    The blocks the exhaustive search decides wait, grouped by their count of
+    moving cells, and each group is searched as one stack by ``_polish``
+    once it holds as many blocks as one search takes, the rest at the end;
+    each block's rows are the same equations, piece by piece, so the blocks
+    of a group stack.  Every block's pieces and residuals go to its own
+    place, so the order the groups run in moves nothing.
+    """
     tol = grid.tol(tol)
     exact = grid.is_exact
     p = alpha.dim
@@ -435,14 +479,43 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
     # values over 1 on float ones
     scaled = integer_scaled if exact else lambda vectors: (1, vectors)
     distinct = {id(mom): mom for mom in moments}
+    dtype = object if exact else float
+    # the piece of each of the search's rows: each piece's moment coordinates,
+    # in piece order
+    owner = [i for i, mom in enumerate(moments) for _ in range(mom.dim)]
 
     mass: list[list[Scalar]] = [[grid.zero] * grid.cell_count for _ in range(p)]
-    residual: list[list[tuple[Scalar, ...]]] = [[] for _ in range(p)]
-    fractional: list[int] = []
-    # the exhaustive search's digit masks, by cell count (see _polish)
-    masks: dict[int, list[np.ndarray]] = {}
+    residual: list[list[tuple[Scalar, ...]]] = [[()] * C.block_count for _ in range(p)]
+    fractional = [0] * C.block_count
+    # the blocks waiting for the search, by moving cell count
+    waiting: dict[int, list[tuple]] = {}
     w_rel_max: Scalar = grid.zero
     h_max: Scalar = grid.zero
+
+    def close(b, by_piece, sums, coords, scale):
+        """Record block b's residuals, its pieces holding ``by_piece``."""
+        for i in range(p):
+            residual[i][b] = tuple(
+                quotient(fold(map(operator.mul, by_piece[i], col)) - t, scale * unit * mu[b])
+                for t, (unit, col) in zip(sums[i], coords[i]))
+
+    def assign_cells(b, active, held, assign, sums, coords, scale):
+        """Give each active cell of block b to its piece, then close the block."""
+        for kk, k in enumerate(active):
+            mass[assign[kk]][k] = avail[k]
+        close(b, [[a if piece == i else 0 for a, piece in zip(held, assign)]
+                  for i in range(p)], sums, coords, scale)
+
+    def search(group):
+        """Decide the waiting blocks of one moving cell count together."""
+        weights, rows, goals, blocks = zip(*group)
+        coef = np.array(weights, dtype=dtype)[:, None, :] * np.array(rows, dtype=dtype)
+        found = _polish(owner, coef, np.array(goals, dtype=dtype), p)
+        for (b, active, moving, held, sums, coords, scale), pieces in zip(blocks, found):
+            assign = [0] * len(active)
+            for kk, piece in zip(moving, pieces):
+                assign[kk] = piece
+            assign_cells(b, active, held, assign, sums, coords, scale)
 
     for b, cells in enumerate(C.blocks):
         active = [k for k in cells if avail[k] > 0]
@@ -455,13 +528,10 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
                       (scaled([[mom.values[k][j] for k in active]]) for j in range(mom.dim))]
                 for key, mom in distinct.items()}
         coords = [form[id(mom)] for mom in moments]
-        # each piece's masses on the block's scale: the seed's, until an
-        # atomic block's assignment replaces them
-        by_piece = [[s[i] for s in seed] for i in range(p)]
-        sums = [[fold(map(operator.mul, by_piece[i], col)) for _, col in coords[i]]
+        # each piece's targets on the block's scale, from the seed's masses
+        sums = [[fold(map(operator.mul, [s[i] for s in seed], col)) for _, col in coords[i]]
                 for i in range(p)]
 
-        frac_count = 0
         if active:
             rel = quotient(max(held), scale * mu[b])
             if rel > w_rel_max:
@@ -470,51 +540,52 @@ def partition_with_moments(moments: Sequence[SimpleFunction], alpha: SimpleFunct
                                     for coord in form.values() for unit, col in coord),
                                    default=0))
 
-        if grid.mode is Mode.ATOMIC and active:
-            q = len(active)
-            moving = range(q)
-            if p ** q > polish_budget:
-                # a cell whose moment entries are all zero moves no moment:
-                # the search's first minimizer puts it in piece 0, so only the
-                # other cells count toward the budget and are searched
-                entries = zip(*(col for coord in form.values() for _, col in coord))
-                moving = [kk for kk, cell in enumerate(entries) if any(cell)]
-            # the search enumerates every whole-cell assignment, the rounded
-            # basic solution among them, so it alone decides a small block;
-            # with one piece the rounding's assignment is the only one
-            if p > 1 and p ** len(moving) <= polish_budget:
-                assign = [0] * q
-                if moving:
-                    # one coefficient array per distinct column; every row is
-                    # over scale times the lcm of the units
-                    lcm = math.lcm(*(unit for coord in form.values() for unit, _ in coord))
-                    dtype = object if exact else float
-                    weights = np.array([held[kk] for kk in moving], dtype=dtype)
-                    arrays = {id(col): weights * np.array([col[kk] * (lcm // unit)
-                                                           for kk in moving], dtype=dtype)
-                              for coord in form.values() for unit, col in coord}
-                    search = [(i, arrays[id(col)], t * (lcm // unit)) for i in range(p)
-                              for t, (unit, col) in zip(sums[i], coords[i])]
-                    for kk, piece in zip(moving, _polish(search, p, len(moving), exact, masks)):
-                        assign[kk] = piece
-            else:
-                rows = _reduce_transport(seed, scale, coords, p, exact)
-                frac_count = len([row for row in rows if len([v for v in row if v > 0]) >= 2])
-                # the largest share of each cell, the first on ties
-                assign = [max(range(p), key=row.__getitem__) for row in rows]
-            for kk, k in enumerate(active):
-                mass[assign[kk]][k] = avail[k]
-            by_piece = [[a if piece == i else 0 for a, piece in zip(held, assign)]
-                        for i in range(p)]
-        else:
+        if grid.mode is not Mode.ATOMIC or not active:
             for kk, k in enumerate(active):
                 for i in range(p):
                     mass[i][k] = seed_rows[kk][i]
-        fractional.append(frac_count)
-        for i in range(p):
-            residual[i].append(tuple(
-                quotient(fold(map(operator.mul, by_piece[i], col)) - t, scale * unit * mu[b])
-                for t, (unit, col) in zip(sums[i], coords[i])))
+            close(b, [[s[i] for s in seed] for i in range(p)], sums, coords, scale)
+            continue
+        q = len(active)
+        moving = range(q)
+        if p ** q > polish_budget or not owner:
+            # a cell whose moment entries are all zero moves no moment: the
+            # search's first minimizer puts it in piece 0, so only the other
+            # cells count toward the budget and are searched (none, when the
+            # moments have no coordinates)
+            entries = zip(*(col for coord in form.values() for _, col in coord))
+            moving = [kk for kk, cell in enumerate(entries) if any(cell)]
+        # the search enumerates every whole-cell assignment, the rounded basic
+        # solution among them, so it alone decides a small block; with one
+        # piece the rounding's assignment is the only one
+        if p > 1 and p ** len(moving) <= polish_budget:
+            if not moving:
+                assign_cells(b, active, held, [0] * q, sums, coords, scale)
+                continue
+            # every row over scale times the lcm of the units, one list per
+            # distinct column, shared by the rows of the pieces that share it
+            lcm = math.lcm(*(unit for coord in form.values() for unit, _ in coord))
+            cols = {id(col): [col[kk] * (lcm // unit) for kk in moving]
+                    for coord in form.values() for unit, col in coord}
+            group = waiting.setdefault(len(moving), [])
+            group.append((
+                [held[kk] for kk in moving],
+                [cols[id(col)] for i in range(p) for _, col in coords[i]],
+                [t * (lcm // unit) for i in range(p)
+                 for t, (unit, _) in zip(sums[i], coords[i])],
+                (b, active, moving, held, sums, coords, scale)))
+            if len(group) * p ** len(moving) >= _SEARCH_ENTRIES or len(group) == _SEARCH_BLOCKS:
+                search(group)
+                group.clear()
+            continue
+        rows = _reduce_transport(seed, scale, coords, p, exact)
+        fractional[b] = len([row for row in rows if len([v for v in row if v > 0]) >= 2])
+        # the largest share of each cell, the first on ties
+        assign_cells(b, active, held, [max(range(p), key=row.__getitem__) for row in rows],
+                     sums, coords, scale)
+    for group in waiting.values():
+        if group:
+            search(group)
 
     # piece i starts where pieces 0..i-1 end, summed in piece order
     pieces = []

@@ -177,7 +177,9 @@ def _separate(plans: Sequence[_FilterPlan]) -> None:
 
     The points of g plans are stacked as ``pts`` (g, n, dim); ``d`` = n pts
     minus each plan's sum of points holds every d = n (p - c), and
-    ``dq`` = d pts^T (g, n, n) every d.q: row i's diagonal entry is d.p and
+    ``dq`` (g, n, n) every d.q, its products added coordinate by coordinate
+    in order, as ``fold`` adds, and not handed to BLAS, whose order is its
+    own: row i's diagonal entry is d.p and
     its largest other entry the m of point i.  Floats run on float64, exact
     points on object arrays of Python ints scaled by each plan's L.  A point
     is settled when g' > tol max(L ||d'||_inf, |m'|), with L = 1 and tol
@@ -193,7 +195,7 @@ def _separate(plans: Sequence[_FilterPlan]) -> None:
         n = len(plan.kept)
         if n > 1:
             groups.setdefault((plan.exact, n, len(plan.kept[0])), []).append(plan)
-    for (exact, n, _), group in groups.items():
+    for (exact, n, dim), group in groups.items():
         step = max(1, _SEPARATION_ENTRIES // (n * n))
         for start in range(0, len(group), step):
             chunk = group[start:start + step]
@@ -212,7 +214,7 @@ def _separate(plans: Sequence[_FilterPlan]) -> None:
                     1 + np.abs(pts).max(axis=(1, 2))[:, None])
             with np.errstate(over="ignore", invalid="ignore"):
                 d = n * pts - pts.sum(axis=1, keepdims=True)
-                dq = d @ pts.transpose(0, 2, 1)
+                dq = fold(d[:, :, None, t] * pts[:, None, :, t] for t in range(dim))
                 m = dq[:, ~np.eye(n, dtype=bool)].reshape(len(chunk), n, n - 1).max(axis=2)
                 gap = np.diagonal(dq, axis1=1, axis2=2) - m
                 width = np.maximum(scale * np.abs(d).max(axis=2), np.abs(m))

@@ -21,7 +21,11 @@ Both digests are committed: ``FULL_DIGEST`` over every report and
 every supported Python.  A third, ``BENCH_DIGEST``, covers the reports of
 the first ``atomic-bangbang`` and ``exact-atomic`` instances at seed 17, the
 seed the benchmark pairs compare, verified and checked alike; it is pinned
-and fails the script in the same way.  Float bits would depend on the version if anything
+and fails the script in the same way.  A fourth, ``FINE_DIGEST``, covers the
+first 3 ``atomic-fine-blocks`` instances at that seed, whose blocks the
+exhaustive search decides; it is pinned alike, and the CI step runs the
+script again under ``OPENBLAS_CORETYPE=Prescott``, another BLAS kernel, which
+must print the same digests.  Float bits would depend on the version if anything
 added floats with the builtin ``sum``, which compensates float sums from
 3.12 on: the solver adds through ``numeric.fold``, a left fold, and so do
 the ``cli_corpus`` generators.  The benchmark generators still call ``sum``,
@@ -63,12 +67,17 @@ WORKLOAD_SEED = 7
 #: instance each
 BENCH_WORKLOADS = ("atomic-bangbang", "exact-atomic")
 BENCH_SEED = 17
+#: the workload of the reports ``FINE_DIGEST`` covers, its first
+#: ``WORKLOAD_INSTANCES`` instances at ``BENCH_SEED``
+FINE_WORKLOAD = "atomic-fine-blocks"
 #: sha256 over the exact reports of the corpus, wall_time removed
 EXACT_DIGEST = "65889a40f5be18014063359fbbc28094791d9a3661a2ff271319ba8c4f7526fa"
 #: sha256 over all reports of the corpus, wall_time removed
 FULL_DIGEST = "bc24f579cc615e1af6b9dcc6408b15ff8c60e0b0ff57e4596b0feb4fd63e1d50"
 #: sha256 over the reports of ``bench_instances``, wall_time removed
 BENCH_DIGEST = "a92aeb1cb3b245015d0118712a4163efdfa08f74389d82954af82ab0568fe6f8"
+#: sha256 over the reports of ``fine_instances``, wall_time removed
+FINE_DIGEST = "3982ec91792a772687b847a960bb3d1e6203b6731380f185b9eec0dfe7ac4ac1"
 
 
 def corpus_cells():
@@ -101,6 +110,14 @@ def bench_instances():
     for name in BENCH_WORKLOADS:
         inst = next(workloads.instances(name, BENCH_SEED))
         yield f"{name}/{BENCH_SEED}/0", inst.command, inst.document
+
+
+def fine_instances():
+    """(label, command, document) of the first ``WORKLOAD_INSTANCES``
+    instances of ``FINE_WORKLOAD`` at ``BENCH_SEED``."""
+    stream = workloads.instances(FINE_WORKLOAD, BENCH_SEED)
+    for i, inst in enumerate(itertools.islice(stream, WORKLOAD_INSTANCES)):
+        yield f"{FINE_WORKLOAD}/{BENCH_SEED}/{i}", inst.command, inst.document
 
 
 def recording(tests: list):
@@ -137,8 +154,9 @@ def certificate_disagreements(tests: list) -> tuple[int, int, int]:
 
 
 def main() -> int:
-    digest, exact_digest, bench_digest = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    count = exact_count = bench_count = 0
+    digest, exact_digest = hashlib.sha256(), hashlib.sha256()
+    bench_digest, fine_digest = hashlib.sha256(), hashlib.sha256()
+    count = exact_count = bench_count = fine_count = 0
     rejected = []
     tests: list = []
     cli._matching_vertices = recording(tests)
@@ -174,18 +192,24 @@ def main() -> int:
     for label, command, doc in bench_instances():
         bench_digest.update(checked(label, command, doc)[0])
         bench_count += 1
+    for label, command, doc in fine_instances():
+        fine_digest.update(checked(label, command, doc)[0])
+        fine_count += 1
     for line in rejected:
         print(f"rejected {line}", file=sys.stderr)
     print(f"{digest.hexdigest()}  {count} reports, wall_time removed")
     print(f"{exact_digest.hexdigest()}  {exact_count} exact reports, wall_time removed")
     print(f"{bench_digest.hexdigest()}  {bench_count} benchmark reports at seed {BENCH_SEED}, "
           "wall_time removed")
+    print(f"{fine_digest.hexdigest()}  {fine_count} {FINE_WORKLOAD} reports at seed "
+          f"{BENCH_SEED}, wall_time removed")
     print(f"extremeness of branch values: {decided['certificate']} pairs settled by the "
           f"certificate and confirmed by the LP, {decided['lp']} pairs decided by the LP")
     drift = False
     for name, got, committed in (("exact reports", exact_digest, EXACT_DIGEST),
                                  ("reports", digest, FULL_DIGEST),
-                                 ("benchmark reports", bench_digest, BENCH_DIGEST)):
+                                 ("benchmark reports", bench_digest, BENCH_DIGEST),
+                                 (f"{FINE_WORKLOAD} reports", fine_digest, FINE_DIGEST)):
         if got.hexdigest() != committed:
             print(f"{name} changed: the committed digest is {committed}", file=sys.stderr)
             drift = True

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,7 @@ from condbang import (Mode, RefinedSet, SimpleFunction, annihilator_witness, ban
                       weighted_ce_measure, witness_block_integrals)
 from condbang import lyapunov
 from condbang.linalg import integer_scaled
-from condbang.lyapunov import (_digit_masks, _polish, _reduce_transport,
-                               partition_with_moments)
+from condbang.lyapunov import _polish, _reduce_transport, partition_with_moments
 from condbang.numeric import fold, max_abs
 from condbang.spaces import block_masses
 
@@ -630,25 +630,36 @@ def random_polish_block(rng, q, p, rows, exact):
     return avail, mom_cols, targets
 
 
-def polish_rows(avail, mom_cols, targets, exact):
-    """``_polish``'s (piece, coefficient array, goal) rows of a block: floats
-    as float64 arrays; on exact data every coefficient avail[k] * col[k] and
-    every target times the lcm of their denominators, as object arrays."""
-    owner = [i for i, cols in enumerate(mom_cols) for _ in cols]
-    goals = [t for row in targets for t in row]
-    coefs = [[a * c for a, c in zip(avail, col)] for cols in mom_cols for col in cols]
-    if exact:
-        _, (goals, *coefs) = integer_scaled([goals, *coefs])
-        coefs = [np.array(coef, dtype=object) for coef in coefs]
-    else:
-        w = np.asarray(avail, dtype=float)
-        coefs = [w * np.asarray(col, dtype=float) for cols in mom_cols for col in cols]
-    return list(zip(owner, coefs, goals))
+def polish_stack(blocks, exact):
+    """``_polish``'s row owners, coefficients and goals for a stack of
+    blocks, each (avail, mom_cols, targets) with the same cell count and the
+    same rows per piece: floats as float64 arrays; on exact data each
+    block's coefficients avail[k] * col[k] and targets times the lcm of that
+    block's denominators, as object arrays."""
+    owner = [i for i, cols in enumerate(blocks[0][1]) for _ in cols]
+    coefs, goals = [], []
+    for avail, mom_cols, targets in blocks:
+        row_goals = [t for row in targets for t in row]
+        if exact:
+            row_coefs = [[a * c for a, c in zip(avail, col)] for cols in mom_cols for col in cols]
+            _, (row_goals, *row_coefs) = integer_scaled([row_goals, *row_coefs])
+        else:
+            w = np.asarray(avail, dtype=float)
+            row_coefs = [w * np.asarray(col, dtype=float) for cols in mom_cols for col in cols]
+        coefs.append(row_coefs)
+        goals.append(row_goals)
+    dtype = object if exact else float
+    return owner, np.array(coefs, dtype=dtype), np.array(goals, dtype=dtype)
 
 
-def assert_polish_matches_reference(avail, mom_cols, targets, p, exact, masks=None):
-    got = _polish(polish_rows(avail, mom_cols, targets, exact), p, len(avail), exact,
-                  {} if masks is None else masks)
+def polish_block(avail, mom_cols, targets, p, exact):
+    """``_polish``'s assignment of one block, searched alone."""
+    (got,) = _polish(*polish_stack([(avail, mom_cols, targets)], exact), p)
+    return got
+
+
+def assert_polish_matches_reference(avail, mom_cols, targets, p, exact):
+    got = polish_block(avail, mom_cols, targets, p, exact)
     assert got == reference_polish(avail, mom_cols, targets, p)
     assert all(type(d) is int for d in got)
     return got
@@ -656,32 +667,22 @@ def assert_polish_matches_reference(avail, mom_cols, targets, p, exact, masks=No
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_polish_matches_the_reference_loop_on_random_blocks(exact):
-    # the digit masks are shared by every search of one p, as within one
-    # partition call: blocks of the same cell count reuse them
-    shared = {2: {}, 3: {}}
     rng = random.Random(131)
+    # blocks of one piece count, cell count and rows per piece are also
+    # searched as one stack, as within one partition call
+    stacks = {}
     for _ in range(40):
         p = rng.randint(2, 3)
         q = rng.randint(1, 7 if p == 2 else 5)
         # one-row pieces, multi-row pieces, and pieces of different row counts
         rows = rng.choice([[1] * p, [2] * p, [rng.randint(1, 3) for _ in range(p)]])
-        avail, mom_cols, targets = random_polish_block(rng, q, p, rows, exact)
-        assert_polish_matches_reference(avail, mom_cols, targets, p, exact, shared[p])
-    for p, masks in shared.items():
-        for q, bits in masks.items():
-            assert len(bits) == p
-            assert all(m.shape == (p ** q, q) for m in bits)
-            assert all(m.dtype == (bool if exact else float) for m in bits)
-
-
-def test_float_digit_masks_multiply_as_the_boolean_masks_bit_for_bit():
-    rng = np.random.default_rng(39)
-    for p, q in [(2, 9), (3, 6), (4, 4), (5, 2)]:
-        bits = _digit_masks(p, q, 0, p ** q, False)
-        for _ in range(20):
-            coef = rng.uniform(-2, 2, q) * rng.uniform(0.1, 3, q)
-            for m in bits:
-                assert (m.astype(bool) @ coef).tobytes() == (m @ coef).tobytes()
+        block = random_polish_block(rng, q, p, rows, exact)
+        assert_polish_matches_reference(*block, p, exact)
+        stacks.setdefault((p, q, tuple(rows)), []).append(block)
+    assert any(len(blocks) > 1 for blocks in stacks.values())
+    for (p, _, _), blocks in stacks.items():
+        got = _polish(*polish_stack(blocks, exact), p)
+        assert got == [reference_polish(*block, p) for block in blocks]
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
@@ -708,7 +709,8 @@ def test_polish_takes_the_first_of_tied_optima(exact):
 
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
 def test_polish_runs_more_than_one_chunk(exact):
-    # 2**16 assignments: two chunks of 2**15
+    # 2**16 assignments: two slices of 2**15
+    assert lyapunov._SEARCH_ENTRIES == 2 ** 15
     rng = random.Random(7)
     q, p = 16, 2
     if exact:
@@ -722,21 +724,21 @@ def test_polish_runs_more_than_one_chunk(exact):
         offset = 0.0
     avail = [abs(draw()) + 1 for _ in range(q)]
     mom_cols = [[[draw() for _ in range(q)] for _ in range(rows)] for rows in (1, 2)]
-    # cell 0 on piece 1 puts the optimum in the second chunk
+    # cell 0 on piece 1 puts the optimum in the second slice
     want = [1] + [rng.randint(0, 1) for _ in range(q - 1)]
     targets = [[sum(avail[k] * col[k] for k in range(q) if want[k] == i) + offset
                 for col in mom_cols[i]] for i in range(p)]
-    masks = {}
-    assert assert_polish_matches_reference(avail, mom_cols, targets, p, exact, masks) == want
-    # a search of more than one chunk keeps no masks
-    assert masks == {}
-    # equal cells tie within and across the chunks: the first minimizer wins
+    assert assert_polish_matches_reference(avail, mom_cols, targets, p, exact) == want
+    # equal cells tie within and across the slices: the first minimizer wins
     num = int if exact else float
     avail = [num(1)] * q
     mom_cols = [[[num(1)] * q] for _ in range(p)]
     targets = [[num(4)], [num(12)]]
     got = assert_polish_matches_reference(avail, mom_cols, targets, p, exact)
     assert got == [0] * 4 + [1] * 12
+    # a stack whose blocks find their optima in different slices
+    blocks = [(avail, mom_cols, targets), (avail, mom_cols, [[num(0)], [num(16)]])]
+    assert _polish(*polish_stack(blocks, exact), p) == [got, [1] * 16]
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +750,10 @@ def reference_partition_atomic(moments, alpha, C, grid, polish_budget, within):
     """Pieces, residuals and fractional counts of an atomic partition in the
     order it ran before small blocks skipped the reduction: every block is
     reduced and rounded, then one with 1 < p**q <= polish_budget takes the
-    search's assignment instead.  The fractional counts are the reduction's,
-    on every block."""
+    search's assignment instead.  So does a block with p > 1 whose cells
+    with a nonzero moment entry, m of them, have p**m <= polish_budget: the
+    search runs on those cells alone and the others take piece 0.  The
+    fractional counts are the reduction's, on every block."""
     exact = grid.is_exact
     zero = Fraction(0) if exact else 0.0
     p = alpha.dim
@@ -773,9 +777,18 @@ def reference_partition_atomic(moments, alpha, C, grid, polish_budget, within):
             rows = reduce_block(seed_rows, mom_cols, p, exact)
             frac_count = sum(1 for row in rows if sum(1 for v in row if v > 0) >= 2)
             assign = [max(range(p), key=row.__getitem__) for row in rows]
+            moving = [kk for kk, k in enumerate(active)
+                      if any(v for mom in moments for v in mom.values[k])]
             if 1 < p ** q <= polish_budget:
-                assign = _polish(polish_rows(avail_active, mom_cols, targets, exact), p, q,
-                                 exact, {})
+                assign = polish_block(avail_active, mom_cols, targets, p, exact)
+            elif p > 1 and p ** len(moving) <= polish_budget:
+                assign = [0] * q
+                if moving:
+                    found = polish_block([avail_active[kk] for kk in moving],
+                                         [[[col[kk] for kk in moving] for col in cols]
+                                          for cols in mom_cols], targets, p, exact)
+                    for kk, piece in zip(moving, found):
+                        assign[kk] = piece
             for kk, k in enumerate(active):
                 mass[assign[kk]][k] = avail[k]
         fractional.append(frac_count)
@@ -864,6 +877,86 @@ def test_partition_matches_the_reduce_then_polish_order(exact):
     assert polished and reduced
 
 
+def grouped_search_instance(rng, p, exact, shared):
+    """An atomic instance whose searched blocks fall into groups of every
+    kind, with the budget p**4: 18 blocks of 3 active cells (more than one
+    search of 16), one of 1, two of 2, two of 4 (p**4 assignments, at the
+    budget) and two of 5 (over it), in shuffled cell order.  Some blocks
+    hold cells outside the set (no available mass), and one cell of a
+    3-cell block and one of the first 5-cell block have zero moments under
+    every function, so that block's 4 other cells are searched and the
+    other 5-cell block is reduced."""
+    sizes = [3] * 18 + [1] + [2] * 2 + [4] * 2 + [5] * 2
+    rng.shuffle(sizes)
+    cells = []  # (block, active) per cell, in block order
+    for b, size in enumerate(sizes):
+        cells += [(b, True)] * size + [(b, False)] * rng.randint(0, 2)
+    rng.shuffle(cells)
+    m = len(cells)
+    grid = (random_exact_grid if exact else random_grid)(rng, m, Mode.ATOMIC)
+    C = make_partition([b for b, _ in cells], len(sizes))
+    draw = random_exact_function if exact else random_function
+    moments = [draw(rng, grid, 2)] * p if shared else [draw(rng, grid, 1 + i % 2)
+                                                      for i in range(p)]
+    five = sizes.index(5)
+    zero = {next(k for k, (b, active) in enumerate(cells) if active and test(b))
+            for test in (lambda b: sizes[b] == 3, lambda b: b == five)}
+    moments = [SimpleFunction(dim=mom.dim, values=tuple(
+        (grid.zero,) * mom.dim if k in zero else row for k, row in enumerate(mom.values)))
+        for mom in moments]
+    if shared:
+        moments = [moments[0]] * p
+    alpha = (random_exact_alpha if exact else random_alpha)(rng, grid, p)
+    within = set_from_cells(grid, [k for k, (_, active) in enumerate(cells) if active])
+    return grid, C, moments, alpha, within, sizes[:five] + [4] + sizes[five + 1:]
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-piece"])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_one_call_searches_its_blocks_in_groups_as_the_reference_does(exact, p, shared):
+    rng = random.Random(f"grouped-{exact}-{p}-{shared}")
+    # sizes counts the cells that move a moment
+    grid, C, moments, alpha, within, sizes = grouped_search_instance(rng, p, exact, shared)
+    budget = p ** 4
+    stacks = []
+
+    def spy(owner, coef, goals, pieces):
+        stacks.append(coef.shape)
+        return _polish(owner, coef, goals, pieces)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lyapunov, "_polish", spy)
+        res = partition_with_moments(moments, alpha, C, grid, polish_budget=budget,
+                                     within=within)
+    pieces, residual, _ = reference_partition_atomic(moments, alpha, C, grid, budget, within)
+    assert repr(res.pieces) == repr(pieces)
+    assert repr(res.residual) == repr(residual)
+    # every block of at most 4 active cells is searched, in stacks of at most
+    # 16 blocks of one cell count, the 3-cell blocks in two
+    searched = Counter(size for size in sizes if size <= 4)
+    assert searched == Counter({1: 1, 2: 2, 3: 18, 4: 3})
+    assert Counter(q for _, _, q in stacks) == Counter({1: 1, 2: 1, 3: 2, 4: 1})
+    assert sorted(blocks for blocks, _, q in stacks if q == 3) == [2, 16]
+    assert {q: fold(blocks for blocks, _, k in stacks if k == q) for q in searched} == searched
+    assert all(rows == fold(m.dim for m in moments) for _, rows, _ in stacks)
+    assert [got for got, size in zip(res.fractional_per_block, sizes) if size <= 4] == \
+        [0] * fold(searched.values())
+    # with one piece nothing is searched, and every block is reduced
+    alpha = constant_function(grid, grid.one)
+    stacks.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lyapunov, "_polish", spy)
+        res = partition_with_moments(moments[:1], alpha, C, grid, polish_budget=budget,
+                                     within=within)
+    pieces, residual, fractional = reference_partition_atomic(moments[:1], alpha, C, grid,
+                                                              budget, within)
+    assert stacks == []
+    assert repr(res.pieces) == repr(pieces)
+    assert repr(res.residual) == repr(residual)
+    assert list(res.fractional_per_block) == fractional
+
+
 # ---------------------------------------------------------------------------
 # float blocks: the block form moves no bit
 # ---------------------------------------------------------------------------
@@ -929,9 +1022,9 @@ def test_float_partition_matches_the_plain_float_formulas_by_repr(mode):
         budget = rng.choice([0, 16, 4096])
         searched = []
 
-        def spy(rows, p, q, exact, masks):
-            searched.append(repr([goal for _, _, goal in rows]))
-            return _polish(rows, p, q, exact, masks)
+        def spy(owner, coef, goals, p):
+            searched.extend(repr(row) for row in goals.tolist())
+            return _polish(owner, coef, goals, p)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lyapunov, "_polish", spy)
@@ -940,9 +1033,9 @@ def test_float_partition_matches_the_plain_float_formulas_by_repr(mode):
         targets, residual, bound = plain_float_partition(moments, alpha, C, grid, within,
                                                          res.pieces)
         assert repr(res.residual) == repr(residual)
-        # the searched blocks' targets, in block order
-        flat = iter(repr([t for row in block for t in row]) for block in targets)
-        assert all(any(goals == block for block in flat) for goals in searched)
+        # the searched blocks' targets, each block's at most once
+        flat = Counter(repr([t for row in block for t in row]) for block in targets)
+        assert not Counter(searched) - flat
         if mode is Mode.ATOMIC:
             assert repr(res.residual_bound) == repr(bound)
             seen.add(("searched", bool(searched)))
@@ -1032,9 +1125,9 @@ def plain_atomic_bound(moments, C, grid, within):
 def assert_hard_partition_matches_plain_sums(grid, C, moments, alpha, within, budget):
     searched = []
 
-    def spy(rows, p, q, exact, masks):
-        searched.append([goal for _, _, goal in rows])
-        return _polish(rows, p, q, exact, masks)
+    def spy(owner, coef, goals, p):
+        searched.extend(goals.tolist())
+        return _polish(owner, coef, goals, p)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lyapunov, "_polish", spy)
@@ -1045,10 +1138,12 @@ def assert_hard_partition_matches_plain_sums(grid, C, moments, alpha, within, bu
     assert res.residual == residual
     assert all(type(v) is Fraction for per_block in res.residual for row in per_block
                for v in row)
-    # the searched blocks' targets, in block order, each block's over one
+    # the searched blocks' targets, each block's at most once and over one
     # common positive scale
-    blocks = iter(targets)
-    assert all(any(scaled_targets(goals, block) for block in blocks) for goals in searched)
+    blocks = list(targets)
+    for goals in searched:
+        match = next(block for block in blocks if scaled_targets(goals, block))
+        blocks.remove(match)
     if grid.mode is Mode.ATOMIC:
         pieces, residual, _ = reference_partition_atomic(moments, alpha, C, grid, budget,
                                                          within)
